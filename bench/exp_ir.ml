@@ -4,20 +4,17 @@
    (one pup_dst_port_10mb filter per port, 90% of packets to three hot
    sockets at the end of the priority walk), but with the cache disabled so
    the engines themselves are what is measured: every packet pays the full
-   sequential walk under each of the three compile strategies —
+   sequential walk under each of the two compile strategies —
 
      off        interpret the stack programs as installed (the baseline
                 every previous experiment used),
-     raise      lower -> optimize -> raise, then interpret the optimized
-                stack program,
      regvm      execute the optimized register IR directly, at the
                 register-VM cost model.
 
    A second table gates the whole paper filter corpus statically: for each
-   filter, the raised program's worst-case cost bound (abstract cycles)
-   and the register VM's worst-case microseconds must not exceed the
-   original's. Either regression fails the run — that is the CI criterion
-   this experiment exists for. *)
+   filter, the register VM's worst-case microseconds must not exceed the
+   stack walk's. Either regression fails the run — that is the CI
+   criterion this experiment exists for. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -86,12 +83,6 @@ let corpus_gate () =
         | Error _ -> (rows, failures)
         | Ok v ->
           let a = Filter.Analysis.analyze v in
-          let raised, _ = Filter.Regopt.raise_program v in
-          let araised =
-            match Filter.Validate.check raised with
-            | Ok vr -> Filter.Analysis.analyze vr
-            | Error _ -> a (* Regopt guarantees validity; keep the gate total *)
-          in
           let vm = Filter.Regvm.compile v in
           let stack_us =
             costs.Pf_sim.Costs.filter_apply
@@ -104,19 +95,11 @@ let corpus_gate () =
           let row =
             { metric = name;
               paper = Printf.sprintf "%d cyc / %d uSec" a.Filter.Analysis.cost_bound stack_us;
-              ours =
-                Printf.sprintf "%d cyc / %d uSec" araised.Filter.Analysis.cost_bound regvm_us
-            }
-          in
-          let failed =
-            araised.Filter.Analysis.cost_bound > a.Filter.Analysis.cost_bound
-            || regvm_us > stack_us
+              ours = Printf.sprintf "%d uSec" regvm_us }
           in
           let failures =
-            if failed then
-              Printf.sprintf "%s: raised %d > %d cyc or regvm %d > %d uSec" name
-                araised.Filter.Analysis.cost_bound a.Filter.Analysis.cost_bound regvm_us
-                stack_us
+            if regvm_us > stack_us then
+              Printf.sprintf "%s: regvm %d > %d uSec" name regvm_us stack_us
               :: failures
             else failures
           in
@@ -127,21 +110,19 @@ let corpus_gate () =
     ~title:"Register IR: worst-case corpus costs (original vs optimized)"
     ~note:
       "note: 'paper' column = original stack program (analysis cost bound /\n\
-       worst-case walk uSec); 'ours' = raised program's bound / register-VM\n\
-       worst case. The gate fails if either optimized figure exceeds the\n\
-       original anywhere in the corpus."
+       worst-case walk uSec); 'ours' = register-VM worst case. The gate\n\
+       fails if the register VM exceeds the stack walk anywhere in the\n\
+       corpus."
     (List.rev rows);
   failures
 
 let run () =
   let off = run_mix `Off in
-  let raised = run_mix `Raise_only in
   let regvm = run_mix `Regvm in
-  if off.accepted <> n_packets || raised.accepted <> n_packets || regvm.accepted <> n_packets
-  then
+  if off.accepted <> n_packets || regvm.accepted <> n_packets then
     failwith
-      (Printf.sprintf "ir mix: accepted %d/%d/%d of %d packets" off.accepted
-         raised.accepted regvm.accepted n_packets);
+      (Printf.sprintf "ir mix: accepted %d/%d of %d packets" off.accepted
+         regvm.accepted n_packets);
   let reduction b = 100. *. (off.demux_us_per_packet -. b) /. off.demux_us_per_packet in
   print_table
     ~title:
@@ -154,29 +135,19 @@ let run () =
     [
       { metric = "demux CPU/packet, stack (off)"; paper = "n/a";
         ours = Printf.sprintf "%.0f uSec" off.demux_us_per_packet };
-      { metric = "demux CPU/packet, raised"; paper = "n/a";
-        ours = Printf.sprintf "%.0f uSec" raised.demux_us_per_packet };
       { metric = "demux CPU/packet, regvm"; paper = "n/a";
         ours = Printf.sprintf "%.0f uSec" regvm.demux_us_per_packet };
-      { metric = "reduction, raised vs stack"; paper = "n/a";
-        ours = Printf.sprintf "%.1f%%" (reduction raised.demux_us_per_packet) };
       { metric = "reduction, regvm vs stack"; paper = "n/a";
         ours = Printf.sprintf "%.1f%%" (reduction regvm.demux_us_per_packet) };
     ];
   record_metric "ir_demux_us_per_packet_stack" off.demux_us_per_packet;
-  record_metric "ir_demux_us_per_packet_raised" raised.demux_us_per_packet;
   record_metric "ir_demux_us_per_packet_regvm" regvm.demux_us_per_packet;
-  record_metric "ir_reduction_raised_pct" (reduction raised.demux_us_per_packet);
   record_metric "ir_reduction_regvm_pct" (reduction regvm.demux_us_per_packet);
   let corpus_failures = corpus_gate () in
   record_metric "ir_corpus_filters" (float_of_int (List.length corpus));
   record_metric "ir_corpus_regressions" (float_of_int (List.length corpus_failures));
   (* The CI regression gate: optimized must never cost more than
      unoptimized — on the mix or anywhere in the corpus. *)
-  if raised.demux_us_per_packet > off.demux_us_per_packet then
-    failwith
-      (Printf.sprintf "ir regression: raised demux %.1f uSec/packet > stack %.1f"
-         raised.demux_us_per_packet off.demux_us_per_packet);
   if regvm.demux_us_per_packet > off.demux_us_per_packet then
     failwith
       (Printf.sprintf "ir regression: regvm demux %.1f uSec/packet > stack %.1f"

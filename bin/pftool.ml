@@ -331,23 +331,14 @@ let ir_cmd =
     | Error e -> Format.printf "INVALID: %a@.@." Validate.pp_error e
     | Ok v ->
       let lowered = Ir.lower v in
-      let optimized, _ = Regopt.optimize v in
-      let raised, report = Regopt.raise_program v in
+      let optimized, report = Regopt.optimize v in
       Format.printf "-- lowered (%d instrs, %d loads)@.%a"
         (Ir.instr_count lowered) (Ir.load_count lowered) Ir.pp lowered;
       Format.printf "-- optimized (%d instrs, %d loads)@.%a"
         (Ir.instr_count optimized) (Ir.load_count optimized) Ir.pp optimized;
       Format.printf "-- passes:";
       List.iter (fun (pass, n) -> Format.printf " %s:%d" pass n) report.Regopt.passes;
-      Format.printf "@.";
-      if report.Regopt.fell_back then
-        Format.printf "-- raised: fell back to the original program@."
-      else
-        Format.printf "-- raised (%d -> %d insns, %d -> %d code words)@.%a"
-          report.Regopt.insns_before (Program.insn_count raised)
-          (Program.code_words program) (Program.code_words raised)
-          Program.pp raised;
-      Format.printf "@."
+      Format.printf "@.@."
   in
   let json_one (name, program) =
     match Validate.check program with
@@ -357,8 +348,7 @@ let ir_cmd =
           ("error", json_str (Format.asprintf "%a" Validate.pp_error e)) ]
     | Ok v ->
       let lowered = Ir.lower v in
-      let optimized, _ = Regopt.optimize v in
-      let raised, report = Regopt.raise_program v in
+      let optimized, report = Regopt.optimize v in
       json_obj
         [ ("name", json_str name);
           ("valid", "true");
@@ -374,9 +364,6 @@ let ir_cmd =
                 (fun (pass, n) ->
                   json_obj [ ("pass", json_str pass); ("changes", string_of_int n) ])
                 report.Regopt.passes));
-          ("fell_back", if report.Regopt.fell_back then "true" else "false");
-          ("raised_insns", string_of_int (Program.insn_count raised));
-          ("raised_code_words", string_of_int (Program.code_words raised));
           ("source_code_words", string_of_int (Program.code_words program))
         ]
   in
@@ -403,8 +390,7 @@ let ir_cmd =
        ~doc:
          "Lower filters to the three-address register IR and show the \
           optimizer's work: the lowered and optimized IR side by side, \
-          per-pass change counts, and the optimized stack program raised \
-          back for the classic engines")
+          with per-pass change counts")
     Term.(const run $ files $ builtin $ json)
 
 let cache_cmd =
@@ -677,14 +663,7 @@ let verify_cmd =
         let ir, _ = Regopt.optimize v in
         Equiv.certification_of_report (Equiv.check_ir ~budget v ir)
       in
-      let raise_pass =
-        let raised, _ = Regopt.raise_program v in
-        match Validate.check raised with
-        | Error _ -> Equiv.Uncertified "raised program does not validate"
-        | Ok vraised ->
-          Equiv.certification_of_report (Equiv.check_programs ~budget v vraised)
-      in
-      Ok [ ("peephole", peephole); ("regopt-ir", regopt_ir); ("raise", raise_pass) ]
+      Ok [ ("peephole", peephole); ("regopt-ir", regopt_ir) ]
   in
   let sanitize name =
     String.map (fun c -> match c with 'a'..'z' | 'A'..'Z' | '0'..'9' | '-' | '_' -> c | _ -> '-') name
@@ -799,7 +778,7 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:
          "Translation-validate every shipped optimizer rewrite (peephole, \
-          register-IR optimization, raise) of each filter against the \
+          register-IR optimization) of each filter against the \
           original: each is proved equivalent or refuted with a runnable \
           witness packet")
     Term.(const run $ files $ builtin $ json $ strict $ budget $ cex_dir)

@@ -159,16 +159,6 @@ let load_count t =
       match i with Load _ | Loadind _ -> acc + 1 | Binop _ | Tcond _ -> acc)
     0 t.instrs
 
-let defs t =
-  let d = Array.make t.reg_count None in
-  Array.iter
-    (fun i ->
-      match i with
-      | Load { dst; _ } | Loadind { dst; _ } | Binop { dst; _ } -> d.(dst) <- Some i
-      | Tcond _ -> ())
-    t.instrs;
-  d
-
 let pp_operand ppf = function
   | Reg r -> Format.fprintf ppf "r%d" r
   | Imm v -> Format.fprintf ppf "%d" v

@@ -85,10 +85,6 @@ val load_count : t -> int
 (** Number of packet-load instructions ([Load] + [Loadind]) — what common
     subexpression elimination minimizes. *)
 
-val defs : t -> instr option array
-(** Per-register defining instruction ([None] for registers left undefined
-    by optimization); index by register number. *)
-
 val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit
 val pp : Format.formatter -> t -> unit

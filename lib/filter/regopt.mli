@@ -26,22 +26,9 @@
 
     The pipeline preserves the [`Paper] verdict of {!Interp.run} on every
     packet — including short packets and runtime faults. The differential
-    fuzz oracle ({!Pf_fuzz.Oracle}) cross-checks both the optimized IR
-    (via {!Regvm}) and the raised stack program on every case.
-
-    {2 Raising}
-
-    {!raise_program} lowers, optimizes, and then {e raises} the IR back
-    into a stack program, so every stack engine (Interp/Fast/Closure/
-    Decision) and the 16-bit wire encoding benefit from the same
-    optimization. Raising replays the IR in order: compare-and-terminate
-    exits become short-circuit operators, operand trees are rematerialized
-    on demand (the stack machine has no dup, so shared values are
-    recomputed — sound because packets are immutable), and instructions
-    that can reject are pinned before the next accepting exit so fault
-    order stays observably identical. If the result does not validate,
-    grows in code words, or raises the {!Analysis.t.cost_bound}, the
-    original program is returned unchanged — raising never loses. *)
+    fuzz oracle ({!Pf_fuzz.Oracle}) cross-checks the optimized IR (via
+    {!Regvm}) on every case, and [pftool verify] proves it equal to the
+    source program for every builtin filter. *)
 
 type report = {
   insns_before : int;  (** stack instructions in the source program *)
@@ -53,9 +40,9 @@ type report = {
       (** Per-pass change counts in pipeline order ([analysis], [fold],
           [cse], [dve]), summed over fixpoint iterations. *)
   fell_back : bool;
-      (** {!raise_program} only: the raised candidate was rejected (failed
-          validation, grew, or cost more) and the original program was
-          kept. Always [false] in {!optimize} reports. *)
+      (** {!optimize_superopt} only: translation validation refuted the
+          pipeline output and the plain {!Ir.lower} lowering was kept.
+          Always [false] in {!optimize} reports. *)
 }
 
 val optimize : Validate.t -> Ir.t * report
@@ -63,43 +50,18 @@ val optimize : Validate.t -> Ir.t * report
     renumbered densely afterwards (the [reg_count] is what {!Regvm} sizes
     its scratch file with). *)
 
-val raise_ir : Ir.t -> priority:int -> Program.t option
-(** Raise an IR back to a stack program; [None] when the replay exceeds
-    the emission budget (pathologically shared trees). The result is not
-    yet validated — {!raise_program} is the safe entry point. *)
-
-val raise_program : Validate.t -> Program.t * report
-(** The full lower → optimize → raise round trip with the never-lose
-    fallback described above. The result always validates, never has more
-    code words than the source, never a larger {!Analysis.t.cost_bound},
-    and keeps the [`Paper] verdict on every packet. *)
-
-val optimize_certified :
-  ?budget:int -> ?superopt:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
-  Validate.t -> (Ir.t * report) * Equiv.certification
-(** [optimize] under translation validation: the optimized IR is checked
-    against the source program with {!Equiv.check_ir}. On {!Equiv.Refuted}
-    the unoptimized lowering ({!Ir.lower}, with [fell_back] set) is
-    returned alongside the witness packet; [Uncertified] keeps the
-    optimized IR and says why the check fell short (e.g. path budget).
-
-    [~superopt:n] additionally runs the stochastic superoptimizer
-    ({!Superopt.search}, [n] proposals, optionally [?seed]/[?memo]) on the
-    certified result; the search only moves through candidates proved
-    equal to its incumbent, so the certification outcome is unchanged. A
-    ["superopt"] entry (static cycles saved) is appended to the report's
-    passes. *)
-
 val optimize_superopt :
   ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
   Validate.t -> (Ir.t * report) * Equiv.certification * Superopt.outcome
-(** [optimize_certified ~superopt] with the full search {!Superopt.outcome}
-    (stats, refuted candidates) exposed — what [pftool superopt] and the
-    [`Regvm_super] install path report from. [equiv_budget] bounds the
-    pipeline certification; [budget] is the search's proposal count. *)
-
-val raise_program_certified :
-  ?budget:int -> Validate.t -> (Program.t * report) * Equiv.certification
-(** [raise_program] under translation validation against the original
-    program. Refuted rewrites fall back to the original (with [fell_back]
-    set); a raise that already fell back certifies trivially. *)
+(** [optimize] under translation validation, then the stochastic
+    superoptimizer. The optimized IR is checked against the source program
+    with {!Equiv.check_ir}; on {!Equiv.Refuted} the unoptimized lowering
+    ({!Ir.lower}, with [fell_back] set) is kept alongside the witness
+    packet, and [Uncertified] keeps the optimized IR and says why the check
+    fell short (e.g. path budget). {!Superopt.search} ([budget] proposals,
+    optionally [?seed]/[?memo]) then refines that verified incumbent; it
+    only moves through candidates proved equal to it, so the certification
+    outcome is unchanged. A ["superopt"] entry (static cycles saved) is
+    appended to the report's passes. The full search {!Superopt.outcome}
+    (stats, refuted candidates) is what [pftool superopt] reports from;
+    [equiv_budget] bounds the pipeline certification. *)

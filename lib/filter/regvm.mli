@@ -26,8 +26,9 @@ val compile_super :
   Validate.t -> t * Equiv.certification * Superopt.outcome
 (** {!Regopt.optimize_superopt} wrapped for execution: the certified
     pipeline output refined by the stochastic search, with the
-    certification and the search outcome surfaced for accounting
-    ([`Regvm_super] installs, [pftool superopt]). *)
+    certification and the search outcome surfaced for accounting. The
+    offline superoptimizer's entry point ([pftool superopt],
+    [bench superopt]); the kernel never runs the search. *)
 
 val validated : t -> Validate.t
 val ir : t -> Ir.t

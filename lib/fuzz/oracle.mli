@@ -28,10 +28,10 @@
       interpreters,
     - the {!Pf_filter.Regvm} register VM over the optimized
       {!Pf_filter.Ir} lowering,
-    - the {!Pf_filter.Regopt.raise_program} round trip: the raised stack
-      program must validate, must not grow in code words or
-      {!Pf_filter.Analysis.cost_bound}, and must agree under both the
-      checked and fast interpreters, and
+    - translation validation ({!Pf_filter.Equiv}) of the peephole and
+      register-IR rewrites, and a short proof-gated
+      {!Pf_filter.Superopt} search whose refuted candidates' witnesses are
+      replayed through every engine, and
     - a {!Pf_filter.Program} wire-codec encode/decode round-trip,
 
     and classifies any disagreement. Two boundaries are respected rather than

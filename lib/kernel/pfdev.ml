@@ -22,8 +22,8 @@ type port = {
   mutable filter : Pf_filter.Fast.t option;
   mutable regvm : Pf_filter.Regvm.t option;
       (* When set, the sequential walk runs this instead of [filter]; the
-         stack compilation is kept alongside for the decision-tree path. *)
-  mutable engine_kind : [ `Stack | `Raised | `Regvm | `Regvm_super ];
+         stack compilation is kept alongside for admission and status. *)
+  mutable engine_kind : [ `Stack | `Regvm ];
   mutable engine_applications : int;
   mutable engine_insns : int;
   mutable insns_source : int;
@@ -59,19 +59,15 @@ and t = {
   mutable ports : port list; (* sorted: priority desc, then id asc *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
-  mutable strategy : [ `Sequential | `Decision_tree | `Dispatch ];
-  mutable compile_strategy : [ `Off | `Raise_only | `Regvm | `Regvm_super ];
+  mutable strategy : [ `Sequential | `Dispatch ];
+  mutable compile_strategy : [ `Off | `Regvm ];
   mutable certify : bool; (* translation-validate install-time compilation *)
-  mutable tree : port Pf_filter.Decision.t option; (* cache; None = dirty *)
   dispatch : dispatch_state array; (* one private automaton per CPU *)
   mutable dispatch_rebuilds : int;
   mutable dispatch_classifies : int;
   mutable dispatch_exact_accepts : int;
   mutable dispatch_candidates : int;
   mutable dispatch_residual_runs : int;
-  superopt_memo : Pf_filter.Equiv.Memo.t;
-      (* device-wide equivalence-verdict memo: [`Regvm_super] installs of
-         recurring programs (and recurring search candidates) prove once *)
   mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
@@ -111,8 +107,8 @@ and dispatch_state =
    Soundness rests on {!Pf_filter.Analysis.t.read_set}: two packets that
    agree on every read-set word (including which of those words exist) get
    the same verdict from every installed filter, so the cached acceptor
-   list is exactly what the ordered walk (or the decision tree) would have
-   produced — as long as the filter set, priorities, and walk order have
+   list is exactly what the ordered walk (or the dispatch automaton) would
+   have produced — as long as the filter set, priorities, and walk order have
    not changed since the entry was stored, which is what the invalidation
    paths guarantee. On an SMP device there is one cache per CPU — receive
    steering sends every packet of a flow to the same CPU, so the caches
@@ -162,14 +158,12 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     strategy = `Sequential;
     compile_strategy = `Off;
     certify = false;
-    tree = None;
     dispatch = Array.make n Dispatch_dirty;
     dispatch_rebuilds = 0;
     dispatch_classifies = 0;
     dispatch_exact_accepts = 0;
     dispatch_candidates = 0;
     dispatch_residual_runs = 0;
-    superopt_memo = Pf_filter.Equiv.Memo.create ();
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
@@ -337,7 +331,6 @@ let invalidate_cache ?(cpu = 0) t =
    demux path. The occasional busier-first reordering of equal-priority
    filters (section 3.2) happens in [maybe_reorder]. *)
 let insert_port t port =
-  t.tree <- None;
   let rec ins = function
     | [] -> [ port ]
     | p :: _ as l when p.priority < port.priority || (p.priority = port.priority && p.id > port.id)
@@ -415,7 +408,6 @@ let open_port t =
 let close_port port =
   port.is_open <- false;
   port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports;
-  port.dev.tree <- None;
   san_table_write port.dev;
   invalidate_cache port.dev;
   (* Wake any blocked readers; they will notice the port is closed. *)
@@ -444,46 +436,16 @@ let install port program =
   | Error e -> Error (Invalid e)
   | Ok validated -> (
     let t = port.dev in
-    (* Compile according to the device strategy. [`Raise_only] replaces the
-       stack program with its lower→optimize→raise round trip (never worse:
-       Regopt falls back to the original otherwise), so every downstream
-       engine — including the decision tree — runs the optimized code.
-       [`Regvm] additionally compiles the optimized IR for direct register
-       execution on the sequential walk; the stack compilation is kept for
-       the decision-tree path and the status surface. *)
-    let fast, regvm, kind, compiled_insns, certification =
+    (* Compile according to the device strategy. [`Regvm] additionally
+       compiles the optimized IR for direct register execution on the
+       sequential walk; the stack compilation is kept for admission and the
+       status surface. *)
+    let fast = Pf_filter.Fast.compile validated in
+    let regvm, certification =
       match t.compile_strategy with
       | `Off ->
-        ( Pf_filter.Fast.compile validated,
-          None,
-          `Stack,
-          Pf_filter.Program.insn_count program,
-          (* identity compilation: trivially meaning-preserving *)
-          if t.certify then Some Pf_filter.Equiv.Certified else None )
-      | `Raise_only -> (
-        let raised, certification =
-          if t.certify then
-            let (raised, _report), cert =
-              Pf_filter.Regopt.raise_program_certified validated
-            in
-            (raised, Some cert)
-          else (fst (Pf_filter.Regopt.raise_program validated), None)
-        in
-        match Pf_filter.Validate.check raised with
-        | Ok vr ->
-          ( Pf_filter.Fast.compile vr,
-            None,
-            `Raised,
-            Pf_filter.Program.insn_count raised,
-            certification )
-        | Error _ ->
-          (* Regopt guarantees the raised program validates; defensively
-             keep the original if that invariant ever breaks. *)
-          ( Pf_filter.Fast.compile validated,
-            None,
-            `Stack,
-            Pf_filter.Program.insn_count program,
-            certification ))
+        (* identity compilation: trivially meaning-preserving *)
+        (None, if t.certify then Some Pf_filter.Equiv.Certified else None)
       | `Regvm -> (
         let rvm = Pf_filter.Regvm.compile validated in
         let certification =
@@ -497,40 +459,13 @@ let install port program =
         | Some (Pf_filter.Equiv.Refuted _) ->
           (* A refuted IR compilation never runs: keep the checked stack
              engine for this port and surface the witness. *)
-          ( Pf_filter.Fast.compile validated,
-            None,
-            `Stack,
-            Pf_filter.Program.insn_count program,
-            certification )
-        | _ ->
-          ( Pf_filter.Fast.compile validated,
-            Some rvm,
-            `Regvm,
-            Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm),
-            certification ))
-      | `Regvm_super ->
-        (* The stochastic search needs a verified incumbent, so this
-           strategy always runs the certified pipeline (a refuted pipeline
-           falls back to the plain lowering inside
-           [Regopt.optimize_superopt] before the search starts — the VM
-           below is safe to run either way). The device-wide memo shares
-           proof work across installs of recurring programs. *)
-        let rvm, certification, outcome =
-          Pf_filter.Regvm.compile_super ~memo:t.superopt_memo validated
-        in
-        let st = outcome.Pf_filter.Superopt.stats in
-        Stats.incr ~by:st.Pf_filter.Superopt.accepted t.stats "pf.superopt.accepted";
-        Stats.incr ~by:st.Pf_filter.Superopt.rejected t.stats "pf.superopt.rejected";
-        Stats.incr ~by:st.Pf_filter.Superopt.refuted t.stats "pf.superopt.refuted";
-        Stats.incr ~by:st.Pf_filter.Superopt.proved t.stats "pf.superopt.proved";
-        ( Pf_filter.Fast.compile validated,
-          Some rvm,
-          `Regvm_super,
-          Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm),
-          (* The search cannot run without certifying its incumbent, so the
-             certification is always in hand — record it whether or not the
-             device opted into [set_certify]. *)
-          Some certification )
+          (None, certification)
+        | _ -> (Some rvm, certification))
+    in
+    let kind, compiled_insns =
+      match regvm with
+      | None -> (`Stack, Pf_filter.Program.insn_count program)
+      | Some rvm -> (`Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm))
     in
     (match certification with
     | None -> ()
@@ -539,10 +474,8 @@ let install port program =
       Stats.incr t.stats "pf.certify.refuted"
     | Some (Pf_filter.Equiv.Uncertified _) ->
       Stats.incr t.stats "pf.certify.unknown");
-    (* Admission and the status surface use the analysis of the program the
-       sequential walk actually interprets (for [`Raise_only] the raised
-       one — its cost bound is never larger, and its read set is sound for
-       the flow cache because the verdict is preserved on every packet). *)
+    (* Admission and the status surface use the analysis of the installed
+       stack program. *)
     let analysis = Pf_filter.Fast.analysis fast in
     match t.cost_limit with
     | Some limit when analysis.Pf_filter.Analysis.cost_bound > limit ->
@@ -590,9 +523,14 @@ let set_priority port priority =
   san_table_write port.dev;
   invalidate_cache port.dev
 
+(* The public tag sets are wider than the engines that remain: the removed
+   tags are refused, naming their replacement, before anything changes. *)
 let set_strategy t strategy =
-  t.strategy <- strategy;
-  t.tree <- None;
+  t.strategy <-
+    (match strategy with
+    | (`Sequential | `Dispatch) as s -> s
+    | `Decision_tree ->
+      invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch");
   invalidate_cache t
 
 (* The compile strategy applies to future installs only: already-installed
@@ -601,6 +539,17 @@ let set_strategy t strategy =
    are engine-independent, so cached decisions stay sound; we still flush
    defensively since per-port cost accounting changes. *)
 let set_compile_strategy t strategy =
+  let strategy =
+    match strategy with
+    | (`Off | `Regvm) as s -> s
+    | `Raise_only ->
+      invalid_arg
+        "Pfdev.set_compile_strategy: `Raise_only was removed; use `Off or `Regvm"
+    | `Regvm_super ->
+      invalid_arg
+        "Pfdev.set_compile_strategy: `Regvm_super was removed; use `Regvm \
+         (pftool superopt runs the superoptimizer offline)"
+  in
   if t.compile_strategy <> strategy then begin
     t.compile_strategy <- strategy;
     invalidate_cache t
@@ -612,7 +561,7 @@ let set_certify t certify = t.certify <- certify
 let certify t = t.certify
 
 type engine_stats = {
-  engine : [ `Stack | `Raised | `Regvm | `Regvm_super ];
+  engine : [ `Stack | `Regvm ];
   applications : int;
   insns_executed : int;
   insns_source : int;
@@ -636,11 +585,9 @@ let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
 let set_copy_all port flag =
   port.copy_all <- flag;
-  port.dev.tree <- None;
   invalidate_cache port.dev
 let set_tap port flag =
   port.tap <- flag;
-  port.dev.tree <- None;
   invalidate_cache port.dev
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
@@ -744,25 +691,6 @@ let enqueue port capture =
       port.watchers <- [];
       List.iter (fun deliver -> ignore (deliver () : bool)) watchers
   end
-
-(* The merged-dispatch mode (section 7's "decision table") only preserves
-   sequential semantics when every packet goes to at most one port, so any
-   copy-all or tap port disables it. *)
-let tree_usable t = List.for_all (fun p -> (not p.copy_all) && not p.tap) t.ports
-
-let tree_of t =
-  match t.tree with
-  | Some tree -> tree
-  | None ->
-    let entries =
-      List.filter_map
-        (fun p ->
-          match p.validated with Some v when p.is_open -> Some (v, p) | Some _ | None -> None)
-        t.ports
-    in
-    let tree = Pf_filter.Decision.build entries in
-    t.tree <- Some tree;
-    tree
 
 (* The whole-port-set dispatch automaton. Copy-all and tap ports are
    excluded from indexing (their multi-delivery cannot be expressed by a
@@ -976,7 +904,8 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
       acceptors
     | (`Miss _ | `Off) as probe ->
       (* Busier-first reordering only matters (and only makes sense) for the
-         sequential strategy; the tree is keyed on guards, not position. *)
+         sequential strategy; the automaton is keyed on guards, not
+         position. *)
       if t.strategy = `Sequential then maybe_reorder ~cpu t;
       let acceptors = ref [] in
       let run_port_filter port =
@@ -1018,19 +947,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
           end
           else apply rest
       in
-      if t.strategy = `Decision_tree && (not kernel_claimed) && tree_usable t then begin
-        (* One guard-trie walk instead of priority-ordered interpretation;
-           verdicts are identical (property-tested in Decision). *)
-        let result, stats = Pf_filter.Decision.classify_stats (tree_of t) frame in
-        cpu_cost :=
-          !cpu_cost
-          + (stats.Pf_filter.Decision.filters_run * costs.Costs.filter_apply)
-          + (stats.Pf_filter.Decision.insns * costs.Costs.filter_insn);
-        Stats.incr ~by:stats.Pf_filter.Decision.filters_run t.stats "pf.filters_tested";
-        Stats.incr ~by:stats.Pf_filter.Decision.insns t.stats "pf.filter_insns";
-        match result with Some port -> accept port | None -> ()
-      end
-      else if t.strategy = `Dispatch && not kernel_claimed then begin
+      if t.strategy = `Dispatch && not kernel_claimed then begin
         (* Automaton classification, then the residual walk merged by rank:
            walk residual ports of lower rank than the automaton winner (a
            residual may outrank it, or be copy-all and accept additionally);
@@ -1199,10 +1116,11 @@ let copy_out_cost port bytes = Costs.copy_cost port.dev.costs ~bytes
 let locked_dequeue port =
   let t = port.dev in
   if Smp.ncpus t.smp > 1 then begin
-    let wait =
-      Smp.Lock.acquire ~cpu:0 t.delivery_lock ~start:(Engine.now t.engine)
-        ~hold:0
-    in
+    (* The spin starts when the reader can run, not at [now]: CPU 0's
+       interrupt backlog is charged by [Process.use_cpu] queueing behind it,
+       so counting it as spin too would charge it twice. *)
+    let start = max (Engine.now t.engine) (Cpu.busy_until (Smp.cpu t.smp 0)) in
+    let wait = Smp.Lock.acquire ~cpu:0 t.delivery_lock ~start ~hold:0 in
     Process.use_cpu (wait + t.costs.Costs.lock_acquire);
     Stats.incr t.stats "pf.smp.lock_acquire";
     let capture = Queue.take_opt port.queue in

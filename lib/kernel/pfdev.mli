@@ -112,88 +112,80 @@ val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
     comes from the installed program's header ({!install}). *)
 
+(** {2 Engine configuration}
+
+    Two demultiplexing strategies × two compile strategies: four kernel
+    engine configurations. The setters still accept the tags of the
+    engines removed from the kernel, and refuse them with
+    [Invalid_argument]; the tag sets narrow once the benchmark harness
+    stops naming them. *)
+
 val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
 (** Demultiplexing strategy. [`Sequential] (the default) applies filters in
-    priority order, figure 4-1. [`Decision_tree] merges the active filters
-    into section 7's "decision table" ({!Pf_filter.Decision}) — identical
-    verdicts, fewer instructions interpreted; it silently falls back to
-    sequential while any copy-all or tap port exists (those need
-    multi-delivery, which the first-match tree cannot express).
-    [`Dispatch] compiles the whole port set into the cross-filter dispatch
-    automaton ({!Pf_filter.Dispatch}): classification cost grows with the
-    number of guard-signature {e groups}, not the number of ports. Unlike
-    the tree, it tolerates copy-all and tap ports — they simply join the
+    priority order, figure 4-1. [`Dispatch] compiles the whole port set
+    into the cross-filter dispatch automaton ({!Pf_filter.Dispatch}):
+    classification cost grows with the number of guard-signature
+    {e groups}, not the number of ports. Copy-all and tap ports join the
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
     oracle and [test_dispatch] enforce this). The automaton is rebuilt
     lazily after exactly the mutations that flush the flow cache.
     Kernel-claimed packets bypass the automaton (taps-only delivery is a
-    different port subset) and take the sequential walk. *)
+    different port subset) and take the sequential walk.
+
+    [`Decision_tree] raises [Invalid_argument] and leaves the device
+    unchanged: use [`Dispatch]. Section 7's decision tree remains a
+    library module ({!Pf_filter.Decision}). *)
 
 val set_compile_strategy :
   t -> [ `Off | `Raise_only | `Regvm | `Regvm_super ] -> unit
-(** How {!install} compiles filters, spending the {!Pf_filter.Regopt}
-    optimizing backend:
+(** How {!install} compiles filters:
 
     - [`Off] (the default): interpret the stack program as installed — the
       paper-faithful configuration; every existing experiment is unchanged.
-    - [`Raise_only]: run the lower → optimize → raise round trip and
-      install the optimized {e stack} program, so the sequential walk, the
-      decision tree, and the status surface all see the cheaper code.
-      Never worse: {!Pf_filter.Regopt.raise_program} falls back to the
-      original when optimization does not pay.
-    - [`Regvm]: additionally execute the optimized register IR directly
-      ({!Pf_filter.Regvm}) on the sequential walk, charged at the
-      register-VM cost model ({!Pf_sim.Costs.t.regvm_insn}); the
-      decision-tree path, which merges stack programs, keeps the stack
-      compilation.
-    - [`Regvm_super]: [`Regvm] plus the stochastic superoptimizer
-      ({!Pf_filter.Superopt.search}) at install time. The search always
-      runs under translation validation — every committed rewrite is
-      proved equal to its incumbent, a refuted pipeline falls back to the
-      plain lowering {e before} the search starts — and its accounting
-      lands in the device stats (["pf.superopt.accepted"] /
-      ["rejected"] / ["refuted"] / ["proved"]; the invariant
-      [accepted = proved] holds whenever the library's fault-injection
-      hook is off). Equivalence verdicts are memoized device-wide, so
-      reinstalling a recurring program proves nothing twice.
+    - [`Regvm]: execute the {!Pf_filter.Regopt}-optimized register IR
+      directly ({!Pf_filter.Regvm}) on the sequential walk, charged at the
+      register-VM cost model ({!Pf_sim.Costs.t.regvm_insn}). The dispatch
+      automaton runs its candidates on the stack compilation.
+
+    [`Raise_only] and [`Regvm_super] raise [Invalid_argument] and leave the
+    device unchanged: use [`Off] or [`Regvm]. The stochastic superoptimizer
+    runs offline ([pftool superopt], {!Pf_filter.Regvm.compile_super}).
 
     Applies to filters installed {e after} the call; already-installed
     ports keep their engine. Verdicts are engine-independent (the fuzz
     oracle cross-checks all of them), so demultiplexing decisions do not
     change — only their simulated cost. *)
 
-val compile_strategy : t -> [ `Off | `Raise_only | `Regvm | `Regvm_super ]
+val compile_strategy : t -> [ `Off | `Regvm ]
 
 val set_certify : t -> bool -> unit
 (** When enabled, {!install} translation-validates whatever the compile
     strategy produced against the installed program
     ({!Pf_filter.Equiv}): a proof increments the device stat
     ["pf.certify.proved"], a confirmed counterexample increments
-    ["pf.certify.refuted"] {e and} makes the port fall back to an
-    unoptimized engine (the raised program falls back inside
-    {!Pf_filter.Regopt.raise_program_certified}; a refuted [`Regvm]
-    compilation keeps the checked stack engine), and an inconclusive check
-    increments ["pf.certify.unknown"] and keeps the optimized form. The
-    outcome is recorded on the port ({!port_certification}). Applies to
-    installs {e after} the call. Default: off. *)
+    ["pf.certify.refuted"] {e and} makes the port fall back to the checked
+    stack engine (a refuted [`Regvm] compilation never runs), and an
+    inconclusive check increments ["pf.certify.unknown"] and keeps the
+    optimized form. Under [`Off] the installed program is its own
+    compilation and certifies trivially. The outcome is recorded on the
+    port ({!port_certification}). Applies to installs {e after} the call.
+    Default: off. *)
 
 val certify : t -> bool
 
 type engine_stats = {
-  engine : [ `Stack | `Raised | `Regvm | `Regvm_super ];
-      (** how this port was compiled *)
-  applications : int;  (** sequential-walk applications of this filter *)
+  engine : [ `Stack | `Regvm ];  (** how this port was compiled *)
+  applications : int;
+      (** filter applications: sequential-walk runs and dispatch-automaton
+          candidate or residual runs *)
   insns_executed : int;
-      (** stack instructions (or IR instructions for [`Regvm] and
-          [`Regvm_super]) executed by those applications; the
-          decision-tree path accounts globally ("pf.filter_insns"), not
-          per port *)
+      (** instructions executed by those applications: IR instructions when
+          a [`Regvm] port runs on the walk, stack instructions otherwise *)
   insns_source : int;  (** instructions in the program as installed *)
   insns_compiled : int;
-      (** instructions actually run per worst-case application: the raised
-          program's for [`Raised], the optimized IR's for [`Regvm] and
-          [`Regvm_super] *)
+      (** instructions actually run per worst-case application: the
+          source's for [`Stack], the optimized IR's for [`Regvm] *)
 }
 
 val port_engine_stats : port -> engine_stats option

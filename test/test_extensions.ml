@@ -156,7 +156,7 @@ let test_fieldmatch_false_positives () =
   Alcotest.(check bool) "NIT accepts the impostor" true (Fieldmatch.matches nit impostor);
   Alcotest.(check bool) "CSPF rejects the impostor" false (Interp.accepts cspf impostor)
 
-(* {1 Decision-tree demultiplexing in the pseudodevice} *)
+(* {1 Two-host worlds} *)
 
 let mk_world () =
   let eng = Engine.create () in
@@ -164,83 +164,6 @@ let mk_world () =
   let a = Host.create ~costs:Pf_sim.Costs.free link ~name:"a" ~addr:(Addr.exp 1) in
   let b = Host.create ~costs:Pf_sim.Costs.free link ~name:"b" ~addr:(Addr.exp 2) in
   (eng, a, b)
-
-let test_pfdev_decision_tree_equivalent () =
-  (* Same traffic, sequential vs decision-tree demux: identical delivery,
-     fewer instructions interpreted. *)
-  let run strategy =
-    let eng, alice, bob = mk_world () in
-    Pfdev.set_strategy (Host.pf bob) strategy;
-    let counts = Array.make 10 0 in
-    let ports =
-      Array.init 10 (fun i ->
-          let port = Pfdev.open_port (Host.pf bob) in
-          (match
-             Pfdev.set_filter port
-               (Predicates.pup_dst_socket ~priority:(i mod 3) (Int32.of_int (30 + i)))
-           with
-          | Ok () -> ()
-          | Error _ -> Alcotest.fail "set_filter");
-          Pfdev.set_timeout port (Some 200_000);
-          ignore
-            (Host.spawn bob ~name:(Printf.sprintf "r%d" i) (fun () ->
-                 while Pfdev.read port <> None do
-                   counts.(i) <- counts.(i) + 1
-                 done));
-          port)
-    in
-    ignore ports;
-    let tx = Pfdev.open_port (Host.pf alice) in
-    ignore
-      (Host.spawn alice ~name:"writer" (fun () ->
-           for k = 0 to 39 do
-             Pfdev.write tx
-               (Testutil.pup_frame ~dst_byte:2 ~dst_socket:(Int32.of_int (28 + (k mod 14))) ())
-           done));
-    Engine.run eng;
-    (Array.to_list counts, Pf_sim.Stats.get (Host.stats bob) "pf.filter_insns")
-  in
-  let seq_counts, seq_insns = run `Sequential in
-  let tree_counts, tree_insns = run `Decision_tree in
-  Alcotest.(check (list int)) "identical delivery" seq_counts tree_counts;
-  Alcotest.(check bool)
-    (Printf.sprintf "tree interprets less (%d < %d)" tree_insns seq_insns)
-    true (tree_insns < seq_insns)
-
-let test_pfdev_decision_tree_falls_back_with_tap () =
-  (* A copy-all monitor port forces the sequential path; deliveries must
-     still be correct (monitor + owner both get the packet). *)
-  let eng, alice, bob = mk_world () in
-  Pfdev.set_strategy (Host.pf bob) `Decision_tree;
-  let mon = Pfdev.open_port (Host.pf bob) in
-  (match Pfdev.set_filter mon (Program.with_priority Predicates.accept_all 100) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "set_filter");
-  Pfdev.set_copy_all mon true;
-  let app = Pfdev.open_port (Host.pf bob) in
-  (match Pfdev.set_filter app (Predicates.pup_dst_socket 35l) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "set_filter");
-  let mon_got = ref 0 and app_got = ref 0 in
-  Pfdev.set_timeout mon (Some 100_000);
-  Pfdev.set_timeout app (Some 100_000);
-  ignore
-    (Host.spawn bob ~name:"mon" (fun () ->
-         while Pfdev.read mon <> None do
-           incr mon_got
-         done));
-  ignore
-    (Host.spawn bob ~name:"app" (fun () ->
-         while Pfdev.read app <> None do
-           incr app_got
-         done));
-  let tx = Pfdev.open_port (Host.pf alice) in
-  ignore
-    (Host.spawn alice ~name:"writer" (fun () ->
-         Pfdev.write tx (Testutil.pup_frame ~dst_byte:2 ~dst_socket:35l ())));
-  Engine.run eng;
-  Alcotest.(check int) "monitor saw it" 1 !mon_got;
-  Alcotest.(check int) "app got it too" 1 !app_got
 
 (* {1 Pup echo} *)
 
@@ -349,10 +272,6 @@ let suite =
       Alcotest.test_case "fieldmatch masked" `Quick test_fieldmatch_masked;
       Alcotest.test_case "fieldmatch expressibility" `Quick test_fieldmatch_expressible;
       Alcotest.test_case "NIT false positives vs CSPF" `Quick test_fieldmatch_false_positives;
-      Alcotest.test_case "pfdev decision tree = sequential" `Quick
-        test_pfdev_decision_tree_equivalent;
-      Alcotest.test_case "pfdev tree falls back for copy-all" `Quick
-        test_pfdev_decision_tree_falls_back_with_tap;
       Alcotest.test_case "pup echo ping" `Quick test_pup_echo_ping;
       Alcotest.test_case "pup echo no server" `Quick test_pup_echo_no_server;
       Alcotest.test_case "vmtp recovers from drops" `Quick test_vmtp_recovers_from_drops;

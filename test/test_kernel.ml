@@ -602,11 +602,48 @@ let test_cache_invalidation_triggers_counted () =
     Alcotest.(check bool) (name ^ " invalidates") true
       ((Pfdev.cache_stats pf).Pfdev.invalidations > before)
   in
-  bumps "set_strategy" (fun () -> Pfdev.set_strategy pf `Decision_tree);
+  bumps "set_strategy" (fun () -> Pfdev.set_strategy pf `Dispatch);
   bumps "set_copy_all" (fun () -> Pfdev.set_copy_all port true);
   bumps "set_tap" (fun () -> Pfdev.set_tap port true);
   bumps "set_cost_limit" (fun () -> Pfdev.set_cost_limit pf (Some 10_000));
   bumps "set_cache_capacity" (fun () -> Pfdev.set_cache_capacity pf 8);
+  Engine.run eng
+
+(* {1 Removed engine tags} *)
+
+let test_removed_engine_tags_rejected () =
+  (* The setters still accept the removed tags' types but refuse them,
+     naming the replacement, and leave the device as it was. *)
+  let eng, _, _, bob = mk_world () in
+  let pf = Host.pf bob in
+  let port = Pfdev.open_port pf in
+  set_filter_exn port (socket_filter 35);
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let refused name ~replacement f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" name
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ " names " ^ replacement) true (contains msg replacement)
+  in
+  refused "`Decision_tree" ~replacement:"`Dispatch" (fun () ->
+      Pfdev.set_strategy pf `Decision_tree);
+  refused "`Raise_only" ~replacement:"`Regvm" (fun () ->
+      Pfdev.set_compile_strategy pf `Raise_only);
+  refused "`Regvm_super" ~replacement:"pftool superopt" (fun () ->
+      Pfdev.set_compile_strategy pf `Regvm_super);
+  Alcotest.(check bool) "compile strategy unchanged" true
+    (Pfdev.compile_strategy pf = `Off);
+  Alcotest.(check bool) "still demuxes" true (Pfdev.demux pf (cache_frame ()));
+  Pfdev.set_strategy pf `Dispatch;
+  Pfdev.set_compile_strategy pf `Regvm;
+  set_filter_exn port (socket_filter 35);
+  Alcotest.(check bool) "surviving engines install" true
+    ((Option.get (Pfdev.port_engine_stats port)).Pfdev.engine = `Regvm);
+  Alcotest.(check bool) "and demux" true (Pfdev.demux pf (cache_frame ()));
   Engine.run eng
 
 (* {1 Queue-limit overflow accounting} *)
@@ -727,6 +764,8 @@ let suite =
       Alcotest.test_case "flow cache: disable/enable" `Quick test_cache_disabled;
       Alcotest.test_case "flow cache: remaining invalidation triggers" `Quick
         test_cache_invalidation_triggers_counted;
+      Alcotest.test_case "removed engine tags are refused" `Quick
+        test_removed_engine_tags_rejected;
       Alcotest.test_case "queue limit: dropped_before on next read" `Quick
         test_dropped_before_on_next_read;
       Alcotest.test_case "queue limit: read_batch accounting" `Quick

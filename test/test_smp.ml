@@ -253,6 +253,63 @@ let test_per_cpu_dispatch () =
   Alcotest.(check int) "one automaton rebuild per CPU" (Pfdev.ncpus pf)
     ds.Pfdev.rebuilds
 
+(* {1 Readers on an SMP device: virtual time stays bounded} *)
+
+let test_readers_latency_bounded () =
+  (* A read_batch reader per port on a 2-CPU host, paced seeded traffic.
+     The reader's spin on the delivery lock must start when CPU 0 is free
+     to run it: counting CPU 0's interrupt backlog as spin as well as
+     queueing behind it charges the backlog twice, and the error feeds
+     back on itself until virtual time runs away. *)
+  let eng, h = mk_host ~ncpus:2 () in
+  let pf = Host.pf h in
+  let flows = 6 and packets = 2_000 and gap = 2_000 in
+  let gen = Gen.make ~seed:0x5EAD ~flows ~skew:(Gen.Zipf 1.2) () in
+  let last_due = packets * gap in
+  let dues = Array.init flows (fun _ -> Queue.create ()) in
+  let reads = ref 0 and worst = ref 0 in
+  List.iter
+    (fun f ->
+      let i = f.Gen.index in
+      let p = Pfdev.open_port pf in
+      set_filter_exn p (Gen.filter f);
+      Pfdev.set_queue_limit p packets;
+      Pfdev.set_timeout p (Some last_due);
+      ignore
+        (Host.spawn h ~name:(Printf.sprintf "reader%d" i) (fun () ->
+             let rec loop () =
+               match Pfdev.read_batch p with
+               | [] -> ()
+               | batch ->
+                 List.iter
+                   (fun _ ->
+                     incr reads;
+                     let due = Queue.pop dues.(i) in
+                     worst := max !worst (Engine.now eng - due))
+                   batch;
+                 loop ()
+             in
+             loop ())))
+    (Gen.flows gen);
+  Engine.run ~until:0 eng;
+  let t0 = Engine.now eng in
+  List.iteri
+    (fun k f ->
+      let due = t0 + ((k + 1) * gap) in
+      Engine.schedule eng ~at:due (fun () ->
+          Queue.push due dues.(f.Gen.index);
+          Host.inject h (Gen.frame f)))
+    (Gen.sequence gen packets);
+  Engine.run eng;
+  Alcotest.(check int) "every packet read" packets !reads;
+  Alcotest.(check bool)
+    (Printf.sprintf "worst read latency %d us within the traffic span" !worst)
+    true (!worst < last_due);
+  Alcotest.(check bool)
+    (Printf.sprintf "run ends at %d us, within 3x the last due time" (Engine.now eng))
+    true
+    (Engine.now eng - t0 < 3 * last_due)
+
 (* {1 The generator's filters match exactly their own flows} *)
 
 let test_gen_filters_exact () =
@@ -299,6 +356,8 @@ let suite =
         `Quick test_delivery_lock_contention;
       Alcotest.test_case "dispatch automaton instances are per-CPU" `Quick
         test_per_cpu_dispatch;
+      Alcotest.test_case "readers on 2 CPUs: latency stays bounded" `Quick
+        test_readers_latency_bounded;
       Alcotest.test_case "generator filters accept exactly their own flow" `Quick
         test_gen_filters_exact;
     ] )

@@ -2,11 +2,10 @@
    byte-identical programs and identical statistics), the proof-gating
    invariants (accepted = proved, never costlier, best provably equal to
    the source), the refuted-candidate witnesses, the shared equivalence
-   memo, and the [`Regvm_super] kernel strategy's accounting. *)
+   memo, and the offline [Regvm.compile_super] entry point. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
-module Pfdev = Pf_kernel.Pfdev
 module Gen = Pf_fuzz.Gen
 
 let validated program =
@@ -122,67 +121,33 @@ let test_memo_reuse () =
     b.Superopt.stats.Superopt.memo_hits;
   Alcotest.(check bool) "memo retains entries" true (Equiv.Memo.size memo > 0)
 
-(* {1 The [`Regvm_super] kernel strategy} *)
+(* {1 Offline compilation: [Regvm.compile_super] vs [Regvm.compile]} *)
 
-let mk_dev strategy =
-  let eng = Pf_sim.Engine.create () in
-  let costs = Pf_sim.Costs.microvax_ii in
-  let cpu = Pf_sim.Cpu.create costs in
-  let stats = Pf_sim.Stats.create () in
-  let dev =
-    Pfdev.create eng cpu costs stats ~variant:Pf_net.Frame.Exp3
-      ~address:(Pf_net.Addr.exp 1)
-      ~send:(fun _ -> ())
-  in
-  Pfdev.set_compile_strategy dev strategy;
-  Pfdev.set_cache_enabled dev false;
-  (eng, stats, dev)
-
-let superopt_counters stats =
-  List.map
-    (fun k -> (k, Pf_sim.Stats.get stats ("pf.superopt." ^ k)))
-    [ "accepted"; "rejected"; "refuted"; "proved" ]
-
-let test_pfdev_regvm_super () =
-  let program = Predicates.naive_udp_dst_port 53 in
+let test_offline_compile_super () =
+  let v = validated (Predicates.naive_udp_dst_port 53) in
   let rng = Gen.Rng.make 0xBEEF in
   let packets = List.init 60 (fun _ -> fst (Gen.packet rng)) in
-  let run strategy =
-    let eng, stats, dev = mk_dev strategy in
-    let port = Pfdev.open_port dev in
-    (match Pfdev.set_filter port program with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e);
-    let verdicts = List.map (fun pkt -> Pfdev.demux dev pkt) packets in
-    Pf_sim.Engine.run eng;
-    (verdicts, Option.get (Pfdev.port_engine_stats port), stats)
-  in
-  let v_off, _, _ = run `Off in
-  let v_reg, s_reg, _ = run `Regvm in
-  let v_super, s_super, st_a = run `Regvm_super in
-  let _, _, st_b = run `Regvm_super in
-  Alcotest.(check (list bool)) "regvm verdicts agree" v_off v_reg;
-  Alcotest.(check (list bool)) "superopt verdicts agree" v_off v_super;
-  Alcotest.(check bool) "engine kind" true (s_super.Pfdev.engine = `Regvm_super);
+  let run vm = List.map (Regvm.run_counted vm) packets in
+  let steps runs = List.fold_left (fun n (_, insns) -> n + insns) 0 runs in
+  let plain = run (Regvm.compile v) in
+  let super_vm, certification, a = Regvm.compile_super v in
+  let _, _, b = Regvm.compile_super v in
+  let searched = run super_vm in
+  Alcotest.(check (list bool)) "same verdicts as Regvm.compile"
+    (List.map fst plain) (List.map fst searched);
   (* The search strictly improved this naive blender filter, and the
-     per-executed-instruction charging sees it. *)
-  Alcotest.(check bool) "superopt executes fewer IR steps" true
-    (s_super.Pfdev.insns_executed < s_reg.Pfdev.insns_executed);
-  (* Install-time accounting: the invariant and install-to-install
-     determinism (fresh devices, same filter => identical counters). *)
-  Alcotest.(check int) "pf.superopt.accepted = pf.superopt.proved"
-    (Pf_sim.Stats.get st_a "pf.superopt.proved")
-    (Pf_sim.Stats.get st_a "pf.superopt.accepted");
+     per-executed-instruction count sees it. *)
+  Alcotest.(check bool) "fewer executed IR steps" true
+    (steps searched < steps plain);
+  let st = a.Superopt.stats in
+  Alcotest.(check int) "accepted = proved" st.Superopt.proved st.Superopt.accepted;
   Alcotest.(check bool) "search did commit improvements" true
-    (Pf_sim.Stats.get st_a "pf.superopt.accepted" > 0);
-  Alcotest.(check
-              (list (pair string int)))
-    "identical counters across fresh installs" (superopt_counters st_a)
-    (superopt_counters st_b);
-  (* The strategy always certifies its installs. *)
-  Alcotest.(check bool) "install certified" true
-    (Pf_sim.Stats.get st_a "pf.certify.proved" > 0
-     || Pf_sim.Stats.get st_a "pf.certify.unknown" > 0)
+    (st.Superopt.accepted > 0);
+  Alcotest.(check bool) "identical stats across fresh runs" true
+    (a.Superopt.stats = b.Superopt.stats);
+  match certification with
+  | Equiv.Refuted w -> Alcotest.failf "pipeline refuted at %a" Packet.pp_hex w
+  | Equiv.Certified | Equiv.Uncertified _ -> ()
 
 let suite =
   ( "superopt",
@@ -193,6 +158,6 @@ let suite =
       Alcotest.test_case "refuted candidates diverge at their witness" `Quick
         test_refuted_witnesses_diverge;
       Alcotest.test_case "shared equivalence memo" `Quick test_memo_reuse;
-      Alcotest.test_case "pfdev `Regvm_super strategy" `Quick
-        test_pfdev_regvm_super
+      Alcotest.test_case "offline compile_super vs compile" `Quick
+        test_offline_compile_super
     ] )
