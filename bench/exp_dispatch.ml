@@ -19,7 +19,10 @@
 
    The run *fails* — the CI smoke criterion — if the automaton is ever
    slower than the walk, if it is not >= 5x faster at 1,000 ports, or if
-   its own 10 -> 10,000 curve is not sublinear. *)
+   its own 10 -> 10,000 curve is not sublinear. It also records the host
+   time of one automaton build per port count (dispatch_build_host_ms_nN),
+   ungated because it reads the host clock, so a superlinear build shows
+   up in BENCH_dispatch.json. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -68,6 +71,23 @@ let run_mix ~n ~mix ~strategy ~cache =
     /. float_of_int n_packets
   in
   { us_per_packet = per "pf.demux_cpu_us"; insns_per_packet = per "pf.filter_insns" }
+
+(* Host time of one [Dispatch.build_compiled] over the set [run_mix]
+   installs, each filter compiled once as install does: median of 5, ms. *)
+let build_host_ms n =
+  let gen = Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:!run_seed ~flows:n ~skew:Gen.Uniform () in
+  let installed =
+    List.init n (fun k ->
+        let i = n - 1 - k in
+        let v = Pf_filter.Validate.check_exn (Gen.filter (Gen.flow gen i)) in
+        (Pf_filter.Fast.compile v, i))
+  in
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Pf_filter.Dispatch.build_compiled installed : int Pf_filter.Dispatch.t);
+    (Unix.gettimeofday () -. t0) *. 1e3
+  in
+  List.nth (List.sort compare (List.init 5 (fun _ -> once ()))) 2
 
 let mix_name = function `Uniform -> "uniform" | `Skewed -> "skewed"
 
@@ -139,6 +159,9 @@ let run () =
              })
            rows))
     curves;
+  List.iter
+    (fun n -> record_metric (Printf.sprintf "dispatch_build_host_ms_n%d" n) (build_host_ms n))
+    port_counts;
   (* Composing with the flow cache: the automaton classifies misses, the
      cache answers repeats — at 1,000 ports and a skewed mix the pair
      should beat either alone. *)

@@ -5,7 +5,6 @@ type 'a entry = {
   value : 'a;
   exact : bool;
   fast : Fast.t;
-  validated : Validate.t;
 }
 
 type 'a group = {
@@ -58,17 +57,13 @@ let slot_key values =
     values;
   Buffer.contents buf
 
-let build ?(indexable = fun _ -> true) filters =
+let build_compiled ?(indexable = fun _ -> true) filters =
   (* Walk order: decreasing priority, ties by list position — the order the
      kernel's sequential demux applies these filters in. *)
   let ranked =
-    List.mapi (fun i (validated, value) -> (i, validated, value)) filters
-    |> List.stable_sort (fun (i, va, _) (j, vb, _) ->
-           match
-             compare
-               (Program.priority (Validate.program vb))
-               (Program.priority (Validate.program va))
-           with
+    List.mapi (fun i (fast, value) -> (i, fast, value)) filters
+    |> List.stable_sort (fun (i, fa, _) (j, fb, _) ->
+           match compare (Fast.priority fb) (Fast.priority fa) with
            | 0 -> compare i j
            | c -> c)
   in
@@ -76,30 +71,32 @@ let build ?(indexable = fun _ -> true) filters =
      (memoized, small budget) where it answers Unknown. Equiv.relate only
      ever upgrades to Equivalent/Disjoint, both sound here. *)
   let memo = Equiv.Memo.create () in
-  let relate va vb = Equiv.relate_memo ~budget:64 ~pair_budget:256 memo va vb in
-  let groups : (int list, (int list * 'a entry list ref) list ref) Hashtbl.t =
+  let relate fa fb =
+    Equiv.relate_memo ~budget:64 ~pair_budget:256 memo (Fast.validated fa)
+      (Fast.validated fb)
+  in
+  (* per offset signature, a table from slot key to its entries, newest
+     first: one hash insert per filter keeps the build linear *)
+  let groups : (int list, (string, 'a entry list) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
   let add_group_entry offsets values entry =
-    (* per offset signature, an assoc from canonical value tuple to entries *)
     let slots =
       match Hashtbl.find_opt groups offsets with
       | Some s -> s
       | None ->
-        let s = ref [] in
+        let s = Hashtbl.create 16 in
         Hashtbl.add groups offsets s;
         s
     in
-    match List.assoc_opt values !slots with
-    | Some entries -> entries := entry :: !entries
-    | None -> slots := (values, ref [ entry ]) :: !slots
+    let key = slot_key values in
+    Hashtbl.replace slots key (entry :: Option.value ~default:[] (Hashtbl.find_opt slots key))
   in
   let decisions = ref [] in
   List.iteri
-    (fun rank (_, validated, value) ->
-      let fast = Fast.compile validated in
+    (fun rank (_, fast, value) ->
       let analysis = Fast.analysis fast in
-      let chain, whole = Analysis.guards (Validate.program validated) in
+      let chain, whole = Analysis.guards (Fast.program fast) in
       let decision =
         if analysis.Analysis.verdict = Analysis.Always_reject then Never_accepts
         else
@@ -113,8 +110,7 @@ let build ?(indexable = fun _ -> true) filters =
             else begin
               let offsets = List.map fst canonical in
               let values = List.map snd canonical in
-              add_group_entry offsets values
-                { rank; value; exact = whole; fast; validated };
+              add_group_entry offsets values { rank; value; exact = whole; fast };
               Indexed { offsets; exact = whole }
             end
       in
@@ -131,33 +127,29 @@ let build ?(indexable = fun _ -> true) filters =
       (fun k ->
         k.exact
         ||
-        match relate k.validated e.validated with
+        match relate k.fast e.fast with
         | Analysis.Subsumes | Analysis.Equivalent -> true
         | Analysis.Subsumed_by | Analysis.Disjoint | Analysis.Unknown -> false)
       kept
   in
+  (* the first entry is never shadowed, so no slot empties *)
+  let shadow_slot _ newest_first =
+    Some
+      (List.fold_left
+         (fun kept e ->
+           match shadow_of kept e with
+           | Some k ->
+             let _, value, _ = decisions.(e.rank) in
+             decisions.(e.rank) <- (e.rank, value, Shadowed { by = k.rank });
+             kept
+           | None -> kept @ [ e ])
+         [] (List.rev newest_first))
+  in
   let built_groups =
     Hashtbl.fold
       (fun offsets slots acc ->
-        let table = Hashtbl.create (List.length !slots) in
-        List.iter
-          (fun (values, entries) ->
-            let entries = List.sort (fun a b -> compare a.rank b.rank) !entries in
-            let kept =
-              List.fold_left
-                (fun kept e ->
-                  match shadow_of kept e with
-                  | Some k ->
-                    let _, value, _ = decisions.(e.rank) in
-                    decisions.(e.rank) <- (e.rank, value, Shadowed { by = k.rank });
-                    kept
-                  | None -> kept @ [ e ])
-                [] entries
-            in
-            if kept <> [] then Hashtbl.add table (slot_key values) kept)
-          !slots;
-        if Hashtbl.length table = 0 then acc
-        else { offsets = Array.of_list offsets; slots = table } :: acc)
+        Hashtbl.filter_map_inplace shadow_slot slots;
+        { offsets = Array.of_list offsets; slots } :: acc)
       groups []
     |> List.sort (fun a b -> compare (Array.to_list a.offsets) (Array.to_list b.offsets))
   in
@@ -169,6 +161,10 @@ let build ?(indexable = fun _ -> true) filters =
       decisions
   in
   { groups = built_groups; residual; decisions; count = List.length filters }
+
+let build ?indexable filters =
+  build_compiled ?indexable
+    (List.map (fun (validated, value) -> (Fast.compile validated, value)) filters)
 
 let size t = t.count
 let residuals t = t.residual

@@ -59,7 +59,13 @@ val build : ?indexable:('a -> bool) -> (Validate.t * 'a) list -> 'a t
     rest per {!decision}. [indexable] (default: everything) lets the
     caller veto indexing per value — {!Pf_kernel.Pfdev} excludes copy-all
     and tap ports, whose multi-delivery the first-match automaton cannot
-    express. *)
+    express. Compiles every filter ({!Fast.compile}) and hands the set to
+    {!build_compiled}. *)
+
+val build_compiled : ?indexable:('a -> bool) -> (Fast.t * 'a) list -> 'a t
+(** {!build} over filters already compiled (the kernel passes the {!Fast.t}
+    each port compiled at install), so nothing is re-analyzed. Linear in the
+    number of filters, apart from same-slot shadow checks. *)
 
 val size : 'a t -> int
 (** Number of input filters. *)

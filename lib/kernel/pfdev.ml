@@ -62,7 +62,7 @@ and t = {
   mutable strategy : [ `Sequential | `Dispatch ];
   mutable compile_strategy : [ `Off | `Regvm ];
   mutable certify : bool; (* translation-validate install-time compilation *)
-  dispatch : dispatch_state array; (* one private automaton per CPU *)
+  mutable dispatch : dispatch_state; (* one automaton, shared read-only by every CPU *)
   mutable dispatch_rebuilds : int;
   mutable dispatch_classifies : int;
   mutable dispatch_exact_accepts : int;
@@ -89,15 +89,14 @@ and san_handles = {
   res_queue : San.resource; (* shared port queues, guarded by delivery_lock *)
   res_table : San.resource; (* the port/filter table, published by IPI *)
   res_cache : San.resource array; (* per-CPU private flow caches *)
-  res_dispatch : San.resource array; (* per-CPU private dispatch automata *)
   res_statword : San.resource array; (* per-CPU demux counters *)
 }
 
 (* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}), rebuilt
    lazily on first use after any acceptor-changing mutation — exactly the
    flow cache's invalidation set, so [invalidate_cache] marks it dirty.
-   Each CPU owns its own instance: rebuilds are private, classification
-   touches no cross-CPU state. *)
+   One instance serves every CPU: it is a pure function of the published
+   port table, and classification only reads it. *)
 and dispatch_state =
   | Dispatch_dirty
   | Dispatch_built of port Pf_filter.Dispatch.t
@@ -158,7 +157,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     strategy = `Sequential;
     compile_strategy = `Off;
     certify = false;
-    dispatch = Array.make n Dispatch_dirty;
+    dispatch = Dispatch_dirty;
     dispatch_rebuilds = 0;
     dispatch_classifies = 0;
     dispatch_exact_accepts = 0;
@@ -230,12 +229,6 @@ let attach_san t san =
           ~name:(Printf.sprintf "pfdev.flow_cache.cpu%d" k)
           ~discipline:(San.Cpu_private k))
   in
-  let res_dispatch =
-    Array.init n (fun k ->
-        San.register san
-          ~name:(Printf.sprintf "pfdev.dispatch.cpu%d" k)
-          ~discipline:(San.Cpu_private k))
-  in
   let res_statword =
     Array.init n (fun k ->
         San.register san
@@ -248,6 +241,8 @@ let attach_san t san =
   San.declare_site san ~site:"Pfdev.locked_dequeue" ~ctx:San.Boot
     ~locks:[ lock ] ~rw:`Write res_queue;
   San.declare_site san ~site:"Pfdev.demux:classify" ~ctx:San.Any_cpu ~locks:[]
+    ~rw:`Read res_table;
+  San.declare_site san ~site:"Pfdev.demux:dispatch" ~ctx:San.Any_cpu ~locks:[]
     ~rw:`Read res_table;
   San.declare_site san ~site:"Pfdev.install" ~ctx:San.Boot ~locks:[]
     ~rw:`Write res_table;
@@ -265,16 +260,11 @@ let attach_san t san =
     res_cache;
   Array.iteri
     (fun k r ->
-      San.declare_site san ~site:"Pfdev.demux:dispatch" ~ctx:(San.On_cpu k)
-        ~locks:[] ~rw:`Write r)
-    res_dispatch;
-  Array.iteri
-    (fun k r ->
       San.declare_site san ~site:"Pfdev.demux:counters" ~ctx:(San.On_cpu k)
         ~locks:[] ~rw:`Write r)
     res_statword;
   t.san <-
-    Some { checker = san; res_queue; res_table; res_cache; res_dispatch; res_statword }
+    Some { checker = san; res_queue; res_table; res_cache; res_statword }
 
 (* A real mutation of the port table, for the sanitizer's happens-before
    tracking. (Distinct from [invalidate_cache], which also covers
@@ -290,8 +280,8 @@ let invalidate_cache ?(cpu = 0) t =
   (match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ());
   (* The dispatch automaton is sound under exactly the invariants the flow
      cache is, so the two share one invalidation set. *)
+  t.dispatch <- Dispatch_dirty;
   let flush_one k =
-    t.dispatch.(k) <- Dispatch_dirty;
     let c = t.caches.(k) in
     c.generation <- c.generation + 1;
     if Hashtbl.length c.table > 0 then begin
@@ -304,7 +294,6 @@ let invalidate_cache ?(cpu = 0) t =
       (* The flush runs in CPU [k]'s logical context (its shootdown
          handler); observing it is what syncs [k] to the new epoch. *)
       San.write h.checker ~cpu:k h.res_cache.(k);
-      San.write h.checker ~cpu:k h.res_dispatch.(k);
       San.sync h.checker ~cpu:k h.res_table
     | None -> ()
   in
@@ -695,25 +684,26 @@ let enqueue port capture =
 (* The whole-port-set dispatch automaton. Copy-all and tap ports are
    excluded from indexing (their multi-delivery cannot be expressed by a
    first-match winner) and fall to the rank-ordered residual walk, which
-   [demux] merges with the automaton winner by rank. *)
-let dispatch_of t cpu =
-  match t.dispatch.(cpu) with
+   [demux] merges with the automaton winner by rank. Built from the
+   [Fast.t] each port compiled at install, so a rebuild recompiles nothing. *)
+let dispatch_of t =
+  match t.dispatch with
   | Dispatch_built d -> d
   | Dispatch_dirty ->
     let entries =
       List.filter_map
         (fun p ->
-          match p.validated with
-          | Some v when p.is_open -> Some (v, p)
+          match p.filter with
+          | Some f when p.is_open -> Some (f, p)
           | Some _ | None -> None)
         t.ports
     in
     let d =
-      Pf_filter.Dispatch.build
+      Pf_filter.Dispatch.build_compiled
         ~indexable:(fun p -> (not p.copy_all) && not p.tap)
         entries
     in
-    t.dispatch.(cpu) <- Dispatch_built d;
+    t.dispatch <- Dispatch_built d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
     Stats.incr t.stats "pf.dispatch.rebuild";
     d
@@ -754,8 +744,8 @@ let cache_key offsets frame =
 (* Receive-side steering: hash the packet bytes at the union read set — the
    same bytes the flow cache keys on — to pick the receive CPU. Two packets
    of one flow agree on every read-set word, so they always steer to the
-   same CPU, and each CPU's flow cache and dispatch automaton stay private
-   to its shard of the flow space. When the key is unusable (some installed
+   same CPU, and each CPU's flow cache stays private to its shard of the
+   flow space. When the key is unusable (some installed
    filter's read set is unbounded) or empty, everything lands on CPU 0.
    Steering charges no CPU time: it models the NIC's receive hashing
    hardware, not kernel work. *)
@@ -954,10 +944,10 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
            once every remaining residual ranks past the winner, the winner —
            always non-copy-all — takes the packet and stops the walk, exactly
            where the sequential walk would have stopped. *)
-        let d = dispatch_of t cpu in
+        let d = dispatch_of t in
         (match t.san with
         | Some h ->
-          San.read h.checker ~cpu h.res_dispatch.(cpu);
+          San.read h.checker ~cpu h.res_table;
           cpu_cost := !cpu_cost + costs.Costs.san_access
         | None -> ());
         t.dispatch_classifies <- t.dispatch_classifies + 1;
@@ -1042,7 +1032,8 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
      delivery (queueing + reader wakeup) completes when that CPU work
      retires. On an SMP device delivery mutates shared port queues, so it
      runs under the costed delivery spinlock; classification itself touches
-     only this CPU's private cache and automaton and needs no lock. The
+     only this CPU's private cache and the read-only shared automaton, and
+     needs no lock. The
      split into two interrupt-owner runs is cost-neutral on one CPU (no
      context switch is ever charged between them), which is what keeps the
      single-CPU SMP path byte-identical to the legacy accounting. *)

@@ -37,9 +37,10 @@ val create_smp :
   address:Pf_net.Addr.t ->
   send:(Pf_pkt.Packet.t -> unit) ->
   t
-(** Device on an SMP complex: one private flow cache and dispatch automaton
-    per CPU, a costed spinlock around shared-queue delivery, and costed IPI
-    broadcasts on every invalidation — all inert at one CPU. *)
+(** Device on an SMP complex: one private flow cache per CPU, one dispatch
+    automaton shared read-only by every CPU, a costed spinlock around
+    shared-queue delivery, and costed IPI broadcasts on every invalidation
+    — all inert at one CPU. *)
 
 val ncpus : t -> int
 val smp : t -> Pf_sim.Smp.t
@@ -48,8 +49,9 @@ val attach_san : t -> Pf_sim.San.t -> unit
 (** Attach a concurrency sanitizer ({!Pf_sim.San}): registers the device's
     shared objects with their locking disciplines (the delivery queue
     guarded by the delivery lock, the port table published by invalidation
-    IPIs, the per-CPU flow caches / dispatch automata / counters private to
-    their CPU), declares every access site for the static lint, and starts
+    IPIs — the shared dispatch automaton is derived from it and read under
+    the same discipline — and the per-CPU flow caches and counters private
+    to their CPU), declares every access site for the static lint, and starts
     routing each shared-state access through the checker. Each instrumented
     access charges {!Pf_sim.Costs.t.san_access} to the demuxing CPU; with
     no sanitizer attached the instrumentation is dead code with zero cost
@@ -129,7 +131,8 @@ val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
     oracle and [test_dispatch] enforce this). The automaton is rebuilt
-    lazily after exactly the mutations that flush the flow cache.
+    lazily after exactly the mutations that flush the flow cache, once for
+    all CPUs, from the filters each port compiled at install.
     Kernel-claimed packets bypass the automaton (taps-only delivery is a
     different port subset) and take the sequential walk.
 
@@ -254,7 +257,7 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
 
     [cpu] (default 0) is the CPU the interrupt runs on — normally the one
     {!steer} picked. Classification uses that CPU's private flow cache and
-    dispatch automaton; delivery to the shared port queues takes the costed
+    the shared dispatch automaton; delivery to the shared port queues takes the costed
     delivery spinlock when the device has more than one CPU.
 
     A demultiplexing {e flow cache} fronts the filter walk: decisions are
@@ -297,7 +300,7 @@ val pp_cache_stats : Format.formatter -> cache_stats -> unit
 (** {1 Dispatch-automaton observability} *)
 
 type dispatch_stats = {
-  rebuilds : int;  (** lazy automaton rebuilds after an invalidation *)
+  rebuilds : int;  (** lazy builds: one per filter-set generation, for all CPUs *)
   classifies : int;  (** packets classified through the automaton *)
   exact_accepts : int;
       (** classifications won by an exact entry: slot match, zero filter

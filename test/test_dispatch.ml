@@ -14,6 +14,7 @@ module Dispatch = Pf_filter.Dispatch
 module Validate = Pf_filter.Validate
 module Program = Pf_filter.Program
 module Fast = Pf_filter.Fast
+module Gen = Pf_monitor.Traffic.Gen
 module Rng = Pf_fuzz.Gen.Rng
 module Oracle = Pf_fuzz.Oracle
 module Runner = Pf_fuzz.Runner
@@ -314,6 +315,51 @@ let test_copy_all_goes_residual () =
     -> ()
   | _ -> Alcotest.fail "the excluded port must go residual, not indexed"
 
+(* {1 [build_compiled] agrees with [build]}
+
+   The kernel builds from the [Fast.t] each port compiled at install;
+   [pftool dispatch] and the tests build from validated programs. Both must
+   yield the same automaton. Every seventh entry is repeated under a fresh
+   name, so same-slot pairs run the shadow-elimination path too. *)
+
+let check_build_agreement ~what ~dup entries frames =
+  let entries =
+    entries
+    @ List.filteri (fun i _ -> i mod 7 = 0) (List.map (fun (v, x) -> (v, dup x)) entries)
+  in
+  let a = Dispatch.build entries in
+  let b = Dispatch.build_compiled (List.map (fun (v, x) -> (Fast.compile v, x)) entries) in
+  Alcotest.(check bool) (what ^ ": shadowing exercised") true
+    ((Dispatch.info a).Dispatch.shadowed > 0);
+  Alcotest.(check bool) (what ^ ": identical decisions") true
+    (Dispatch.decisions a = Dispatch.decisions b);
+  Alcotest.(check bool) (what ^ ": identical info") true (Dispatch.info a = Dispatch.info b);
+  List.iteri
+    (fun i frame ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: frame %d, identical winner and stats" what i)
+        true
+        (Dispatch.classify a frame = Dispatch.classify b frame))
+    frames
+
+let test_build_compiled_agrees () =
+  let gen = Gen.make ~seed:0xB11D ~flows:1_024 ~skew:Gen.Uniform () in
+  let frames =
+    List.map Gen.frame (Gen.sequence gen 256)
+    @ List.map (fun s -> Testutil.pup_frame ~dst_socket:(Int32.of_int s) ()) [ 34; 35; 36 ]
+    @ [ Testutil.ip_udp_frame ~dst_port:53; Packet.of_string "" ]
+  in
+  let builtins = List.map (fun (n, p) -> (validate_exn p, n)) Predicates.builtins in
+  Alcotest.(check int) "builtin corpus size" 19 (List.length builtins);
+  check_build_agreement ~what:"builtins" ~dup:(fun n -> n ^ "'") builtins frames;
+  let flows =
+    List.map
+      (fun (f : Gen.flow) ->
+        (validate_exn (Gen.filter ~priority:(f.Gen.index mod 3) f), f.Gen.index))
+      (Gen.flows gen)
+  in
+  check_build_agreement ~what:"1,024 flows" ~dup:(fun i -> i + 10_000) flows frames
+
 (* {1 The seeded unsound-prefix-sharing mutant}
 
    Flip the automaton into accepting every slot-matched candidate on its
@@ -365,6 +411,8 @@ let suite =
         test_never_accepts_dropped;
       Alcotest.test_case "excluded (copy-all) filter goes residual" `Quick
         test_copy_all_goes_residual;
+      Alcotest.test_case "build_compiled agrees with build" `Quick
+        test_build_compiled_agrees;
       Alcotest.test_case "unsound-prefix-sharing mutant caught and shrunk"
         `Quick test_unsound_sharing_mutant_caught_and_shrunk;
     ] )

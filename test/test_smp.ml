@@ -222,36 +222,55 @@ let test_delivery_lock_contention () =
   Alcotest.(check bool) "contended waits accumulated spin time" true
     (smp.Pfdev.lock_wait_total_us > 0)
 
-(* {1 Per-CPU dispatch automata} *)
+(* {1 One dispatch automaton serves every CPU} *)
 
-let test_per_cpu_dispatch () =
+let test_shared_dispatch () =
   let eng, h = mk_host ~ncpus:4 () in
+  let san = Pf_sim.San.create ~ncpus:4 () in
+  Host.attach_san h san;
   let pf = Host.pf h in
   Pfdev.set_strategy pf `Dispatch;
   let gen =
     Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:0xD15 ~flows:64 ~skew:Gen.Uniform ()
   in
-  List.iter
-    (fun f ->
-      let p = Pfdev.open_port pf in
-      set_filter_exn p (Gen.filter f);
-      Pfdev.set_queue_limit p 10_000)
-    (Gen.flows gen);
+  let ports =
+    List.map
+      (fun f ->
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter f);
+        Pfdev.set_queue_limit p 10_000;
+        p)
+      (Gen.flows gen)
+  in
   Engine.run eng;
   Pfdev.set_cache_enabled pf false;
-  let accepted = ref 0 in
-  let seq = Gen.sequence gen 800 in
-  List.iter (fun f -> Host.inject h (Gen.frame f)) seq;
-  Engine.run eng;
-  accepted := Stats.get (Host.stats h) "pf.accepted";
-  Alcotest.(check int) "automaton classifies correctly on every CPU" 800 !accepted;
+  let seq = Gen.sequence gen 400 in
+  let inject () =
+    List.iter (fun f -> Host.inject h (Gen.frame f)) seq;
+    Engine.run eng
+  in
+  let busy_cpus () =
+    List.length
+      (List.filter
+         (fun (c : Pfdev.smp_cpu_stats) -> c.Pfdev.packets > 0)
+         (Pfdev.smp_stats pf).Pfdev.per_cpu)
+  in
+  inject ();
+  Alcotest.(check int) "traffic reached every CPU" (Pfdev.ncpus pf) (busy_cpus ());
+  Alcotest.(check int) "one build for the first generation" 1
+    (Pfdev.dispatch_stats pf).Pfdev.rebuilds;
+  (* Reinstalling a flow's own filter is an acceptor-changing mutation:
+     the next generation is built once more, again for every CPU. *)
+  set_filter_exn (List.hd ports) (Gen.filter (List.hd (Gen.flows gen)));
+  inject ();
   let ds = Pfdev.dispatch_stats pf in
+  Alcotest.(check int) "one more build after set_filter" 2 ds.Pfdev.rebuilds;
   Alcotest.(check int) "automaton classified every packet" 800
     ds.Pfdev.classifies;
-  (* One lazy rebuild per CPU: each CPU owns a private automaton instance
-     and compiles it on its own first packet. *)
-  Alcotest.(check int) "one automaton rebuild per CPU" (Pfdev.ncpus pf)
-    ds.Pfdev.rebuilds
+  Alcotest.(check int) "automaton classifies correctly on every CPU" 800
+    (Stats.get (Host.stats h) "pf.accepted");
+  Alcotest.(check int) "shared reads race-free under the sanitizer" 0
+    (Pf_sim.San.report_count san)
 
 (* {1 Readers on an SMP device: virtual time stays bounded} *)
 
@@ -354,8 +373,8 @@ let suite =
         test_no_smp_keys_on_one_cpu;
       Alcotest.test_case "delivery lock contends under simultaneous arrivals"
         `Quick test_delivery_lock_contention;
-      Alcotest.test_case "dispatch automaton instances are per-CPU" `Quick
-        test_per_cpu_dispatch;
+      Alcotest.test_case "one automaton build serves every CPU" `Quick
+        test_shared_dispatch;
       Alcotest.test_case "readers on 2 CPUs: latency stays bounded" `Quick
         test_readers_latency_bounded;
       Alcotest.test_case "generator filters accept exactly their own flow" `Quick
