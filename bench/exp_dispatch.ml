@@ -19,10 +19,12 @@
 
    The run *fails* — the CI smoke criterion — if the automaton is ever
    slower than the walk, if it is not >= 5x faster at 1,000 ports, or if
-   its own 10 -> 10,000 curve is not sublinear. It also records the host
-   time of one automaton build per port count (dispatch_build_host_ms_nN),
-   ungated because it reads the host clock, so a superlinear build shows
-   up in BENCH_dispatch.json. *)
+   its own 10 -> 10,000 curve is not sublinear. It also records, per port
+   count, the host time of one automaton build (dispatch_build_host_ms_nN)
+   and of one in-place update, a remove plus an add
+   (dispatch_update_host_us_nN), ungated because they read the host
+   clock, so a superlinear build or an update that grows with the port
+   count shows up in BENCH_dispatch.json. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -72,22 +74,46 @@ let run_mix ~n ~mix ~strategy ~cache =
   in
   { us_per_packet = per "pf.demux_cpu_us"; insns_per_packet = per "pf.filter_insns" }
 
-(* Host time of one [Dispatch.build_compiled] over the set [run_mix]
-   installs, each filter compiled once as install does: median of 5, ms. *)
-let build_host_ms n =
-  let gen = Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:!run_seed ~flows:n ~skew:Gen.Uniform () in
-  let installed =
-    List.init n (fun k ->
-        let i = n - 1 - k in
-        let v = Pf_filter.Validate.check_exn (Gen.filter (Gen.flow gen i)) in
-        (Pf_filter.Fast.compile v, i))
+(* The set [run_mix] installs, in open order, each filter compiled once as
+   install does. *)
+let installed n =
+  let gen =
+    Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:!run_seed ~flows:n ~skew:Gen.Uniform ()
   in
+  List.init n (fun k ->
+      let i = n - 1 - k in
+      let v = Pf_filter.Validate.check_exn (Gen.filter (Gen.flow gen i)) in
+      (Pf_filter.Fast.compile v, i))
+
+let median samples = List.nth (List.sort compare samples) (List.length samples / 2)
+
+(* Host time of one [Dispatch.build_compiled] over that set: median of 5, ms. *)
+let build_host_ms n =
+  let installed = installed n in
   let once () =
     let t0 = Unix.gettimeofday () in
     ignore (Pf_filter.Dispatch.build_compiled installed : int Pf_filter.Dispatch.t);
     (Unix.gettimeofday () -. t0) *. 1e3
   in
-  List.nth (List.sort compare (List.init 5 (fun _ -> once ()))) 2
+  median (List.init 5 (fun _ -> once ()))
+
+(* Host time of one in-place update of the automaton over that set, as the
+   kernel makes on every port mutation: [Dispatch.remove] of one filter and
+   [Dispatch.add] of it back at its rank. Median of 201 updates, spread over
+   the set, µs. *)
+let update_host_us n =
+  let entries = Array.of_list (installed n) in
+  let d = Pf_filter.Dispatch.create () in
+  Array.iteri (fun rank (fast, i) -> Pf_filter.Dispatch.add d ~rank fast i) entries;
+  let once k =
+    let rank = k * 7_919 mod n in
+    let fast, i = entries.(rank) in
+    let t0 = Monotonic_clock.now () in
+    Pf_filter.Dispatch.remove d ~rank;
+    Pf_filter.Dispatch.add d ~rank fast i;
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3
+  in
+  median (List.init 201 once)
 
 let mix_name = function `Uniform -> "uniform" | `Skewed -> "skewed"
 
@@ -160,7 +186,9 @@ let run () =
            rows))
     curves;
   List.iter
-    (fun n -> record_metric (Printf.sprintf "dispatch_build_host_ms_n%d" n) (build_host_ms n))
+    (fun n ->
+      record_metric (Printf.sprintf "dispatch_build_host_ms_n%d" n) (build_host_ms n);
+      record_metric (Printf.sprintf "dispatch_update_host_us_n%d" n) (update_host_us n))
     port_counts;
   (* Composing with the flow cache: the automaton classifies misses, the
      cache answers repeats — at 1,000 ports and a skewed mix the pair

@@ -7,11 +7,6 @@ type 'a entry = {
   fast : Fast.t;
 }
 
-type 'a group = {
-  offsets : int array; (* sorted, duplicate-free *)
-  slots : (string, 'a entry list) Hashtbl.t; (* entries in rank order *)
-}
-
 type residual_reason = [ `Unbounded | `No_chain | `Excluded ]
 
 type decision =
@@ -20,11 +15,33 @@ type decision =
   | Residual of residual_reason
   | Never_accepts
 
+(* One guard-value tuple of a group: every indexed entry in rank order, and
+   the unshadowed ones among them, the only part [classify] reads. *)
+type 'a slot = {
+  group : 'a group;
+  key : string;
+  mutable entries : 'a entry list;
+  mutable live : 'a entry list;
+}
+
+and 'a group = {
+  signature : int list; (* the offsets: sorted, duplicate-free *)
+  offsets : int array; (* the same, for probing *)
+  slots : (string, 'a slot) Hashtbl.t;
+}
+
+(* What the automaton holds at one rank; indexed entries also name their
+   slot, so a removal touches nothing else. *)
+type 'a item = {
+  value : 'a;
+  mutable decision : decision;
+  slot : 'a slot option;
+}
+
 type 'a t = {
-  groups : 'a group list; (* sorted by offset signature: deterministic *)
-  residual : (int * 'a) list; (* rank order *)
-  decisions : (int * 'a * decision) list; (* rank order *)
-  count : int;
+  mutable groups : 'a group list; (* sorted by offset signature: deterministic *)
+  mutable residual : (int * 'a) list; (* rank order *)
+  items : (int, 'a item) Hashtbl.t; (* by rank *)
 }
 
 module For_testing = struct
@@ -57,71 +74,51 @@ let slot_key values =
     values;
   Buffer.contents buf
 
-let build_compiled ?(indexable = fun _ -> true) filters =
-  (* Walk order: decreasing priority, ties by list position — the order the
-     kernel's sequential demux applies these filters in. *)
-  let ranked =
-    List.mapi (fun i (fast, value) -> (i, fast, value)) filters
-    |> List.stable_sort (fun (i, fa, _) (j, fb, _) ->
-           match compare (Fast.priority fb) (Fast.priority fa) with
-           | 0 -> compare i j
-           | c -> c)
+let create () = { groups = []; residual = []; items = Hashtbl.create 16 }
+
+(* [x] into the list [l], kept ascending by [key]. *)
+let insert_sorted key x l =
+  let k = key x in
+  let rec go = function
+    | y :: rest when compare (key y) k < 0 -> y :: go rest
+    | l -> x :: l
   in
-  (* Same-slot subsumption, Analysis.relate first, the symbolic engine
-     (memoized, small budget) where it answers Unknown. Equiv.relate only
-     ever upgrades to Equivalent/Disjoint, both sound here. *)
-  let memo = Equiv.Memo.create () in
-  let relate fa fb =
-    Equiv.relate_memo ~budget:64 ~pair_budget:256 memo (Fast.validated fa)
-      (Fast.validated fb)
-  in
-  (* per offset signature, a table from slot key to its entries, newest
-     first: one hash insert per filter keeps the build linear *)
-  let groups : (int list, (string, 'a entry list) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let add_group_entry offsets values entry =
-    let slots =
-      match Hashtbl.find_opt groups offsets with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.add groups offsets s;
-        s
-    in
-    let key = slot_key values in
-    Hashtbl.replace slots key (entry :: Option.value ~default:[] (Hashtbl.find_opt slots key))
-  in
-  let decisions = ref [] in
-  List.iteri
-    (fun rank (_, fast, value) ->
-      let analysis = Fast.analysis fast in
-      let chain, whole = Analysis.guards (Fast.program fast) in
-      let decision =
-        if analysis.Analysis.verdict = Analysis.Always_reject then Never_accepts
-        else
-          match canonical_chain chain with
-          | None -> Never_accepts
-          | Some canonical ->
-            if not (indexable value) then Residual `Excluded
-            else if analysis.Analysis.read_set = Analysis.Unbounded then
-              Residual `Unbounded
-            else if canonical = [] then Residual `No_chain
-            else begin
-              let offsets = List.map fst canonical in
-              let values = List.map snd canonical in
-              add_group_entry offsets values { rank; value; exact = whole; fast };
-              Indexed { offsets; exact = whole }
-            end
+  go l
+
+let slot_of t signature key =
+  let group =
+    match List.find_opt (fun g -> g.signature = signature) t.groups with
+    | Some g -> g
+    | None ->
+      let g =
+        { signature; offsets = Array.of_list signature; slots = Hashtbl.create 16 }
       in
-      decisions := (rank, value, decision) :: !decisions)
-    ranked;
-  let decisions = Array.of_list (List.rev !decisions) in
-  (* Shadow elimination, per slot in rank order: an earlier exact entry
-     accepts every packet that reaches its slot, and an earlier entry that
-     Subsumes (or is Equivalent to) a later one accepts every packet the
-     later one would — either way the earlier, lower-rank entry wins every
-     such packet, so the later entry is dead weight and is dropped. *)
+      t.groups <- insert_sorted (fun g -> g.signature) g t.groups;
+      g
+  in
+  match Hashtbl.find_opt group.slots key with
+  | Some s -> s
+  | None ->
+    let s = { group; key; entries = []; live = [] } in
+    Hashtbl.add group.slots key s;
+    s
+
+(* Shadow elimination, per slot in rank order: an earlier exact entry
+   accepts every packet that reaches its slot, and an earlier entry that
+   Subsumes (or is Equivalent to) a later one accepts every packet the
+   later one would — either way the earlier, lower-rank entry wins every
+   such packet, so the later entry is dead weight and is dropped.
+   Same-slot subsumption asks Analysis.relate first, the symbolic engine
+   (memoized, small budget) where it answers Unknown; Equiv.relate only
+   ever upgrades to Equivalent/Disjoint, both sound here. A change at rank
+   [from] leaves the fold over the entries ranked before it as it was, so
+   the fold resumes there, from the live entries it had kept. *)
+let reshadow t slot ~from =
+  let memo = lazy (Equiv.Memo.create ()) in
+  let relate fa fb =
+    Equiv.relate_memo ~budget:64 ~pair_budget:256 (Lazy.force memo)
+      (Fast.validated fa) (Fast.validated fb)
+  in
   let shadow_of kept e =
     List.find_opt
       (fun k ->
@@ -132,43 +129,95 @@ let build_compiled ?(indexable = fun _ -> true) filters =
         | Analysis.Subsumed_by | Analysis.Disjoint | Analysis.Unknown -> false)
       kept
   in
-  (* the first entry is never shadowed, so no slot empties *)
-  let shadow_slot _ newest_first =
-    Some
-      (List.fold_left
-         (fun kept e ->
-           match shadow_of kept e with
-           | Some k ->
-             let _, value, _ = decisions.(e.rank) in
-             decisions.(e.rank) <- (e.rank, value, Shadowed { by = k.rank });
-             kept
-           | None -> kept @ [ e ])
-         [] (List.rev newest_first))
+  let offsets = slot.group.signature in
+  slot.live <-
+    List.fold_left
+      (fun kept e ->
+        let item = Hashtbl.find t.items e.rank in
+        match shadow_of kept e with
+        | Some k ->
+          item.decision <- Shadowed { by = k.rank };
+          kept
+        | None ->
+          item.decision <- Indexed { offsets; exact = e.exact };
+          kept @ [ e ])
+      (List.filter (fun e -> e.rank < from) slot.live)
+      (List.filter (fun e -> e.rank >= from) slot.entries)
+
+let add t ~rank ?(indexable = true) fast value =
+  if Hashtbl.mem t.items rank then invalid_arg "Dispatch.add: rank already taken";
+  let place decision slot = Hashtbl.replace t.items rank { value; decision; slot } in
+  let residual reason =
+    place (Residual reason) None;
+    t.residual <- insert_sorted fst (rank, value) t.residual
   in
-  let built_groups =
-    Hashtbl.fold
-      (fun offsets slots acc ->
-        Hashtbl.filter_map_inplace shadow_slot slots;
-        { offsets = Array.of_list offsets; slots } :: acc)
-      groups []
-    |> List.sort (fun a b -> compare (Array.to_list a.offsets) (Array.to_list b.offsets))
-  in
-  let decisions = Array.to_list decisions in
-  let residual =
-    List.filter_map
-      (fun (rank, value, d) ->
-        match d with Residual _ -> Some (rank, value) | _ -> None)
-      decisions
-  in
-  { groups = built_groups; residual; decisions; count = List.length filters }
+  let analysis = Fast.analysis fast in
+  let chain, whole = Analysis.guards (Fast.program fast) in
+  if analysis.Analysis.verdict = Analysis.Always_reject then place Never_accepts None
+  else
+    match canonical_chain chain with
+    | None -> place Never_accepts None
+    | Some canonical ->
+      if not indexable then residual `Excluded
+      else if analysis.Analysis.read_set = Analysis.Unbounded then
+        residual `Unbounded
+      else if canonical = [] then residual `No_chain
+      else begin
+        let offsets = List.map fst canonical in
+        let slot = slot_of t offsets (slot_key (List.map snd canonical)) in
+        place (Indexed { offsets; exact = whole }) (Some slot);
+        slot.entries <-
+          insert_sorted (fun e -> e.rank) { rank; value; exact = whole; fast } slot.entries;
+        reshadow t slot ~from:rank
+      end
+
+let remove t ~rank =
+  match Hashtbl.find_opt t.items rank with
+  | None -> invalid_arg "Dispatch.remove: no entry at this rank"
+  | Some item -> (
+    Hashtbl.remove t.items rank;
+    (match item.decision with
+    | Residual _ -> t.residual <- List.filter (fun (r, _) -> r <> rank) t.residual
+    | Indexed _ | Shadowed _ | Never_accepts -> ());
+    match item.slot with
+    | None -> ()
+    | Some slot ->
+      slot.entries <- List.filter (fun e -> e.rank <> rank) slot.entries;
+      if slot.entries <> [] then reshadow t slot ~from:rank
+      else begin
+        (* a group disappears with its last entry, as if never built *)
+        let g = slot.group in
+        Hashtbl.remove g.slots slot.key;
+        if Hashtbl.length g.slots = 0 then
+          t.groups <- List.filter (fun g' -> g' != g) t.groups
+      end)
+
+let build_compiled ?(indexable = fun _ -> true) filters =
+  (* Walk order: decreasing priority, ties by list position — the order the
+     kernel's sequential demux applies these filters in when their
+     priorities are the programs' own. *)
+  let t = create () in
+  List.mapi (fun i (fast, value) -> (i, fast, value)) filters
+  |> List.stable_sort (fun (i, fa, _) (j, fb, _) ->
+         match compare (Fast.priority fb) (Fast.priority fa) with
+         | 0 -> compare i j
+         | c -> c)
+  |> List.iteri (fun rank (_, fast, value) ->
+         add t ~rank ~indexable:(indexable value) fast value);
+  t
 
 let build ?indexable filters =
   build_compiled ?indexable
     (List.map (fun (validated, value) -> (Fast.compile validated, value)) filters)
 
-let size t = t.count
+let size t = Hashtbl.length t.items
 let residuals t = t.residual
-let decisions t = t.decisions
+
+let decisions t =
+  Hashtbl.fold
+    (fun rank (item : _ item) acc -> (rank, item.value, item.decision) :: acc)
+    t.items []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 type stats = {
   probes : int;
@@ -213,7 +262,7 @@ let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
         | None -> acc
         | Some k -> (
           match Hashtbl.find_opt g.slots k with
-          | Some entries -> List.rev_append entries acc
+          | Some slot -> List.rev_append slot.live acc
           | None -> acc))
       [] t.groups
   in
@@ -266,19 +315,20 @@ type info = {
 }
 
 let info t =
-  let count pred = List.length (List.filter (fun (_, _, d) -> pred d) t.decisions) in
+  let decisions = decisions t in
+  let count pred = List.length (List.filter (fun (_, _, d) -> pred d) decisions) in
   let groups =
     List.map
       (fun (g : _ group) ->
         let members, exact_members =
           Hashtbl.fold
-            (fun _ entries (m, e) ->
-              ( m + List.length entries,
-                e + List.length (List.filter (fun en -> en.exact) entries) ))
+            (fun _ slot (m, e) ->
+              ( m + List.length slot.live,
+                e + List.length (List.filter (fun en -> en.exact) slot.live) ))
             g.slots (0, 0)
         in
         {
-          offsets = Array.to_list g.offsets;
+          offsets = g.signature;
           slots = Hashtbl.length g.slots;
           members;
           exact_members;
@@ -286,7 +336,7 @@ let info t =
       t.groups
   in
   {
-    filters = t.count;
+    filters = size t;
     indexed = count (function Indexed _ -> true | _ -> false);
     residual = List.length t.residual;
     residual_unbounded = count (function Residual `Unbounded -> true | _ -> false);

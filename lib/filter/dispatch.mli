@@ -37,9 +37,9 @@ type 'a t
 type residual_reason =
   [ `Unbounded  (** the filter's {!Analysis.read_set} is [Unbounded] *)
   | `No_chain  (** no leading guard chain — nothing provably sharable *)
-  | `Excluded  (** the caller's [indexable] predicate said no *) ]
+  | `Excluded  (** the caller marked it not [indexable] *) ]
 
-(** What {!build} decided for one input filter, in rank order. *)
+(** What the automaton decided for one filter. *)
 type decision =
   | Indexed of { offsets : int list; exact : bool }
       (** member of the group keyed on [offsets]; [exact] entries accept
@@ -52,23 +52,46 @@ type decision =
       (** [Always_reject] verdict or a self-contradictory guard chain;
           dropped from both the automaton and the residual walk *)
 
-val build : ?indexable:('a -> bool) -> (Validate.t * 'a) list -> 'a t
-(** [build filters] orders filters by decreasing {!Program.priority},
-    breaking ties by list position (matching the kernel's walk), then
-    indexes every filter it can prove safe to index and classifies the
-    rest per {!decision}. [indexable] (default: everything) lets the
-    caller veto indexing per value — {!Pf_kernel.Pfdev} excludes copy-all
-    and tap ports, whose multi-delivery the first-match automaton cannot
-    express. Compiles every filter ({!Fast.compile}) and hands the set to
-    {!build_compiled}. *)
+(** {1 Maintenance}
+
+    The automaton is a maintained structure: each {!add} or {!remove}
+    touches only its own group slot (or the residual list), and leaves the
+    automaton exactly as a scratch build of the resulting filter set would
+    be — the same groups in the same order, the same slot contents, the
+    same decisions and residuals — so classification answers and costs
+    never depend on the history of changes. *)
+
+val create : unit -> 'a t
+(** The empty automaton. *)
+
+val add : 'a t -> rank:int -> ?indexable:bool -> Fast.t -> 'a -> unit
+(** [add t ~rank fast value] enters one compiled filter at walk position
+    [rank]: lower ranks walk first, and ranks need not be dense. Indexes
+    the filter if it can prove that safe and classifies it per {!decision}
+    otherwise; [indexable] (default [true]) [false] forces it residual
+    ([`Excluded]) — {!Pf_kernel.Pfdev} excludes copy-all and tap ports,
+    whose multi-delivery the first-match automaton cannot express. Re-runs
+    shadow elimination for the filter's slot only. Raises
+    [Invalid_argument] if [rank] is taken. *)
+
+val remove : 'a t -> rank:int -> unit
+(** Take out the filter at [rank], re-running shadow elimination for its
+    slot; a slot or group disappears with its last entry. Raises
+    [Invalid_argument] if no filter has that rank. *)
 
 val build_compiled : ?indexable:('a -> bool) -> (Fast.t * 'a) list -> 'a t
-(** {!build} over filters already compiled (the kernel passes the {!Fast.t}
-    each port compiled at install), so nothing is re-analyzed. Linear in the
+(** [build_compiled filters] ranks filters by decreasing
+    {!Program.priority} of their programs, breaking ties by list position,
+    and {!add}s them in that order under dense ranks [0 .. n-1].
+    [indexable] (default: everything) is asked per value. Linear in the
     number of filters, apart from same-slot shadow checks. *)
 
+val build : ?indexable:('a -> bool) -> (Validate.t * 'a) list -> 'a t
+(** {!build_compiled} after {!Fast.compile} of every filter ([pftool
+    dispatch] and the tests). *)
+
 val size : 'a t -> int
-(** Number of input filters. *)
+(** Number of filters entered, whatever their decision. *)
 
 val residuals : 'a t -> (int * 'a) list
 (** The non-indexed entries as [(rank, value)], in rank (walk) order.
@@ -76,8 +99,8 @@ val residuals : 'a t -> (int * 'a) list
     interleave the residual walk with the automaton's answer. *)
 
 val decisions : 'a t -> (int * 'a * decision) list
-(** Per-filter build decisions in rank order (the [pftool dispatch]
-    inspection surface). *)
+(** Per-filter decisions in rank order (the [pftool dispatch] inspection
+    surface). *)
 
 type stats = {
   probes : int;  (** group hash probes performed *)

@@ -233,12 +233,14 @@ let check ?(extra = []) program packet =
          through the automaton (cache off and on) must agree with the
          sequential walk on verdicts and on exact per-port delivery and
          drop accounting — including a copy-all port the automaton cannot
-         index, which exercises the rank-merged residual walk. This is the
+         index, which exercises the rank-merged residual walk. One automaton
+         is selected before the installs, so it is maintained entry by
+         entry; the others are built from the installed set. This is the
          oracle that catches the seeded unsound-prefix-sharing mutant
          (accepting an indexed candidate on its guard prefix alone). *)
       (match
          attempt "demux-dispatch" (fun () ->
-             let mk strategy ~cache =
+             let mk ?(early = false) strategy ~cache =
                let eng = Pf_sim.Engine.create () in
                let costs = Pf_sim.Costs.free in
                let cpu = Pf_sim.Cpu.create costs in
@@ -249,20 +251,23 @@ let check ?(extra = []) program packet =
                    ~send:(fun _ -> ())
                in
                Pf_kernel.Pfdev.set_cache_enabled dev cache;
+               if early then Pf_kernel.Pfdev.set_strategy dev strategy;
                let add ~copy_all =
                  let port = Pf_kernel.Pfdev.open_port dev in
-                 if copy_all then Pf_kernel.Pfdev.set_copy_all port true;
                  Pf_kernel.Pfdev.set_queue_limit port 1;
                  (match Pf_kernel.Pfdev.set_filter port program with
                  | Ok () -> ()
                  | Error e ->
                    failwith
                      (Format.asprintf "install: %a" Pf_kernel.Pfdev.pp_install_error e));
+                 (* after the install: a maintained automaton re-enters the
+                    port as a residual *)
+                 if copy_all then Pf_kernel.Pfdev.set_copy_all port true;
                  port
                in
                let monitor = add ~copy_all:true in
                let consumer = add ~copy_all:false in
-               Pf_kernel.Pfdev.set_strategy dev strategy;
+               if not early then Pf_kernel.Pfdev.set_strategy dev strategy;
                (eng, monitor, consumer, dev)
              in
              let sample (eng, monitor, consumer, dev) =
@@ -279,10 +284,11 @@ let check ?(extra = []) program packet =
              let seq = sample (mk `Sequential ~cache:false) in
              let auto = sample (mk `Dispatch ~cache:false) in
              let auto_cached = sample (mk `Dispatch ~cache:true) in
-             (seq, auto, auto_cached))
+             let auto_early = sample (mk ~early:true `Dispatch ~cache:false) in
+             (seq, auto, auto_cached, auto_early))
        with
       | None -> ()
-      | Some (seq, auto, auto_cached) ->
+      | Some (seq, auto, auto_cached, auto_early) ->
         let show ((cold, warm), (macc, mdrop), (cacc, cdrop)) =
           Printf.sprintf
             "verdicts (%b,%b), monitor accepted/dropped %d/%d, consumer %d/%d"
@@ -295,7 +301,11 @@ let check ?(extra = []) program packet =
         if auto_cached <> seq then
           fail "demux-dispatch"
             (Printf.sprintf "automaton+cache: %s; sequential walk: %s"
-               (show auto_cached) (show seq)));
+               (show auto_cached) (show seq));
+        if auto_early <> seq then
+          fail "demux-dispatch"
+            (Printf.sprintf "maintained automaton: %s; sequential walk: %s"
+               (show auto_early) (show seq)));
       List.iter (fun (name, engine) -> check name (fun () -> engine v packet)) extra;
       (* Peephole pre-pass: the optimized program must still validate, must
          not grow, and must keep the verdict under both the checked and the

@@ -59,11 +59,12 @@ and t = {
   mutable ports : port list; (* sorted: priority desc, then id asc *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
-  mutable strategy : [ `Sequential | `Dispatch ];
   mutable compile_strategy : [ `Off | `Regvm ];
   mutable certify : bool; (* translation-validate install-time compilation *)
-  mutable dispatch : dispatch_state; (* one automaton, shared read-only by every CPU *)
+  mutable dispatch : port Pf_filter.Dispatch.t option;
+      (* present exactly under the [`Dispatch] strategy *)
   mutable dispatch_rebuilds : int;
+  mutable dispatch_updates : int;
   mutable dispatch_classifies : int;
   mutable dispatch_exact_accepts : int;
   mutable dispatch_candidates : int;
@@ -75,6 +76,7 @@ and t = {
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
   smp_packets : int array; (* demuxed packets per CPU *)
+  smp_packet_keys : string array; (* their counter names, built once *)
   smp_lock_waits : int array; (* contended delivery-lock acquisitions per CPU *)
   smp_lock_wait_us : int array; (* spin time per CPU *)
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
@@ -91,15 +93,6 @@ and san_handles = {
   res_cache : San.resource array; (* per-CPU private flow caches *)
   res_statword : San.resource array; (* per-CPU demux counters *)
 }
-
-(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}), rebuilt
-   lazily on first use after any acceptor-changing mutation — exactly the
-   flow cache's invalidation set, so [invalidate_cache] marks it dirty.
-   One instance serves every CPU: it is a pure function of the published
-   port table, and classification only reads it. *)
-and dispatch_state =
-  | Dispatch_dirty
-  | Dispatch_built of port Pf_filter.Dispatch.t
 
 (* The demultiplexing flow cache: a bounded table from the packet bytes at
    the installed filters' union read set to the list of accepting ports.
@@ -154,11 +147,11 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     ports = [];
     next_id = 0;
     demuxed_since_reorder = 0;
-    strategy = `Sequential;
     compile_strategy = `Off;
     certify = false;
-    dispatch = Dispatch_dirty;
+    dispatch = None;
     dispatch_rebuilds = 0;
+    dispatch_updates = 0;
     dispatch_classifies = 0;
     dispatch_exact_accepts = 0;
     dispatch_candidates = 0;
@@ -170,6 +163,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
     smp_packets = Array.make n 0;
+    smp_packet_keys = Array.init n (Printf.sprintf "pf.smp.cpu%d.packets");
     smp_lock_waits = Array.make n 0;
     smp_lock_wait_us = Array.make n 0;
     san = None;
@@ -278,9 +272,6 @@ let invalidate_cache ?(cpu = 0) t =
   (* An acceptor-changing mutation: tell the protocol checker a new
      configuration epoch begins now, before any CPU syncs to it. *)
   (match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ());
-  (* The dispatch automaton is sound under exactly the invariants the flow
-     cache is, so the two share one invalidation set. *)
-  t.dispatch <- Dispatch_dirty;
   let flush_one k =
     let c = t.caches.(k) in
     c.generation <- c.generation + 1;
@@ -358,6 +349,44 @@ let maybe_reorder ?cpu t =
    simulation starts) runs free. *)
 let charge cost = if Process.running () && cost > 0 then Process.use_cpu cost
 
+(* {1 The dispatch automaton}
+
+   The cross-filter dispatch automaton ({!Pf_filter.Dispatch}) holds every
+   open port with an installed filter, ranked by the port's place in the
+   walk order: priority descending, then open order. Priorities lie in
+   0..255, so both fit one int. Copy-all and tap ports are excluded from
+   indexing (their multi-delivery cannot be expressed by a first-match
+   winner) and fall to the rank-ordered residual walk, which [demux] merges
+   with the automaton winner by rank. Each mutation of a port updates its
+   own entry in place; one instance serves every CPU, which only read it. *)
+
+let rank_of port = ((255 - port.priority) lsl 32) lor port.id
+
+let dispatch_add d port =
+  match port.filter with
+  | Some f when port.is_open ->
+    Pf_filter.Dispatch.add d ~rank:(rank_of port)
+      ~indexable:((not port.copy_all) && not port.tap)
+      f port
+  | Some _ | None -> ()
+
+(* Run [change] on [port] with its automaton entry taken out before and put
+   back after, under its new filter, rank and indexability. *)
+let updating_entry port change =
+  let t = port.dev in
+  match t.dispatch with
+  | None -> change ()
+  | Some d ->
+    let resident () = port.is_open && port.filter <> None in
+    let was = resident () in
+    if was then Pf_filter.Dispatch.remove d ~rank:(rank_of port);
+    change ();
+    dispatch_add d port;
+    if was || resident () then begin
+      t.dispatch_updates <- t.dispatch_updates + 1;
+      Stats.incr t.stats "pf.dispatch.update"
+    end
+
 let open_port t =
   t.next_id <- t.next_id + 1;
   let port =
@@ -395,8 +424,9 @@ let open_port t =
   port
 
 let close_port port =
-  port.is_open <- false;
-  port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports;
+  updating_entry port (fun () ->
+      port.is_open <- false;
+      port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports);
   san_table_write port.dev;
   invalidate_cache port.dev;
   (* Wake any blocked readers; they will notice the port is closed. *)
@@ -474,17 +504,18 @@ let install port program =
     | _ ->
       (* "at a cost comparable to that of receiving a packet" (§3.1) *)
       charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
-      port.filter <- Some fast;
-      port.regvm <- regvm;
-      port.engine_kind <- kind;
-      port.engine_applications <- 0;
-      port.engine_insns <- 0;
-      port.insns_source <- Pf_filter.Program.insn_count program;
-      port.insns_compiled <- compiled_insns;
-      port.validated <- Some (Pf_filter.Fast.validated fast);
-      port.analysis <- Some analysis;
-      port.certification <- certification;
-      reprioritize t port (Pf_filter.Program.priority program);
+      updating_entry port (fun () ->
+          port.filter <- Some fast;
+          port.regvm <- regvm;
+          port.engine_kind <- kind;
+          port.engine_applications <- 0;
+          port.engine_insns <- 0;
+          port.insns_source <- Pf_filter.Program.insn_count program;
+          port.insns_compiled <- compiled_insns;
+          port.validated <- Some (Pf_filter.Fast.validated fast);
+          port.analysis <- Some analysis;
+          port.certification <- certification;
+          reprioritize t port (Pf_filter.Program.priority program));
       san_table_write t;
       if not !For_testing.skip_install_invalidation then invalidate_cache t
       else begin
@@ -508,18 +539,30 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 let set_priority port priority =
-  reprioritize port.dev port priority;
+  updating_entry port (fun () -> reprioritize port.dev port (max 0 (min 255 priority)));
   san_table_write port.dev;
   invalidate_cache port.dev
 
 (* The public tag sets are wider than the engines that remain: the removed
    tags are refused, naming their replacement, before anything changes. *)
 let set_strategy t strategy =
-  t.strategy <-
-    (match strategy with
-    | (`Sequential | `Dispatch) as s -> s
-    | `Decision_tree ->
-      invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch");
+  (match strategy with
+  | `Sequential -> t.dispatch <- None
+  | `Dispatch ->
+    (* The one full build. Busier-first reordering may have permuted the
+       walk; put it back in rank order first. *)
+    t.ports <-
+      List.stable_sort
+        (fun a b ->
+          match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c)
+        t.ports;
+    let d = Pf_filter.Dispatch.create () in
+    List.iter (dispatch_add d) t.ports;
+    t.dispatch <- Some d;
+    t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
+    Stats.incr t.stats "pf.dispatch.rebuild"
+  | `Decision_tree ->
+    invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch");
   invalidate_cache t
 
 (* The compile strategy applies to future installs only: already-installed
@@ -573,10 +616,10 @@ let port_engine_stats port =
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
 let set_copy_all port flag =
-  port.copy_all <- flag;
+  updating_entry port (fun () -> port.copy_all <- flag);
   invalidate_cache port.dev
 let set_tap port flag =
-  port.tap <- flag;
+  updating_entry port (fun () -> port.tap <- flag);
   invalidate_cache port.dev
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
@@ -637,6 +680,7 @@ let cache_stats t =
 
 type dispatch_stats = {
   rebuilds : int;
+  updates : int;
   classifies : int;
   exact_accepts : int;
   candidates_run : int;
@@ -646,6 +690,7 @@ type dispatch_stats = {
 let dispatch_stats t =
   {
     rebuilds = t.dispatch_rebuilds;
+    updates = t.dispatch_updates;
     classifies = t.dispatch_classifies;
     exact_accepts = t.dispatch_exact_accepts;
     candidates_run = t.dispatch_candidates;
@@ -654,8 +699,9 @@ let dispatch_stats t =
 
 let pp_dispatch_stats ppf s =
   Format.fprintf ppf
-    "dispatch: %d rebuilds, %d classifies, %d exact accepts, %d candidates run, %d residual runs"
-    s.rebuilds s.classifies s.exact_accepts s.candidates_run s.residual_runs
+    "dispatch: %d rebuilds, %d updates, %d classifies, %d exact accepts, %d candidates run, \
+     %d residual runs"
+    s.rebuilds s.updates s.classifies s.exact_accepts s.candidates_run s.residual_runs
 
 let pp_cache_stats ppf s =
   Format.fprintf ppf
@@ -680,33 +726,6 @@ let enqueue port capture =
       port.watchers <- [];
       List.iter (fun deliver -> ignore (deliver () : bool)) watchers
   end
-
-(* The whole-port-set dispatch automaton. Copy-all and tap ports are
-   excluded from indexing (their multi-delivery cannot be expressed by a
-   first-match winner) and fall to the rank-ordered residual walk, which
-   [demux] merges with the automaton winner by rank. Built from the
-   [Fast.t] each port compiled at install, so a rebuild recompiles nothing. *)
-let dispatch_of t =
-  match t.dispatch with
-  | Dispatch_built d -> d
-  | Dispatch_dirty ->
-    let entries =
-      List.filter_map
-        (fun p ->
-          match p.filter with
-          | Some f when p.is_open -> Some (f, p)
-          | Some _ | None -> None)
-        t.ports
-    in
-    let d =
-      Pf_filter.Dispatch.build_compiled
-        ~indexable:(fun p -> (not p.copy_all) && not p.tap)
-        entries
-    in
-    t.dispatch <- Dispatch_built d;
-    t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
-    Stats.incr t.stats "pf.dispatch.rebuild";
-    d
 
 (* Recompute the union read set of every installed filter. A port with no
    filter accepts nothing and reads nothing, so it does not constrain the
@@ -829,7 +848,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   if cpu < 0 || cpu >= n then invalid_arg "Pfdev.demux: no such CPU";
   Stats.incr t.stats "pf.packets";
   t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
-  if n > 1 then Stats.incr t.stats (Printf.sprintf "pf.smp.cpu%d.packets" cpu);
+  if n > 1 then Stats.incr t.stats t.smp_packet_keys.(cpu);
   let arrival = Engine.now t.engine in
   let cpu_cost = ref 0 in
   let c = t.caches.(cpu) in
@@ -896,7 +915,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
       (* Busier-first reordering only matters (and only makes sense) for the
          sequential strategy; the automaton is keyed on guards, not
          position. *)
-      if t.strategy = `Sequential then maybe_reorder ~cpu t;
+      if Option.is_none t.dispatch then maybe_reorder ~cpu t;
       let acceptors = ref [] in
       let run_port_filter port =
         Stats.incr t.stats "pf.filters_tested";
@@ -937,14 +956,14 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
           end
           else apply rest
       in
-      if t.strategy = `Dispatch && not kernel_claimed then begin
+      (match t.dispatch with
+      | Some d when not kernel_claimed ->
         (* Automaton classification, then the residual walk merged by rank:
            walk residual ports of lower rank than the automaton winner (a
            residual may outrank it, or be copy-all and accept additionally);
            once every remaining residual ranks past the winner, the winner —
            always non-copy-all — takes the packet and stops the walk, exactly
            where the sequential walk would have stopped. *)
-        let d = dispatch_of t in
         (match t.san with
         | Some h ->
           San.read h.checker ~cpu h.res_table;
@@ -993,8 +1012,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
             end
         in
         walk (Pf_filter.Dispatch.residuals d)
-      end
-      else apply t.ports;
+      | Some _ | None -> apply t.ports);
       let acceptors = List.rev !acceptors in
       (match probe with
       | `Miss (key, generation) when generation = c.generation ->

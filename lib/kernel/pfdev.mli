@@ -49,7 +49,7 @@ val attach_san : t -> Pf_sim.San.t -> unit
 (** Attach a concurrency sanitizer ({!Pf_sim.San}): registers the device's
     shared objects with their locking disciplines (the delivery queue
     guarded by the delivery lock, the port table published by invalidation
-    IPIs — the shared dispatch automaton is derived from it and read under
+    IPIs — the shared dispatch automaton is updated with it and read under
     the same discipline — and the per-CPU flow caches and counters private
     to their CPU), declares every access site for the static lint, and starts
     routing each shared-state access through the checker. Each instrumented
@@ -112,7 +112,8 @@ val port_dropped : port -> int
 
 val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
-    comes from the installed program's header ({!install}). *)
+    comes from the installed program's header ({!install}), and is clamped
+    to that header's range, 0..255. *)
 
 (** {2 Engine configuration}
 
@@ -130,11 +131,15 @@ val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
     {e groups}, not the number of ports. Copy-all and tap ports join the
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
-    oracle and [test_dispatch] enforce this). The automaton is rebuilt
-    lazily after exactly the mutations that flush the flow cache, once for
-    all CPUs, from the filters each port compiled at install.
-    Kernel-claimed packets bypass the automaton (taps-only delivery is a
-    different port subset) and take the sequential walk.
+    oracle and [test_dispatch] enforce this). Ports are ranked by their
+    own priority, then open order — the walk order. Selecting
+    [`Dispatch] builds the automaton once, from the filters each port
+    compiled at install; from then on every port mutation ({!install},
+    {!close_port}, {!set_priority}, {!set_copy_all}, {!set_tap}) updates
+    that port's entry in place, and one instance serves every CPU.
+    [`Sequential] drops it. Kernel-claimed packets bypass the automaton
+    (taps-only delivery is a different port subset) and take the
+    sequential walk.
 
     [`Decision_tree] raises [Invalid_argument] and leaves the device
     unchanged: use [`Dispatch]. Section 7's decision tree remains a
@@ -264,8 +269,9 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     memoized in a bounded table keyed on the packet bytes at the union
     {!Pf_filter.Analysis.t.read_set} of the installed filters, so a repeated
     header pattern costs one hash probe instead of a filter interpretation.
-    The cache is transparently flushed by every mutation that could change a
-    decision ({!open_port}, {!close_port}, {!install}/{!set_filter},
+    The cache — only the cache; the dispatch automaton is updated by the
+    mutation itself — is transparently flushed by every mutation that could
+    change a decision ({!open_port}, {!close_port}, {!install}/{!set_filter},
     {!set_priority}, {!set_strategy}, {!set_copy_all}, {!set_tap},
     {!set_cost_limit}, and busier-first reorders that change the walk order)
     and bypassed for kernel-claimed packets or when any installed filter's
@@ -300,7 +306,11 @@ val pp_cache_stats : Format.formatter -> cache_stats -> unit
 (** {1 Dispatch-automaton observability} *)
 
 type dispatch_stats = {
-  rebuilds : int;  (** lazy builds: one per filter-set generation, for all CPUs *)
+  rebuilds : int;  (** full builds: one per [set_strategy t `Dispatch] *)
+  updates : int;
+      (** port mutations applied to the automaton in place: installs,
+          closes, and priority, copy-all and tap changes of a port with a
+          filter *)
   classifies : int;  (** packets classified through the automaton *)
   exact_accepts : int;
       (** classifications won by an exact entry: slot match, zero filter
@@ -311,7 +321,7 @@ type dispatch_stats = {
 
 val dispatch_stats : t -> dispatch_stats
 (** Counters since device creation (also mirrored as ["pf.dispatch.*"]
-    device stats); all zero unless the [`Dispatch] strategy has run. *)
+    device stats); all zero unless the [`Dispatch] strategy was set. *)
 
 val pp_dispatch_stats : Format.formatter -> dispatch_stats -> unit
 

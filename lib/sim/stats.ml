@@ -2,10 +2,11 @@ type t = (string, int ref) Hashtbl.t
 
 let create () = Hashtbl.create 32
 
+(* [find] rather than [find_opt]: the hit path allocates no option. *)
 let incr ?(by = 1) t key =
-  match Hashtbl.find_opt t key with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t key (ref by)
+  match Hashtbl.find t key with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.add t key (ref by)
 
 let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
 let reset t = Hashtbl.reset t

@@ -5,7 +5,8 @@
    on per-port accept/drop accounting; plus residual-fallback coverage for
    unbounded read sets, direct unit tests of the build decisions, and the
    seeded unsound-prefix-sharing mutant, which the fuzz oracle must catch
-   and shrink. *)
+   and shrink; plus the maintained automaton against a scratch build after
+   every add and remove. *)
 
 open Pf_kernel
 module Packet = Pf_pkt.Packet
@@ -44,14 +45,17 @@ let validate_exn program =
    A [`Sequential] and a [`Dispatch] device receive the same mutation
    stream and the same packets. Any divergence in a demux verdict or in
    per-port accounting is an automaton bug — in classification itself, in
-   the rank-merged residual walk, or in a missed rebuild after a mutation
-   (the rebuild-invalidation property: the automaton must be reconstructed
-   after exactly the mutations that flush the flow cache). *)
+   the rank-merged residual walk, or in a port mutation the automaton
+   missed (every mutation that can change an acceptor list must update the
+   port's entry in place). *)
 
-(* Filter pool: exact guard chains (distinct sockets), a non-exact chain
-   (pup_dst_port_10mb keeps code after its guards), a short chain shared
-   across sockets (pup_type_is), an unbounded read set (residual), and a
-   chainless accept-all (residual). *)
+(* Filter pool: exact guard chains (distinct sockets, and figure 3-9,
+   which shares no slot with them), a non-exact chain (pup_dst_port_10mb
+   keeps code after its guards), a short chain shared across sockets
+   (pup_type_is), an unbounded read set (residual), a chainless accept-all
+   (residual) and a reject-all (never accepts). The exact chain and the
+   accept-all come a second time with a non-zero program priority, which
+   [set_priority] then overrides on the port. *)
 let pool =
   [|
     (fun s -> Predicates.pup_dst_socket (Int32.of_int (30 + s)));
@@ -59,6 +63,10 @@ let pool =
     (fun s -> Predicates.pup_type_is (1 + (s mod 3)));
     (fun s -> Predicates.udp_dst_port_any_ihl (1000 + s));
     (fun _ -> Predicates.accept_all);
+    (fun s -> Predicates.pup_dst_socket ~priority:(1 + s) (Int32.of_int (30 + s)));
+    (fun s -> Program.with_priority Predicates.accept_all (1 + s));
+    (fun _ -> Predicates.fig_3_9);
+    (fun _ -> Predicates.reject_all);
   |]
 
 let random_program rng =
@@ -166,8 +174,9 @@ let run_mirrored ~seed ~cache ~steps =
   let ds = Pfdev.dispatch_stats dev_a in
   Alcotest.(check bool) "automaton actually classified packets" true
     (ds.Pfdev.classifies > 0);
-  Alcotest.(check bool) "automaton rebuilt after mutations" true
-    (ds.Pfdev.rebuilds > 1)
+  Alcotest.(check int) "built once, by set_strategy" 1 ds.Pfdev.rebuilds;
+  Alcotest.(check bool) "updated in place after mutations" true
+    (ds.Pfdev.updates > 1)
 
 let test_mirrored_mutations_cache_off () =
   List.iter
@@ -178,6 +187,33 @@ let test_mirrored_mutations_cache_on () =
   List.iter
     (fun seed -> run_mirrored ~seed ~cache:true ~steps:40)
     [ 6; 7; 8; 9; 10 ]
+
+(* {1 Ranks follow the port's priority}
+
+   [set_priority] re-ranks a port without touching its program, whose
+   header keeps the old priority. The automaton must rank ports as the
+   sequential walk orders them — port priority, then open order — or the
+   two strategies deliver to different ports. Both ways in: the automaton
+   maintained across the mutations, and built after them. *)
+
+let test_set_priority_reranks () =
+  let deliver ~early strategy =
+    let eng, dev = mk_dev () in
+    Pfdev.set_cache_enabled dev false;
+    if early then Pfdev.set_strategy dev strategy;
+    let a = Pfdev.open_port dev and b = Pfdev.open_port dev in
+    set_filter_exn a Predicates.accept_all;
+    set_filter_exn b (Program.with_priority Predicates.accept_all 3);
+    Pfdev.set_priority a 5;
+    if not early then Pfdev.set_strategy dev strategy;
+    ignore (Pfdev.demux dev (Testutil.pup_frame ()) : bool);
+    Pf_sim.Engine.run eng;
+    (Pfdev.port_accepted a, Pfdev.port_accepted b)
+  in
+  let check what got = Alcotest.(check (pair int int)) what (1, 0) got in
+  check "sequential: the raised port wins" (deliver ~early:true `Sequential);
+  check "dispatch, maintained: the raised port wins" (deliver ~early:true `Dispatch);
+  check "dispatch, built after: the raised port wins" (deliver ~early:false `Dispatch)
 
 (* {1 Residual fallback: unbounded read sets}
 
@@ -360,6 +396,107 @@ let test_build_compiled_agrees () =
   in
   check_build_agreement ~what:"1,024 flows" ~dup:(fun i -> i + 10_000) flows frames
 
+(* {1 The maintained automaton equals a scratch build}
+
+   Seeded random sequences of [add], [remove], and remove-then-re-add with
+   the other indexability (what [Pfdev.set_copy_all] does) on one
+   automaton. Ranks are sparse and land anywhere among the live ones, as
+   the kernel's do, but follow program priority, so after every step
+   [build_compiled] of the live filters in rank order must yield the same
+   automaton up to renaming ranks to positions: the same decisions,
+   residuals, info, and classify winners and stats on every packet. The
+   filters come from the mirrored test's pool. *)
+
+let test_incremental_matches_scratch () =
+  let seen = Hashtbl.create 8 in
+  let note what n = if n > 0 then Hashtbl.replace seen what () in
+  List.iter
+    (fun seed ->
+      let rng = Rng.make seed in
+      let packets = Packet.of_string "" :: List.init 24 (fun _ -> random_packet rng) in
+      let d = Dispatch.create () in
+      (* (rank, fast, (id, indexable)), unordered *)
+      let live = ref [] in
+      let add ~rank fast value =
+        Dispatch.add d ~rank ~indexable:(snd value) fast value;
+        live := (rank, fast, value) :: !live
+      in
+      let remove ((rank, _, _) as victim) =
+        Dispatch.remove d ~rank;
+        live := List.filter (fun e -> e != victim) !live
+      in
+      let pick () = List.nth !live (Rng.int rng (List.length !live)) in
+      for step = 1 to 80 do
+        (match Rng.int rng 5 with
+        | (0 | 1) when !live <> [] -> remove (pick ())
+        | 2 when !live <> [] ->
+          let ((rank, fast, (id, indexable)) as e) = pick () in
+          remove e;
+          add ~rank fast (id, not indexable)
+        | _ ->
+          let fast = Fast.compile (validate_exn (random_program rng)) in
+          let rec fresh () =
+            let r = ((255 - Fast.priority fast) lsl 20) + Rng.int rng (1 lsl 20) in
+            if List.exists (fun (r', _, _) -> r' = r) !live then fresh () else r
+          in
+          add ~rank:(fresh ()) fast (step, not (Rng.chance rng 6)));
+        let ranked = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !live in
+        let scratch =
+          Dispatch.build_compiled ~indexable:snd
+            (List.map (fun (_, fast, value) -> (fast, value)) ranked)
+        in
+        let dense r =
+          let rec go i = function
+            | (r', _, _) :: rest -> if r' = r then i else go (i + 1) rest
+            | [] -> Alcotest.failf "rank %d is not live" r
+          in
+          go 0 ranked
+        in
+        let what = Printf.sprintf "seed %d, step %d" seed step in
+        let renamed =
+          List.map
+            (fun (r, v, dec) ->
+              ( dense r,
+                v,
+                match dec with
+                | Dispatch.Shadowed { by } -> Dispatch.Shadowed { by = dense by }
+                | dec -> dec ))
+            (Dispatch.decisions d)
+        in
+        Alcotest.(check bool) (what ^ ": decisions") true
+          (renamed = Dispatch.decisions scratch);
+        Alcotest.(check bool) (what ^ ": residuals") true
+          (List.map (fun (r, v) -> (dense r, v)) (Dispatch.residuals d)
+          = Dispatch.residuals scratch);
+        let info = Dispatch.info d in
+        Alcotest.(check bool) (what ^ ": info") true (info = Dispatch.info scratch);
+        List.iteri
+          (fun i packet ->
+            let winner, stats = Dispatch.classify d packet in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, packet %d: winner and stats" what i)
+              true
+              ((Option.map (fun (r, v) -> (dense r, v)) winner, stats)
+              = Dispatch.classify scratch packet))
+          packets;
+        note "shadowed" info.Dispatch.shadowed;
+        note "excluded" info.Dispatch.residual_excluded;
+        note "unbounded" info.Dispatch.residual_unbounded;
+        note "no chain" info.Dispatch.residual_no_chain;
+        note "never accepts" info.Dispatch.never_accepts;
+        List.iter
+          (fun (g : Dispatch.group_info) ->
+            note "exact" g.Dispatch.exact_members;
+            note "non-exact" (g.Dispatch.members - g.Dispatch.exact_members))
+          info.Dispatch.groups
+      done)
+    [ 1; 2; 3; 4; 5 ];
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) (what ^ " entries exercised") true (Hashtbl.mem seen what))
+    [ "shadowed"; "excluded"; "unbounded"; "no chain"; "never accepts"; "exact";
+      "non-exact" ]
+
 (* {1 The seeded unsound-prefix-sharing mutant}
 
    Flip the automaton into accepting every slot-matched candidate on its
@@ -401,6 +538,8 @@ let suite =
         test_mirrored_mutations_cache_off;
       Alcotest.test_case "mirrored mutations, cache on" `Quick
         test_mirrored_mutations_cache_on;
+      Alcotest.test_case "set_priority re-ranks the port in the automaton" `Quick
+        test_set_priority_reranks;
       Alcotest.test_case "unbounded read set falls back to the residual walk"
         `Quick test_unbounded_residual_fallback;
       Alcotest.test_case "classify + residual merge equals the linear walk"
@@ -413,6 +552,8 @@ let suite =
         test_copy_all_goes_residual;
       Alcotest.test_case "build_compiled agrees with build" `Quick
         test_build_compiled_agrees;
+      Alcotest.test_case "maintained automaton equals a scratch build" `Quick
+        test_incremental_matches_scratch;
       Alcotest.test_case "unsound-prefix-sharing mutant caught and shrunk"
         `Quick test_unsound_sharing_mutant_caught_and_shrunk;
     ] )
