@@ -276,6 +276,16 @@ let coexistence () =
 
 (* {1 Wall-clock microbenchmarks (Bechamel)} *)
 
+(* A row name as a metric key: lower-case alphanumeric words joined by
+   underscores, e.g. "filter fast(validated) match" ->
+   "filter_fast_validated_match". *)
+let slug name =
+  String.lowercase_ascii name
+  |> String.map (fun ch -> match ch with 'a' .. 'z' | '0' .. '9' -> ch | _ -> ' ')
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> w <> "")
+  |> String.concat "_"
+
 let bechamel_suite () =
   let open Bechamel in
   let open Toolkit in
@@ -284,6 +294,7 @@ let bechamel_suite () =
   let program = socket_filter 35 in
   let validated = Validate.check_exn program in
   let fast = Fast.compile validated in
+  let regvm = Regvm.compile validated in
   let closure = Closure.compile validated in
   let tree =
     Decision.build (List.init 20 (fun i -> (Validate.check_exn (socket_filter (30 + i)), i)))
@@ -299,6 +310,10 @@ let bechamel_suite () =
           (Staged.stage (fun () -> Fast.run fast match_frame));
         Test.make ~name:"fast(validated) miss"
           (Staged.stage (fun () -> Fast.run fast miss_frame));
+        Test.make ~name:"regvm match"
+          (Staged.stage (fun () -> Regvm.run regvm match_frame));
+        Test.make ~name:"regvm miss"
+          (Staged.stage (fun () -> Regvm.run regvm miss_frame));
         Test.make ~name:"closure match"
           (Staged.stage (fun () -> Closure.run closure match_frame));
         Test.make ~name:"decision-tree 20 filters"
@@ -324,7 +339,11 @@ let bechamel_suite () =
       results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  List.iter (fun (name, est) -> Printf.printf "%-40s %10.1f ns\n" name est) rows
+  List.iter
+    (fun (name, est) ->
+      Printf.printf "%-40s %10.1f ns\n" name est;
+      record_metric (Printf.sprintf "ablation_wallclock_%s_ns" (slug name)) est)
+    rows
 
 let run () =
   sc_vs_plain ();

@@ -56,15 +56,16 @@ let () =
       names);
   if json then begin
     (* Each experiment family owns exactly one artifact (CI fails if any
-       two BENCH_*.json files come out identical): the register-IR and
-       dispatch metrics go to their own files, everything else — the §6
-       demux tables, the flow cache, the interpreter profile — to the
-       original BENCH_demux.json. *)
+       two BENCH_*.json files come out identical): the register-IR,
+       dispatch and wall-clock ablation metrics go to their own files,
+       everything else — the §6 demux tables, the flow cache, the
+       interpreter profile — to the original BENCH_demux.json. *)
     Util.write_json_excluding "BENCH_demux.json"
-      ~prefixes:[ "ir_"; "dispatch_"; "fw_"; "smp_"; "superopt_" ];
+      ~prefixes:[ "ir_"; "dispatch_"; "fw_"; "smp_"; "superopt_"; "ablation_" ];
     Util.write_json_filtered "BENCH_ir.json" ~prefix:"ir_";
     Util.write_json_filtered "BENCH_superopt.json" ~prefix:"superopt_";
     Util.write_json_filtered "BENCH_dispatch.json" ~prefix:"dispatch_";
     Util.write_json_filtered "BENCH_fw.json" ~prefix:"fw_";
-    Util.write_json_filtered "BENCH_smp.json" ~prefix:"smp_"
+    Util.write_json_filtered "BENCH_smp.json" ~prefix:"smp_";
+    Util.write_json_filtered "BENCH_ablation.json" ~prefix:"ablation_"
   end

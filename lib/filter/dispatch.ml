@@ -275,11 +275,12 @@ let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
         Some (e.rank, e.value)
       end
       else begin
-        let ok, n = Fast.run_counted e.fast packet in
+        let r = Fast.eval e.fast packet in
+        let n = Op.packed_insns r in
         incr candidates_run;
         insns := !insns + n;
         on_run e.value ~insns:n;
-        if ok then Some (e.rank, e.value) else scan rest
+        if Op.packed_accepts r then Some (e.rank, e.value) else scan rest
       end
   in
   let result = scan matched in

@@ -24,9 +24,10 @@ let analysis t = t.analysis
 let runs_checkless t packet =
   Packet.word_count packet >= t.analysis.Analysis.safe_packet_words
 
-exception Done of bool * int
-
-let run_counted t packet =
+(* One run, allocation-free: the verdict and the executed-instruction count
+   come back packed ([Op.packed]), and an early exit (a fault or a
+   short-circuit) sets [stop], which ends the loop. *)
+let eval t packet =
   let words = Packet.word_count packet in
   (* When the packet covers every constant offset the program can touch, the
      loop below performs no packet bounds checks at all. A shorter packet
@@ -40,62 +41,80 @@ let run_counted t packet =
      every access — constant or data-flow-derived — even those checks are
      skipped and the whole run is checkless. *)
   let need_ind_check = words < t.analysis.Analysis.safe_packet_words in
-  begin
-    let stack = t.stack in
-    let sp = ref 0 in
-    let n = Array.length t.insns in
-    try
-      for pc = 0 to n - 1 do
-        let insn = t.insns.(pc) in
-        (match insn.Insn.action with
-        | Action.Nopush -> ()
-        | Action.Pushlit v ->
-          stack.(!sp) <- v;
-          incr sp
-        | Action.Pushzero ->
-          stack.(!sp) <- 0;
-          incr sp
-        | Action.Pushone ->
-          stack.(!sp) <- 1;
-          incr sp
-        | Action.Pushffff ->
-          stack.(!sp) <- 0xffff;
-          incr sp
-        | Action.Pushff00 ->
-          stack.(!sp) <- 0xff00;
-          incr sp
-        | Action.Push00ff ->
-          stack.(!sp) <- 0x00ff;
-          incr sp
-        | Action.Pushword i ->
-          if need_check && i >= words then raise (Done (false, pc + 1));
+  let stack = t.stack in
+  let insns = t.insns in
+  let n = Array.length insns in
+  let sp = ref 0 and pc = ref 0 and stop = ref (-1) in
+  while !stop < 0 && !pc < n do
+    let insn = insns.(!pc) in
+    incr pc;
+    let pushed =
+      match insn.Insn.action with
+      | Action.Nopush -> true
+      | Action.Pushlit v ->
+        stack.(!sp) <- v;
+        incr sp;
+        true
+      | Action.Pushzero ->
+        stack.(!sp) <- 0;
+        incr sp;
+        true
+      | Action.Pushone ->
+        stack.(!sp) <- 1;
+        incr sp;
+        true
+      | Action.Pushffff ->
+        stack.(!sp) <- 0xffff;
+        incr sp;
+        true
+      | Action.Pushff00 ->
+        stack.(!sp) <- 0xff00;
+        incr sp;
+        true
+      | Action.Push00ff ->
+        stack.(!sp) <- 0x00ff;
+        incr sp;
+        true
+      | Action.Pushword i ->
+        if need_check && i >= words then false
+        else begin
           stack.(!sp) <- Packet.word packet i;
+          incr sp;
+          true
+        end
+      | Action.Pushind ->
+        let index = stack.(!sp - 1) in
+        if need_ind_check && index >= words then false
+        else begin
+          stack.(!sp - 1) <- Packet.word packet index;
+          true
+        end
+    in
+    if not pushed then stop := Op.packed ~accept:false ~insns:!pc
+    else
+      match insn.Insn.op with
+      | Op.Nop -> ()
+      | op ->
+        let t1 = stack.(!sp - 1) in
+        let t2 = stack.(!sp - 2) in
+        sp := !sp - 2;
+        (* [Op.apply_int] keeps the ALU allocation-free: [Op.apply]'s
+           [Push r] result boxed a fresh variant on every arithmetic
+           instruction. A fault and a rejecting short-circuit both
+           terminate rejecting, so the two negative sentinels besides
+           [apply_accept] need no distinction here. *)
+        let r = Op.apply_int op ~t2 ~t1 in
+        if r >= 0 then begin
+          stack.(!sp) <- r;
           incr sp
-        | Action.Pushind ->
-          let index = stack.(!sp - 1) in
-          if need_ind_check && index >= words then raise (Done (false, pc + 1));
-          stack.(!sp - 1) <- Packet.word packet index);
-        match insn.Insn.op with
-        | Op.Nop -> ()
-        | op -> (
-          let t1 = stack.(!sp - 1) in
-          let t2 = stack.(!sp - 2) in
-          sp := !sp - 2;
-          (* [Op.apply_int] keeps the ALU allocation-free: [Op.apply]'s
-             [Push r] result boxed a fresh variant on every arithmetic
-             instruction. A fault and a rejecting short-circuit both
-             terminate [(false, pc + 1)], so the two negative sentinels
-             besides [apply_accept] need no distinction here. *)
-          let r = Op.apply_int op ~t2 ~t1 in
-          if r >= 0 then begin
-            stack.(!sp) <- r;
-            incr sp
-          end
-          else raise (Done (r = Op.apply_accept, pc + 1)))
-      done;
-      let accept = !sp = 0 || stack.(!sp - 1) <> 0 in
-      (accept, n)
-    with Done (accept, executed) -> (accept, executed)
-  end
+        end
+        else stop := Op.packed ~accept:(r = Op.apply_accept) ~insns:!pc
+  done;
+  if !stop >= 0 then !stop
+  else Op.packed ~accept:(!sp = 0 || stack.(!sp - 1) <> 0) ~insns:n
 
-let run t packet = fst (run_counted t packet)
+let run t packet = Op.packed_accepts (eval t packet)
+
+let run_counted t packet =
+  let r = eval t packet in
+  (Op.packed_accepts r, Op.packed_insns r)

@@ -28,8 +28,15 @@ val runs_checkless : t -> Pf_pkt.Packet.t -> bool
     packet meets {!Analysis.t.safe_packet_words}, covering constant-offset
     and indirect accesses alike. *)
 
+val eval : t -> Pf_pkt.Packet.t -> int
+(** One run, allocating nothing: the verdict and the number of instructions
+    executed, packed as {!Op.packed} (read them back with
+    {!Op.packed_accepts} and {!Op.packed_insns}). The kernel's demux walks
+    and {!Dispatch.classify} call this. *)
+
 val run : t -> Pf_pkt.Packet.t -> bool
+(** The verdict of {!eval}. *)
 
 val run_counted : t -> Pf_pkt.Packet.t -> bool * int
-(** Also returns the number of instructions executed, for the simulator's CPU
-    cost accounting. *)
+(** {!eval} decoded: the verdict and the number of instructions executed,
+    for the simulator's CPU cost accounting. *)

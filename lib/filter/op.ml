@@ -94,6 +94,11 @@ let apply_int op ~t2 ~t1 =
   | Lsh -> (t2 lsl (t1 land 15)) land 0xffff
   | Rsh -> t2 lsr (t1 land 15)
 
+(* Bit 0 is the verdict, the rest the instruction count. *)
+let packed ~accept ~insns = (insns lsl 1) lor Bool.to_int accept
+let packed_accepts r = r land 1 = 1
+let packed_insns r = r lsr 1
+
 (* Codes 0-13 match 4.3BSD <net/enet.h>; 16+ are our extensions. *)
 let code = function
   | Nop -> 0

@@ -74,6 +74,17 @@ val apply_int : t -> t2:int -> t1:int -> int
     sentinels can never collide with a pushed result. Agrees with {!apply}
     on every operator; raises [Invalid_argument] on [Nop]. *)
 
+(** {1 Packed run results}
+
+    The engines' evaluation cores ([Fast.eval], [Regvm.eval]) return a
+    run's verdict and its executed-instruction count packed in one
+    non-negative int, so a run allocates nothing: no exception, tuple or
+    option. *)
+
+val packed : accept:bool -> insns:int -> int
+val packed_accepts : int -> bool
+val packed_insns : int -> int
+
 val code : t -> int
 (** Encoding in the operator field (high 6 bits of an instruction word),
     matching 4.3BSD [<net/enet.h>] for the 1987 operators. *)

@@ -26,40 +26,50 @@ let ir t = t.ir
 let report t = t.report
 let priority t = Program.priority (Validate.program t.validated)
 
-exception Done of bool * int
+let value regs = function Ir.Reg r -> regs.(r) | Ir.Imm v -> v
 
-let run_counted t packet =
+(* One run, allocation-free, like [Fast.eval]: the result is [Op.packed], a
+   terminating instruction sets [stop], which ends the loop, and operands
+   are read through the top-level [value], so a run builds no closure. *)
+let eval t packet =
   let words = Packet.word_count packet in
   let regs = t.regs in
-  let value = function Ir.Reg r -> regs.(r) | Ir.Imm v -> v in
   let instrs = t.ir.Ir.instrs in
   let n = Array.length instrs in
-  try
-    for i = 0 to n - 1 do
-      match instrs.(i) with
-      | Ir.Load { dst; word } ->
-        if word >= words then raise (Done (false, i + 1));
-        regs.(dst) <- Packet.word packet word
-      | Ir.Loadind { dst; idx } ->
-        let idx = value idx in
-        if idx >= words then raise (Done (false, i + 1));
-        regs.(dst) <- Packet.word packet idx
-      | Ir.Binop { dst; op; a; b } ->
-        (* Only [apply_fault] is possible negatively: short-circuit
-           operators lower to [Tcond], never to [Binop]. *)
-        let r = Op.apply_int op ~t2:(value a) ~t1:(value b) in
-        if r >= 0 then regs.(dst) <- r else raise (Done (false, i + 1))
-      | Ir.Tcond { cond; a; b; verdict } ->
-        let eq = value a = value b in
-        let fires = match cond with Ir.Ceq -> eq | Ir.Cne -> not eq in
-        if fires then raise (Done (verdict, i + 1))
-    done;
+  let i = ref 0 and stop = ref (-1) in
+  while !stop < 0 && !i < n do
+    let executed = !i + 1 in
+    (match instrs.(!i) with
+    | Ir.Load { dst; word } ->
+      if word >= words then stop := Op.packed ~accept:false ~insns:executed
+      else regs.(dst) <- Packet.word packet word
+    | Ir.Loadind { dst; idx } ->
+      let idx = value regs idx in
+      if idx >= words then stop := Op.packed ~accept:false ~insns:executed
+      else regs.(dst) <- Packet.word packet idx
+    | Ir.Binop { dst; op; a; b } ->
+      (* Only [apply_fault] is possible negatively: short-circuit
+         operators lower to [Tcond], never to [Binop]. *)
+      let r = Op.apply_int op ~t2:(value regs a) ~t1:(value regs b) in
+      if r >= 0 then regs.(dst) <- r
+      else stop := Op.packed ~accept:false ~insns:executed
+    | Ir.Tcond { cond; a; b; verdict } ->
+      let eq = value regs a = value regs b in
+      let fires = match cond with Ir.Ceq -> eq | Ir.Cne -> not eq in
+      if fires then stop := Op.packed ~accept:verdict ~insns:executed);
+    i := executed
+  done;
+  if !stop >= 0 then !stop
+  else
     let accept =
       match t.ir.Ir.terminator with
       | Ir.Halt v -> v
-      | Ir.Accept_if o -> value o <> 0
+      | Ir.Accept_if o -> value regs o <> 0
     in
-    (accept, n)
-  with Done (accept, executed) -> (accept, executed)
+    Op.packed ~accept ~insns:n
 
-let run t packet = fst (run_counted t packet)
+let run t packet = Op.packed_accepts (eval t packet)
+
+let run_counted t packet =
+  let r = eval t packet in
+  (Op.packed_accepts r, Op.packed_insns r)

@@ -35,8 +35,14 @@ val ir : t -> Ir.t
 val report : t -> Regopt.report
 val priority : t -> int
 
+val eval : t -> Pf_pkt.Packet.t -> int
+(** One run, allocating nothing: the verdict and the number of IR
+    instructions executed (terminating instructions count themselves; the
+    terminator is free), packed as {!Op.packed}, the same encoding as
+    {!Fast.eval}. The kernel's demux walks call this. *)
+
 val run_counted : t -> Pf_pkt.Packet.t -> bool * int
-(** Verdict plus the number of IR instructions executed (terminating
-    instructions count themselves; the terminator is free). *)
+(** {!eval} decoded: the verdict and the IR instruction count. *)
 
 val run : t -> Pf_pkt.Packet.t -> bool
+(** The verdict of {!eval}. *)

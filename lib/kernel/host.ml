@@ -6,6 +6,17 @@ module Costs = Pf_sim.Costs
 module Stats = Pf_sim.Stats
 module Process = Pf_sim.Process
 
+(* Handles on the per-packet host counters, resolved once at creation (see
+   [Pfdev.Counters]). *)
+type counters = {
+  inject : Stats.counter;
+  rx : Stats.counter;
+  interrupt_cpu_us : Stats.counter;
+  rx_unclaimed : Stats.counter;
+  rx_kernel_proto : Stats.counter;
+  tx_kernel : Stats.counter;
+}
+
 type t = {
   name : string;
   engine : Engine.t;
@@ -13,6 +24,7 @@ type t = {
   steered : bool; (* NIC receive-side steering (the [?ncpus] path) *)
   costs : Costs.t;
   stats : Stats.t;
+  ctr : counters;
   nic : Pf_net.Nic.t;
   pf : Pfdev.t;
   mutable extra_interfaces : (Pf_net.Nic.t * Pfdev.t) list; (* beyond the primary *)
@@ -40,8 +52,8 @@ let pf t = t.pf
    receive path scales across CPUs, as in real kernels before per-CPU
    protocol processing. *)
 let rx t nic pf ~cpu:cpu_id frame =
-  Stats.incr t.stats "host.rx";
-  Stats.incr ~by:t.costs.Costs.recv_interrupt t.stats "host.interrupt_cpu_us";
+  Stats.bump t.ctr.rx;
+  Stats.add t.ctr.interrupt_cpu_us t.costs.Costs.recv_interrupt;
   let finish =
     Cpu.run (Smp.cpu t.smp cpu_id) ~owner:`Interrupt ~start:(Engine.now t.engine)
       ~cost:t.costs.Costs.recv_interrupt
@@ -64,12 +76,12 @@ let rx t nic pf ~cpu:cpu_id frame =
       in
       match kernel_handler with
       | Some handler ->
-        Stats.incr t.stats "host.rx.kernel_proto";
+        Stats.bump t.ctr.rx_kernel_proto;
         ignore (Pfdev.demux pf ~cpu:cpu_id ~kernel_claimed:true frame : bool);
         handler frame
       | None ->
         if not (Pfdev.demux pf ~cpu:cpu_id frame) then
-          Stats.incr t.stats "host.rx.unclaimed")
+          Stats.bump t.ctr.rx_unclaimed)
 
 (* Wire an interface's receive side. With steering, the NIC's receive
    hashing ({!Pfdev.steer}: the flow-cache key bytes modulo the CPU count)
@@ -103,6 +115,15 @@ let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
       steered;
       costs;
       stats;
+      ctr =
+        {
+          inject = Stats.counter stats "host.inject";
+          rx = Stats.counter stats "host.rx";
+          interrupt_cpu_us = Stats.counter stats "host.interrupt_cpu_us";
+          rx_unclaimed = Stats.counter stats "host.rx.unclaimed";
+          rx_kernel_proto = Stats.counter stats "host.rx.kernel_proto";
+          tx_kernel = Stats.counter stats "host.tx.kernel";
+        };
       nic;
       pf;
       extra_interfaces = [];
@@ -147,7 +168,7 @@ let add_interface t link ~addr =
    wire, for scaling experiments where the link would otherwise be the
    bottleneck. Steering still applies. *)
 let inject t frame =
-  Stats.incr t.stats "host.inject";
+  Stats.bump t.ctr.inject;
   let cpu_id = if t.steered then Pfdev.steer t.pf frame else 0 in
   rx t t.nic t.pf ~cpu:cpu_id frame
 
@@ -185,7 +206,7 @@ let in_kernel t ~cost k =
 
 let kernel_send t ~cost frame =
   in_kernel t ~cost (fun () ->
-      Stats.incr t.stats "host.tx.kernel";
+      Stats.bump t.ctr.tx_kernel;
       Pf_net.Nic.send_frame t.nic frame)
 
 let set_promiscuous t flag = Pf_net.Nic.set_promiscuous t.nic flag

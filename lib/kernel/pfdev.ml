@@ -10,6 +10,67 @@ module Condition = Pf_sim.Condition
 module Frame = Pf_net.Frame
 module Addr = Pf_net.Addr
 
+(* Handles on every counter the receive, read and write paths bump (per
+   packet, per filter run, per lock acquisition, per read or write),
+   resolved once when the device is created: those paths neither hash a
+   counter name nor allocate. [Stats.incr] by name stays on the cold paths:
+   install, invalidation and configuration. *)
+module Counters = struct
+  type t = {
+    packets : Stats.counter;
+    cpu_packets : Stats.counter array; (* bumped only on a multi-CPU device *)
+    filters_tested : Stats.counter;
+    filter_insns : Stats.counter;
+    regvm_insns : Stats.counter;
+    accepted : Stats.counter;
+    drop_nomatch : Stats.counter;
+    drop_overflow : Stats.counter;
+    demux_cpu_us : Stats.counter;
+    cache_hit : Stats.counter;
+    cache_miss : Stats.counter;
+    cache_bypass : Stats.counter;
+    cache_eviction : Stats.counter;
+    dispatch_classify : Stats.counter;
+    dispatch_exact_accept : Stats.counter;
+    dispatch_residual_run : Stats.counter;
+    lock_acquire : Stats.counter;
+    lock_contended : Stats.counter;
+    lock_wait_us : Stats.counter;
+    copy_cpu_us : Stats.counter;
+    reads_delivered : Stats.counter;
+    syscalls : Stats.counter;
+    writes : Stats.counter;
+  }
+
+  let resolve stats ~ncpus =
+    let c = Stats.counter stats in
+    {
+      packets = c "pf.packets";
+      cpu_packets = Array.init ncpus (fun k -> c (Printf.sprintf "pf.smp.cpu%d.packets" k));
+      filters_tested = c "pf.filters_tested";
+      filter_insns = c "pf.filter_insns";
+      regvm_insns = c "pf.regvm_insns";
+      accepted = c "pf.accepted";
+      drop_nomatch = c "pf.drop.nomatch";
+      drop_overflow = c "pf.drop.overflow";
+      demux_cpu_us = c "pf.demux_cpu_us";
+      cache_hit = c "pf.cache.hit";
+      cache_miss = c "pf.cache.miss";
+      cache_bypass = c "pf.cache.bypass";
+      cache_eviction = c "pf.cache.eviction";
+      dispatch_classify = c "pf.dispatch.classify";
+      dispatch_exact_accept = c "pf.dispatch.exact_accept";
+      dispatch_residual_run = c "pf.dispatch.residual_run";
+      lock_acquire = c "pf.smp.lock_acquire";
+      lock_contended = c "pf.smp.lock_contended";
+      lock_wait_us = c "pf.smp.lock_wait_us";
+      copy_cpu_us = c "pf.copy_cpu_us";
+      reads_delivered = c "pf.reads.delivered";
+      syscalls = c "pf.syscalls";
+      writes = c "pf.writes";
+    }
+end
+
 type capture = {
   packet : Packet.t;
   timestamp : Pf_sim.Time.t option;
@@ -53,6 +114,7 @@ and t = {
   smp : Smp.t; (* CPU 0 is the boot CPU; demux runs on the steered CPU *)
   costs : Costs.t;
   stats : Stats.t;
+  ctr : Counters.t;
   variant : Frame.variant;
   address : Addr.t;
   send : Packet.t -> unit;
@@ -76,7 +138,6 @@ and t = {
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
   smp_packets : int array; (* demuxed packets per CPU *)
-  smp_packet_keys : string array; (* their counter names, built once *)
   smp_lock_waits : int array; (* contended delivery-lock acquisitions per CPU *)
   smp_lock_wait_us : int array; (* spin time per CPU *)
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
@@ -141,6 +202,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     smp;
     costs;
     stats;
+    ctr = Counters.resolve stats ~ncpus:n;
     variant;
     address;
     send;
@@ -163,7 +225,6 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
     smp_packets = Array.make n 0;
-    smp_packet_keys = Array.init n (Printf.sprintf "pf.smp.cpu%d.packets");
     smp_lock_waits = Array.make n 0;
     smp_lock_wait_us = Array.make n 0;
     san = None;
@@ -196,6 +257,8 @@ module For_testing = struct
      this one: the delivery queue's candidate lockset goes empty as soon as
      two CPUs both deliver. *)
   let skip_delivery_lock = ref false
+
+  let pending_watchers port = List.length port.watchers
 end
 
 let san t = Option.map (fun h -> h.checker) t.san
@@ -714,7 +777,7 @@ let pp_cache_stats ppf s =
 let enqueue port capture =
   if Queue.length port.queue >= port.queue_limit then begin
     port.dropped <- port.dropped + 1;
-    Stats.incr port.dev.stats "pf.drop.overflow"
+    Stats.bump port.dev.ctr.drop_overflow
   end
   else begin
     Queue.push capture port.queue;
@@ -846,9 +909,10 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   let costs = t.costs in
   let n = Smp.ncpus t.smp in
   if cpu < 0 || cpu >= n then invalid_arg "Pfdev.demux: no such CPU";
-  Stats.incr t.stats "pf.packets";
+  let ctr = t.ctr in
+  Stats.bump ctr.packets;
   t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
-  if n > 1 then Stats.incr t.stats t.smp_packet_keys.(cpu);
+  if n > 1 then Stats.bump ctr.cpu_packets.(cpu);
   let arrival = Engine.now t.engine in
   let cpu_cost = ref 0 in
   let c = t.caches.(cpu) in
@@ -870,7 +934,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
     if not t.cache_enabled then `Off
     else if kernel_claimed then begin
       c.bypasses <- c.bypasses + 1;
-      Stats.incr t.stats "pf.cache.bypass";
+      Stats.bump ctr.cache_bypass;
       `Off
     end
     else begin
@@ -879,7 +943,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
       | Dirty -> assert false
       | Unusable ->
         c.bypasses <- c.bypasses + 1;
-        Stats.incr t.stats "pf.cache.bypass";
+        Stats.bump ctr.cache_bypass;
         `Off
       | Offsets offsets -> (
         let key = cache_key offsets frame in
@@ -904,7 +968,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
     match probe with
     | `Hit acceptors ->
       c.hits <- c.hits + 1;
-      Stats.incr t.stats "pf.cache.hit";
+      Stats.bump ctr.cache_hit;
       List.iter
         (fun port ->
           port.accepted <- port.accepted + 1;
@@ -917,27 +981,31 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
          position. *)
       if Option.is_none t.dispatch then maybe_reorder ~cpu t;
       let acceptors = ref [] in
+      (* Allocates nothing: the walk's work must not grow the heap with
+         the number of filters tested. *)
       let run_port_filter port =
-        Stats.incr t.stats "pf.filters_tested";
-        let ok, insns =
+        Stats.bump ctr.filters_tested;
+        let r =
           match port.regvm with
           | Some rvm ->
-            cpu_cost := !cpu_cost + costs.Costs.regvm_apply;
-            let ok, insns = Pf_filter.Regvm.run_counted rvm frame in
-            cpu_cost := !cpu_cost + (insns * costs.Costs.regvm_insn);
-            Stats.incr ~by:insns t.stats "pf.regvm_insns";
-            (ok, insns)
+            let r = Pf_filter.Regvm.eval rvm frame in
+            let insns = Pf_filter.Op.packed_insns r in
+            cpu_cost :=
+              !cpu_cost + costs.Costs.regvm_apply + (insns * costs.Costs.regvm_insn);
+            Stats.add ctr.regvm_insns insns;
+            r
           | None ->
-            let filter = Option.get port.filter in
-            cpu_cost := !cpu_cost + costs.Costs.filter_apply;
-            let ok, insns = Pf_filter.Fast.run_counted filter frame in
-            cpu_cost := !cpu_cost + (insns * costs.Costs.filter_insn);
-            (ok, insns)
+            let r = Pf_filter.Fast.eval (Option.get port.filter) frame in
+            cpu_cost :=
+              !cpu_cost + costs.Costs.filter_apply
+              + (Pf_filter.Op.packed_insns r * costs.Costs.filter_insn);
+            r
         in
-        Stats.incr ~by:insns t.stats "pf.filter_insns";
+        let insns = Pf_filter.Op.packed_insns r in
+        Stats.add ctr.filter_insns insns;
         port.engine_applications <- port.engine_applications + 1;
         port.engine_insns <- port.engine_insns + insns;
-        ok
+        Pf_filter.Op.packed_accepts r
       in
       let accept port =
         port.accepted <- port.accepted + 1;
@@ -970,12 +1038,12 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
           cpu_cost := !cpu_cost + costs.Costs.san_access
         | None -> ());
         t.dispatch_classifies <- t.dispatch_classifies + 1;
-        Stats.incr t.stats "pf.dispatch.classify";
+        Stats.bump ctr.dispatch_classify;
         let winner, dstats =
           Pf_filter.Dispatch.classify
             ~on_run:(fun port ~insns ->
-              Stats.incr t.stats "pf.filters_tested";
-              Stats.incr ~by:insns t.stats "pf.filter_insns";
+              Stats.bump ctr.filters_tested;
+              Stats.add ctr.filter_insns insns;
               port.engine_applications <- port.engine_applications + 1;
               port.engine_insns <- port.engine_insns + insns)
             d frame
@@ -991,7 +1059,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
         t.dispatch_candidates <-
           t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
         if dstats.Pf_filter.Dispatch.exact_accepts > 0 then
-          Stats.incr t.stats "pf.dispatch.exact_accept";
+          Stats.bump ctr.dispatch_exact_accept;
         let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
         let deliver_winner () =
           match winner with Some (_, port) -> accept port | None -> ()
@@ -1003,7 +1071,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
             else if (not port.is_open) || port.filter = None then walk rest
             else begin
               t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-              Stats.incr t.stats "pf.dispatch.residual_run";
+              Stats.bump ctr.dispatch_residual_run;
               if run_port_filter port then begin
                 accept port;
                 if port.copy_all then walk rest
@@ -1020,14 +1088,14 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
            during this very walk) invalidated the cache after the key was
            computed under the old read set. *)
         c.misses <- c.misses + 1;
-        Stats.incr t.stats "pf.cache.miss";
+        Stats.bump ctr.cache_miss;
         cpu_cost := !cpu_cost + costs.Costs.cache_probe (* insert *);
         if Hashtbl.length c.table >= t.cache_capacity then (
           match Queue.take_opt c.fifo with
           | Some victim ->
             Hashtbl.remove c.table victim;
             c.evictions <- c.evictions + 1;
-            Stats.incr t.stats "pf.cache.eviction"
+            Stats.bump ctr.cache_eviction
           | None -> ());
         Hashtbl.replace c.table key acceptors;
         Queue.push key c.fifo;
@@ -1039,13 +1107,13 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
         | None -> ())
       | `Miss _ ->
         c.misses <- c.misses + 1;
-        Stats.incr t.stats "pf.cache.miss"
+        Stats.bump ctr.cache_miss
       | `Off -> ());
       acceptors
   in
   let accepted = acceptors <> [] in
-  if accepted then Stats.incr t.stats "pf.accepted"
-  else if not kernel_claimed then Stats.incr t.stats "pf.drop.nomatch";
+  if accepted then Stats.bump ctr.accepted
+  else if not kernel_claimed then Stats.bump ctr.drop_nomatch;
   (* The filter interpretation and bookkeeping happen at interrupt level;
      delivery (queueing + reader wakeup) completes when that CPU work
      retires. On an SMP device delivery mutates shared port queues, so it
@@ -1085,12 +1153,12 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
             Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0
           in
           deliver_cost := !deliver_cost + wait + costs.Costs.lock_acquire;
-          Stats.incr t.stats "pf.smp.lock_acquire";
+          Stats.bump ctr.lock_acquire;
           if wait > 0 then begin
             t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
             t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait;
-            Stats.incr t.stats "pf.smp.lock_contended";
-            Stats.incr ~by:wait t.stats "pf.smp.lock_wait_us"
+            Stats.bump ctr.lock_contended;
+            Stats.add ctr.lock_wait_us wait
           end;
           san_queue_write ();
           Smp.Lock.release t.delivery_lock ~cpu
@@ -1104,7 +1172,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
       Cpu.run cpu_exec ~owner:`Interrupt ~start:classify_done ~cost:!deliver_cost
     end
   in
-  Stats.incr ~by:!cpu_cost t.stats "pf.demux_cpu_us";
+  Stats.add ctr.demux_cpu_us !cpu_cost;
   if accepted then
     Engine.schedule t.engine ~at:finish (fun () ->
         List.iter
@@ -1131,7 +1199,7 @@ let locked_dequeue port =
     let start = max (Engine.now t.engine) (Cpu.busy_until (Smp.cpu t.smp 0)) in
     let wait = Smp.Lock.acquire ~cpu:0 t.delivery_lock ~start ~hold:0 in
     Process.use_cpu (wait + t.costs.Costs.lock_acquire);
-    Stats.incr t.stats "pf.smp.lock_acquire";
+    Stats.bump t.ctr.lock_acquire;
     let capture = Queue.take_opt port.queue in
     (match t.san with
     | Some h -> San.write h.checker ~cpu:0 h.res_queue
@@ -1146,8 +1214,8 @@ let rec read_blocking port =
   | Some capture ->
     let copy = copy_out_cost port (Packet.length capture.packet) in
     Process.use_cpu copy;
-    Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
-    Stats.incr port.dev.stats "pf.reads.delivered";
+    Stats.add port.dev.ctr.copy_cpu_us copy;
+    Stats.bump port.dev.ctr.reads_delivered;
     Some capture
   | None ->
     if not port.is_open then None
@@ -1159,7 +1227,7 @@ let rec read_blocking port =
 
 let read port =
   Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  Stats.bump port.dev.ctr.syscalls;
   read_blocking port
 
 (* Copy out exactly the packets that were pending when the system call ran —
@@ -1172,8 +1240,8 @@ let rec drain port acc remaining =
     | Some capture ->
       let copy = copy_out_cost port (Packet.length capture.packet) in
       Process.use_cpu copy;
-      Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
-      Stats.incr port.dev.stats "pf.reads.delivered";
+      Stats.add port.dev.ctr.copy_cpu_us copy;
+      Stats.bump port.dev.ctr.reads_delivered;
       drain port (capture :: acc) (remaining - 1)
     | None -> List.rev acc
   end
@@ -1190,7 +1258,7 @@ let rec read_batch_blocking port =
 
 let read_batch port =
   Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  Stats.bump port.dev.ctr.syscalls;
   read_batch_blocking port
 
 let write_one port frame =
@@ -1200,17 +1268,17 @@ let write_one port frame =
     (Costs.copy_cost t.costs ~bytes
     + t.costs.Costs.send_path
     + (t.costs.Costs.send_per_kbyte * bytes / 1024));
-  Stats.incr t.stats "pf.writes";
+  Stats.bump t.ctr.writes;
   t.send frame
 
 let write port frame =
   Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  Stats.bump port.dev.ctr.syscalls;
   write_one port frame
 
 let write_batch port frames =
   Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  Stats.bump port.dev.ctr.syscalls;
   List.iter (write_one port) frames
 
 let poll port = Queue.length port.queue
@@ -1223,10 +1291,19 @@ let select ?timeout ports =
   match ready () with
   | _ :: _ as r -> r
   | [] -> (
+    let watcher = ref (fun () -> false) in
     let wait =
       Process.suspend ?timeout (fun deliver ->
+          watcher := deliver;
           List.iter (fun p -> p.watchers <- deliver :: p.watchers) ports)
     in
+    (* Woken or timed out, this select is over: take its watcher off every
+       port it waited on. Only the port that fired has cleared its list, and
+       a stale watcher would keep this process's continuation alive and be
+       walked by that port's next packet. *)
+    List.iter
+      (fun p -> p.watchers <- List.filter (fun w -> w != !watcher) p.watchers)
+      ports;
     match wait with Some () -> ready () | None -> [])
 
 (* {1 Status} *)

@@ -412,4 +412,8 @@ module For_testing : sig
       simulator serializes demux events), so the differential oracle is
       blind to this one — it exists to prove the concurrency sanitizer's
       lockset checker catches it. Never set it outside tests. *)
+
+  val pending_watchers : port -> int
+  (** The {!select} calls still registered on this port. A select that has
+      returned, woken or timed out, leaves none behind. *)
 end

@@ -272,6 +272,68 @@ let test_validate_all_errors_minimal () =
       (pc, index)
   | _ -> Alcotest.fail "expected Word_offset_unencodable")
 
+(* {1 Allocation-free runs}
+
+   Per-filter work on the demux path must not allocate: a run's verdict and
+   instruction count come back packed in one int. The mix reaches every exit
+   of both engines: completion (accepting and rejecting), short-circuit
+   exits, and faults on packets too short for the program. *)
+
+let engine_packet_mix =
+  let rng = Pf_sim.Rng.create 11 in
+  let udp = Testutil.ip_udp_frame ~dst_port:53 in
+  [
+    Packet.of_string "";
+    Packet.of_words [ 0x0102 ];
+    Testutil.pup_frame ();
+    Testutil.pup_frame ~ptype:2 ~dst_socket:36l ();
+    Testutil.pup_frame ~etype:0x0800 ();
+    udp;
+    Testutil.ip_udp_frame ~dst_port:54;
+    Packet.sub udp ~pos:0 ~len:20;
+    Packet.of_words (List.init 40 (fun _ -> Pf_sim.Rng.int rng 0x10000));
+  ]
+
+let test_engines_allocate_nothing () =
+  let runs = 50 in
+  let exits = Hashtbl.create 4 in
+  List.iter
+    (fun (name, program) ->
+      let v = Validate.check_exn program in
+      let fast = Fast.compile v and rvm = Regvm.compile v in
+      List.iter
+        (fun packet ->
+          let reference = Interp.run program packet in
+          let exit =
+            match reference.Interp.error with
+            | Some _ -> `Fault
+            | None when reference.Interp.insns_executed < Program.insn_count program ->
+              `Short_circuit
+            | None -> if reference.Interp.accept then `Accept else `Reject
+          in
+          Hashtbl.replace exits exit ();
+          let check what run =
+            let words =
+              Testutil.minor_words (fun () ->
+                  for _ = 1 to runs do
+                    ignore (Sys.opaque_identity (run ()))
+                  done)
+            in
+            Alcotest.(check (float 0.))
+              (Format.asprintf "%s: %s on %a" name what Packet.pp packet)
+              0. words
+          in
+          check "Fast.run" (fun () -> Bool.to_int (Fast.run fast packet));
+          check "Fast.eval" (fun () -> Fast.eval fast packet);
+          check "Regvm.eval" (fun () -> Regvm.eval rvm packet))
+        engine_packet_mix)
+    Predicates.builtins;
+  List.iter
+    (fun (exit, what) ->
+      Alcotest.(check bool) ("the mix reaches a " ^ what) true (Hashtbl.mem exits exit))
+    [ (`Fault, "fault exit"); (`Short_circuit, "short-circuit exit");
+      (`Accept, "completed accept"); (`Reject, "completed reject") ]
+
 (* {1 Equivalence properties: interp = fast = closure} *)
 
 let arb_program_packet = Testutil.arb_program_packet
@@ -355,6 +417,8 @@ let suite =
       Alcotest.test_case "validate length" `Quick test_validate_too_long;
       Alcotest.test_case "validate all four errors, minimally" `Quick
         test_validate_all_errors_minimal;
+      Alcotest.test_case "engine runs allocate nothing" `Quick
+        test_engines_allocate_nothing;
       QCheck_alcotest.to_alcotest prop_fast_equals_interp;
       QCheck_alcotest.to_alcotest prop_closure_equals_interp;
       QCheck_alcotest.to_alcotest prop_program_wire_roundtrip;

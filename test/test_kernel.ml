@@ -244,6 +244,78 @@ let test_select_timeout () =
   Engine.run eng;
   Alcotest.(check int) "empty on timeout" 0 (List.length !out)
 
+(* A select that returns, woken by another port or timed out, must take its
+   watcher off every port it waited on: a stale one pins the selecting
+   process's continuation and is walked by that port's next packet. *)
+let test_select_leaves_no_watchers () =
+  let eng, _, alice, bob = mk_world () in
+  let pf = Host.pf bob in
+  let p1 = Pfdev.open_port pf in
+  let p2 = Pfdev.open_port pf in
+  set_filter_exn p1 (socket_filter 35);
+  set_filter_exn p2 (socket_filter 99);
+  let rounds = 1000 in
+  let read = ref 0 and timed_out = ref 0 in
+  ignore
+    (Host.spawn bob ~name:"selector" (fun () ->
+         for _ = 1 to rounds do
+           match Pfdev.select [ p1; p2 ] with
+           | [] -> ()
+           | _ :: _ -> if Pfdev.read p1 <> None then incr read
+         done;
+         for _ = 1 to rounds do
+           if Pfdev.select ~timeout:100 [ p1; p2 ] = [] then incr timed_out
+         done));
+  let port_a = Pfdev.open_port (Host.pf alice) in
+  ignore
+    (Host.spawn alice ~name:"writer" (fun () ->
+         for _ = 1 to rounds do
+           Pfdev.write port_a (Testutil.pup_frame ~dst_byte:2 ~dst_socket:35l ());
+           Process.pause 10_000
+         done));
+  Engine.run eng;
+  Alcotest.(check int) "every round woken by p1 and read" rounds !read;
+  Alcotest.(check int) "every later select timed out" rounds !timed_out;
+  Alcotest.(check int) "no watcher left on p1" 0 (Pfdev.For_testing.pending_watchers p1);
+  Alcotest.(check int) "no watcher left on p2" 0 (Pfdev.For_testing.pending_watchers p2)
+
+(* Per-filter work on the sequential walk allocates nothing, so a demux of a
+   frame no filter accepts allocates the same at 8 and at 64 ports. The
+   cache is off, and fewer than 256 packets keep the busier-first reorder
+   from running. *)
+let test_demux_allocation_flat_in_filters () =
+  let words_per_demux ports =
+    let eng = Engine.create () in
+    let costs = Pf_sim.Costs.microvax_ii in
+    let stats = Pf_sim.Stats.create () in
+    let pf =
+      Pfdev.create eng (Pf_sim.Cpu.create costs) costs stats ~variant:Frame.Exp3
+        ~address:(Addr.exp 2) ~send:ignore
+    in
+    Pfdev.set_cache_enabled pf false;
+    for i = 1 to ports do
+      set_filter_exn (Pfdev.open_port pf) (socket_filter (100 + i))
+    done;
+    let frame = Testutil.pup_frame ~dst_byte:2 ~dst_socket:35l () in
+    let demuxes = 100 in
+    ignore (Pfdev.demux pf frame : bool);
+    let words =
+      Testutil.minor_words (fun () ->
+          for _ = 1 to demuxes do
+            ignore (Pfdev.demux pf frame : bool)
+          done)
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%d ports: every filter tested, none accepted" ports)
+      ((demuxes + 1) * ports)
+      (Pf_sim.Stats.get stats "pf.filters_tested");
+    Alcotest.(check int) "nothing accepted" 0 (Pf_sim.Stats.get stats "pf.accepted");
+    words /. float_of_int demuxes
+  in
+  let at8 = words_per_demux 8 in
+  let at64 = words_per_demux 64 in
+  Alcotest.(check (float 0.)) "minor words per demux: 64 ports = 8 ports" at8 at64
+
 let test_signal_callback () =
   let eng, _, alice, bob = mk_world () in
   let port = Pfdev.open_port (Host.pf bob) in
@@ -739,6 +811,10 @@ let suite =
       Alcotest.test_case "batch read" `Quick test_batch_read;
       Alcotest.test_case "select" `Quick test_select;
       Alcotest.test_case "select timeout" `Quick test_select_timeout;
+      Alcotest.test_case "select leaves no watchers behind" `Quick
+        test_select_leaves_no_watchers;
+      Alcotest.test_case "demux allocation flat in filters tested" `Quick
+        test_demux_allocation_flat_in_filters;
       Alcotest.test_case "signal callback" `Quick test_signal_callback;
       Alcotest.test_case "no filter, no delivery" `Quick test_no_filter_no_delivery;
       Alcotest.test_case "status ioctl" `Quick test_status;

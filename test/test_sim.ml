@@ -188,6 +188,48 @@ let test_stats () =
   Alcotest.(check (list (pair string int))) "pairs sorted" [ ("a", 5); ("b", 1) ]
     (Stats.pairs s)
 
+let pairs = Alcotest.(list (pair string int))
+let listing s = Format.asprintf "%a" Stats.pp s
+
+let test_counter_unbumped_is_unlisted () =
+  let s = Stats.create () in
+  let (_ : Stats.counter) = Stats.counter s "held" in
+  Alcotest.check pairs "not in pairs" [] (Stats.pairs s);
+  Alcotest.(check string) "not in pp" "" (listing s);
+  Alcotest.(check int) "get reads 0" 0 (Stats.get s "held");
+  Stats.incr s "other";
+  Alcotest.check pairs "only the bumped one" [ ("other", 1) ] (Stats.pairs s)
+
+let test_counter_and_incr_share () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Stats.bump c;
+  Stats.incr s "x";
+  Stats.add c 5;
+  Stats.incr ~by:2 s "x";
+  Stats.bump (Stats.counter s "x");
+  Alcotest.(check int) "one counter, whichever way it is bumped" 10 (Stats.get s "x");
+  Alcotest.check pairs "listed once" [ ("x", 10) ] (Stats.pairs s)
+
+let test_counter_add_zero_lists () =
+  let by_handle = Stats.create () and by_name = Stats.create () in
+  Stats.add (Stats.counter by_handle "z") 0;
+  Stats.incr ~by:0 by_name "z";
+  Alcotest.check pairs "add 0 lists it" [ ("z", 0) ] (Stats.pairs by_handle);
+  Alcotest.check pairs "as incr ~by:0 does" (Stats.pairs by_name) (Stats.pairs by_handle);
+  Alcotest.(check string) "same pp" (listing by_name) (listing by_handle)
+
+let test_counter_survives_reset () =
+  let s = Stats.create () in
+  let c = Stats.counter s "r" in
+  Stats.add c 7;
+  Stats.reset s;
+  Alcotest.(check int) "reads 0" 0 (Stats.get s "r");
+  Alcotest.check pairs "unlisted" [] (Stats.pairs s);
+  Stats.bump c;
+  Alcotest.(check int) "counts again" 1 (Stats.get s "r");
+  Alcotest.check pairs "listed again" [ ("r", 1) ] (Stats.pairs s)
+
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
@@ -223,6 +265,12 @@ let suite =
       Alcotest.test_case "join" `Quick test_join;
       Alcotest.test_case "stale waiter skipped" `Quick test_stale_waiter_skipped;
       Alcotest.test_case "stats" `Quick test_stats;
+      Alcotest.test_case "stats counter: unbumped handle unlisted" `Quick
+        test_counter_unbumped_is_unlisted;
+      Alcotest.test_case "stats counter: handle and incr share a counter" `Quick
+        test_counter_and_incr_share;
+      Alcotest.test_case "stats counter: add 0 lists it" `Quick test_counter_add_zero_lists;
+      Alcotest.test_case "stats counter: survives reset" `Quick test_counter_survives_reset;
       Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
       Alcotest.test_case "rng exponential" `Quick test_rng_exponential_positive;
       Alcotest.test_case "time conversions" `Quick test_time;

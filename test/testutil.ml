@@ -109,3 +109,9 @@ let arb_program_packet =
       Format.asprintf "%a@.packet: %a" Pf_filter.Program.pp (Pf_filter.Program.v insns)
         Pf_pkt.Packet.pp packet)
     QCheck.Gen.(pair gen_valid_insns gen_packet)
+
+(* Minor-heap words allocated while [f] runs. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
