@@ -15,11 +15,19 @@ type decision =
   | Residual of residual_reason
   | Never_accepts
 
+(* Slot tables, keyed by the required words, two big-endian bytes each. *)
+module Slots = Hashtbl.Make (struct
+  type t = Bytes.t
+
+  let equal = Bytes.equal
+  let hash = Hashtbl.hash
+end)
+
 (* One guard-value tuple of a group: every indexed entry in rank order, and
    the unshadowed ones among them, the only part [classify] reads. *)
 type 'a slot = {
   group : 'a group;
-  key : string;
+  key : Bytes.t;
   mutable entries : 'a entry list;
   mutable live : 'a entry list;
 }
@@ -27,7 +35,10 @@ type 'a slot = {
 and 'a group = {
   signature : int list; (* the offsets: sorted, duplicate-free *)
   offsets : int array; (* the same, for probing *)
-  slots : (string, 'a slot) Hashtbl.t;
+  slots : 'a slot Slots.t;
+  probe : Bytes.t;
+      (* [classify]'s reused key: the packet's words at [offsets]. Safe to
+         share because the simulator serializes demux events. *)
 }
 
 (* What the automaton holds at one rank; indexed entries also name their
@@ -66,13 +77,9 @@ let canonical_chain chain =
   go [] chain
 
 let slot_key values =
-  let buf = Buffer.create (2 * List.length values) in
-  List.iter
-    (fun v ->
-      Buffer.add_char buf (Char.chr (v lsr 8));
-      Buffer.add_char buf (Char.chr (v land 0xff)))
-    values;
-  Buffer.contents buf
+  let key = Bytes.create (2 * List.length values) in
+  List.iteri (fun i v -> Bytes.set_uint16_be key (2 * i) v) values;
+  key
 
 let create () = { groups = []; residual = []; items = Hashtbl.create 16 }
 
@@ -90,17 +97,23 @@ let slot_of t signature key =
     match List.find_opt (fun g -> g.signature = signature) t.groups with
     | Some g -> g
     | None ->
+      let offsets = Array.of_list signature in
       let g =
-        { signature; offsets = Array.of_list signature; slots = Hashtbl.create 16 }
+        {
+          signature;
+          offsets;
+          slots = Slots.create 16;
+          probe = Bytes.create (2 * Array.length offsets);
+        }
       in
       t.groups <- insert_sorted (fun g -> g.signature) g t.groups;
       g
   in
-  match Hashtbl.find_opt group.slots key with
+  match Slots.find_opt group.slots key with
   | Some s -> s
   | None ->
     let s = { group; key; entries = []; live = [] } in
-    Hashtbl.add group.slots key s;
+    Slots.add group.slots key s;
     s
 
 (* Shadow elimination, per slot in rank order: an earlier exact entry
@@ -187,8 +200,8 @@ let remove t ~rank =
       else begin
         (* a group disappears with its last entry, as if never built *)
         let g = slot.group in
-        Hashtbl.remove g.slots slot.key;
-        if Hashtbl.length g.slots = 0 then
+        Slots.remove g.slots slot.key;
+        if Slots.length g.slots = 0 then
           t.groups <- List.filter (fun g' -> g' != g) t.groups
       end)
 
@@ -236,34 +249,32 @@ let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
   (* Probe each group: a missing guard word means every member of the group
      rejects (its pushword faults), so the whole group is skipped. Distinct
      slots of one group demand different values of a shared word, hence are
-     pairwise disjoint — probing order cannot matter. *)
+     pairwise disjoint — probing order cannot matter. The offsets ascend, so
+     the words the packet holds are a prefix of them; a probe writes them
+     into the group's reused key and allocates nothing. *)
+  let words = Packet.word_count packet in
   let matched =
     List.fold_left
       (fun acc g ->
         incr probes;
         let n = Array.length g.offsets in
-        let buf = Buffer.create (2 * n) in
-        let rec key i =
-          if i = n then begin
-            hash_words := !hash_words + n;
-            Some (Buffer.contents buf)
-          end
-          else
-            match Packet.word_opt packet g.offsets.(i) with
-            | None ->
-              hash_words := !hash_words + i + 1;
-              None
-            | Some w ->
-              Buffer.add_char buf (Char.chr (w lsr 8));
-              Buffer.add_char buf (Char.chr (w land 0xff));
-              key (i + 1)
-        in
-        match key 0 with
-        | None -> acc
-        | Some k -> (
-          match Hashtbl.find_opt g.slots k with
+        let p = ref 0 in
+        while !p < n && g.offsets.(!p) < words do
+          incr p
+        done;
+        if !p < n then begin
+          hash_words := !hash_words + !p + 1;
+          acc
+        end
+        else begin
+          hash_words := !hash_words + n;
+          for i = 0 to n - 1 do
+            Bytes.set_uint16_be g.probe (2 * i) (Packet.word packet g.offsets.(i))
+          done;
+          match Slots.find_opt g.slots g.probe with
           | Some slot -> List.rev_append slot.live acc
-          | None -> acc))
+          | None -> acc
+        end)
       [] t.groups
   in
   let matched = List.sort (fun a b -> compare a.rank b.rank) matched in
@@ -322,7 +333,7 @@ let info t =
     List.map
       (fun (g : _ group) ->
         let members, exact_members =
-          Hashtbl.fold
+          Slots.fold
             (fun _ slot (m, e) ->
               ( m + List.length slot.live,
                 e + List.length (List.filter (fun en -> en.exact) slot.live) ))
@@ -330,7 +341,7 @@ let info t =
         in
         {
           offsets = g.signature;
-          slots = Hashtbl.length g.slots;
+          slots = Slots.length g.slots;
           members;
           exact_members;
         })

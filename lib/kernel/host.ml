@@ -65,14 +65,16 @@ let rx t nic pf ~cpu:cpu_id frame =
       (match t.san_protocols with
       | Some (san, res) -> San.read san ~cpu:cpu_id res
       | None -> ());
-      let ethertype =
-        Option.map (fun (h : Pf_net.Frame.header) -> h.ethertype)
-          (Pf_net.Frame.header (Pf_net.Nic.variant nic) frame)
-      in
       let kernel_handler =
-        match ethertype with
-        | Some ty -> List.assoc_opt ty t.protocols
-        | None -> None
+        match t.protocols with
+        | [] -> None
+        | protocols ->
+          let variant = Pf_net.Nic.variant nic in
+          if Pf_pkt.Packet.length frame < Pf_net.Frame.header_length variant then None
+          else
+            List.assoc_opt
+              (Pf_pkt.Packet.word frame (Pf_net.Frame.type_word_index variant))
+              protocols
       in
       match kernel_handler with
       | Some handler ->

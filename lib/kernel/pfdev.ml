@@ -71,6 +71,16 @@ module Counters = struct
     }
 end
 
+(* Flow-cache tables, keyed by the key bytes: a probe hashes and compares
+   the reused key buffer in place. [Hashtbl.hash] of bytes is that of the
+   string with the same contents. *)
+module Key_table = Hashtbl.Make (struct
+  type t = Bytes.t
+
+  let equal = Bytes.equal
+  let hash = Hashtbl.hash
+end)
+
 type capture = {
   packet : Packet.t;
   timestamp : Pf_sim.Time.t option;
@@ -107,6 +117,9 @@ type port = {
   mutable is_open : bool;
   mutable dropped : int;
   mutable accepted : int;
+  mutable key_share : Pf_filter.Analysis.read_set option;
+      (* what this port's filter added to the flow key: [None] while the
+         port is out of the port table or has no filter *)
 }
 
 and t = {
@@ -134,7 +147,7 @@ and t = {
   mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
-  mutable key_state : key_state; (* shared: derived from the filter set *)
+  key : flow_key; (* shared: maintained with the port table *)
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
   smp_packets : int array; (* demuxed packets per CPU *)
@@ -168,8 +181,8 @@ and san_handles = {
    shard the flow space with no cross-CPU traffic — and every invalidation
    flushes all of them (costed as an IPI broadcast). *)
 and flow_cache = {
-  table : (string, port list) Hashtbl.t;
-  fifo : string Queue.t; (* insertion order, for capacity eviction *)
+  table : port list Key_table.t;
+  fifo : Bytes.t Queue.t; (* insertion order, for capacity eviction *)
   mutable generation : int; (* bumped by every invalidation *)
   mutable hits : int;
   mutable misses : int;
@@ -178,14 +191,25 @@ and flow_cache = {
   mutable evictions : int;
 }
 
-and key_state =
-  | Dirty (* filter set changed: recompute before the next lookup *)
-  | Unusable (* some installed filter's read set is unbounded *)
-  | Offsets of int array (* sorted union read set of the installed filters *)
+(* The flow key: the union read set of the filters in the port table,
+   counted per word as ports enter and leave the table ([insert_port],
+   [remove_port]). A packet is keyed by writing its words into a scratch
+   buffer, so keying allocates nothing. *)
+and flow_key = {
+  mutable readers : int array;
+      (* by word index: ports whose filter reads it; grown to the highest
+         word a filter has read *)
+  mutable unbounded : int; (* ports whose filter's read set is Unbounded *)
+  mutable offsets : int array; (* the words with a reader, ascending *)
+  mutable scratch : Bytes.t array;
+      (* [scratch.(p)]: the key of a packet holding the first [p] offsets —
+         a presence byte and the big-endian word for each of them, then one
+         zero byte per absent offset; every byte but the words is fixed *)
+}
 
 let fresh_cache () =
   {
-    table = Hashtbl.create 64;
+    table = Key_table.create 64;
     fifo = Queue.create ();
     generation = 0;
     hits = 0;
@@ -221,7 +245,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
-    key_state = Dirty;
+    key = { readers = [||]; unbounded = 0; offsets = [||]; scratch = [| Bytes.empty |] };
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
     smp_packets = Array.make n 0;
@@ -259,6 +283,10 @@ module For_testing = struct
   let skip_delivery_lock = ref false
 
   let pending_watchers port = List.length port.watchers
+
+  let flow_key t =
+    if t.key.unbounded > 0 then Pf_filter.Analysis.Unbounded
+    else Pf_filter.Analysis.Exact (Array.to_list t.key.offsets)
 end
 
 let san t = Option.map (fun h -> h.checker) t.san
@@ -338,8 +366,8 @@ let invalidate_cache ?(cpu = 0) t =
   let flush_one k =
     let c = t.caches.(k) in
     c.generation <- c.generation + 1;
-    if Hashtbl.length c.table > 0 then begin
-      Hashtbl.reset c.table;
+    if Key_table.length c.table > 0 then begin
+      Key_table.reset c.table;
       Queue.clear c.fifo
     end;
     c.invalidations <- c.invalidations + 1;
@@ -353,7 +381,6 @@ let invalidate_cache ?(cpu = 0) t =
   in
   if !For_testing.skip_remote_invalidation then flush_one cpu
   else begin
-    t.key_state <- Dirty;
     for k = 0 to Smp.ncpus t.smp - 1 do
       flush_one k
     done;
@@ -369,10 +396,69 @@ let invalidate_cache ?(cpu = 0) t =
   end;
   Stats.incr t.stats "pf.cache.invalidation"
 
-(* Stable order: decreasing priority, then open order — maintained at
+(* {1 The flow key}
+
+   A port with no filter accepts nothing and reads nothing, so it does not
+   constrain the key; while any filter's read set is unbounded, the key is
+   unusable. The sorted offsets and their scratch buffers are rebuilt only
+   when a word gains its first reader or loses its last. *)
+
+let key_count k ~by = function
+  | Pf_filter.Analysis.Unbounded -> k.unbounded <- k.unbounded + by
+  | Pf_filter.Analysis.Exact words ->
+    let top = List.fold_left max (-1) words in
+    if top >= Array.length k.readers then
+      k.readers <- Array.append k.readers (Array.make (top + 1 - Array.length k.readers) 0);
+    let changed =
+      List.fold_left
+        (fun changed w ->
+          let before = k.readers.(w) in
+          k.readers.(w) <- before + by;
+          changed || before = 0 || before + by = 0)
+        false words
+    in
+    if changed then begin
+      let offsets = ref [] in
+      for w = Array.length k.readers - 1 downto 0 do
+        if k.readers.(w) > 0 then offsets := w :: !offsets
+      done;
+      let n = List.length !offsets in
+      k.offsets <- Array.of_list !offsets;
+      k.scratch <-
+        Array.init (n + 1) (fun p ->
+            let key = Bytes.make (n + (2 * p)) '\000' in
+            for i = 0 to p - 1 do
+              Bytes.set key (3 * i) '\001'
+            done;
+            key)
+    end
+
+(* The key of [frame] — for each offset, a presence byte plus the
+   big-endian word, or one zero byte when the word is absent, since a
+   too-short packet faults (rejecting) where a longer one reads a value —
+   written into the scratch buffer for its length, which is returned and
+   stays valid until the next call. The offsets ascend, so the words the
+   frame holds are a prefix of them. *)
+let fill_key k frame =
+  let offsets = k.offsets and words = Packet.word_count frame in
+  let p = ref 0 in
+  while !p < Array.length offsets && offsets.(!p) < words do
+    incr p
+  done;
+  let key = k.scratch.(!p) in
+  for i = 0 to !p - 1 do
+    Bytes.set_uint16_be key ((3 * i) + 1) (Packet.word frame offsets.(i))
+  done;
+  key
+
+(* {1 The port table}
+
+   Stable order: decreasing priority, then open order — maintained at
    mutation time ([insert_port]/[reprioritize]), not by re-sorting on the
    demux path. The occasional busier-first reordering of equal-priority
-   filters (section 3.2) happens in [maybe_reorder]. *)
+   filters (section 3.2) happens in [maybe_reorder]. A port's filter joins
+   the flow key when the port enters the table and leaves it when the port
+   does. *)
 let insert_port t port =
   let rec ins = function
     | [] -> [ port ]
@@ -380,10 +466,18 @@ let insert_port t port =
       -> port :: l
     | p :: rest -> p :: ins rest
   in
-  t.ports <- ins t.ports
+  t.ports <- ins t.ports;
+  port.key_share <- Option.map (fun a -> a.Pf_filter.Analysis.read_set) port.analysis;
+  Option.iter (key_count t.key ~by:1) port.key_share
 
-let reprioritize t port priority =
+let remove_port t port =
   t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
+  Option.iter (key_count t.key ~by:(-1)) port.key_share;
+  port.key_share <- None
+
+(* Only for an open port: a closed one never re-enters the table. *)
+let reprioritize t port priority =
+  remove_port t port;
   port.priority <- priority;
   insert_port t port
 
@@ -479,6 +573,7 @@ let open_port t =
       is_open = true;
       dropped = 0;
       accepted = 0;
+      key_share = None;
     }
   in
   insert_port t port;
@@ -489,7 +584,7 @@ let open_port t =
 let close_port port =
   updating_entry port (fun () ->
       port.is_open <- false;
-      port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports);
+      remove_port port.dev port);
   san_table_write port.dev;
   invalidate_cache port.dev;
   (* Wake any blocked readers; they will notice the port is closed. *)
@@ -567,28 +662,39 @@ let install port program =
     | _ ->
       (* "at a cost comparable to that of receiving a packet" (§3.1) *)
       charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
-      updating_entry port (fun () ->
-          port.filter <- Some fast;
-          port.regvm <- regvm;
-          port.engine_kind <- kind;
-          port.engine_applications <- 0;
-          port.engine_insns <- 0;
-          port.insns_source <- Pf_filter.Program.insn_count program;
-          port.insns_compiled <- compiled_insns;
-          port.validated <- Some (Pf_filter.Fast.validated fast);
-          port.analysis <- Some analysis;
-          port.certification <- certification;
-          reprioritize t port (Pf_filter.Program.priority program));
-      san_table_write t;
-      if not !For_testing.skip_install_invalidation then invalidate_cache t
+      let record () =
+        port.filter <- Some fast;
+        port.regvm <- regvm;
+        port.engine_kind <- kind;
+        port.engine_applications <- 0;
+        port.engine_insns <- 0;
+        port.insns_source <- Pf_filter.Program.insn_count program;
+        port.insns_compiled <- compiled_insns;
+        port.validated <- Some (Pf_filter.Fast.validated fast);
+        port.analysis <- Some analysis;
+        port.certification <- certification
+      in
+      let priority = Pf_filter.Program.priority program in
+      if not port.is_open then begin
+        (* A closed port is out of the table: only its record changes. *)
+        record ();
+        port.priority <- priority
+      end
       else begin
-        (* The buggy kernel still mutated the acceptor set — the protocol
-           checker must learn the epoch advanced even though no CPU will
-           ever sync to it. That is precisely what lets Pfsan flag this
-           mutant from the trace alone. *)
-        match t.san with
-        | Some h -> San.publish h.checker ~cpu:0 h.res_table
-        | None -> ()
+        updating_entry port (fun () ->
+            record ();
+            reprioritize t port priority);
+        san_table_write t;
+        if not !For_testing.skip_install_invalidation then invalidate_cache t
+        else begin
+          (* The buggy kernel still mutated the acceptor set — the protocol
+             checker must learn the epoch advanced even though no CPU will
+             ever sync to it. That is precisely what lets Pfsan flag this
+             mutant from the trace alone. *)
+          match t.san with
+          | Some h -> San.publish h.checker ~cpu:0 h.res_table
+          | None -> ()
+        end
       end;
       Ok analysis)
 
@@ -602,9 +708,13 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 let set_priority port priority =
-  updating_entry port (fun () -> reprioritize port.dev port (max 0 (min 255 priority)));
-  san_table_write port.dev;
-  invalidate_cache port.dev
+  let priority = max 0 (min 255 priority) in
+  if not port.is_open then port.priority <- priority
+  else begin
+    updating_entry port (fun () -> reprioritize port.dev port priority);
+    san_table_write port.dev;
+    invalidate_cache port.dev
+  end
 
 (* The public tag sets are wider than the engines that remain: the removed
    tags are refused, naming their replacement, before anything changes. *)
@@ -723,7 +833,7 @@ let cache_stats t =
   and evictions = ref 0 in
   Array.iter
     (fun c ->
-      entries := !entries + Hashtbl.length c.table;
+      entries := !entries + Key_table.length c.table;
       hits := !hits + c.hits;
       misses := !misses + c.misses;
       bypasses := !bypasses + c.bypasses;
@@ -790,39 +900,6 @@ let enqueue port capture =
       List.iter (fun deliver -> ignore (deliver () : bool)) watchers
   end
 
-(* Recompute the union read set of every installed filter. A port with no
-   filter accepts nothing and reads nothing, so it does not constrain the
-   key; any filter with an unbounded read set makes the cache unusable
-   until the next invalidation changes the filter set. *)
-let refresh_key_state t =
-  let rec union acc = function
-    | [] -> t.key_state <- Offsets (Array.of_list (List.sort_uniq compare acc))
-    | p :: rest -> (
-      match p.analysis with
-      | None -> union acc rest
-      | Some a -> (
-        match a.Pf_filter.Analysis.read_set with
-        | Pf_filter.Analysis.Unbounded -> t.key_state <- Unusable
-        | Pf_filter.Analysis.Exact idxs -> union (idxs @ acc) rest))
-  in
-  union [] t.ports
-
-(* The cache key: for each union-read-set offset, a presence marker plus the
-   big-endian word bytes — absence is part of the key because a too-short
-   packet faults (rejecting) where a longer one reads a value. *)
-let cache_key offsets frame =
-  let buf = Buffer.create (3 * Array.length offsets) in
-  Array.iter
-    (fun i ->
-      match Packet.word_opt frame i with
-      | Some w ->
-        Buffer.add_char buf '\001';
-        Buffer.add_char buf (Char.chr (w lsr 8));
-        Buffer.add_char buf (Char.chr (w land 0xff))
-      | None -> Buffer.add_char buf '\000')
-    offsets;
-  Buffer.contents buf
-
 (* Receive-side steering: hash the packet bytes at the union read set — the
    same bytes the flow cache keys on — to pick the receive CPU. Two packets
    of one flow agree on every read-set word, so they always steer to the
@@ -830,18 +907,11 @@ let cache_key offsets frame =
    flow space. When the key is unusable (some installed
    filter's read set is unbounded) or empty, everything lands on CPU 0.
    Steering charges no CPU time: it models the NIC's receive hashing
-   hardware, not kernel work. *)
+   hardware, not kernel work. It allocates nothing. *)
 let steer t frame =
   let n = Smp.ncpus t.smp in
-  if n = 1 then 0
-  else begin
-    if t.key_state = Dirty then refresh_key_state t;
-    match t.key_state with
-    | Dirty -> assert false
-    | Unusable -> 0
-    | Offsets [||] -> 0
-    | Offsets offsets -> Hashtbl.hash (cache_key offsets frame) mod n
-  end
+  if n = 1 || t.key.unbounded > 0 || Array.length t.key.offsets = 0 then 0
+  else Hashtbl.hash (fill_key t.key frame) mod n
 
 type smp_cpu_stats = {
   cpu : int;
@@ -929,44 +999,37 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   (* Probe this CPU's flow cache before any filter interpretation.
      Kernel-claimed packets bypass it: they see a different port subset
      (taps only), so caching their decisions under the same key would be
-     unsound. *)
-  let probe =
-    if not t.cache_enabled then `Off
-    else if kernel_claimed then begin
-      c.bypasses <- c.bypasses + 1;
-      Stats.bump ctr.cache_bypass;
-      `Off
-    end
+     unsound. The key is the device's reused buffer, intact until the store
+     below because the simulator serializes demux events. *)
+  let probing = t.cache_enabled && (not kernel_claimed) && t.key.unbounded = 0 in
+  if t.cache_enabled && not probing then begin
+    c.bypasses <- c.bypasses + 1;
+    Stats.bump ctr.cache_bypass
+  end;
+  let key = if probing then fill_key t.key frame else Bytes.empty in
+  let generation = c.generation in
+  let cached =
+    if not probing then None
     else begin
-      if t.key_state = Dirty then refresh_key_state t;
-      match t.key_state with
-      | Dirty -> assert false
-      | Unusable ->
-        c.bypasses <- c.bypasses + 1;
-        Stats.bump ctr.cache_bypass;
-        `Off
-      | Offsets offsets -> (
-        let key = cache_key offsets frame in
-        cpu_cost :=
-          !cpu_cost + costs.Costs.cache_probe
-          + (Array.length offsets * costs.Costs.cache_hash_word);
-        (match t.san with
-        | Some h ->
-          San.read h.checker ~cpu h.res_cache.(cpu);
-          cpu_cost := !cpu_cost + costs.Costs.san_access
-        | None -> ());
-        match Hashtbl.find_opt c.table key with
-        | Some acceptors ->
-          (match t.san with
-          | Some h -> San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key
-          | None -> ());
-          `Hit acceptors
-        | None -> `Miss (key, c.generation))
+      cpu_cost :=
+        !cpu_cost + costs.Costs.cache_probe
+        + (Array.length t.key.offsets * costs.Costs.cache_hash_word);
+      (match t.san with
+      | Some h ->
+        San.read h.checker ~cpu h.res_cache.(cpu);
+        cpu_cost := !cpu_cost + costs.Costs.san_access
+      | None -> ());
+      let cached = Key_table.find_opt c.table key in
+      (match (t.san, cached) with
+      | Some h, Some _ ->
+        San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key)
+      | _ -> ());
+      cached
     end
   in
   let acceptors =
-    match probe with
-    | `Hit acceptors ->
+    match cached with
+    | Some acceptors ->
       c.hits <- c.hits + 1;
       Stats.bump ctr.cache_hit;
       List.iter
@@ -975,7 +1038,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
           if port.timestamps then cpu_cost := !cpu_cost + costs.Costs.timestamp)
         acceptors;
       acceptors
-    | (`Miss _ | `Off) as probe ->
+    | None ->
       (* Busier-first reordering only matters (and only makes sense) for the
          sequential strategy; the automaton is keyed on guards, not
          position. *)
@@ -1082,33 +1145,31 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
         walk (Pf_filter.Dispatch.residuals d)
       | Some _ | None -> apply t.ports);
       let acceptors = List.rev !acceptors in
-      (match probe with
-      | `Miss (key, generation) when generation = c.generation ->
-        (* Store the decision unless something (e.g. a busier-first reorder
-           during this very walk) invalidated the cache after the key was
-           computed under the old read set. *)
+      if probing then begin
         c.misses <- c.misses + 1;
         Stats.bump ctr.cache_miss;
-        cpu_cost := !cpu_cost + costs.Costs.cache_probe (* insert *);
-        if Hashtbl.length c.table >= t.cache_capacity then (
-          match Queue.take_opt c.fifo with
-          | Some victim ->
-            Hashtbl.remove c.table victim;
-            c.evictions <- c.evictions + 1;
-            Stats.bump ctr.cache_eviction
-          | None -> ());
-        Hashtbl.replace c.table key acceptors;
-        Queue.push key c.fifo;
-        (match t.san with
-        | Some h ->
-          San.write h.checker ~cpu h.res_cache.(cpu);
-          San.note_store h.checker ~cpu h.res_cache.(cpu) ~key;
-          cpu_cost := !cpu_cost + costs.Costs.san_access
-        | None -> ())
-      | `Miss _ ->
-        c.misses <- c.misses + 1;
-        Stats.bump ctr.cache_miss
-      | `Off -> ());
+        (* Store the decision unless something (e.g. a busier-first reorder
+           during this very walk) invalidated the cache after the probe. *)
+        if generation = c.generation then begin
+          cpu_cost := !cpu_cost + costs.Costs.cache_probe (* insert *);
+          if Key_table.length c.table >= t.cache_capacity then (
+            match Queue.take_opt c.fifo with
+            | Some victim ->
+              Key_table.remove c.table victim;
+              c.evictions <- c.evictions + 1;
+              Stats.bump ctr.cache_eviction
+            | None -> ());
+          let key = Bytes.copy key in
+          Key_table.replace c.table key acceptors;
+          Queue.push key c.fifo;
+          match t.san with
+          | Some h ->
+            San.write h.checker ~cpu h.res_cache.(cpu);
+            San.note_store h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key);
+            cpu_cost := !cpu_cost + costs.Costs.san_access
+          | None -> ()
+        end
+      end;
       acceptors
   in
   let accepted = acceptors <> [] in

@@ -81,7 +81,9 @@ val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_erro
 (** Validates ahead of time (section 7), runs the installation-time abstract
     interpretation ({!Pf_filter.Analysis}), applies cost-bound admission
     control, and installs; charges a cost "comparable to that of receiving a
-    packet" (section 3.1). Returns the recorded analysis. *)
+    packet" (section 3.1). Returns the recorded analysis. On a closed port
+    only the port's record changes: the port stays out of the port table,
+    the flow key and the dispatch automaton, and no cache is flushed. *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
@@ -113,7 +115,8 @@ val port_dropped : port -> int
 val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
     comes from the installed program's header ({!install}), and is clamped
-    to that header's range, 0..255. *)
+    to that header's range, 0..255. On a closed port only the recorded
+    priority changes. *)
 
 (** {2 Engine configuration}
 
@@ -269,13 +272,16 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     memoized in a bounded table keyed on the packet bytes at the union
     {!Pf_filter.Analysis.t.read_set} of the installed filters, so a repeated
     header pattern costs one hash probe instead of a filter interpretation.
-    The cache — only the cache; the dispatch automaton is updated by the
-    mutation itself — is transparently flushed by every mutation that could
-    change a decision ({!open_port}, {!close_port}, {!install}/{!set_filter},
-    {!set_priority}, {!set_strategy}, {!set_copy_all}, {!set_tap},
-    {!set_cost_limit}, and busier-first reorders that change the walk order)
-    and bypassed for kernel-claimed packets or when any installed filter's
-    read set is [Unbounded]. *)
+    That union is maintained as ports enter and leave the port table
+    ({!open_port}, {!install}, {!close_port}), and a probe writes the key
+    into a reused buffer: a hit allocates the same whatever the key's
+    width. The cache — only the cache; the dispatch automaton and the key
+    are updated by the mutation itself — is transparently flushed by every
+    mutation that could change a decision ({!open_port}, {!close_port},
+    {!install}/{!set_filter}, {!set_priority}, {!set_strategy},
+    {!set_copy_all}, {!set_tap}, {!set_cost_limit}, and busier-first
+    reorders that change the walk order) and bypassed for kernel-claimed
+    packets or when any installed filter's read set is [Unbounded]. *)
 
 (** {1 Flow-cache control and observability} *)
 
@@ -332,8 +338,10 @@ val steer : t -> Pf_pkt.Packet.t -> int
     read set of the installed filters — the flow-cache key — modulo the CPU
     count, so every packet of one flow lands on the same CPU. Returns 0 on
     a single-CPU device, when the read set is unbounded, or when no filter
-    constrains any word. Free of simulated cost (NIC hashing hardware); the
-    host wires this into {!Pf_net.Nic.set_rss}. *)
+    constrains any word. Free of simulated cost (NIC hashing hardware) and
+    allocation-free: the key is written into a reused buffer and hashed in
+    place, with the hash of the same bytes as a string. The host wires this
+    into {!Pf_net.Nic.set_rss}. *)
 
 type smp_cpu_stats = {
   cpu : int;
@@ -416,4 +424,8 @@ module For_testing : sig
   val pending_watchers : port -> int
   (** The {!select} calls still registered on this port. A select that has
       returned, woken or timed out, leaves none behind. *)
+
+  val flow_key : t -> Pf_filter.Analysis.read_set
+  (** The maintained flow key: the union read set of the open ports'
+      filters, [Unbounded] while any of them is. *)
 end

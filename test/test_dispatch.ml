@@ -188,6 +188,76 @@ let test_mirrored_mutations_cache_on () =
     (fun seed -> run_mirrored ~seed ~cache:true ~steps:40)
     [ 6; 7; 8; 9; 10 ]
 
+(* {1 The flow key is maintained with the port table}
+
+   After every step of a random mutation stream — [run_mirrored]'s op mix,
+   plus [set_filter] and [set_priority] on closed ports, strategy switches
+   and bursts of walks long enough for a busier-first reorder — the
+   device's flow key must be the union of the open ports' read sets. *)
+
+let open_ports_union ports =
+  List.fold_left
+    (fun acc p ->
+      match Pfdev.port_analysis p with
+      | Some a -> Pf_filter.Analysis.union_read_sets acc a.Pf_filter.Analysis.read_set
+      | None -> acc)
+    (Pf_filter.Analysis.Exact []) ports
+
+let test_flow_key_maintained () =
+  let unbounded = ref 0 and exact = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.make seed in
+      let eng, dev = mk_dev () in
+      let opened = ref [] and closed = ref [] in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let step () =
+        match Rng.int rng 9 with
+        | 0 | 1 ->
+          let p = Pfdev.open_port dev in
+          Pfdev.set_queue_limit p 2;
+          if Rng.bool rng then set_filter_exn p (random_program rng);
+          opened := !opened @ [ p ]
+        | 2 when !opened <> [] ->
+          let p = pick !opened in
+          Pfdev.close_port p;
+          opened := List.filter (fun q -> q != p) !opened;
+          closed := p :: !closed
+        | 3 when !opened @ !closed <> [] ->
+          let p = pick (!opened @ !closed) in
+          set_filter_exn p (random_program rng)
+        | 4 when !opened @ !closed <> [] ->
+          let p = pick (!opened @ !closed) in
+          Pfdev.set_priority p (Rng.int rng 4)
+        | 5 when !opened <> [] -> Pfdev.set_copy_all (pick !opened) (Rng.bool rng)
+        | 6 when !opened <> [] -> Pfdev.set_tap (pick !opened) (Rng.bool rng)
+        | 7 -> Pfdev.set_strategy dev (if Rng.bool rng then `Sequential else `Dispatch)
+        | _ ->
+          Pfdev.set_cache_enabled dev false;
+          for _ = 1 to 256 do
+            ignore (Pfdev.demux dev (random_packet rng) : bool)
+          done;
+          Pfdev.set_cache_enabled dev true
+      in
+      for i = 1 to 80 do
+        step ();
+        for _ = 1 to 4 do
+          ignore (Pfdev.demux dev (random_packet rng) : bool)
+        done;
+        let key = Pfdev.For_testing.flow_key dev and want = open_ports_union !opened in
+        (match key with
+        | Pf_filter.Analysis.Unbounded -> incr unbounded
+        | Pf_filter.Analysis.Exact (_ :: _) -> incr exact
+        | Pf_filter.Analysis.Exact [] -> ());
+        if key <> want then
+          Alcotest.failf "seed %d, step %d: flow key %a, open ports' union %a" seed i
+            Pf_filter.Analysis.pp_read_set key Pf_filter.Analysis.pp_read_set want
+      done;
+      Pf_sim.Engine.run eng)
+    [ 11; 12; 13; 14; 15 ];
+  Alcotest.(check bool) "an unbounded key occurred" true (!unbounded > 0);
+  Alcotest.(check bool) "a non-empty exact key occurred" true (!exact > 0)
+
 (* {1 Ranks follow the port's priority}
 
    [set_priority] re-ranks a port without touching its program, whose
@@ -531,6 +601,41 @@ let test_unsound_sharing_mutant_caught_and_shrunk () =
     Alcotest.(check bool) "repro command present" true
       (Testutil.contains f.Runner.repro "pffuzz --seed")
 
+(* {1 Classification allocates nothing per probed group}
+
+   Each group's slot table is probed with the group's reused key, so adding
+   groups the packet probes — matching none of them, or skipping them for a
+   missing word — adds no allocation. *)
+
+let test_classify_allocation_flat_in_groups () =
+  let words_per_classify groups packet =
+    let d =
+      Dispatch.build
+        (List.init groups (fun g ->
+             (validate_exn Pf_filter.Expr.(compile (Bin (Eq, Word g, Lit 0xBEEF))), g)))
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%d groups" groups)
+      groups
+      (List.length (Dispatch.info d).Dispatch.groups);
+    ignore (Dispatch.classify d packet);
+    Testutil.minor_words (fun () ->
+        for _ = 1 to 100 do
+          ignore (Sys.opaque_identity (Dispatch.classify d packet))
+        done)
+    /. 100.
+  in
+  List.iter
+    (fun (what, packet) ->
+      Alcotest.(check (float 0.))
+        (what ^ ": minor words per classify, 8 groups = 1 group")
+        (words_per_classify 1 packet) (words_per_classify 8 packet))
+    [
+      ("no slot matches", Packet.of_words (List.init 16 Fun.id));
+      ("the first group matches", Packet.of_words (0xBEEF :: List.init 15 Fun.id));
+      ("words missing", Packet.of_words [ 7 ]);
+    ]
+
 let suite =
   ( "dispatch",
     [
@@ -538,6 +643,10 @@ let suite =
         test_mirrored_mutations_cache_off;
       Alcotest.test_case "mirrored mutations, cache on" `Quick
         test_mirrored_mutations_cache_on;
+      Alcotest.test_case "flow key maintained with the port table" `Quick
+        test_flow_key_maintained;
+      Alcotest.test_case "classify allocation flat in probed groups" `Quick
+        test_classify_allocation_flat_in_groups;
       Alcotest.test_case "set_priority re-ranks the port in the automaton" `Quick
         test_set_priority_reranks;
       Alcotest.test_case "unbounded read set falls back to the residual walk"

@@ -316,6 +316,45 @@ let test_demux_allocation_flat_in_filters () =
   let at64 = words_per_demux 64 in
   Alcotest.(check (float 0.)) "minor words per demux: 64 ports = 8 ports" at8 at64
 
+(* A cache hit writes the flow key into a reused buffer and probes with it
+   in place, so its allocation does not grow with the key's width: the same
+   at 2 and at 16 key words. The filter reads its words and rejects the
+   frame, so a hit delivers nothing. *)
+let test_cache_hit_allocation_flat_in_key_width () =
+  let words_per_hit width =
+    let eng = Engine.create () in
+    let costs = Pf_sim.Costs.microvax_ii in
+    let stats = Pf_sim.Stats.create () in
+    let pf =
+      Pfdev.create eng (Pf_sim.Cpu.create costs) costs stats ~variant:Frame.Exp3
+        ~address:(Addr.exp 2) ~send:ignore
+    in
+    let reads =
+      Pf_filter.Expr.(
+        compile (All (List.init width (fun i -> Bin (Eq, Word i, Lit (1000 + i))))))
+    in
+    set_filter_exn (Pfdev.open_port pf) reads;
+    Alcotest.(check bool)
+      (Printf.sprintf "%d key words" width)
+      true
+      (Pfdev.For_testing.flow_key pf = Pf_filter.Analysis.Exact (List.init width Fun.id));
+    let frame = Pf_pkt.Packet.of_words (List.init 20 Fun.id) in
+    let demuxes = 100 in
+    ignore (Pfdev.demux pf frame : bool);
+    let words =
+      Testutil.minor_words (fun () ->
+          for _ = 1 to demuxes do
+            ignore (Pfdev.demux pf frame : bool)
+          done)
+    in
+    Alcotest.(check int) (Printf.sprintf "%d key words: every demux hit" width) demuxes
+      (Pf_sim.Stats.get stats "pf.cache.hit");
+    words /. float_of_int demuxes
+  in
+  let at2 = words_per_hit 2 in
+  let at16 = words_per_hit 16 in
+  Alcotest.(check (float 0.)) "minor words per cache hit: 16 key words = 2" at2 at16
+
 let test_signal_callback () =
   let eng, _, alice, bob = mk_world () in
   let port = Pfdev.open_port (Host.pf bob) in
@@ -815,6 +854,8 @@ let suite =
         test_select_leaves_no_watchers;
       Alcotest.test_case "demux allocation flat in filters tested" `Quick
         test_demux_allocation_flat_in_filters;
+      Alcotest.test_case "cache-hit allocation flat in key width" `Quick
+        test_cache_hit_allocation_flat_in_key_width;
       Alcotest.test_case "signal callback" `Quick test_signal_callback;
       Alcotest.test_case "no filter, no delivery" `Quick test_no_filter_no_delivery;
       Alcotest.test_case "status ioctl" `Quick test_status;

@@ -360,6 +360,105 @@ let test_gen_filters_exact () =
           (Gen.flows gen))
     (Gen.flows gen)
 
+(* {1 A closed port stays out of the port table}
+
+   [set_filter] and [set_priority] on a closed port change that port's
+   record only. Re-entering the table would over-count [active_ports] and
+   widen the flow key with a filter no packet reaches, which can move flows
+   to another CPU. *)
+
+let test_closed_port_stays_out () =
+  let eng, h = mk_host ~ncpus:4 () in
+  let pf = Host.pf h in
+  let gen = Gen.make ~seed:0xC105 ~flows:4 ~skew:Gen.Uniform () in
+  let ports =
+    List.map
+      (fun f ->
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter f);
+        p)
+      (Gen.flows gen)
+  in
+  Engine.run eng;
+  let closed = List.hd ports in
+  Pfdev.close_port closed;
+  Alcotest.(check int) "three ports after the close" 3 (Pfdev.active_ports pf);
+  let key = Pfdev.For_testing.flow_key pf in
+  let steering () = List.map (fun f -> Pfdev.steer pf (Gen.frame f)) (Gen.flows gen) in
+  let cpus = steering () in
+  let invalidations = (Pfdev.cache_stats pf).Pfdev.invalidations in
+  let unchanged what =
+    Alcotest.(check int) (what ^ ": still three ports") 3 (Pfdev.active_ports pf);
+    Alcotest.(check bool) (what ^ ": flow key unchanged") true
+      (Pfdev.For_testing.flow_key pf = key);
+    Alcotest.(check (list int)) (what ^ ": every flow steers as before") cpus (steering ());
+    Alcotest.(check int) (what ^ ": no cache flushed") invalidations
+      (Pfdev.cache_stats pf).Pfdev.invalidations
+  in
+  set_filter_exn closed (Gen.filter ~priority:3 (Gen.flow gen 0));
+  unchanged "set_filter on the closed port";
+  Pfdev.set_priority closed 9;
+  unchanged "set_priority on the closed port";
+  Engine.run eng
+
+(* {1 Steering hashes the key's bytes, without allocating}
+
+   The flow key is written into a reused buffer; its hash must be that of
+   the key encoded as a string — a presence byte plus the big-endian word
+   per key offset, one zero byte per absent word — so the CPU a flow lands
+   on depends on its key bytes alone. Random frames include truncated ones
+   that lack some key words, and odd lengths. *)
+
+let string_key offsets frame =
+  String.concat ""
+    (List.map
+       (fun i ->
+         match Pf_pkt.Packet.word_opt frame i with
+         | Some w -> Printf.sprintf "\001%c%c" (Char.chr (w lsr 8)) (Char.chr (w land 0xff))
+         | None -> "\000")
+       offsets)
+
+let test_steer_hash_parity () =
+  let rng = Pf_fuzz.Gen.Rng.make 0x57EE in
+  List.iter
+    (fun ncpus ->
+      let _, h = mk_host ~ncpus () in
+      let pf = Host.pf h in
+      let gen = Gen.make ~seed:(0xF00 + ncpus) ~flows:12 ~skew:Gen.Uniform () in
+      List.iter (fun f -> set_filter_exn (Pfdev.open_port pf) (Gen.filter f)) (Gen.flows gen);
+      let offsets =
+        match Pfdev.For_testing.flow_key pf with
+        | Pf_filter.Analysis.Exact offsets -> offsets
+        | Pf_filter.Analysis.Unbounded -> Alcotest.fail "generator filters are bounded"
+      in
+      let top = 2 * (List.fold_left max 0 offsets + 2) in
+      let frames =
+        List.init 400 (fun _ ->
+            Pf_pkt.Packet.of_string
+              (String.init (Pf_fuzz.Gen.Rng.int rng top) (fun _ ->
+                   Char.chr (Pf_fuzz.Gen.Rng.int rng 256))))
+        @ List.map Gen.frame (Gen.flows gen)
+      in
+      Alcotest.(check bool) "some frames lack key words" true
+        (List.exists (fun fr -> String.contains (string_key offsets fr) '\000') frames);
+      List.iter
+        (fun frame ->
+          Alcotest.(check int)
+            (Format.asprintf "%d CPUs: %a" ncpus Pf_pkt.Packet.pp frame)
+            (Hashtbl.hash (string_key offsets frame) mod ncpus)
+            (Pfdev.steer pf frame))
+        frames;
+      let frames = Array.of_list frames in
+      let words =
+        Testutil.minor_words (fun () ->
+            for i = 0 to Array.length frames - 1 do
+              ignore (Sys.opaque_identity (Pfdev.steer pf frames.(i)))
+            done)
+      in
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d CPUs: steer allocates nothing" ncpus)
+        0. words)
+    [ 2; 4; 8 ]
+
 let suite =
   ( "smp",
     [
@@ -381,4 +480,8 @@ let suite =
         test_readers_latency_bounded;
       Alcotest.test_case "generator filters accept exactly their own flow" `Quick
         test_gen_filters_exact;
+      Alcotest.test_case "a closed port stays out of the port table" `Quick
+        test_closed_port_stays_out;
+      Alcotest.test_case "steer hashes the string-encoded key, allocation-free" `Quick
+        test_steer_hash_parity;
     ] )
