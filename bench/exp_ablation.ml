@@ -276,16 +276,6 @@ let coexistence () =
 
 (* {1 Wall-clock microbenchmarks (Bechamel)} *)
 
-(* A row name as a metric key: lower-case alphanumeric words joined by
-   underscores, e.g. "filter fast(validated) match" ->
-   "filter_fast_validated_match". *)
-let slug name =
-  String.lowercase_ascii name
-  |> String.map (fun ch -> match ch with 'a' .. 'z' | '0' .. '9' -> ch | _ -> ' ')
-  |> String.split_on_char ' '
-  |> List.filter (fun w -> w <> "")
-  |> String.concat "_"
-
 let bechamel_suite () =
   let open Bechamel in
   let open Toolkit in

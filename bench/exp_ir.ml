@@ -11,10 +11,20 @@
      regvm      execute the optimized register IR directly, at the
                 register-VM cost model.
 
-   A second table gates the whole paper filter corpus statically: for each
-   filter, the register VM's worst-case microseconds must not exceed the
-   stack walk's. Either regression fails the run — that is the CI
-   criterion this experiment exists for. *)
+   A second table gates the builtin corpus statically: for each filter,
+   the register VM's worst-case microseconds must not exceed the stack
+   walk's.
+
+   A third runs every builtin on its own over a fixed mix of 400 seeded
+   fuzz packets (overwhelmingly rejects, as on a wire where most traffic is
+   for someone else), charging what a one-port, cache-off kernel charges
+   under the register-VM engine: [regvm_apply], [regvm_insn] per executed
+   IR instruction, and the reader [wakeup] on accept. Early exits show up
+   here as demux microseconds. Each filter is held to two reference
+   columns measured on the same mix: the pipeline before the early-exit
+   pass, and the best program of the stochastic superoptimizer that pass
+   replaced. Any regression fails the run — these are the CI criteria
+   this experiment exists for. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -60,19 +70,7 @@ let run_mix strategy =
 (* Worst-case corpus costs, in the same microsecond model the demux path
    charges: the stack walk pays filter_apply + max_insns * filter_insn, the
    register VM regvm_apply + |optimized IR| * regvm_insn. *)
-let corpus =
-  [ ("fig-3-8", Filter.Predicates.fig_3_8);
-    ("fig-3-9", Filter.Predicates.fig_3_9);
-    ("pup-type-is-1", Filter.Predicates.pup_type_is 1);
-    ("pup-dst-socket-35", Filter.Predicates.pup_dst_socket 35l);
-    ("pup-dst-port", Filter.Predicates.pup_dst_port ~host:2 35l);
-    ("pup-dst-port-10mb", Filter.Predicates.pup_dst_port_10mb ~host:2 35l);
-    ("ethertype-ip", Filter.Predicates.ethertype_is 0x0800);
-    ("udp-dst-port-53", Filter.Predicates.udp_dst_port 53);
-    ("udp-dst-port-any-ihl-53", Filter.Predicates.udp_dst_port_any_ihl 53);
-    ("vmtp-dst-entity", Filter.Predicates.vmtp_dst_entity 0x1234l);
-    ("rarp-request", Filter.Predicates.rarp_request ())
-  ]
+let corpus = Filter.Predicates.builtins
 
 let corpus_gate () =
   let costs = Pf_sim.Costs.microvax_ii in
@@ -116,6 +114,120 @@ let corpus_gate () =
     (List.rev rows);
   failures
 
+(* {1 Per-builtin demux CPU on a fixed packet mix} *)
+
+let mix_packets = 400
+let win_threshold_pct = 5.0
+
+(* Demux uSec of each builtin on the mix, measured before this pipeline
+   had its early-exit pass: the pipeline alone, and the superoptimizer's
+   best program (its default budget and seed). *)
+let reference =
+  [ ("fig-3-8", (79718, 54266));
+    ("fig-3-9", (41432, 41432));
+    ("accept-all (network monitor)", (92000, 92000));
+    ("pup-type-is-1", (31622, 31622));
+    ("pup-dst-socket-35", (41432, 41432));
+    ("pup-dst-port", (32434, 32434));
+    ("pup-dst-port-10mb", (24114, 24114));
+    ("ethertype-ip", (42230, 42230));
+    ("udp-dst-port-53", (24862, 24862));
+    ("udp-dst-port-any-ihl-53", (35554, 35554));
+    ("vmtp-dst-entity", (24888, 24888));
+    ("rarp-request", (25230, 25230));
+    ("rarp-reply-for", (25230, 25230));
+    ("synthetic-accept-5", (92000, 92000));
+    ("naive-udp-dst-port-53", (63616, 28354));
+    ("naive-pup-dst-port", (82168, 33712));
+    ("naive-pup-dst-port-10mb", (73254, 24114));
+    ("naive-vmtp-dst-entity", (59016, 30576));
+    ("naive-rarp-reply-for", (78132, 25230))
+  ]
+
+let mix =
+  lazy
+    (let rng = Pf_fuzz.Gen.Rng.make 0x5EED in
+     List.init mix_packets (fun _ -> fst (Pf_fuzz.Gen.packet rng)))
+
+(* The mix's demux uSec for one builtin, and the number of packets on
+   which the register VM's verdict differs from the interpreter's. *)
+let mix_cost program =
+  let costs = Pf_sim.Costs.microvax_ii in
+  let vm = Filter.Regvm.compile (Filter.Validate.check_exn program) in
+  List.fold_left
+    (fun (us, disagreements) pkt ->
+      let ok, insns = Filter.Regvm.run_counted vm pkt in
+      ( us + costs.Pf_sim.Costs.regvm_apply
+        + (insns * costs.Pf_sim.Costs.regvm_insn)
+        + (if ok then costs.Pf_sim.Costs.wakeup else 0),
+        if ok = Filter.Interp.accepts ~semantics:`Paper program pkt then disagreements
+        else disagreements + 1 ))
+    (0, 0) (Lazy.force mix)
+
+(* A naive-* builtin's twin: the same predicate compiled short-circuit. *)
+let twin name =
+  let prefix = "naive-" in
+  let n = String.length prefix in
+  if String.starts_with ~prefix name then Some (String.sub name n (String.length name - n))
+  else None
+
+let builtin_mix_gate () =
+  let results =
+    List.map (fun (name, program) -> (name, mix_cost program)) corpus
+  in
+  let reduction us old_us = 100. *. float_of_int (old_us - us) /. float_of_int old_us in
+  print_table
+    ~title:
+      (Printf.sprintf "Register IR: demux CPU per builtin (%d-packet mix)" mix_packets)
+    ~note:
+      "note: 'paper' column = reference uSec, the pipeline before early exits /\n\
+       the superoptimizer's best; 'ours' = this pipeline (reduction vs the\n\
+       first). The gate fails if 'ours' exceeds either reference, if under\n\
+       25% of the builtins improve >= 5%, if a naive-* filter costs more than\n\
+       its short-circuit twin, or if a verdict disagrees with Interp."
+    (List.map
+       (fun (name, (us, _)) ->
+         let old_us, search_us = List.assoc name reference in
+         { metric = name;
+           paper = Printf.sprintf "%d / %d uSec" old_us search_us;
+           ours = Printf.sprintf "%d uSec (%.1f%%)" us (reduction us old_us) })
+       results);
+  let failures =
+    List.concat_map
+      (fun (name, (us, disagreements)) ->
+        let old_us, search_us = List.assoc name reference in
+        List.filter_map Fun.id
+          [ (if us > min old_us search_us then
+               Some (Printf.sprintf "%s: %d uSec > reference %d / %d" name us old_us search_us)
+             else None);
+            (match Option.map (fun t -> (t, fst (List.assoc t results))) (twin name) with
+            | Some (t, twin_us) when us > twin_us ->
+              Some (Printf.sprintf "%s: %d uSec > its twin %s's %d" name us t twin_us)
+            | _ -> None);
+            (if disagreements > 0 then
+               Some (Printf.sprintf "%s: %d verdicts disagree with Interp" name disagreements)
+             else None) ])
+      results
+  in
+  let wins =
+    List.length
+      (List.filter
+         (fun (name, (us, _)) ->
+           reduction us (fst (List.assoc name reference)) >= win_threshold_pct)
+         results)
+  in
+  List.iter
+    (fun (name, (us, _)) ->
+      record_metric (Printf.sprintf "ir_builtin_demux_us_%s" (slug name)) (float_of_int us))
+    results;
+  record_metric "ir_builtin_wins" (float_of_int wins);
+  record_metric "ir_builtin_regressions" (float_of_int (List.length failures));
+  if 4 * wins < List.length results then
+    Printf.sprintf "only %d of %d builtins improved >= %.0f%%" wins (List.length results)
+      win_threshold_pct
+    :: failures
+  else failures
+
 let run () =
   let off = run_mix `Off in
   let regvm = run_mix `Regvm in
@@ -146,12 +258,17 @@ let run () =
   let corpus_failures = corpus_gate () in
   record_metric "ir_corpus_filters" (float_of_int (List.length corpus));
   record_metric "ir_corpus_regressions" (float_of_int (List.length corpus_failures));
-  (* The CI regression gate: optimized must never cost more than
-     unoptimized — on the mix or anywhere in the corpus. *)
+  let builtin_failures = builtin_mix_gate () in
+  (* The CI regression gates: optimized must never cost more than
+     unoptimized (on the mix or anywhere in the corpus), nor more than
+     either reference on the per-builtin mix. *)
   if regvm.demux_us_per_packet > off.demux_us_per_packet then
     failwith
       (Printf.sprintf "ir regression: regvm demux %.1f uSec/packet > stack %.1f"
          regvm.demux_us_per_packet off.demux_us_per_packet);
-  match corpus_failures with
+  (match corpus_failures with
   | [] -> ()
-  | fs -> failwith ("ir corpus regression: " ^ String.concat "; " fs)
+  | fs -> failwith ("ir corpus regression: " ^ String.concat "; " fs));
+  match builtin_failures with
+  | [] -> ()
+  | fs -> failwith ("ir builtin regression: " ^ String.concat "; " fs)

@@ -19,8 +19,6 @@ let experiments =
     ("demux", "Tables 6-8..6-10 demultiplexing and filter costs", Exp_demux.run);
     ("cache", "Demux flow cache on a skewed traffic mix", Exp_cache.run);
     ("ir", "Register-IR compile strategies on the §6 filter mix", Exp_ir.run);
-    ("superopt", "Proof-gated stochastic superoptimizer: demux payoff + budget curve",
-     Exp_superopt.run);
     ("dispatch", "Demux scaling: dispatch automaton vs linear walk (10 -> 10k ports)",
      Exp_dispatch.run);
     ("fw", "Firewall frontend: lint cost + verified optimization payoff", Exp_fw.run);
@@ -61,9 +59,8 @@ let () =
        everything else — the §6 demux tables, the flow cache, the
        interpreter profile — to the original BENCH_demux.json. *)
     Util.write_json_excluding "BENCH_demux.json"
-      ~prefixes:[ "ir_"; "dispatch_"; "fw_"; "smp_"; "superopt_"; "ablation_" ];
+      ~prefixes:[ "ir_"; "dispatch_"; "fw_"; "smp_"; "ablation_" ];
     Util.write_json_filtered "BENCH_ir.json" ~prefix:"ir_";
-    Util.write_json_filtered "BENCH_superopt.json" ~prefix:"superopt_";
     Util.write_json_filtered "BENCH_dispatch.json" ~prefix:"dispatch_";
     Util.write_json_filtered "BENCH_fw.json" ~prefix:"fw_";
     Util.write_json_filtered "BENCH_smp.json" ~prefix:"smp_";

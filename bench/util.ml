@@ -120,6 +120,16 @@ let set_filter_exn port program =
 let json_metrics : (string * float) list ref = ref []
 let record_metric name value = json_metrics := (name, value) :: !json_metrics
 
+(* A row name as a metric key: lower-case alphanumeric words joined by
+   underscores, e.g. "filter fast(validated) match" ->
+   "filter_fast_validated_match". *)
+let slug name =
+  String.lowercase_ascii name
+  |> String.map (fun ch -> match ch with 'a' .. 'z' | '0' .. '9' -> ch | _ -> ' ')
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> w <> "")
+  |> String.concat "_"
+
 (* {2 Run metadata}
 
    Every BENCH_*.json artifact is stamped with the same run header — the

@@ -357,7 +357,7 @@ let ir_cmd =
           ("lowered_loads", string_of_int (Ir.load_count lowered));
           ("optimized_instrs", string_of_int (Ir.instr_count optimized));
           ("optimized_loads", string_of_int (Ir.load_count optimized));
-          ("optimized_cost", string_of_int (Superopt.cost optimized));
+          ("optimized_cost", string_of_int (Ir.cost optimized));
           ("passes",
            json_arr
              (List.map
@@ -1402,139 +1402,6 @@ let fwlint_cmd =
           the compiled table on the way)")
     Term.(const run $ files $ strict $ json $ fw_budget $ cex_dir)
 
-let superopt_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to superoptimize.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also superoptimize the built-in filters (the paper's \
-                   figures and every filter the examples install).")
-  in
-  let budget =
-    Arg.(value & opt int Superopt.default_budget
-         & info [ "budget" ] ~docv:"N"
-             ~doc:"Number of mutation proposals to draw from the chain.")
-  in
-  let seed =
-    Arg.(value & opt int Superopt.default_seed
-         & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (fixed seed, fixed output).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text.")
-  in
-  let cert_str = function
-    | Equiv.Certified -> "certified"
-    | Equiv.Refuted _ -> "refuted"
-    | Equiv.Uncertified _ -> "uncertified"
-  in
-  let json_one (name, certification, report, outcome) =
-    let st = outcome.Superopt.stats in
-    json_obj
-      [ ("name", json_str name);
-        ("valid", "true");
-        ("certification", json_str (cert_str certification));
-        ("initial_cost", string_of_int outcome.Superopt.initial_cost);
-        ("best_cost", string_of_int outcome.Superopt.best_cost);
-        ("initial_instrs", string_of_int (Ir.instr_count outcome.Superopt.initial));
-        ("best_instrs", string_of_int (Ir.instr_count outcome.Superopt.best));
-        ("passes",
-         json_arr
-           (List.map
-              (fun (pass, n) ->
-                json_obj [ ("pass", json_str pass); ("changes", string_of_int n) ])
-              report.Regopt.passes));
-        ("proposals", string_of_int st.Superopt.proposals);
-        ("malformed", string_of_int st.Superopt.malformed);
-        ("screened", string_of_int st.Superopt.screened);
-        ("equiv_checks", string_of_int st.Superopt.equiv_checks);
-        ("memo_hits", string_of_int st.Superopt.memo_hits);
-        ("proved", string_of_int st.Superopt.proved);
-        ("accepted", string_of_int st.Superopt.accepted);
-        ("refuted", string_of_int st.Superopt.refuted);
-        ("unknown", string_of_int st.Superopt.unknown);
-        ("rejected", string_of_int st.Superopt.rejected)
-      ]
-  in
-  let run files builtin budget seed json =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to superoptimize (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
-    (* One device-style memo for the whole sweep: later filters reuse
-       verdicts the earlier searches already proved. *)
-    let memo = Equiv.Memo.create () in
-    let invalid = ref 0 in
-    let results =
-      List.filter_map
-        (fun (name, program) ->
-          match Validate.check program with
-          | Error e ->
-            incr invalid;
-            if not json then
-              Format.printf "== %s ==@.INVALID: %a@.@." name Validate.pp_error e;
-            None
-          | Ok v ->
-            let (_, report), certification, outcome =
-              Regopt.optimize_superopt ~budget ~seed ~memo v
-            in
-            Some (name, certification, report, outcome))
-        targets
-    in
-    if json then begin
-      print_string
-        (json_obj
-           [ ("budget", string_of_int budget);
-             ("seed", string_of_int seed);
-             ("filters", json_arr (List.map json_one results));
-             ("invalid", string_of_int !invalid) ]);
-      print_newline ()
-    end
-    else
-      List.iter
-        (fun (name, certification, report, outcome) ->
-          let st = outcome.Superopt.stats in
-          Format.printf "== %s ==@." name;
-          Format.printf "-- pipeline: %s;"
-            (cert_str certification);
-          List.iter (fun (pass, n) -> Format.printf " %s:%d" pass n)
-            report.Regopt.passes;
-          Format.printf "@.";
-          Format.printf
-            "-- search: cost %d -> %d (%d proposals, %d screened, %d equiv \
-             checks, %d memo hits)@."
-            outcome.Superopt.initial_cost outcome.Superopt.best_cost
-            st.Superopt.proposals st.Superopt.screened st.Superopt.equiv_checks
-            st.Superopt.memo_hits;
-          Format.printf
-            "-- verdicts: proved %d, accepted %d, refuted %d, unknown %d, \
-             rejected %d@."
-            st.Superopt.proved st.Superopt.accepted st.Superopt.refuted
-            st.Superopt.unknown st.Superopt.rejected;
-          Format.printf "-- best (%d instrs, %d loads)@.%a@."
-            (Ir.instr_count outcome.Superopt.best)
-            (Ir.load_count outcome.Superopt.best)
-            Ir.pp outcome.Superopt.best)
-        results;
-    if !invalid > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "superopt"
-       ~doc:
-         "Run the seeded stochastic superoptimizer over the certified \
-          register-IR pipeline output: MCMC rewrite search where every \
-          committed step is proved equivalent by the symbolic checker, \
-          reporting the before/after cost, per-pass story and search \
-          statistics")
-    Term.(const run $ files $ builtin $ budget $ seed $ json)
-
 let () =
   let info = Cmd.info "pftool" ~doc:"Packet filter assembler / disassembler / evaluator" in
   exit
@@ -1542,4 +1409,4 @@ let () =
        (Cmd.group info
           [ asm_cmd; disasm_cmd; run_cmd; compile_cmd; fields_cmd; examples_cmd; lint_cmd;
             cache_cmd; dispatch_cmd; smp_cmd; san_cmd; sanlint_cmd; ir_cmd;
-            superopt_cmd; equiv_cmd; verify_cmd; fwcompile_cmd; fwlint_cmd ]))
+            equiv_cmd; verify_cmd; fwcompile_cmd; fwlint_cmd ]))

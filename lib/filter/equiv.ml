@@ -21,9 +21,8 @@ type report = {
 let default_budget = Symex.default_budget
 let default_pair_budget = 4096
 
-(* Concrete IR execution lives in [Ir.exec] (mirroring [Regvm.run_counted];
-   Regvm itself cannot be called here because its compiler depends on
-   Regopt, which uses this module for certification). *)
+(* Concrete IR execution is [Ir.exec], which mirrors [Regvm.run_counted]
+   (a [Regvm.t] is compiled from a stack program, not from an IR side). *)
 let run_side side packet =
   match side with
   | Prog v -> Interp.accepts ~semantics:`Paper (Validate.program v) packet
@@ -152,30 +151,16 @@ let relate ?(budget = default_budget) ?(pair_budget = default_pair_budget) va
       | Counterexample _ | Unknown -> Analysis.Unknown
   end
 
-(* One memo table for every symbolic-equivalence verdict: relations (the
-   dispatch automaton and the firewall lint) and full check reports (the
-   superoptimizer, which re-proposes structurally identical candidates all
-   the time). Keys are the encoded sides plus the budgets, so one table can
-   serve callers with different budgets without confusing their answers;
-   sides are tagged so a stack program and an IR program with colliding
-   encodings stay distinct. *)
+(* One memo table for the symbolic relations the dispatch automaton and
+   the firewall lint ask for. Keys are the encoded programs plus the
+   budgets, so one table can serve callers with different budgets without
+   confusing their answers. *)
 module Memo = struct
-  type t = {
-    relations : (int list * int list * int * int, Analysis.relation) Hashtbl.t;
-    checks : (int list * int list * int * int, report) Hashtbl.t;
-    mutable check_hits : int;
-  }
+  type t = (int list * int list * int * int, Analysis.relation) Hashtbl.t
 
-  let create () =
-    { relations = Hashtbl.create 16; checks = Hashtbl.create 64; check_hits = 0 }
-
-  let size t = Hashtbl.length t.relations + Hashtbl.length t.checks
-  let check_hits t = t.check_hits
+  let create () : t = Hashtbl.create 16
+  let size (t : t) = Hashtbl.length t
 end
-
-let encode_side = function
-  | Prog v -> 0 :: Program.encode (Validate.program v)
-  | Ir_prog ir -> 1 :: Ir.encode ir
 
 let relate_memo ?(budget = default_budget)
     ?(pair_budget = default_pair_budget) (memo : Memo.t) va vb =
@@ -187,25 +172,13 @@ let relate_memo ?(budget = default_budget)
           budget,
           pair_budget )
       in
-      match Hashtbl.find_opt memo.Memo.relations key with
+      match Hashtbl.find_opt memo key with
       | Some r -> r
       | None ->
           let r = relate ~budget ~pair_budget va vb in
-          Hashtbl.add memo.Memo.relations key r;
+          Hashtbl.add memo key r;
           r)
   | r -> r
-
-let check_memo ?(budget = default_budget)
-    ?(pair_budget = default_pair_budget) (memo : Memo.t) left right =
-  let key = (encode_side left, encode_side right, budget, pair_budget) in
-  match Hashtbl.find_opt memo.Memo.checks key with
-  | Some r ->
-      memo.Memo.check_hits <- memo.Memo.check_hits + 1;
-      r
-  | None ->
-      let r = check ~budget ~pair_budget left right in
-      Hashtbl.add memo.Memo.checks key r;
-      r
 
 type certification =
   | Certified

@@ -70,24 +70,19 @@ val relate :
     {!check_programs} proves equality, [Unknown] otherwise. Never returns
     [Subsumes]/[Subsumed_by]. *)
 
-(** Memo table for every symbolic-equivalence verdict, shared by the
-    dispatch automaton, the firewall rule lint ({!relate_memo}) and the
-    superoptimizer ({!check_memo} — MCMC search re-proposes structurally
-    identical candidates constantly). Keys are the encoded sides
-    ({!Program.encode} / {!Ir.encode}, tagged) plus the budgets, so one
-    table can serve callers with different budgets without confusing
-    their answers. *)
+(** Memo table for symbolic relation verdicts ({!relate_memo}), shared by
+    the dispatch automaton and the firewall rule lint. Keys are the
+    encoded programs ({!Program.encode}) plus the budgets, so one table
+    can serve callers with different budgets without confusing their
+    answers. *)
 module Memo : sig
   type t
 
   val create : unit -> t
 
   val size : t -> int
-  (** Number of cached verdicts, relations plus check reports (cheap
-      {!Analysis.relate} hits are not stored). *)
-
-  val check_hits : t -> int
-  (** Times {!check_memo} answered from the table instead of re-proving. *)
+  (** Number of cached relations (cheap {!Analysis.relate} hits are not
+      stored). *)
 end
 
 val relate_memo :
@@ -97,13 +92,9 @@ val relate_memo :
     cheaper than the lookup); where it answers [Unknown], fall back to the
     symbolic {!relate} through the memo table. *)
 
-val check_memo : ?budget:int -> ?pair_budget:int -> Memo.t -> side -> side -> report
-(** {!check} through the memo table: the full report (verdict, path
-    counts, reasons) is cached by hash-consed candidate identity. *)
-
 (** Outcome of certifying one optimizer rewrite, shared by
-    {!Peephole.optimize_certified}, {!Regopt.optimize_superopt} and the
-    kernel's certifying installs. *)
+    {!Peephole.optimize_certified}, the firewall compiler and the kernel's
+    certifying installs. *)
 type certification =
   | Certified  (** the rewrite is proved meaning-preserving *)
   | Refuted of Pf_pkt.Packet.t

@@ -100,30 +100,21 @@ let lower_with_map validated =
 let lower validated = fst (lower_with_map validated)
 let instr_count t = Array.length t.instrs
 
-(* Injective flat encoding, for memo keys and byte-identity tests. Operands
-   are tagged (registers negative-shifted away from immediates), instructions
-   by a leading opcode, so distinct IR never collides. *)
-let encode t =
-  let operand = function Reg r -> [ 0; r ] | Imm v -> [ 1; v ] in
-  let instr = function
-    | Load { dst; word } -> [ 2; dst; word ]
-    | Loadind { dst; idx } -> (3 :: dst :: operand idx)
-    | Binop { dst; op; a; b } -> (4 :: dst :: Op.code op :: (operand a @ operand b))
-    | Tcond { cond; a; b; verdict } ->
-      (5 :: (match cond with Ceq -> 0 | Cne -> 1)
-      :: (if verdict then 1 else 0) :: (operand a @ operand b))
-  in
-  let terminator =
-    match t.terminator with
-    | Halt v -> [ 6; (if v then 1 else 0) ]
-    | Accept_if o -> 7 :: operand o
-  in
-  t.reg_count :: List.concat (Array.to_list (Array.map instr t.instrs)) @ terminator
+(* [Analysis.insn_cost] transliterated onto the IR: fetch/dispatch cycle +
+   the action's cost for loads (Pushword 2, Pushind 3) + the operator's
+   cost for ALU work. The terminator is free, like [Regvm.run_counted]'s
+   charging. *)
+let instr_cost = function
+  | Load _ -> 3
+  | Loadind _ -> 4
+  | Binop { op; _ } -> 1 + (match op with Op.Mul -> 3 | Op.Div | Op.Mod -> 6 | _ -> 1)
+  | Tcond _ -> 2
+
+let cost t = Array.fold_left (fun acc i -> acc + instr_cost i) 0 t.instrs
 
 (* Concrete execution, mirroring [Regvm.run_counted]'s semantics: an
    out-of-bounds load, an indirect load beyond the packet, and a division
-   by zero all reject at that instruction; the terminator is free. Shared
-   by Equiv (witness confirmation) and Superopt (candidate screening). *)
+   by zero all reject at that instruction; the terminator is free. *)
 let exec t packet =
   let words = Pf_pkt.Packet.word_count packet in
   let regs = Array.make (max 1 t.reg_count) 0 in

@@ -69,17 +69,17 @@ val lower_with_map : Validate.t -> t * int array
 
 val instr_count : t -> int
 
-val encode : t -> int list
-(** Injective flat encoding of the whole program (register count,
-    instructions, terminator) — the IR analogue of {!Program.encode}, used
-    as a memo key by {!Equiv.Memo} and for byte-identity assertions in the
-    superoptimizer's determinism tests. *)
+val cost : t -> int
+(** Static cost in the abstract cycles of {!Analysis.insn_cost}: every
+    instruction pays a fetch/dispatch cycle, packet loads pay the word
+    fetch, multiply and divide dominate the ALU ops, and the terminator is
+    free (mirroring {!Regvm.run_counted}'s charging). [pftool ir --json]
+    reports it as [optimized_cost]. *)
 
 val exec : t -> Pf_pkt.Packet.t -> bool
 (** Concrete execution with {!Regvm} fault semantics: out-of-bounds loads
-    and division by zero reject at that instruction. The single executor
-    shared by {!Equiv} (witness confirmation) and {!Superopt} (candidate
-    screening). *)
+    and division by zero reject at that instruction. {!Equiv} confirms its
+    witnesses with it. *)
 
 val load_count : t -> int
 (** Number of packet-load instructions ([Load] + [Loadind]) — what common

@@ -132,8 +132,7 @@ let rarp_request ?(priority = 0) () = Expr.compile ~priority (rarp_op_is 3)
    evaluated and the results are glued with plain [AND], exactly the
    figure 3-8 style the paper itself starts from. Real filter libraries
    produce this shape whenever the author writes the figure 3-8 idiom by
-   hand — and it is the systematic win class for the stochastic
-   superoptimizer, which rediscovers the early exits with a proof. *)
+   hand; Regopt's early-exit pass recovers the short-circuit exits. *)
 
 let naive ?(priority = 0) expr = Expr.compile ~priority ~short_circuit:false expr
 

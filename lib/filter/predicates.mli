@@ -69,9 +69,9 @@ val synthetic : length:int -> accept:bool -> Program.t
 (** {1 Naive "blender" variants}
 
     The same predicates compiled with {!Expr.compile}[~short_circuit:false]:
-    every term evaluated and glued with plain [AND], the figure 3-8 style —
-    the systematic win class for {!Superopt}, which rediscovers the early
-    exits with an equivalence proof. *)
+    every term evaluated and glued with plain [AND], the figure 3-8 style.
+    {!Regopt}'s early-exit pass turns each back into its short-circuit
+    twin's shape, so in the register VM each costs what its twin costs. *)
 
 val naive_udp_dst_port : ?priority:int -> int -> Program.t
 val naive_pup_dst_port : ?priority:int -> host:int -> int32 -> Program.t

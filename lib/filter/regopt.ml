@@ -5,7 +5,6 @@ type report = {
   loads_before : int;
   loads_after : int;
   passes : (string * int) list;
-  fell_back : bool;
 }
 
 let operand_equal (a : Ir.operand) (b : Ir.operand) = a = b
@@ -250,6 +249,118 @@ let dve_pass (ir : Ir.t) =
     ir.Ir.instrs;
   ({ ir with Ir.instrs = Array.of_list (List.rev !out) }, !changes)
 
+(* {1 Early exits}
+
+   Figure 3-8's "blender" style evaluates every term to 0 or 1 and glues
+   the results with [and] into [accept if r]; figure 3-9 tests each term
+   with a short-circuit exit instead. This pass turns the first shape into
+   the second: an [eq]/[neq] conjunct becomes a reject exit at its own
+   position, so a packet failing it stops there. A zero conjunct rejects,
+   and so does any later fault, so rejecting early changes no verdict,
+   provided no accept exit comes later, which the early reject would
+   pre-empt. Every leaf must be a comparison result (0 or 1): that is
+   what lets the remaining conjuncts be joined again by [and] without the
+   converted ones ([x and 1 = x]). *)
+
+let is_comparison = function
+  | Op.Eq | Op.Neq | Op.Lt | Op.Le | Op.Gt | Op.Ge -> true
+  | Op.Nop | Op.And | Op.Or | Op.Xor | Op.Cor | Op.Cand | Op.Cnor | Op.Cnand
+  | Op.Add | Op.Sub | Op.Mul | Op.Div | Op.Mod | Op.Lsh | Op.Rsh -> false
+
+(* Position of the instruction defining register [r], searching down from
+   [i]. Top level, so checking the terminator allocates nothing. *)
+let rec def_pos (instrs : Ir.instr array) r i =
+  match instrs.(i) with
+  | (Ir.Load { dst; _ } | Ir.Loadind { dst; _ } | Ir.Binop { dst; _ }) when dst = r -> i
+  | _ -> def_pos instrs r (i - 1)
+
+exception Not_boolean
+
+let exits_rewrite (ir : Ir.t) root =
+  let instrs = ir.Ir.instrs in
+  let def = Array.make ir.Ir.reg_count (-1) in
+  let uses = Array.make ir.Ir.reg_count 0 in
+  let use = function Ir.Reg r -> uses.(r) <- uses.(r) + 1 | Ir.Imm _ -> () in
+  let last_accept = ref (-1) in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Ir.Load { dst; _ } -> def.(dst) <- i
+      | Ir.Loadind { dst; idx } ->
+        def.(dst) <- i;
+        use idx
+      | Ir.Binop { dst; a; b; _ } ->
+        def.(dst) <- i;
+        use a;
+        use b
+      | Ir.Tcond { a; b; verdict; _ } ->
+        if verdict then last_accept := i;
+        use a;
+        use b)
+    instrs;
+  use (Ir.Reg root);
+  (* The tree's nodes, the single-use [and]s under the terminator, are
+     deleted; its leaves must all be comparisons. *)
+  let out = Array.map Option.some instrs in
+  let rec leaves acc = function
+    | Ir.Imm _ -> raise Not_boolean
+    | Ir.Reg r -> (
+      match instrs.(def.(r)) with
+      | Ir.Binop { op = Op.And; a; b; _ } when uses.(r) = 1 ->
+        out.(def.(r)) <- None;
+        leaves (leaves acc a) b
+      | Ir.Binop { op; _ } when is_comparison op -> r :: acc
+      | _ -> raise Not_boolean)
+  in
+  match leaves [] (Ir.Reg root) with
+  | exception Not_boolean -> None
+  | leaves ->
+    let kept =
+      List.filter
+        (fun r ->
+          let i = def.(r) in
+          match instrs.(i) with
+          | Ir.Binop { op = (Op.Eq | Op.Neq) as op; a; b; _ }
+            when uses.(r) = 1 && i > !last_accept ->
+            let cond = if op = Op.Eq then Ir.Cne else Ir.Ceq in
+            out.(i) <- Some (Ir.Tcond { cond; a; b; verdict = false });
+            false
+          | _ -> true)
+        (List.rev leaves)
+    in
+    let made = List.length leaves - List.length kept in
+    if made = 0 then None
+    else begin
+      let reg_count = ref ir.Ir.reg_count in
+      let joins = ref [] in
+      let join acc r =
+        let dst = !reg_count in
+        incr reg_count;
+        joins := Ir.Binop { dst; op = Op.And; a = acc; b = Ir.Reg r } :: !joins;
+        Ir.Reg dst
+      in
+      let terminator =
+        match kept with
+        | [] -> Ir.Halt true
+        | first :: rest -> Ir.Accept_if (List.fold_left join (Ir.Reg first) rest)
+      in
+      let instrs =
+        Array.of_list (List.filter_map Fun.id (Array.to_list out) @ List.rev !joins)
+      in
+      Some ({ Ir.instrs; terminator; reg_count = !reg_count }, made)
+    end
+
+(* [None], allocating nothing, unless [r] in [accept if r] is an [and];
+   otherwise the rewritten program and the number of exits made. *)
+let exits_pass (ir : Ir.t) =
+  match ir.Ir.terminator with
+  | Ir.Accept_if (Ir.Reg root) -> (
+    let instrs = ir.Ir.instrs in
+    match instrs.(def_pos instrs root (Array.length instrs - 1)) with
+    | Ir.Binop { op = Op.And; _ } -> exits_rewrite ir root
+    | _ -> None)
+  | Ir.Accept_if (Ir.Imm _) | Ir.Halt _ -> None
+
 (* {1 Terminator folding from Analysis facts} *)
 
 let analysis_pass facts pc_map (ir : Ir.t) =
@@ -335,7 +446,9 @@ let optimize validated =
     note "cse" c2;
     let ir, c3 = dve_pass ir in
     note "dve" c3;
-    if c1 + c2 + c3 = 0 || iter >= max_iterations then ir else loop ir (iter + 1)
+    let ir, c4 = match exits_pass ir with Some (ir, c) -> (ir, c) | None -> (ir, 0) in
+    note "exits" c4;
+    if c1 + c2 + c3 + c4 = 0 || iter >= max_iterations then ir else loop ir (iter + 1)
   in
   let ir = compact (loop ir 1) in
   let report =
@@ -348,37 +461,7 @@ let optimize validated =
       passes =
         List.map
           (fun name -> (name, Option.value ~default:0 (Hashtbl.find_opt counts name)))
-          [ "analysis"; "fold"; "cse"; "dve" ];
-      fell_back = false;
+          [ "analysis"; "fold"; "cse"; "dve"; "exits" ];
     }
   in
   (ir, report)
-
-let optimize_superopt ?equiv_budget ?budget ?seed ?memo validated =
-  let ir, report = optimize validated in
-  let (ir, report), certification =
-    match
-      Equiv.certification_of_report (Equiv.check_ir ?budget:equiv_budget validated ir)
-    with
-    | Equiv.Refuted _ as refuted ->
-      (* Never ship a refuted optimization: fall back to plain lowering,
-         whose shape Regvm executes just as well. *)
-      ((Ir.lower validated, { report with fell_back = true }), refuted)
-    | (Equiv.Certified | Equiv.Uncertified _) as certification ->
-      ((ir, report), certification)
-  in
-  (* The search runs on whatever the certified pipeline shipped — on a
-     refuted pipeline that is the plain lowering, which certifies
-     trivially, so the chain's incumbent is always a verified program. *)
-  let outcome = Superopt.search ?budget ?seed ?memo ir in
-  let best = outcome.Superopt.best in
-  let report =
-    { report with
-      optimized_instrs = Ir.instr_count best;
-      loads_after = Ir.load_count best;
-      passes =
-        report.passes
-        @ [ ("superopt", outcome.Superopt.initial_cost - outcome.Superopt.best_cost) ];
-    }
-  in
-  ((best, report), certification, outcome)

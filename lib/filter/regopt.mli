@@ -23,6 +23,14 @@
       provably harmless: a dead packet load is deleted only when an earlier
       retained load proves the packet long enough, a dead division only
       when its divisor is a non-zero immediate.
+    - {e early exits}: when the terminator is [accept if r] and [r] roots a
+      tree of single-use [and]s whose leaves are all comparison results,
+      each single-use [eq]/[neq] leaf after the program's last accept exit
+      becomes a reject exit at its own position ([if a != b reject]) and
+      the remaining leaves are joined again with [and]. This is figure
+      3-9's short-circuit style recovered from figure 3-8's "blender"
+      style: a zero conjunct rejects, so rejecting as soon as it is known
+      changes no verdict.
 
     The pipeline preserves the [`Paper] verdict of {!Interp.run} on every
     packet — including short packets and runtime faults. The differential
@@ -38,30 +46,11 @@ type report = {
   loads_after : int;  (** packet loads after the pipeline *)
   passes : (string * int) list;
       (** Per-pass change counts in pipeline order ([analysis], [fold],
-          [cse], [dve]), summed over fixpoint iterations. *)
-  fell_back : bool;
-      (** {!optimize_superopt} only: translation validation refuted the
-          pipeline output and the plain {!Ir.lower} lowering was kept.
-          Always [false] in {!optimize} reports. *)
+          [cse], [dve], [exits]), summed over fixpoint iterations; for
+          [exits], the reject exits made. *)
 }
 
 val optimize : Validate.t -> Ir.t * report
 (** Lower and run the pass pipeline to a fixpoint; registers are
     renumbered densely afterwards (the [reg_count] is what {!Regvm} sizes
     its scratch file with). *)
-
-val optimize_superopt :
-  ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
-  Validate.t -> (Ir.t * report) * Equiv.certification * Superopt.outcome
-(** [optimize] under translation validation, then the stochastic
-    superoptimizer. The optimized IR is checked against the source program
-    with {!Equiv.check_ir}; on {!Equiv.Refuted} the unoptimized lowering
-    ({!Ir.lower}, with [fell_back] set) is kept alongside the witness
-    packet, and [Uncertified] keeps the optimized IR and says why the check
-    fell short (e.g. path budget). {!Superopt.search} ([budget] proposals,
-    optionally [?seed]/[?memo]) then refines that verified incumbent; it
-    only moves through candidates proved equal to it, so the certification
-    outcome is unchanged. A ["superopt"] entry (static cycles saved) is
-    appended to the report's passes. The full search {!Superopt.outcome}
-    (stats, refuted candidates) is what [pftool superopt] reports from;
-    [equiv_budget] bounds the pipeline certification. *)

@@ -13,14 +13,6 @@ let compile validated =
   let ir, report = Regopt.optimize validated in
   { validated; ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 }
 
-let compile_super ?equiv_budget ?budget ?seed ?memo validated =
-  let (ir, report), certification, outcome =
-    Regopt.optimize_superopt ?equiv_budget ?budget ?seed ?memo validated
-  in
-  ( { validated; ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 },
-    certification,
-    outcome )
-
 let validated t = t.validated
 let ir t = t.ir
 let report t = t.report

@@ -21,15 +21,6 @@ val compile : Validate.t -> t
     {!Fast.t}, the scratch state makes a compiled filter safe for
     sequential reuse but not for concurrent runs. *)
 
-val compile_super :
-  ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
-  Validate.t -> t * Equiv.certification * Superopt.outcome
-(** {!Regopt.optimize_superopt} wrapped for execution: the certified
-    pipeline output refined by the stochastic search, with the
-    certification and the search outcome surfaced for accounting. The
-    offline superoptimizer's entry point ([pftool superopt],
-    [bench superopt]); the kernel never runs the search. *)
-
 val validated : t -> Validate.t
 val ir : t -> Ir.t
 val report : t -> Regopt.report

@@ -395,72 +395,6 @@ let check ?(extra = []) program packet =
         expect_equiv "equiv-ir" ~require_proof:false (Equiv.Prog v)
           (Equiv.Ir_prog ir)
       | None -> ());
-      (* Stochastic superoptimizer: a short proof-gated search seeded from
-         the program's own encoding (so replays are deterministic). Every
-         committed step was proved equivalent to its predecessor, so the
-         best program must agree with the reference on this packet, must
-         never cost more than its starting point, and must satisfy the
-         accounting invariant accepted = proved. The refuted candidates are
-         the interesting byproduct: each carries the prover's witness, and
-         we replay that witness through every engine to confirm the
-         divergence is real — the incumbent's verdict everywhere, the
-         candidate's verdict differing. *)
-      (match
-         attempt "superopt" (fun () ->
-             let seed =
-               List.fold_left
-                 (fun h w -> ((h * 31) + w) land 0x3fffffff)
-                 17 (Program.encode program)
-             in
-             Superopt.search ~budget:48 ~seed (fst (Regopt.optimize v)))
-       with
-      | None -> ()
-      | Some outcome ->
-        let st = outcome.Superopt.stats in
-        if st.Superopt.accepted <> st.Superopt.proved then
-          fail "superopt-invariant"
-            (Printf.sprintf "accepted %d commits but proved only %d"
-               st.Superopt.accepted st.Superopt.proved);
-        if outcome.Superopt.best_cost > outcome.Superopt.initial_cost then
-          fail "superopt-cost"
-            (Printf.sprintf "search ended costlier than it began (%d -> %d)"
-               outcome.Superopt.initial_cost outcome.Superopt.best_cost);
-        check "superopt-best" (fun () -> Ir.exec outcome.Superopt.best packet);
-        List.iteri
-          (fun i (r : Superopt.refuted_candidate) ->
-            let name = Printf.sprintf "superopt-refuted-%d" i in
-            let w = r.Superopt.witness in
-            (* The incumbent was proved equal to the source filter, so
-               every engine must reproduce its recorded verdict at the
-               witness (`Bsd only when no short-circuit operator makes the
-               two published semantics legitimately divergent)... *)
-            let confirm engine f =
-              match attempt name f with
-              | Some got when got <> r.Superopt.incumbent_verdict ->
-                fail name
-                  (Printf.sprintf "%s at the witness says %b, incumbent said %b"
-                     engine got r.Superopt.incumbent_verdict)
-              | _ -> ()
-            in
-            confirm "interp-paper" (fun () ->
-                Interp.accepts ~semantics:`Paper program w);
-            if not (has_short_circuit program) then
-              confirm "interp-bsd" (fun () ->
-                  Interp.accepts ~semantics:`Bsd program w);
-            confirm "fast" (fun () -> Fast.run (Fast.compile v) w);
-            confirm "closure" (fun () -> Closure.run (Closure.compile v) w);
-            confirm "regvm" (fun () -> Regvm.run (Regvm.compile v) w);
-            (* ...and the candidate must actually diverge there. *)
-            (match attempt name (fun () -> Ir.exec r.Superopt.candidate w) with
-            | Some got when got <> r.Superopt.candidate_verdict ->
-              fail name
-                (Printf.sprintf
-                   "candidate at the witness says %b, the prover recorded %b"
-                   got r.Superopt.candidate_verdict)
-            | _ -> ());
-            if r.Superopt.candidate_verdict = r.Superopt.incumbent_verdict then
-              fail name "witness does not separate candidate from incumbent")
-          outcome.Superopt.refuted);
       (* Wire codec round-trip: encode/decode must be the identity on
          validated programs, and the decoded program must agree. *)
       (match Program.decode (Program.encode program) with

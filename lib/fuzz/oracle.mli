@@ -29,9 +29,7 @@
     - the {!Pf_filter.Regvm} register VM over the optimized
       {!Pf_filter.Ir} lowering,
     - translation validation ({!Pf_filter.Equiv}) of the peephole and
-      register-IR rewrites, and a short proof-gated
-      {!Pf_filter.Superopt} search whose refuted candidates' witnesses are
-      replayed through every engine, and
+      register-IR rewrites, and
     - a {!Pf_filter.Program} wire-codec encode/decode round-trip,
 
     and classifies any disagreement. Two boundaries are respected rather than

@@ -753,7 +753,7 @@ let set_compile_strategy t strategy =
     | `Regvm_super ->
       invalid_arg
         "Pfdev.set_compile_strategy: `Regvm_super was removed; use `Regvm \
-         (pftool superopt runs the superoptimizer offline)"
+         (its pipeline makes the early exits)"
   in
   if t.compile_strategy <> strategy then begin
     t.compile_strategy <- strategy;

@@ -160,8 +160,9 @@ val set_compile_strategy :
       automaton runs its candidates on the stack compilation.
 
     [`Raise_only] and [`Regvm_super] raise [Invalid_argument] and leave the
-    device unchanged: use [`Off] or [`Regvm]. The stochastic superoptimizer
-    runs offline ([pftool superopt], {!Pf_filter.Regvm.compile_super}).
+    device unchanged: use [`Off] or [`Regvm]. [`Regvm]'s pipeline makes the
+    early exits the superoptimizer behind [`Regvm_super] used to find
+    offline ({!Pf_filter.Regopt}).
 
     Applies to filters installed {e after} the call; already-installed
     ports keep their engine. Verdicts are engine-independent (the fuzz

@@ -261,51 +261,6 @@ let test_stale_remote_cache_mutant_caught_and_shrunk () =
     Alcotest.(check bool) "repro command present" true
       (Testutil.contains f.Runner.repro "pffuzz --seed")
 
-(* {1 The seeded unsound-superoptimizer mutant}
-
-   The classic way a proof-gated search goes wrong: treating the prover's
-   "Unknown" as good enough. Superopt.For_testing.unsound_accept_unknown
-   commits candidates the checker could not prove, so the chain drifts away
-   from the source semantics the moment a screened-but-inequivalent rewrite
-   slips through; executing the "best" program then disagrees with the
-   reference on some packet. The oracle must flag it, and the shrinker must
-   reduce the evidence. *)
-
-let mutant_superopt (v : Validate.t) packet =
-  let seed =
-    List.fold_left
-      (fun h w -> ((h * 31) + w) land 0x3fffffff)
-      17
-      (Program.encode (Validate.program v))
-  in
-  Superopt.For_testing.unsound_accept_unknown := true;
-  Fun.protect
-    ~finally:(fun () -> Superopt.For_testing.unsound_accept_unknown := false)
-    (fun () ->
-      let outcome = Superopt.search ~budget:96 ~seed (fst (Regopt.optimize v)) in
-      Ir.exec outcome.Superopt.best packet)
-
-let test_unsound_superopt_mutant_caught_and_shrunk () =
-  let extra = [ ("mutant-superopt", mutant_superopt) ] in
-  let stats = Runner.run ~extra ~max_failures:1 ~seed:0x50B4D ~iters:2_000 () in
-  match stats.Runner.failures with
-  | [] -> Alcotest.fail "the oracle missed an accept-on-Unknown superoptimizer"
-  | f :: _ ->
-    Alcotest.(check bool) "unsound search is the culprit" true
-      (List.exists
-         (fun (m : Oracle.mismatch) -> m.Oracle.engine = "mutant-superopt")
-         f.Runner.mismatches);
-    Alcotest.(check bool) "shrunk case still disagrees" true
-      (List.exists
-         (fun (m : Oracle.mismatch) -> m.Oracle.engine = "mutant-superopt")
-         f.Runner.shrunk_mismatches);
-    Alcotest.(check bool)
-      (Format.asprintf "reproducer is <= 5 insns, got:@.%a" Program.pp f.Runner.shrunk_program)
-      true
-      (Program.insn_count f.Runner.shrunk_program <= 5);
-    Alcotest.(check bool) "repro command present" true
-      (Testutil.contains f.Runner.repro "pffuzz --seed")
-
 (* {1 Pinned regression: the out-of-range literal divergence}
 
    Found by construction while building the oracle: Interp masks every push
@@ -388,8 +343,6 @@ let suite =
         test_stale_cache_mutant_caught_and_shrunk;
       Alcotest.test_case "seeded stale-remote-cache mutant caught and shrunk" `Quick
         test_stale_remote_cache_mutant_caught_and_shrunk;
-      Alcotest.test_case "seeded unsound-superoptimizer mutant caught and shrunk" `Quick
-        test_unsound_superopt_mutant_caught_and_shrunk;
       Alcotest.test_case "out-of-range literal regression" `Quick
         test_literal_masking_regression;
       Alcotest.test_case "peephole report arithmetic (corpus)" `Quick

@@ -1,6 +1,6 @@
 (* The register-IR compiler: lowering shape, the optimizer passes (CSE,
-   dead-value elimination, Analysis-seeded folding), the Regvm engine, and
-   the Pfdev compile strategies. *)
+   dead-value elimination, Analysis-seeded folding, early exits), the Regvm
+   engine, and the Pfdev compile strategies. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -118,6 +118,139 @@ let test_analysis_folding () =
     (Ir.instr_count ir);
   Alcotest.(check bool) "collapsed to accept" true (ir.Ir.terminator = Ir.Halt true)
 
+(* {1 Early exits} *)
+
+let test_exits_shape () =
+  (* Figure 3-8's [r0 eq 2] conjunct becomes a reject exit before the
+     word-3 load; the two range tests stay joined by one [and]. *)
+  let ir, report = Regopt.optimize (validate_exn Predicates.fig_3_8) in
+  Alcotest.(check int) "fig 3-8 optimized instrs" 7 (Ir.instr_count ir);
+  Alcotest.(check int) "one exit made" 1 (List.assoc "exits" report.Regopt.passes);
+  Alcotest.(check (list string)) "fig 3-8 head"
+    [ "r0 := pkt[1]"; "if r0 != 2 reject"; "r1 := pkt[3]" ]
+    (List.map (Format.asprintf "%a" Ir.pp_instr) (Array.to_list (Array.sub ir.Ir.instrs 0 3)));
+  (* Each naive blender builtin comes out as long as its short-circuit
+     twin: every conjunct became an exit and the glue is gone. *)
+  let instrs name =
+    Ir.instr_count (fst (Regopt.optimize (validate_exn (List.assoc name Predicates.builtins))))
+  in
+  let naive =
+    List.filter (fun (name, _) -> String.starts_with ~prefix:"naive-" name) Predicates.builtins
+  in
+  Alcotest.(check int) "five naive builtins" 5 (List.length naive);
+  List.iter
+    (fun (name, _) ->
+      let twin = String.sub name 6 (String.length name - 6) in
+      Alcotest.(check int) (name ^ " = " ^ twin) (instrs twin) (instrs name))
+    naive
+
+let agrees_with_interp program packet =
+  let expected = Interp.accepts ~semantics:`Paper program packet in
+  Alcotest.(check bool) "regvm = interp" expected
+    (Regvm.run (Regvm.compile (validate_exn program)) packet);
+  expected
+
+let test_exits_soundness () =
+  (* An [eq] conjunct before a [cor] accept exit must not reject early: the
+     exit accepts word 3 = 5 whatever word 1 holds. *)
+  let p =
+    Program.v
+      [ i (Action.Pushword 1); i ~op:Op.Eq (Action.Pushlit 2);
+        i (Action.Pushword 2); i ~op:Op.Eq (Action.Pushlit 7);
+        i (Action.Pushword 3); i ~op:Op.Cor (Action.Pushlit 5);
+        i ~op:Op.Or Action.Nopush; i ~op:Op.And Action.Nopush ]
+  in
+  Alcotest.(check bool) "cor exit still accepts" true
+    (agrees_with_interp p (Packet.of_words [ 0; 9; 7; 5 ]));
+  (* A raw word is no boolean: [1 and 2] is 0, so the [eq] conjunct cannot
+     become an exit with [accept if pkt[3]] left behind. *)
+  let p =
+    Program.v
+      [ i (Action.Pushword 1); i ~op:Op.Eq (Action.Pushlit 2);
+        i (Action.Pushword 3); i ~op:Op.And Action.Nopush ]
+  in
+  Alcotest.(check bool) "1 and 2 rejects" false
+    (agrees_with_interp p (Packet.of_words [ 0; 2; 0; 2 ]))
+
+(* Blender conjunctions: 2-5 word comparisons whose constants come from a
+   base packet, glued by [and] left- or right-nested, optionally with a
+   [cor]/[cnor] exit after one of them (its fall-through 0 absorbed by
+   [or]) and a raw-word conjunct. They run on the base packet, on copies
+   with a random subset of words changed (so a random subset of the
+   leaves holds) and on a truncated copy. *)
+let gen_blender =
+  QCheck.Gen.(
+    list_repeat 10 (int_bound 0xffff) >>= fun base ->
+    let word w = List.nth base w in
+    let comparison =
+      frequency
+        [ (4, return Op.Eq); (1, return Op.Neq); (1, return Op.Lt); (1, return Op.Le);
+          (1, return Op.Gt); (1, return Op.Ge) ]
+    in
+    int_range 2 5 >>= fun k ->
+    list_repeat k (pair (int_bound 9) comparison) >>= fun leaves ->
+    opt ~ratio:0.5 (triple (int_bound (k - 1)) (int_bound 9) (oneofl [ Op.Cor; Op.Cnor ]))
+    >>= fun exit ->
+    opt ~ratio:0.3 (int_bound 9) >>= fun raw ->
+    bool >>= fun left_nested ->
+    list_repeat 4 (list_repeat 10 (pair bool (int_range 1 0xffff))) >>= fun changes ->
+    int_bound 9 >>= fun cut ->
+    let term j (w, op) =
+      [ i (Action.Pushword w); i ~op (Action.Pushlit (word w)) ]
+      @
+      match exit with
+      | Some (at, w', op') when at = j ->
+        [ i (Action.Pushword w'); i ~op:op' (Action.Pushlit (word w'));
+          i ~op:Op.Or Action.Nopush ]
+      | _ -> []
+    in
+    let terms =
+      List.mapi term leaves
+      @ Option.to_list (Option.map (fun w -> [ i (Action.Pushword w) ]) raw)
+    in
+    let glue = i ~op:Op.And Action.Nopush in
+    let insns =
+      if left_nested then
+        List.concat (List.hd terms :: List.map (fun t -> t @ [ glue ]) (List.tl terms))
+      else List.concat terms @ List.init (List.length terms - 1) (fun _ -> glue)
+    in
+    let changed =
+      List.map
+        (fun change ->
+          Packet.of_words
+            (List.map2 (fun v (flip, d) -> if flip then (v + d) land 0xffff else v) base change))
+        changes
+    in
+    let truncated = Packet.of_words (List.filteri (fun j _ -> j < cut) base) in
+    return (Program.v insns, Packet.of_words base :: truncated :: changed))
+
+let test_exits_property () =
+  let fired = ref 0 and count = 500 in
+  let prop =
+    QCheck.Test.make ~name:"blender conjunctions: regvm = interp, never refuted" ~count
+      (QCheck.make
+         ~print:(fun (p, pkts) ->
+           Format.asprintf "%a@.on %a" Program.pp p
+             (Format.pp_print_list ~pp_sep:Format.pp_print_space Packet.pp) pkts)
+         gen_blender)
+      (fun (program, packets) ->
+        let v = validate_exn program in
+        let vm = Regvm.compile v in
+        if List.assoc "exits" (Regvm.report vm).Regopt.passes > 0 then incr fired;
+        List.for_all
+          (fun pkt -> Regvm.run vm pkt = Interp.accepts ~semantics:`Paper program pkt)
+          packets
+        &&
+        match (Equiv.check_ir v (Regvm.ir vm)).Equiv.verdict with
+        | Equiv.Counterexample _ -> false
+        | Equiv.Proved_equal | Equiv.Unknown -> true)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x5EED |]) prop;
+  Alcotest.(check bool)
+    (Printf.sprintf "the pass fired on most cases (%d of %d)" !fired count)
+    true
+    (2 * !fired > count)
+
 (* {1 The register VM} *)
 
 let sample_packets =
@@ -211,6 +344,9 @@ let suite =
       Alcotest.test_case "cse collapses duplicate loads" `Quick test_cse;
       Alcotest.test_case "dead-value elimination" `Quick test_dve;
       Alcotest.test_case "analysis-seeded folding" `Quick test_analysis_folding;
+      Alcotest.test_case "early exits: fig 3-8 and naive twins" `Quick test_exits_shape;
+      Alcotest.test_case "early exits: accept exits and raw words" `Quick test_exits_soundness;
+      Alcotest.test_case "early exits: blender conjunctions (QCheck)" `Quick test_exits_property;
       Alcotest.test_case "regvm matches interp (corpus)" `Quick
         test_regvm_matches_interp;
       Alcotest.test_case "pfdev compile strategies" `Quick test_pfdev_strategies

@@ -744,7 +744,7 @@ let test_removed_engine_tags_rejected () =
       Pfdev.set_strategy pf `Decision_tree);
   refused "`Raise_only" ~replacement:"`Regvm" (fun () ->
       Pfdev.set_compile_strategy pf `Raise_only);
-  refused "`Regvm_super" ~replacement:"pftool superopt" (fun () ->
+  refused "`Regvm_super" ~replacement:"`Regvm" (fun () ->
       Pfdev.set_compile_strategy pf `Regvm_super);
   Alcotest.(check bool) "compile strategy unchanged" true
     (Pfdev.compile_strategy pf = `Off);
