@@ -6,8 +6,8 @@
    - filter priority ordered by traffic share vs arbitrary (§3.2's claim
      that the "average" packet then matches one of the first few filters);
    - interpretation vs ahead-of-time validation (§7) vs closure compilation
-     (§7's "compiling filters into machine code") vs the merged decision
-     tree (§7's "decision table"). *)
+     (§7's "compiling filters into machine code") vs the dispatch
+     automaton (§7's "decision table"). *)
 
 open Util
 open Pf_filter
@@ -88,38 +88,66 @@ let priority_ordering () =
         ours = Printf.sprintf "%.1f" (float_of_int bad /. n) };
     ]
 
-(* {1 Decision tree vs sequential application} *)
+(* {1 Dispatch automaton vs sequential application}
 
-let decision_tree () =
+   §7's "decision table": the active filters compiled into the dispatch
+   automaton. A packet costs one probe plus the same-slot candidates, then
+   the residuals ranked below the winner, walked in order. *)
+
+(* The first match through [d], whose values carry their compiled filter,
+   and the instructions interpreted to find it. *)
+let dispatch_first_match d packet =
+  let winner, stats = Dispatch.classify d packet in
+  let below = match winner with Some (rank, _) -> rank | None -> max_int in
+  let rec walk insns = function
+    | (rank, (fast, i)) :: rest when rank < below ->
+      let ok, n = Fast.run_counted fast packet in
+      if ok then (Some i, insns + n) else walk (insns + n) rest
+    | _ -> (Option.map (fun (_, (_, i)) -> i) winner, insns)
+  in
+  walk stats.Dispatch.insns (Dispatch.residuals d)
+
+let compile_sockets sockets =
+  List.map
+    (fun s ->
+      let fast = Fast.compile (Validate.check_exn (socket_filter s)) in
+      (fast, (fast, s)))
+    sockets
+
+let dispatch_table () =
   let k = 24 in
-  let filters =
-    List.init k (fun i -> (Validate.check_exn (socket_filter (100 + i)), i))
-  in
-  let tree = Decision.build filters in
-  let fasts = List.map (fun (v, i) -> (Fast.compile v, i)) filters in
+  let filters = compile_sockets (List.init k (fun i -> 100 + i)) in
+  let d = Dispatch.build_compiled filters in
   let traffic = List.init 200 (fun i -> frame_for (100 + (i mod (k + 4)))) in
-  let seq_insns =
+  let sequential f =
+    let rec scan insns = function
+      | [] -> (None, insns)
+      | (fast, (_, s)) :: rest ->
+        let ok, n = Fast.run_counted fast f in
+        if ok then (Some s, insns + n) else scan (insns + n) rest
+    in
+    scan 0 filters
+  in
+  let seq_insns, auto_insns, mismatches =
     List.fold_left
-      (fun acc f ->
-        let rec scan insns = function
-          | [] -> insns
-          | (fast, _) :: rest ->
-            let ok, n = Fast.run_counted fast f in
-            if ok then insns + n else scan (insns + n) rest
-        in
-        acc + scan 0 fasts)
-      0 traffic
+      (fun (seq_acc, auto_acc, bad) f ->
+        let seq, seq_n = sequential f and auto, auto_n = dispatch_first_match d f in
+        (seq_acc + seq_n, auto_acc + auto_n, if seq = auto then bad else bad + 1))
+      (0, 0, 0) traffic
   in
-  let tree_insns =
-    List.fold_left (fun acc f -> acc + snd (Decision.classify_counted tree f)) 0 traffic
-  in
-  print_table ~title:"Ablation: merged decision tree (§7) vs sequential demux (24 filters)"
+  print_table ~title:"Ablation: dispatch automaton (§7) vs sequential demux (24 filters)"
     [
       { metric = "insns interpreted, sequential"; paper = "-"; ours = string_of_int seq_insns };
-      { metric = "insns interpreted, decision tree"; paper = "-"; ours = string_of_int tree_insns };
+      { metric = "insns interpreted, dispatch automaton"; paper = "-"; ours = string_of_int auto_insns };
       { metric = "saving"; paper = "\"best possible performance\"";
-        ours = Printf.sprintf "%.0f%%" (100. *. (1. -. float_of_int tree_insns /. float_of_int seq_insns)) };
-    ]
+        ours = Printf.sprintf "%.0f%%" (100. *. (1. -. float_of_int auto_insns /. float_of_int seq_insns)) };
+    ];
+  if mismatches > 0 then
+    failwith
+      (Printf.sprintf
+         "dispatch automaton: first match differs from the sequential walk on %d of %d \
+          packets"
+         mismatches (List.length traffic))
 
 (* {1 Peephole optimization of machine-generated filters} *)
 
@@ -286,9 +314,7 @@ let bechamel_suite () =
   let fast = Fast.compile validated in
   let regvm = Regvm.compile validated in
   let closure = Closure.compile validated in
-  let tree =
-    Decision.build (List.init 20 (fun i -> (Validate.check_exn (socket_filter (30 + i)), i)))
-  in
+  let automaton = Dispatch.build_compiled (compile_sockets (List.init 20 (fun i -> 30 + i))) in
   let tests =
     Test.make_grouped ~name:"filter" ~fmt:"%s %s"
       [
@@ -306,8 +332,8 @@ let bechamel_suite () =
           (Staged.stage (fun () -> Regvm.run regvm miss_frame));
         Test.make ~name:"closure match"
           (Staged.stage (fun () -> Closure.run closure match_frame));
-        Test.make ~name:"decision-tree 20 filters"
-          (Staged.stage (fun () -> Decision.classify tree (frame_for 45)));
+        Test.make ~name:"dispatch 20 filters"
+          (Staged.stage (fun () -> dispatch_first_match automaton (frame_for 45)));
         Test.make ~name:"pup checksum 532B"
           (let pkt = Packet.of_string (String.make 552 'x') in
            Staged.stage (fun () -> Pf_proto.Pup.checksum pkt ~pos:0 ~words:276));
@@ -338,7 +364,7 @@ let bechamel_suite () =
 let run () =
   sc_vs_plain ();
   priority_ordering ();
-  decision_tree ();
+  dispatch_table ();
   peephole ();
   nit_baseline ();
   ikp_vs_vmtp ();

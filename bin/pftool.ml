@@ -173,6 +173,41 @@ let examples_cmd =
    the CLIs sweep the same list. *)
 let builtin_filters = Predicates.builtins
 
+(* The filters a corpus command works on: the FILE arguments, then the
+   built-ins under [--builtin]. Exits 2 when that leaves nothing to
+   [verb]. *)
+let corpus ~verb =
+  let files =
+    Arg.(value & pos_all string []
+         & info [] ~docv:"FILE" ~doc:(Printf.sprintf "Filter sources to %s." verb))
+  in
+  let builtin =
+    Arg.(value & flag
+         & info [ "builtin" ]
+             ~doc:
+               (Printf.sprintf
+                  "Also %s the built-in filters (the paper's figures and every \
+                   filter the examples install)." verb))
+  in
+  let read files builtin =
+    let targets =
+      List.map (fun f -> (f, read_program f)) files
+      @ (if builtin then builtin_filters else [])
+    in
+    if targets = [] then begin
+      Printf.eprintf "pftool: nothing to %s (give FILE arguments or --builtin)\n" verb;
+      exit 2
+    end;
+    targets
+  in
+  Term.(const read $ files $ builtin)
+
+let json_flag =
+  Arg.(value & flag
+       & info [ "json" ]
+           ~doc:"Emit one JSON document on stdout instead of text, for CI \
+                 and downstream tooling.")
+
 (* Minimal JSON emission (no JSON library in the toolchain; the subset we
    emit is flat strings/ints/bools, so hand-rolling stays honest). *)
 let json_escape s =
@@ -203,21 +238,6 @@ let hex_of_packet p =
     (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
 
 let lint_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to lint.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also lint the built-in filters (the paper's figures and every \
-                   filter the examples install).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
-  in
   (* name, validation result, and the lint findings (empty = clean) *)
   let lint_one (name, program) =
     match Validate.check program with
@@ -274,15 +294,7 @@ let lint_cmd =
          [ ("filters", json_arr filters); ("failures", string_of_int failures) ]);
     print_newline ()
   in
-  let run files builtin json =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to lint (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
+  let run targets json =
     let results = List.map lint_one targets in
     let failures =
       List.length
@@ -306,25 +318,9 @@ let lint_cmd =
        ~doc:
          "Analyze filters and fail on ones that can never accept a packet \
           (always-reject verdicts and provable runtime faults)")
-    Term.(const run $ files $ builtin $ json)
+    Term.(const run $ corpus ~verb:"lint" $ json_flag)
 
 let ir_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to compile.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also compile the built-in filters (the paper's figures and every \
-                   filter the examples install).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text (per-filter \
-                   and per-pass stats), matching the lint/verify/dispatch/smp \
-                   convention.")
-  in
   let show_one (name, program) =
     Format.printf "== %s ==@." name;
     match Validate.check program with
@@ -367,15 +363,7 @@ let ir_cmd =
           ("source_code_words", string_of_int (Program.code_words program))
         ]
   in
-  let run files builtin json =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to compile (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
+  let run targets json =
     if json then begin
       print_string
         (json_obj
@@ -391,27 +379,10 @@ let ir_cmd =
          "Lower filters to the three-address register IR and show the \
           optimizer's work: the lowered and optimized IR side by side, \
           with per-pass change counts")
-    Term.(const run $ files $ builtin $ json)
+    Term.(const run $ corpus ~verb:"compile" $ json_flag)
 
 let cache_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to analyze.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also analyze the built-in filters (the paper's figures and every \
-                   filter the examples install).")
-  in
-  let run files builtin =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to analyze (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
+  let run targets =
     (* Per filter: the packet words it reads, i.e. the bytes the kernel's
        demux flow cache would have to key on to memoize its verdict. *)
     let union =
@@ -444,33 +415,10 @@ let cache_cmd =
          "Show each filter's read set and whether a device installing these \
           filters gets the demultiplexing flow cache (an unbounded read set \
           disables it)")
-    Term.(const run $ files $ builtin)
+    Term.(const run $ corpus ~verb:"analyze")
 
 let dispatch_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to compile.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also compile the built-in filters (the paper's figures and every \
-                   filter the examples install).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
-  in
-  let run files builtin json =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to compile (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
+  let run targets json =
     (* Compile the whole set into the cross-filter dispatch automaton, as a
        [`Dispatch]-strategy device would, and show what became of each
        filter: indexed (on which guard words), shadowed, residual, or
@@ -564,7 +512,7 @@ let dispatch_cmd =
           show each filter's fate (indexed / shadowed / residual / dropped) \
           and the group structure that makes demultiplexing sublinear in the \
           number of filters")
-    Term.(const run $ files $ builtin $ json)
+    Term.(const run $ corpus ~verb:"compile" $ json_flag)
 
 let equiv_cmd =
   let file_a =
@@ -616,20 +564,6 @@ let equiv_cmd =
     Term.(const run $ file_a $ file_b $ budget)
 
 let verify_cmd =
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Filter sources to verify.")
-  in
-  let builtin =
-    Arg.(value & flag
-         & info [ "builtin" ]
-             ~doc:"Also verify the built-in filters (the paper's figures and \
-                   every filter the examples install).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text.")
-  in
   let strict =
     Arg.(value & flag
          & info [ "strict" ]
@@ -674,15 +608,7 @@ let verify_cmd =
         output_string oc (hex_of_packet w ^ "\n"));
     path
   in
-  let run files builtin json strict budget cex_dir =
-    let targets =
-      List.map (fun f -> (f, read_program f)) files
-      @ (if builtin then builtin_filters else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf "pftool: nothing to verify (give FILE arguments or --builtin)\n";
-      exit 2
-    end;
+  let run targets json strict budget cex_dir =
     (match cex_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
@@ -781,7 +707,7 @@ let verify_cmd =
           register-IR optimization) of each filter against the \
           original: each is proved equivalent or refuted with a runnable \
           witness packet")
-    Term.(const run $ files $ builtin $ json $ strict $ budget $ cex_dir)
+    Term.(const run $ corpus ~verb:"verify" $ json_flag $ strict $ budget $ cex_dir)
 
 (* {1 SMP steering} *)
 
@@ -912,12 +838,6 @@ let smp_cmd =
              ~doc:"Attach the concurrency sanitizer (Pfsan) to the run and \
                    report its pf.san.* counters and any violations.")
   in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
-  in
   let run cpus packets flows seed san json =
     if cpus < 1 then begin
       Printf.eprintf "pftool: --cpus must be >= 1\n";
@@ -960,7 +880,7 @@ let smp_cmd =
          "Simulate receive-side steering of a seeded flow mix across N \
           CPUs and report the per-CPU counters: packets steered, private \
           flow-cache hits, delivery-lock contention, and invalidation IPIs")
-    Term.(const run $ cpus $ packets $ flows $ seed $ san $ json)
+    Term.(const run $ cpus $ packets $ flows $ seed $ san $ json_flag)
 
 (* {1 The concurrency sanitizer: dynamic checker and static lint} *)
 
@@ -995,12 +915,6 @@ let san_cmd =
                    (skip-remote-invalidation, skip-install-invalidation, \
                    skip-delivery-lock): the sanitizer is expected to \
                    report it, and exit status 1 means it did.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
   in
   let run cpus packets flows seed mutant json =
     if cpus < 1 then begin
@@ -1061,7 +975,7 @@ let san_cmd =
           sanitizer attached — Eraser-style locksets, per-CPU vector \
           clocks, and the flow-cache coherence protocol checker — and \
           report any violations (exit status 1 if there were any)")
-    Term.(const run $ cpus $ packets $ flows $ seed $ mutant $ json)
+    Term.(const run $ cpus $ packets $ flows $ seed $ mutant $ json_flag)
 
 let sanlint_cmd =
   let demo =
@@ -1074,12 +988,6 @@ let sanlint_cmd =
     Arg.(value & opt int 4
          & info [ "cpus" ] ~docv:"N"
              ~doc:"CPUs the linted registry is declared for.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
   in
   let run demo cpus json =
     if cpus < 1 then begin
@@ -1166,7 +1074,7 @@ let sanlint_cmd =
           undeclared sharing of per-CPU objects, access sites missing the \
           declared guard, and lock-order inversions against the intended \
           DAG — no traffic is run")
-    Term.(const run $ demo $ cpus $ json)
+    Term.(const run $ demo $ cpus $ json_flag)
 
 (* {1 Firewall rule tables} *)
 
@@ -1253,12 +1161,6 @@ let fwlint_cmd =
          & info [ "strict" ]
              ~doc:"Also fail when a check stayed undecided (budget \
                    exhaustion); by default only proven findings fail.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one JSON document on stdout instead of text, for CI \
-                   and downstream tooling.")
   in
   let cex_dir =
     Arg.(value & opt (some string) None
@@ -1400,7 +1302,7 @@ let fwlint_cmd =
           dead or redundant, and synthesize witness packets for \
           conflicting rule pairs (exit 1 on findings; translation-validate \
           the compiled table on the way)")
-    Term.(const run $ files $ strict $ json $ fw_budget $ cex_dir)
+    Term.(const run $ files $ strict $ json_flag $ fw_budget $ cex_dir)
 
 let () =
   let info = Cmd.info "pftool" ~doc:"Packet filter assembler / disassembler / evaluator" in

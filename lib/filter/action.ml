@@ -51,6 +51,15 @@ let of_code c =
     | 7 -> Some Pushind
     | _ -> None
 
+let const = function
+  | Pushlit v -> Some (v land 0xffff)
+  | Pushzero -> Some 0
+  | Pushone -> Some 1
+  | Pushffff -> Some 0xffff
+  | Pushff00 -> Some 0xff00
+  | Push00ff -> Some 0x00ff
+  | Nopush | Pushword _ | Pushind -> None
+
 let needs_literal = function
   | Pushlit _ -> true
   | Nopush | Pushzero | Pushone | Pushffff | Pushff00 | Push00ff | Pushword _

@@ -41,6 +41,11 @@ val code : t -> int
 val of_code : int -> t option
 (** Inverse of [code]; [None] for unused code points. *)
 
+val const : t -> int option
+(** The constant the action pushes, whatever the packet: a [Pushlit]'s low
+    16 bits or the fixed value of the five constant pushes; [None] for the
+    other actions. *)
+
 val needs_literal : t -> bool
 (** True only for [Pushlit _], whose literal occupies the following word. *)
 

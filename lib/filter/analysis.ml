@@ -399,32 +399,23 @@ let pp ppf t =
    (operands in either order, plus a final EQ pair) is a set of *necessary*
    equality conditions for acceptance — a mismatched CAND exits rejecting,
    and the final EQ leaves its result on top. When such a chain is the whole
-   program the conditions are also *sufficient*. Mirrors the idioms
-   {!Decision.guard_chain} indexes on. *)
-
-let const_of_action = function
-  | Action.Pushlit v -> Some v
-  | Action.Pushzero -> Some 0
-  | Action.Pushone -> Some 1
-  | Action.Pushffff -> Some 0xffff
-  | Action.Pushff00 -> Some 0xff00
-  | Action.Push00ff -> Some 0x00ff
-  | Action.Nopush | Action.Pushword _ | Action.Pushind -> None
+   program the conditions are also *sufficient*. The dispatch automaton
+   indexes on these chains. *)
 
 let guards program =
   let rec leading acc = function
     | [] -> (List.rev acc, true)
     | ({ Insn.action = Action.Pushword i; op = Op.Nop } : Insn.t) :: second :: rest
       -> (
-      match (const_of_action second.Insn.action, second.Insn.op) with
-      | Some c, Op.Cand -> leading ((i, c land 0xffff) :: acc) rest
-      | Some c, Op.Eq when rest = [] -> (List.rev ((i, c land 0xffff) :: acc), true)
+      match (Action.const second.Insn.action, second.Insn.op) with
+      | Some c, Op.Cand -> leading ((i, c) :: acc) rest
+      | Some c, Op.Eq when rest = [] -> (List.rev ((i, c) :: acc), true)
       | _ -> (List.rev acc, false))
     | ({ Insn.action; op = Op.Nop } : Insn.t) :: second :: rest -> (
-      match (const_of_action action, second.Insn.action, second.Insn.op) with
-      | Some c, Action.Pushword i, Op.Cand -> leading ((i, c land 0xffff) :: acc) rest
+      match (Action.const action, second.Insn.action, second.Insn.op) with
+      | Some c, Action.Pushword i, Op.Cand -> leading ((i, c) :: acc) rest
       | Some c, Action.Pushword i, Op.Eq when rest = [] ->
-        (List.rev ((i, c land 0xffff) :: acc), true)
+        (List.rev ((i, c) :: acc), true)
       | _ -> (List.rev acc, false))
     | _ -> (List.rev acc, false)
   in

@@ -23,8 +23,7 @@
       reaching it terminates, making everything after it unreachable
       ({!Peephole} truncates there);
     - a {e worst-case cost bound} in abstract cycles ({!Pf_kernel.Pfdev}
-      records it for admission control; {!Decision} orders equal-priority
-      provably-disjoint filters cheapest-first with it);
+      records it for admission control);
     - via {!relate}, pairwise {e subsumption / disjointness} between two
       filters' accept sets.
 

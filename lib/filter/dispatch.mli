@@ -1,8 +1,9 @@
 (** The cross-filter dispatch automaton: sublinear demultiplexing over the
     whole installed port set.
 
-    {!Decision} makes demux cheaper per filter; this module makes it
-    cheaper {e in the number of filters}. The entire active set is compiled
+    Section 7 proposes compiling "the set of active filters into a
+    decision table"; this module is that table, and it makes demux cheaper
+    {e in the number of filters}. The entire active set is compiled
     into one shared-prefix dispatch structure over read-set words (in the
     spirit of BPF+'s CFG merging): filters are grouped by the {e offset
     signature} of their leading guard chain ({!Analysis.guards}), and each

@@ -11,15 +11,6 @@ type terminator = Accept_if of operand | Halt of bool
 
 type t = { instrs : instr array; terminator : terminator; reg_count : int }
 
-let const_of_action = function
-  | Action.Pushlit v -> Some (v land 0xffff)
-  | Action.Pushzero -> Some 0
-  | Action.Pushone -> Some 1
-  | Action.Pushffff -> Some 0xffff
-  | Action.Pushff00 -> Some 0xff00
-  | Action.Push00ff -> Some 0x00ff
-  | Action.Nopush | Action.Pushword _ | Action.Pushind -> None
-
 (* The short-circuit table: each operator compares T1 = T2, terminates with
    a fixed verdict on one polarity, and pushes a fixed constant on the
    other (section 3.1). *)
@@ -58,7 +49,7 @@ let lower_with_map validated =
   in
   let map = ref [] in
   let step (insn : Insn.t) =
-    (match const_of_action insn.Insn.action with
+    (match Action.const insn.Insn.action with
     | Some v -> push (Imm v)
     | None -> (
       match insn.Insn.action with

@@ -205,7 +205,7 @@ let program rng pkt =
   let depth = ref 0 in
   let emit insn = insns := insn :: !insns in
   (* Leading guard chain: the [pushword+i] [const | CAND] idiom the run-time
-     compiler emits and the decision tree splits on. *)
+     compiler emits and the dispatch automaton indexes on. *)
   let guards = Rng.int rng 3 in
   for _ = 1 to guards do
     if !depth + 2 <= Interp.stack_size then begin

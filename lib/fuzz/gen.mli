@@ -34,7 +34,7 @@ val program : Rng.t -> Pf_pkt.Packet.t -> Pf_filter.Program.t
 (** A validator-accepted program by construction, biased toward the packet it
     will run against: literals are often drawn from the packet's own words so
     equality guards pass, and leading [pushword/CAND] guard chains exercise
-    the decision tree's split paths. *)
+    the dispatch automaton's indexed paths. *)
 
 val malformed : Rng.t -> Pf_pkt.Packet.t -> Pf_filter.Program.t
 (** A program the validator must reject, one defect per

@@ -161,8 +161,6 @@ let check ?(extra = []) program packet =
           if !flipped then recheck "every word" (Packet.of_bytes b);
           if not (List.mem words idxs) then
             recheck "a grown word" (Packet.append packet (Packet.of_words [ 0xa5a5 ]))));
-      check "decision" (fun () ->
-          Decision.classify (Decision.build [ (v, ()) ]) packet <> None);
       (* The kernel demultiplexer's flow cache: the same packet through a
          cold cache, a warm cache, and a cache-disabled device must agree
          with the filter's own verdict, with identical per-port accept

@@ -13,7 +13,6 @@
       flipping every packet word outside an [Exact] read set, or growing the
       packet by a word it does not contain, must not change the verdict)
       must all be consistent with the concrete run,
-    - a single-filter {!Pf_filter.Decision} tree,
     - the {!Pf_kernel.Pfdev} demultiplexer's flow cache: the packet goes
       through a cold cache, a warm cache (the same device again), and a
       cache-disabled device, which must agree on the verdict, on per-port

@@ -788,12 +788,17 @@ let port_engine_stats port =
 
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
-let set_copy_all port flag =
-  updating_entry port (fun () -> port.copy_all <- flag);
-  invalidate_cache port.dev
-let set_tap port flag =
-  updating_entry port (fun () -> port.tap <- flag);
-  invalidate_cache port.dev
+
+(* A closed port is out of the table: only its record changes. *)
+let set_delivery_flag port set =
+  if not port.is_open then set ()
+  else begin
+    updating_entry port set;
+    invalidate_cache port.dev
+  end
+
+let set_copy_all port flag = set_delivery_flag port (fun () -> port.copy_all <- flag)
+let set_tap port flag = set_delivery_flag port (fun () -> port.tap <- flag)
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
 

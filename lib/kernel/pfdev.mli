@@ -145,8 +145,8 @@ val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
     sequential walk.
 
     [`Decision_tree] raises [Invalid_argument] and leaves the device
-    unchanged: use [`Dispatch]. Section 7's decision tree remains a
-    library module ({!Pf_filter.Decision}). *)
+    unchanged: use [`Dispatch], which is also section 7's decision
+    table. *)
 
 val set_compile_strategy :
   t -> [ `Off | `Raise_only | `Regvm | `Regvm_super ] -> unit
@@ -212,11 +212,13 @@ val set_queue_limit : port -> int -> unit
 
 val set_copy_all : port -> bool -> unit
 (** Deliver packets this port accepts to lower-priority filters as well
-    (monitoring, multicast-style delivery; section 3.2). *)
+    (monitoring, multicast-style delivery; section 3.2). On a closed port
+    only the recorded flag changes: no cache is flushed. *)
 
 val set_tap : port -> bool -> unit
 (** See even the packets claimed by kernel-resident protocols (with
-    [set_copy_all] this is what a network monitor uses). *)
+    [set_copy_all] this is what a network monitor uses). On a closed port
+    only the recorded flag changes: no cache is flushed. *)
 
 val set_timestamps : port -> bool -> unit
 (** Mark each received packet with the arrival time (costs a [microtime]

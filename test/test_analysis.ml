@@ -1,8 +1,8 @@
 (* The installation-time abstract interpreter: known-filter facts, the
    consumers that act on them (Fast/Closure checkless runs, Peephole dead
-   code, Decision cost ordering, Pfdev admission control and relations),
-   the satellite assembler/optimizer properties, and the seeded unsound
-   interval mutant the differential oracle must catch. *)
+   code, Pfdev admission control and relations), the satellite
+   assembler/optimizer properties, and the seeded unsound interval mutant
+   the differential oracle must catch. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -171,55 +171,6 @@ let test_relations () =
     (Analysis.relate (v narrower) (v base));
   Alcotest.check relation "guard subset subsumes" Analysis.Subsumes
     (Analysis.relate (v base) (v narrower))
-
-(* {1 Decision-tree cost ordering}
-
-   Within one priority level the sequential semantics leaves tie order to
-   insertion — but two provably disjoint filters can be swapped freely. The
-   tree must run the cheap one first. Filters D and E pin the trie shape
-   (the root splits on word 1, the word-1 subtree on word 3), so expensive A
-   and cheap B both end up residents evaluated for the test packet. *)
-
-let test_decision_cost_order () =
-  let chain pairs last =
-    let rec go = function
-      | [] -> (
-        match last with
-        | (w, c) -> [ i (Action.Pushword w); i ~op:Op.Eq (Action.Pushlit c) ])
-      | (w, c) :: rest -> i (Action.Pushword w) :: i ~op:Op.Cand (Action.Pushlit c) :: go rest
-    in
-    Program.v (go pairs)
-  in
-  let a = chain [ (1, 2); (7, 0) ] (1, 2) (* 3 guard pairs: expensive *) in
-  let b = chain [] (7, 5) (* 1 guard pair: cheap, disjoint from [a] on word 7 *) in
-  let d = chain [ (1, 2) ] (3, 4) in
-  let e = chain [ (1, 2) ] (3, 9) in
-  Alcotest.check relation "a and b provably disjoint" Analysis.Disjoint
-    (Analysis.relate (validate_exn a) (validate_exn b));
-  let tree =
-    Decision.build
-      (List.map (fun (p, name) -> (validate_exn p, name))
-         [ (a, "a"); (b, "b"); (d, "d"); (e, "e") ])
-  in
-  (* Word 1 = 2 satisfies [a]'s and the residents' shared guard; word 7 = 5
-     matches [b] and refutes [a]. Both are candidates; cost order must try
-     cheap [b] first and stop there. *)
-  let pkt = Packet.of_words [ 0; 2; 0; 0; 0; 0; 0; 5; 0 ] in
-  let result, stats = Decision.classify_stats tree pkt in
-  Alcotest.(check (option string)) "b accepts" (Some "b") result;
-  Alcotest.(check int) "only the cheap filter ran" 1 stats.Decision.filters_run;
-  (* And the reorder must never change a verdict: compare against the
-     sequential reference on a generated corpus. *)
-  let seq = [ (a, "a"); (b, "b"); (d, "d"); (e, "e") ] in
-  let sequential pkt =
-    List.find_map (fun (p, name) -> if Interp.accepts p pkt then Some name else None) seq
-  in
-  let rng = Gen.Rng.make 0x0DE0 in
-  for _ = 1 to 300 do
-    let pkt, _ = Gen.packet rng in
-    Alcotest.(check (option string)) "tree = sequential" (sequential pkt)
-      (Decision.classify tree pkt)
-  done
 
 (* {1 The pseudodevice: admission control, relations, shadowing} *)
 
@@ -471,16 +422,6 @@ let test_union_read_sets () =
   Alcotest.check read_set "Unbounded absorbs on the right" Analysis.Unbounded
     (Analysis.union_read_sets (Analysis.Exact [ 1 ]) Analysis.Unbounded)
 
-let test_decision_read_set () =
-  let tree =
-    Decision.build
-      [ (validate_exn Predicates.fig_3_8, `A); (validate_exn Predicates.fig_3_9, `B) ]
-  in
-  Alcotest.check read_set "union over the members" (Analysis.Exact [ 1; 3; 7; 8 ])
-    (Decision.read_set tree);
-  Alcotest.check read_set "empty build reads nothing" (Analysis.Exact [])
-    (Decision.read_set (Decision.build []))
-
 let suite =
   ( "analysis",
     [
@@ -490,14 +431,11 @@ let suite =
         test_read_set_constant_pushind;
       Alcotest.test_case "read set ignores dead code" `Quick test_read_set_ignores_dead_code;
       Alcotest.test_case "read set union" `Quick test_union_read_sets;
-      Alcotest.test_case "decision tree union read set" `Quick test_decision_read_set;
       Alcotest.test_case "cost model bounds every run" `Quick test_cost_model;
       Alcotest.test_case "indirect index bound via data flow" `Quick test_indirect_bound;
       Alcotest.test_case "fast/closure skip proven checks" `Quick test_engines_skip_checks;
       Alcotest.test_case "interval-driven dead code elimination" `Quick test_dead_code;
       Alcotest.test_case "subsumption and disjointness" `Quick test_relations;
-      Alcotest.test_case "decision tree runs cheap disjoint filter first" `Quick
-        test_decision_cost_order;
       Alcotest.test_case "pfdev cost-bound admission control" `Quick test_pfdev_admission;
       Alcotest.test_case "pfdev filter relations and shadowing" `Quick
         test_pfdev_relations_and_shadowing;

@@ -347,19 +347,7 @@ let test_classify_matches_linear_reference () =
       (fun (_, v, n) -> if Fast.run (Fast.compile v) packet then Some n else None)
       ranked
   in
-  let d = Dispatch.build entries in
-  let merged packet =
-    let winner, _ = Dispatch.classify d packet in
-    let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
-    let rec walk = function
-      | [] -> Option.map snd winner
-      | (rank, _) :: _ when rank > winner_rank -> Option.map snd winner
-      | (rank, n) :: rest ->
-        let _, v, _ = List.nth ranked rank in
-        if Fast.run (Fast.compile v) packet then Some n else walk rest
-    in
-    walk (Dispatch.residuals d)
-  in
+  let merged = Testutil.dispatch_first_match entries in
   let packets =
     List.concat_map
       (fun socket ->
@@ -374,7 +362,7 @@ let test_classify_matches_linear_reference () =
     (fun packet ->
       Alcotest.(check (option string))
         "automaton+residual walk equals the linear walk" (reference packet)
-        (merged packet))
+        (fst (merged packet)))
     packets
 
 let test_identical_filters_shadowed () =

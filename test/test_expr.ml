@@ -184,17 +184,18 @@ let prop_simplify_preserves_eval =
   QCheck.Test.make ~name:"simplify preserves eval" ~count:1000 arb_expr_packet
     (fun (e, packet) -> Expr.eval e packet = Expr.eval (Expr.simplify e) packet)
 
-(* {1 Decision tree (§7 "decision table")} *)
+(* {1 The dispatch automaton (§7 "decision table")} *)
 
 let test_guard_chain () =
+  let chain p = fst (Analysis.guards p) in
   Alcotest.(check (list (pair int int))) "fig 3-9 guards" [ (8, 35); (7, 0); (1, 2) ]
-    (Decision.guard_chain Predicates.fig_3_9);
+    (chain Predicates.fig_3_9);
   Alcotest.(check (list (pair int int))) "fig 3-8 has no full guard chain" []
-    (Decision.guard_chain Predicates.fig_3_8);
+    (chain Predicates.fig_3_8);
   Alcotest.(check (list (pair int int))) "empty program no guards" []
-    (Decision.guard_chain Predicates.accept_all)
+    (chain Predicates.accept_all)
 
-let test_decision_matches_sequential () =
+let test_dispatch_matches_sequential () =
   (* 20 Pup-socket filters plus one low-priority catch-all, versus the
      sequential priority-ordered loop. *)
   let filters =
@@ -202,7 +203,7 @@ let test_decision_matches_sequential () =
         (Validate.check_exn (Predicates.pup_dst_socket ~priority:5 (Int32.of_int (30 + i))), i))
     @ [ (Validate.check_exn (Program.with_priority Predicates.fig_3_8 1), 999) ]
   in
-  let tree = Decision.build filters in
+  let first_match = Testutil.dispatch_first_match filters in
   let sequential packet =
     (* priority desc, stable *)
     let sorted =
@@ -224,18 +225,17 @@ let test_decision_matches_sequential () =
   in
   List.iter
     (fun packet ->
-      Alcotest.(check (option int)) "decision = sequential" (sequential packet)
-        (Decision.classify tree packet))
+      Alcotest.(check (option int)) "dispatch = sequential" (sequential packet)
+        (fst (first_match packet)))
     packets
 
-let test_decision_saves_interpretation () =
+let test_dispatch_saves_interpretation () =
   let filters =
     List.init 20 (fun i ->
         (Validate.check_exn (Predicates.pup_dst_socket (Int32.of_int (100 + i))), i))
   in
-  let tree = Decision.build filters in
   let packet = Testutil.pup_frame ~dst_socket:119l () in
-  let _, tree_insns = Decision.classify_counted tree packet in
+  let _, dispatch_insns = Testutil.dispatch_first_match filters packet in
   let seq_insns =
     List.fold_left
       (fun (found, acc) (v, _) ->
@@ -248,17 +248,17 @@ let test_decision_saves_interpretation () =
     |> snd
   in
   Alcotest.(check bool)
-    (Printf.sprintf "tree interprets less (%d < %d)" tree_insns seq_insns)
-    true (tree_insns < seq_insns)
+    (Printf.sprintf "automaton interprets less (%d < %d)" dispatch_insns seq_insns)
+    true (dispatch_insns < seq_insns)
 
-let prop_decision_equals_sequential =
+let prop_dispatch_equals_sequential =
   let gen =
     QCheck.Gen.(
       pair
         (list_size (int_range 1 12) (pair (int_bound 50) (int_bound 3)))
         (int_bound 60))
   in
-  QCheck.Test.make ~name:"decision tree = sequential priority order" ~count:300
+  QCheck.Test.make ~name:"dispatch automaton = sequential priority order" ~count:300
     (QCheck.make gen)
     (fun (specs, sock) ->
       let filters =
@@ -267,7 +267,6 @@ let prop_decision_equals_sequential =
             (Validate.check_exn (Predicates.pup_dst_socket ~priority:prio (Int32.of_int socket)), i))
           specs
       in
-      let tree = Decision.build filters in
       let packet = Testutil.pup_frame ~dst_socket:(Int32.of_int sock) () in
       let sorted =
         List.stable_sort
@@ -282,7 +281,7 @@ let prop_decision_equals_sequential =
           (fun (v, tag) -> if Fast.run (Fast.compile v) packet then Some tag else None)
           sorted
       in
-      Decision.classify tree packet = sequential)
+      fst (Testutil.dispatch_first_match filters packet) = sequential)
 
 let suite =
   ( "expr+decision",
@@ -300,8 +299,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_eval_equals_plain_compiled;
       QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
       Alcotest.test_case "guard chains" `Quick test_guard_chain;
-      Alcotest.test_case "decision = sequential" `Quick test_decision_matches_sequential;
-      Alcotest.test_case "decision saves interpretation" `Quick
-        test_decision_saves_interpretation;
-      QCheck_alcotest.to_alcotest prop_decision_equals_sequential;
+      Alcotest.test_case "dispatch = sequential" `Quick test_dispatch_matches_sequential;
+      Alcotest.test_case "dispatch saves interpretation" `Quick
+        test_dispatch_saves_interpretation;
+      QCheck_alcotest.to_alcotest prop_dispatch_equals_sequential;
     ] )

@@ -1,6 +1,6 @@
 (* Tests for the post-1987 extensions and baselines: the peephole optimizer,
-   the NIT-style single-field matcher, decision-tree demultiplexing inside
-   the pseudodevice, the Pup echo protocol, and VMTP loss recovery. *)
+   the NIT-style single-field matcher, the Pup echo protocol, VMTP loss
+   recovery, and write batching. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet

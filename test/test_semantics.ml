@@ -207,10 +207,11 @@ let test_empty_program_edge_cases () =
   Alcotest.(check bool) "fast agrees" true (Fast.run (Fast.compile v) (Packet.of_string ""));
   Alcotest.(check bool) "closure agrees" true
     (Closure.run (Closure.compile v) (Packet.of_string ""));
-  (* Decision tree with an accept-all resident. *)
-  let tree = Decision.build [ (v, "all") ] in
-  Alcotest.(check (option string)) "tree matches accept-all" (Some "all")
-    (Decision.classify tree (Packet.of_string ""))
+  (* The dispatch automaton leaves accept-all to the residual walk. *)
+  Alcotest.(check (list (pair int string))) "accept-all is residual" [ (0, "all") ]
+    (Dispatch.residuals (Dispatch.build [ (v, "all") ]));
+  Alcotest.(check (option string)) "residual walk matches accept-all" (Some "all")
+    (fst (Testutil.dispatch_first_match [ (v, "all") ] (Packet.of_string "")))
 
 let test_nop_insn_is_identity () =
   (* {nopush, nop} between any two instructions changes nothing. *)

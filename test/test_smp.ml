@@ -399,6 +399,10 @@ let test_closed_port_stays_out () =
   unchanged "set_filter on the closed port";
   Pfdev.set_priority closed 9;
   unchanged "set_priority on the closed port";
+  Pfdev.set_copy_all closed true;
+  unchanged "set_copy_all on the closed port";
+  Pfdev.set_tap closed true;
+  unchanged "set_tap on the closed port";
   Engine.run eng
 
 (* {1 Steering hashes the key's bytes, without allocating}

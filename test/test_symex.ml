@@ -2,8 +2,8 @@
    it: path enumeration agrees with the interpreter packet by packet,
    [Equiv] proves the shipped optimizer rewrites and refutes a seeded
    miscompilation with a confirmed, engine-checked witness, and the
-   sharpened relation lets [Decision] reorder guard chains that
-   [Analysis.relate] alone cannot separate. *)
+   sharpened relation separates filters that [Analysis.relate] alone
+   cannot. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -418,10 +418,10 @@ let test_relate_coverage_gap () =
   Alcotest.check relation "Equiv.relate proves equivalence"
     Analysis.Equivalent (Equiv.relate vc vb)
 
-(* The gap matters: [Decision.build]'s equal-priority cheapest-first swap
-   fires on an [Equiv]-proven disjoint pair that [Analysis.relate] alone
-   would leave in installation order. *)
-let test_decision_reorders_via_equiv () =
+(* A pair only [Equiv] proves disjoint, classified through the dispatch
+   automaton: its first match must be the sequential walk's on every
+   packet. *)
+let test_equiv_disjoint_pair_through_dispatch () =
   let expensive =
     Program.v
       [
@@ -444,15 +444,12 @@ let test_decision_reorders_via_equiv () =
     Analysis.Unknown (Analysis.relate ve vc);
   Alcotest.check relation "but symbolically disjoint" Analysis.Disjoint
     (Equiv.relate ve vc);
-  let tree = Decision.build [ (ve, "expensive"); (vc, "cheap") ] in
-  (* Packet satisfying the cheap filter: after the Equiv-driven swap it is
-     tried first, so only one filter runs. *)
+  let first_match =
+    Testutil.dispatch_first_match [ (ve, "expensive"); (vc, "cheap") ]
+  in
   let pkt = Packet.of_words [ 0; 2; 0; 0; 0; 0; 0; 5 ] in
-  let result, stats = Decision.classify_stats tree pkt in
-  Alcotest.(check (option string)) "cheap filter accepts" (Some "cheap") result;
-  Alcotest.(check int) "only the cheap filter ran" 1
-    stats.Decision.filters_run;
-  (* and the swap must not change any verdict *)
+  Alcotest.(check (option string)) "cheap filter accepts" (Some "cheap")
+    (fst (first_match pkt));
   let seq = [ (expensive, "expensive"); (cheap, "cheap") ] in
   let rng = Gen.Rng.make 0xD15 in
   for _ = 1 to 200 do
@@ -463,9 +460,9 @@ let test_decision_reorders_via_equiv () =
           if Interp.accepts ~semantics:`Paper p pkt then Some name else None)
         seq
     in
-    Alcotest.(check (option string)) "tree verdict = sequential verdict"
+    Alcotest.(check (option string)) "dispatch verdict = sequential verdict"
       sequential
-      (fst (Decision.classify_counted tree pkt))
+      (fst (first_match pkt))
   done
 
 (* {1 Witness synthesis: solve and satisfies} *)
@@ -592,8 +589,8 @@ let suite =
         test_counterexamples_confirmed_on_all_engines;
       Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
         test_relate_coverage_gap;
-      Alcotest.test_case "decision tree reorders via Equiv.relate" `Quick
-        test_decision_reorders_via_equiv;
+      Alcotest.test_case "Equiv-disjoint pair: dispatch = sequential" `Quick
+        test_equiv_disjoint_pair_through_dispatch;
       Alcotest.test_case "solve synthesizes satisfying packets" `Quick
         test_solve_synthesizes_satisfying_packets;
       Alcotest.test_case "solve detects unsatisfiable conditions" `Quick

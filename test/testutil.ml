@@ -52,6 +52,33 @@ let ip_udp_frame ~dst_port =
   Pf_pkt.Builder.add_word b 0;
   Pf_pkt.Builder.to_packet b
 
+(* {1 The dispatch automaton as a first-match classifier} *)
+
+(* The first of [filters] to accept a packet, in walk order (priority
+   descending, then list position), found the way the kernel finds it:
+   classify through the dispatch automaton, then walk the residuals ranked
+   below the winner. Also returns the instructions interpreted. *)
+let dispatch_first_match filters =
+  let open Pf_filter in
+  let d =
+    Dispatch.build_compiled
+      (List.map
+         (fun (v, x) ->
+           let fast = Fast.compile v in
+           (fast, (fast, x)))
+         filters)
+  in
+  fun packet ->
+    let winner, stats = Dispatch.classify d packet in
+    let below = match winner with Some (rank, _) -> rank | None -> max_int in
+    let rec walk insns = function
+      | (rank, (fast, x)) :: rest when rank < below ->
+        let ok, n = Fast.run_counted fast packet in
+        if ok then (Some x, insns + n) else walk (insns + n) rest
+      | _ -> (Option.map (fun (_, (_, x)) -> x) winner, insns)
+    in
+    walk stats.Dispatch.insns (Dispatch.residuals d)
+
 (* {1 QCheck generators shared by the filter suites} *)
 
 (* Programs valid by construction: the exact stack depth is tracked during
