@@ -67,9 +67,13 @@ let run_mix strategy =
     accepted = !accepted;
   }
 
-(* Worst-case corpus costs, in the same microsecond model the demux path
+(* Worst-case microseconds of one filter, in the same model the demux path
    charges: the stack walk pays filter_apply + max_insns * filter_insn, the
    register VM regvm_apply + |optimized IR| * regvm_insn. *)
+let worst_case_us (costs : Pf_sim.Costs.t) (a : Filter.Analysis.t) vm =
+  ( costs.filter_apply + (a.max_insns * costs.filter_insn),
+    costs.regvm_apply + (Filter.Ir.instr_count (Filter.Regvm.ir vm) * costs.regvm_insn) )
+
 let corpus = Filter.Predicates.builtins
 
 let corpus_gate () =
@@ -81,15 +85,7 @@ let corpus_gate () =
         | Error _ -> (rows, failures)
         | Ok v ->
           let a = Filter.Analysis.analyze v in
-          let vm = Filter.Regvm.compile v in
-          let stack_us =
-            costs.Pf_sim.Costs.filter_apply
-            + (a.Filter.Analysis.max_insns * costs.Pf_sim.Costs.filter_insn)
-          in
-          let regvm_us =
-            costs.Pf_sim.Costs.regvm_apply
-            + (Filter.Ir.instr_count (Filter.Regvm.ir vm) * costs.Pf_sim.Costs.regvm_insn)
-          in
+          let stack_us, regvm_us = worst_case_us costs a (Filter.Regvm.compile v) in
           let row =
             { metric = name;
               paper = Printf.sprintf "%d cyc / %d uSec" a.Filter.Analysis.cost_bound stack_us;

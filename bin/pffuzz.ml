@@ -27,25 +27,37 @@ let replay ~seed ~index =
     case.Gen.packet Oracle.pp_outcome outcome;
   match outcome with Oracle.Disagreement _ -> 1 | _ -> 0
 
-let campaign ~seed ~iters ~seconds ~max_failures ~quiet =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) seconds in
+(* Run [iters] cases, or as many as [seconds] of wall clock allow, with
+   progress on stderr every [every] cases unless [quiet]. [run] returns the
+   number of cases run, whether any failed, and the summary printer. The
+   summary goes to stdout and the timing line to stderr, so stdout is a
+   pure function of the seed and the case count. *)
+let drive ~seconds ~iters ~quiet ~every run =
   let should_stop =
-    match deadline with
+    match seconds with
     | None -> fun () -> false
-    | Some d -> fun () -> Unix.gettimeofday () >= d
+    | Some s ->
+      let deadline = Unix.gettimeofday () +. s in
+      fun () -> Unix.gettimeofday () >= deadline
   in
-  (* With a wall-clock budget, iterate until the clock runs out. *)
   let iters = match seconds with Some _ -> max_int | None -> iters in
   let progress i =
-    if (not quiet) && i mod 5000 = 0 then Printf.eprintf "pffuzz: %d cases...\r%!" i
+    if (not quiet) && i mod every = 0 then Printf.eprintf "pffuzz: %d cases...\r%!" i
   in
   let t0 = Unix.gettimeofday () in
-  let stats = Runner.run ~max_failures ~should_stop ~progress ~seed ~iters () in
+  let cases, failed, summary = run ~should_stop ~progress ~iters in
   let dt = Unix.gettimeofday () -. t0 in
   if not quiet then Printf.eprintf "\n%!";
-  Format.printf "%a@." Runner.pp_stats stats;
-  Format.printf "%.1fs, %.0f cases/s@." dt (float_of_int stats.Runner.cases /. dt);
-  if stats.Runner.failures = [] then 0 else 1
+  summary ();
+  Printf.eprintf "%.1fs, %.1f cases/s\n%!" dt (float_of_int cases /. dt);
+  if failed then 1 else 0
+
+let campaign ~seed ~iters ~seconds ~max_failures ~quiet =
+  drive ~seconds ~iters ~quiet ~every:5000 (fun ~should_stop ~progress ~iters ->
+      let stats = Runner.run ~max_failures ~should_stop ~progress ~seed ~iters () in
+      ( stats.Runner.cases,
+        stats.Runner.failures <> [],
+        fun () -> Format.printf "%a@." Runner.pp_stats stats ))
 
 (* The firewall-frontend campaign: random rule tables + packets against
    the reference semantics and every compiled engine (--firewall). *)
@@ -58,23 +70,11 @@ let fw_replay ~seed ~index =
   match outcome with Fwcase.Disagreement _ -> 1 | _ -> 0
 
 let fw_campaign ~seed ~iters ~seconds ~max_failures ~quiet =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) seconds in
-  let should_stop =
-    match deadline with
-    | None -> fun () -> false
-    | Some d -> fun () -> Unix.gettimeofday () >= d
-  in
-  let iters = match seconds with Some _ -> max_int | None -> iters in
-  let progress i =
-    if (not quiet) && i mod 500 = 0 then Printf.eprintf "pffuzz: %d cases...\r%!" i
-  in
-  let t0 = Unix.gettimeofday () in
-  let stats = Fwcase.run ~max_failures ~should_stop ~progress ~seed ~iters () in
-  let dt = Unix.gettimeofday () -. t0 in
-  if not quiet then Printf.eprintf "\n%!";
-  Format.printf "%a@." Fwcase.pp_stats stats;
-  Format.printf "%.1fs, %.0f cases/s@." dt (float_of_int stats.Fwcase.cases /. dt);
-  if stats.Fwcase.failures = [] then 0 else 1
+  drive ~seconds ~iters ~quiet ~every:500 (fun ~should_stop ~progress ~iters ->
+      let stats = Fwcase.run ~max_failures ~should_stop ~progress ~seed ~iters () in
+      ( stats.Fwcase.cases,
+        stats.Fwcase.failures <> [],
+        fun () -> Format.printf "%a@." Fwcase.pp_stats stats ))
 
 (* The sanitizer campaign (--san): whole SMP receive scenarios with Pfsan
    attached, no differential oracle — the report list is the verdict.
@@ -96,25 +96,13 @@ let san_replay ~mutant ~seed ~index =
   if reports = [] then 0 else 1
 
 let san_campaign ~mutant ~seed ~iters ~seconds ~max_failures ~quiet =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) seconds in
-  let should_stop =
-    match deadline with
-    | None -> fun () -> false
-    | Some d -> fun () -> Unix.gettimeofday () >= d
-  in
-  let iters = match seconds with Some _ -> max_int | None -> iters in
-  let progress i =
-    if (not quiet) && i mod 20 = 0 then Printf.eprintf "pffuzz: %d cases...\r%!" i
-  in
-  let t0 = Unix.gettimeofday () in
-  let stats =
-    Sancase.run ~max_failures ~should_stop ~progress ?mutant ~seed ~iters ()
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  if not quiet then Printf.eprintf "\n%!";
-  Format.printf "%a@." Sancase.pp_stats stats;
-  Format.printf "%.1fs, %.1f cases/s@." dt (float_of_int stats.Sancase.cases /. dt);
-  if stats.Sancase.failures = [] then 0 else 1
+  drive ~seconds ~iters ~quiet ~every:20 (fun ~should_stop ~progress ~iters ->
+      let stats =
+        Sancase.run ~max_failures ~should_stop ~progress ?mutant ~seed ~iters ()
+      in
+      ( stats.Sancase.cases,
+        stats.Sancase.failures <> [],
+        fun () -> Format.printf "%a@." Sancase.pp_stats stats ))
 
 let main firewall san mutant seed iters index seconds max_failures quiet =
   let mutant =

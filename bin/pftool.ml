@@ -116,15 +116,13 @@ let compile_cmd =
   let dix =
     Arg.(value & flag & info [ "10mb" ] ~doc:"Use 10Mb-Ethernet field offsets (default: 3Mb experimental).")
   in
-  let optimize = Arg.(value & flag & info [ "O" ] ~doc:"Run the peephole optimizer on the result.") in
-  let run expr dix optimize =
+  let run expr dix =
     let variant = if dix then `Dix10 else `Exp3 in
     match Parse.compile ~variant expr with
     | Error e ->
       Printf.eprintf "pftool: %s\n" e;
       exit 1
     | Ok program ->
-      let program = if optimize then Peephole.optimize program else program in
       Format.printf "%a@." Program.pp program;
       Printf.printf "wire: %s\n"
         (String.concat " " (List.map (Printf.sprintf "%04x") (Program.encode program)));
@@ -143,7 +141,7 @@ let compile_cmd =
                 (List.map (fun (n, d) -> Printf.sprintf "  %-20s %s (10mb)" n d)
                    (Parse.fields `Dix10)));
          ])
-    Term.(const run $ expr $ dix $ optimize)
+    Term.(const run $ expr $ dix)
 
 let fields_cmd =
   let run () =
@@ -581,23 +579,13 @@ let verify_cmd =
              ~doc:"Write each refuting witness packet (hex, one per line) to \
                    \\$(docv)/<filter>-<pass>.hex for artifact upload.")
   in
-  (* Certify every shipped rewrite of one filter. *)
+  (* Certify the shipped rewrite of one filter: Regopt's IR against its source. *)
   let verify_one ~budget program =
     match Validate.check program with
     | Error e -> Error (Format.asprintf "%a" Validate.pp_error e)
     | Ok v ->
-      let peephole =
-        let opt = Peephole.optimize program in
-        match Validate.check opt with
-        | Error _ -> Equiv.Uncertified "optimized program does not validate"
-        | Ok vopt ->
-          Equiv.certification_of_report (Equiv.check_programs ~budget v vopt)
-      in
-      let regopt_ir =
-        let ir, _ = Regopt.optimize v in
-        Equiv.certification_of_report (Equiv.check_ir ~budget v ir)
-      in
-      Ok [ ("peephole", peephole); ("regopt-ir", regopt_ir) ]
+      let ir, _ = Regopt.optimize v in
+      Ok [ ("regopt-ir", Equiv.certification_of_report (Equiv.check_ir ~budget v ir)) ]
   in
   let sanitize name =
     String.map (fun c -> match c with 'a'..'z' | 'A'..'Z' | '0'..'9' | '-' | '_' -> c | _ -> '-') name
@@ -703,10 +691,9 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Translation-validate every shipped optimizer rewrite (peephole, \
-          register-IR optimization) of each filter against the \
-          original: each is proved equivalent or refuted with a runnable \
-          witness packet")
+         "Translation-validate the shipped optimizer rewrite (register-IR \
+          optimization) of each filter against the original: it is proved \
+          equivalent or refuted with a runnable witness packet")
     Term.(const run $ corpus ~verb:"verify" $ json_flag $ strict $ budget $ cex_dir)
 
 (* {1 SMP steering} *)

@@ -21,7 +21,7 @@
       pushes: packets shorter than it are {e certainly rejected};
     - the {e dead-code boundary}: the instruction at which every execution
       reaching it terminates, making everything after it unreachable
-      ({!Peephole} truncates there);
+      ({!Regopt}'s analysis pass truncates there);
     - a {e worst-case cost bound} in abstract cycles ({!Pf_kernel.Pfdev}
       records it for admission control);
     - via {!relate}, pairwise {e subsumption / disjointness} between two

@@ -92,9 +92,8 @@ val relate_memo :
     cheaper than the lookup); where it answers [Unknown], fall back to the
     symbolic {!relate} through the memo table. *)
 
-(** Outcome of certifying one optimizer rewrite, shared by
-    {!Peephole.optimize_certified}, the firewall compiler and the kernel's
-    certifying installs. *)
+(** Outcome of certifying one optimizer rewrite, shared by [pftool
+    verify], the firewall compiler and the kernel's certifying installs. *)
 type certification =
   | Certified  (** the rewrite is proved meaning-preserving *)
   | Refuted of Pf_pkt.Packet.t

@@ -305,23 +305,6 @@ let check ?(extra = []) program packet =
             (Printf.sprintf "maintained automaton: %s; sequential walk: %s"
                (show auto_early) (show seq)));
       List.iter (fun (name, engine) -> check name (fun () -> engine v packet)) extra;
-      (* Peephole pre-pass: the optimized program must still validate, must
-         not grow, and must keep the verdict under both the checked and the
-         fast interpreter. *)
-      (match attempt "peephole" (fun () -> Peephole.optimize_with_report program) with
-      | None -> ()
-      | Some (opt, report) ->
-        if report.Peephole.words_after > report.Peephole.words_before then
-          fail "peephole-report"
-            (Printf.sprintf "grew from %d to %d code words" report.Peephole.words_before
-               report.Peephole.words_after);
-        (match Validate.check opt with
-        | Error e ->
-          fail "peephole-validate"
-            (Format.asprintf "optimized program invalid: %a" Validate.pp_error e)
-        | Ok vopt ->
-          check "peephole-interp" (fun () -> Interp.accepts ~semantics:`Paper opt packet);
-          check "peephole-fast" (fun () -> Fast.run (Fast.compile vopt) packet)));
       (* Symbolic path engine: the enumerated paths must partition packets
          and predict the interpreter. A completed enumeration must contain
          exactly one path this packet satisfies, with the reference
@@ -352,9 +335,9 @@ let check ?(extra = []) program packet =
             (Printf.sprintf
                "%d paths admit this packet; paths must be mutually exclusive"
                (List.length paths))));
-      (* Translation validation over the shipped rewrites: a filter is
-         always provably equivalent to itself (modulo path budget), and no
-         optimizer output may ever be refuted — a confirmed witness packet
+      (* Translation validation of the shipped optimizer: a filter is
+         always provably equivalent to itself (modulo path budget), and
+         Regopt's output may never be refuted — a confirmed witness packet
          here is a miscompilation, reported with the witness so it feeds
          the shrinker and the regression corpus. *)
       let budget_limited (r : Equiv.report) =
@@ -383,11 +366,6 @@ let check ?(extra = []) program packet =
                 (Format.asprintf "expected a proof, got %a" Equiv.pp_report r))
       in
       expect_equiv "equiv-self" ~require_proof:true (Equiv.Prog v) (Equiv.Prog v);
-      (match Validate.check (Peephole.optimize program) with
-      | Ok vopt ->
-        expect_equiv "equiv-peephole" ~require_proof:false (Equiv.Prog v)
-          (Equiv.Prog vopt)
-      | Error _ -> () (* peephole-validate above already flagged it *));
       (match attempt "equiv-ir" (fun () -> fst (Regopt.optimize v)) with
       | Some ir ->
         expect_equiv "equiv-ir" ~require_proof:false (Equiv.Prog v)

@@ -23,12 +23,10 @@
       — must agree with the sequential walk on verdicts, per-port accept
       counts, and overflow-drop accounting, on a device holding both a
       copy-all (residual) and a plain (indexable) port,
-    - the {!Pf_filter.Peephole} pre-pass followed by the checked and fast
-      interpreters,
     - the {!Pf_filter.Regvm} register VM over the optimized
       {!Pf_filter.Ir} lowering,
-    - translation validation ({!Pf_filter.Equiv}) of the peephole and
-      register-IR rewrites, and
+    - translation validation ({!Pf_filter.Equiv}) of the register-IR
+      rewrite ({!Pf_filter.Regopt}), and
     - a {!Pf_filter.Program} wire-codec encode/decode round-trip,
 
     and classifies any disagreement. Two boundaries are respected rather than

@@ -582,13 +582,15 @@ let open_port t =
   port
 
 let close_port port =
-  updating_entry port (fun () ->
-      port.is_open <- false;
-      remove_port port.dev port);
-  san_table_write port.dev;
-  invalidate_cache port.dev;
-  (* Wake any blocked readers; they will notice the port is closed. *)
-  ignore (Condition.broadcast port.cond () : int)
+  if port.is_open then begin
+    updating_entry port (fun () ->
+        port.is_open <- false;
+        remove_port port.dev port);
+    san_table_write port.dev;
+    invalidate_cache port.dev;
+    (* Wake any blocked readers; they will notice the port is closed. *)
+    ignore (Condition.broadcast port.cond () : int)
+  end
 
 type install_error =
   | Invalid of Pf_filter.Validate.error

@@ -68,6 +68,9 @@ val open_port : t -> port
     {e not} yet installed: a port with no filter matches nothing. *)
 
 val close_port : port -> unit
+(** Take the port out of the port table, the flow key and the dispatch
+    automaton, flush every CPU's flow cache, and wake its blocked readers.
+    Closing a port that is already closed does nothing. *)
 
 type install_error =
   | Invalid of Pf_filter.Validate.error

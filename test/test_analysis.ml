@@ -1,8 +1,7 @@
 (* The installation-time abstract interpreter: known-filter facts, the
-   consumers that act on them (Fast/Closure checkless runs, Peephole dead
-   code, Pfdev admission control and relations), the satellite
-   assembler/optimizer properties, and the seeded unsound interval mutant
-   the differential oracle must catch. *)
+   consumers that act on them (Fast/Closure checkless runs, Pfdev admission
+   control and relations), the satellite assembler properties, and the
+   seeded unsound interval mutant the differential oracle must catch. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -113,7 +112,7 @@ let test_engines_skip_checks () =
    A CAND fed by a comparison result can never equal 2: the interval
    analysis decides it ([0,1] vs [2,2] are disjoint) where the constant
    folder cannot (the operands come from the packet). Everything after the
-   CAND is dead and Peephole now drops it. *)
+   CAND is dead; Regopt's analysis pass truncates there. *)
 
 let dead_tail_program =
   Program.v
@@ -127,16 +126,7 @@ let test_dead_code () =
   let a = analyze dead_tail_program in
   Alcotest.check verdict "always rejects" Analysis.Always_reject a.Analysis.verdict;
   Alcotest.(check (option int)) "dead after the cand" (Some 2)
-    (Analysis.dead_after a);
-  let opt = Peephole.optimize dead_tail_program in
-  Alcotest.(check int) "tail dropped" 3 (Program.insn_count opt);
-  let rng = Gen.Rng.make 0xDEAD in
-  for _ = 1 to 200 do
-    let pkt, _ = Gen.packet rng in
-    Alcotest.(check bool) "verdict preserved"
-      (Interp.accepts dead_tail_program pkt)
-      (Interp.accepts opt pkt)
-  done
+    (Analysis.dead_after a)
 
 (* {1 Relations between filters} *)
 
@@ -251,26 +241,6 @@ let test_pfdev_relations_and_shadowing () =
   Pfdev.set_copy_all p3 true;
   Alcotest.(check (list int)) "copy-all does not shadow" []
     (List.map (fun (p, _) -> Pfdev.port_id p) (Pfdev.shadowed_ports dev))
-
-(* {1 Satellite: Peephole preserves validity and verdict class} *)
-
-let test_peephole_verdict_class () =
-  let rng = Gen.Rng.make 0x0C1A in
-  for _ = 1 to 400 do
-    let pkt, _ = Gen.packet rng in
-    let p = Gen.program rng pkt in
-    let opt = Peephole.optimize p in
-    match Validate.check opt with
-    | Error e ->
-      Alcotest.failf "optimized program invalid (%a):@.%a" Validate.pp_error e
-        Program.pp opt
-    | Ok vopt ->
-      let before = (Analysis.analyze (validate_exn p)).Analysis.verdict in
-      let after = (Analysis.analyze vopt).Analysis.verdict in
-      Alcotest.check verdict
-        (Format.asprintf "verdict class preserved for@.%a" Program.pp p)
-        before after
-  done
 
 (* {1 Satellite: assembler round-trips} *)
 
@@ -439,8 +409,6 @@ let suite =
       Alcotest.test_case "pfdev cost-bound admission control" `Quick test_pfdev_admission;
       Alcotest.test_case "pfdev filter relations and shadowing" `Quick
         test_pfdev_relations_and_shadowing;
-      Alcotest.test_case "peephole preserves validity and verdict class" `Quick
-        test_peephole_verdict_class;
       Alcotest.test_case "instruction assembler round-trip" `Quick test_insn_round_trip;
       Alcotest.test_case "program assembler round-trip" `Quick test_program_round_trip;
       Alcotest.test_case "unsound interval mutant caught and shrunk" `Quick

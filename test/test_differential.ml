@@ -286,24 +286,6 @@ let test_literal_masking_regression () =
   | Oracle.Agreement { accept = true; _ } -> ()
   | o -> Alcotest.failf "oracle: %a" Oracle.pp_outcome o
 
-(* {1 Peephole report arithmetic over a generated corpus} *)
-
-let test_peephole_report_corpus () =
-  let rng = Gen.Rng.make 0x9EE9 in
-  for _ = 1 to 500 do
-    let pkt, _ = Gen.packet rng in
-    let p = Gen.program rng pkt in
-    let opt, r = Peephole.optimize_with_report p in
-    Alcotest.(check int) "insns_before" (Program.insn_count p) r.Peephole.insns_before;
-    Alcotest.(check int) "insns_after" (Program.insn_count opt) r.Peephole.insns_after;
-    Alcotest.(check int) "words_before" (Program.code_words p) r.Peephole.words_before;
-    Alcotest.(check int) "words_after" (Program.code_words opt) r.Peephole.words_after;
-    Alcotest.(check bool) "never grows in words" true
-      (r.Peephole.words_after <= r.Peephole.words_before);
-    Alcotest.(check bool) "never grows in insns" true
-      (r.Peephole.insns_after <= r.Peephole.insns_before)
-  done
-
 (* {1 The shrinker on a hand-made failure} *)
 
 let test_shrinker_reduces () =
@@ -345,7 +327,5 @@ let suite =
         test_stale_remote_cache_mutant_caught_and_shrunk;
       Alcotest.test_case "out-of-range literal regression" `Quick
         test_literal_masking_regression;
-      Alcotest.test_case "peephole report arithmetic (corpus)" `Quick
-        test_peephole_report_corpus;
       Alcotest.test_case "shrinker reduces to a minimal core" `Quick test_shrinker_reduces;
     ] )

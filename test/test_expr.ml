@@ -184,6 +184,13 @@ let prop_simplify_preserves_eval =
   QCheck.Test.make ~name:"simplify preserves eval" ~count:1000 arb_expr_packet
     (fun (e, packet) -> Expr.eval e packet = Expr.eval (Expr.simplify e) packet)
 
+let prop_simplify_idempotent =
+  QCheck.Test.make ~name:"simplify is idempotent" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" Expr.pp) gen_expr)
+    (fun e ->
+      let once = Expr.simplify e in
+      Expr.simplify once = once)
+
 (* {1 The dispatch automaton (§7 "decision table")} *)
 
 let test_guard_chain () =
@@ -298,6 +305,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_eval_equals_compiled;
       QCheck_alcotest.to_alcotest prop_eval_equals_plain_compiled;
       QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
+      QCheck_alcotest.to_alcotest prop_simplify_idempotent;
       Alcotest.test_case "guard chains" `Quick test_guard_chain;
       Alcotest.test_case "dispatch = sequential" `Quick test_dispatch_matches_sequential;
       Alcotest.test_case "dispatch saves interpretation" `Quick

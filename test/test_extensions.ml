@@ -1,5 +1,5 @@
-(* Tests for the post-1987 extensions and baselines: the peephole optimizer,
-   the NIT-style single-field matcher, the Pup echo protocol, VMTP loss
+(* Tests for the post-1987 extensions and baselines: the wire codec, the
+   NIT-style single-field matcher, the Pup echo protocol, VMTP loss
    recovery, and write batching. *)
 
 open Pf_filter
@@ -10,80 +10,7 @@ module Pfdev = Pf_kernel.Pfdev
 module Addr = Pf_net.Addr
 module Frame = Pf_net.Frame
 
-(* {1 Peephole optimizer} *)
-
-let test_peephole_nops () =
-  let p =
-    Program.v
-      [ Insn.make Action.Nopush; Insn.make (Action.Pushword 1);
-        Insn.make Action.Nopush; Insn.make ~op:Op.Eq (Action.Pushlit 2);
-        Insn.make Action.Nopush ]
-  in
-  let optimized, report = Peephole.optimize_with_report p in
-  Alcotest.(check int) "nops removed" 2 (Program.insn_count optimized);
-  Alcotest.(check int) "before" 5 report.Peephole.insns_before;
-  Alcotest.(check int) "after" 2 report.Peephole.insns_after
-
-let test_peephole_strength_reduction () =
-  let p = Program.v [ Insn.make (Action.Pushlit 0xffff); Insn.make ~op:Op.And (Action.Pushlit 0x00ff) ] in
-  let optimized = Peephole.optimize p in
-  (* 0xffff land 0x00ff = 0x00ff: the whole thing folds to one PUSH00FF. *)
-  Alcotest.(check int) "folds to one insn" 1 (Program.insn_count optimized);
-  Alcotest.(check int) "no literal words" 1 (Program.code_words optimized);
-  Alcotest.(check (list int)) "result is push00ff"
-    (Insn.encode (Insn.make Action.Push00ff))
-    (List.concat_map Insn.encode (Program.insns optimized))
-
-let test_peephole_constant_folding_chain () =
-  (* (3 + 4) * 2 == 14 -> constant TRUE, one push. *)
-  let p =
-    Program.v
-      [ Insn.make (Action.Pushlit 3); Insn.make ~op:Op.Add (Action.Pushlit 4);
-        Insn.make ~op:Op.Mul (Action.Pushlit 2); Insn.make ~op:Op.Eq (Action.Pushlit 14) ]
-  in
-  let optimized = Peephole.optimize p in
-  Alcotest.(check int) "whole chain folds" 1 (Program.insn_count optimized);
-  Alcotest.(check bool) "still accepts" true (Interp.accepts optimized (Packet.of_string ""))
-
-let test_peephole_truncates_dead_code () =
-  (* pushone, pushone, COR always terminates TRUE: the tail is dead. *)
-  let p =
-    Program.v
-      [ Insn.make Action.Pushone; Insn.make ~op:Op.Cor Action.Pushone;
-        Insn.make (Action.Pushword 100); Insn.make ~op:Op.Eq (Action.Pushlit 9) ]
-  in
-  let optimized = Peephole.optimize p in
-  Alcotest.(check bool) "tail removed" true (Program.insn_count optimized <= 2);
-  (* Verdict preserved even on a packet where the dead pushword+100 would
-     have faulted. *)
-  Alcotest.(check bool) "same verdict on short packet"
-    (Interp.accepts p (Packet.of_string "ab"))
-    (Interp.accepts optimized (Packet.of_string "ab"))
-
-let test_peephole_keeps_dynamic_code () =
-  let p = Predicates.fig_3_9 in
-  let optimized = Peephole.optimize p in
-  Alcotest.(check bool) "nothing to optimize in fig 3-9" true (Program.equal p optimized)
-
-let test_peephole_invalid_program_untouched () =
-  let p = Program.v [ Insn.make ~op:Op.And Action.Nopush ] in
-  Alcotest.(check bool) "underflowing program returned as-is" true
-    (Program.equal p (Peephole.optimize p))
-
-let prop_peephole_preserves_verdict =
-  QCheck.Test.make ~name:"peephole preserves the checked verdict" ~count:1000
-    Testutil.arb_program_packet
-    (fun (insns, packet) ->
-      let p = Program.v insns in
-      let optimized = Peephole.optimize p in
-      Interp.accepts p packet = Interp.accepts optimized packet)
-
-let prop_peephole_never_grows =
-  QCheck.Test.make ~name:"peephole never grows the encoding" ~count:500
-    Testutil.arb_program_packet
-    (fun (insns, _) ->
-      let p = Program.v insns in
-      Program.code_words (Peephole.optimize p) <= Program.code_words p)
+(* {1 Wire codec} *)
 
 let prop_decode_never_raises =
   QCheck.Test.make ~name:"Program.decode total on arbitrary words" ~count:500
@@ -258,15 +185,6 @@ let test_write_batch_single_syscall () =
 let suite =
   ( "extensions",
     [
-      Alcotest.test_case "peephole removes nops" `Quick test_peephole_nops;
-      Alcotest.test_case "peephole strength reduction" `Quick test_peephole_strength_reduction;
-      Alcotest.test_case "peephole folds constants" `Quick test_peephole_constant_folding_chain;
-      Alcotest.test_case "peephole truncates dead code" `Quick test_peephole_truncates_dead_code;
-      Alcotest.test_case "peephole keeps dynamic code" `Quick test_peephole_keeps_dynamic_code;
-      Alcotest.test_case "peephole skips invalid programs" `Quick
-        test_peephole_invalid_program_untouched;
-      QCheck_alcotest.to_alcotest prop_peephole_preserves_verdict;
-      QCheck_alcotest.to_alcotest prop_peephole_never_grows;
       QCheck_alcotest.to_alcotest prop_decode_never_raises;
       Alcotest.test_case "fieldmatch basics" `Quick test_fieldmatch_basics;
       Alcotest.test_case "fieldmatch masked" `Quick test_fieldmatch_masked;

@@ -1,6 +1,6 @@
 (* Table-driven semantics of the core language: every operator against
-   known operand pairs (the figure 3-6 tables, literally), plus algebraic
-   properties of the optimization layers. *)
+   known operand pairs (the figure 3-6 tables, literally), plus properties
+   of the interpreters. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -111,18 +111,7 @@ let test_push_actions_table () =
       (Action.Pushff00, 0xff00); (Action.Push00ff, 0x00ff); (Action.Pushlit 1234, 1234);
     ]
 
-(* {1 Properties of the optimization layers} *)
-
-let prop_simplify_idempotent =
-  QCheck.Test.make ~name:"simplify is idempotent" ~count:500
-    (QCheck.make Testutil.gen_valid_insns)
-    (fun insns ->
-      (* Reuse program generation via decompilation-ish: build exprs from
-         random words instead; simpler: simplify twice on random exprs is
-         covered in test_expr — here check peephole idempotence. *)
-      let p = Program.v insns in
-      let once = Peephole.optimize p in
-      Program.equal once (Peephole.optimize once))
+(* {1 Properties of the interpreters} *)
 
 let prop_bsd_equals_paper_without_shortcircuit =
   QCheck.Test.make ~name:"`Bsd = `Paper when no short-circuit op" ~count:500
@@ -234,7 +223,6 @@ let suite =
       Alcotest.test_case "arithmetic extensions" `Quick test_arithmetic_table;
       Alcotest.test_case "short-circuit table (fig 3-6)" `Quick test_short_circuit_table;
       Alcotest.test_case "push actions (fig 3-6)" `Quick test_push_actions_table;
-      QCheck_alcotest.to_alcotest prop_simplify_idempotent;
       QCheck_alcotest.to_alcotest prop_bsd_equals_paper_without_shortcircuit;
       Alcotest.test_case "`Bsd divergence: leftover word" `Quick
         test_bsd_divergence_leftover_word;

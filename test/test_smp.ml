@@ -365,7 +365,8 @@ let test_gen_filters_exact () =
    [set_filter] and [set_priority] on a closed port change that port's
    record only. Re-entering the table would over-count [active_ports] and
    widen the flow key with a filter no packet reaches, which can move flows
-   to another CPU. *)
+   to another CPU. No mutation of a closed port, closing it again included,
+   flushes a cache or sends an IPI. *)
 
 let test_closed_port_stays_out () =
   let eng, h = mk_host ~ncpus:4 () in
@@ -387,13 +388,15 @@ let test_closed_port_stays_out () =
   let steering () = List.map (fun f -> Pfdev.steer pf (Gen.frame f)) (Gen.flows gen) in
   let cpus = steering () in
   let invalidations = (Pfdev.cache_stats pf).Pfdev.invalidations in
+  let ipis = Smp.total_ipis (Host.smp h) in
   let unchanged what =
     Alcotest.(check int) (what ^ ": still three ports") 3 (Pfdev.active_ports pf);
     Alcotest.(check bool) (what ^ ": flow key unchanged") true
       (Pfdev.For_testing.flow_key pf = key);
     Alcotest.(check (list int)) (what ^ ": every flow steers as before") cpus (steering ());
     Alcotest.(check int) (what ^ ": no cache flushed") invalidations
-      (Pfdev.cache_stats pf).Pfdev.invalidations
+      (Pfdev.cache_stats pf).Pfdev.invalidations;
+    Alcotest.(check int) (what ^ ": no IPI sent") ipis (Smp.total_ipis (Host.smp h))
   in
   set_filter_exn closed (Gen.filter ~priority:3 (Gen.flow gen 0));
   unchanged "set_filter on the closed port";
@@ -403,6 +406,8 @@ let test_closed_port_stays_out () =
   unchanged "set_copy_all on the closed port";
   Pfdev.set_tap closed true;
   unchanged "set_tap on the closed port";
+  Pfdev.close_port closed;
+  unchanged "close_port on the closed port";
   Engine.run eng
 
 (* {1 Steering hashes the key's bytes, without allocating}

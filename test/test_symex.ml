@@ -1,6 +1,6 @@
 (* The symbolic path engine and the translation-validation layer on top of
    it: path enumeration agrees with the interpreter packet by packet,
-   [Equiv] proves the shipped optimizer rewrites and refutes a seeded
+   [Equiv] proves the shipped optimizer's output and refutes a seeded
    miscompilation with a confirmed, engine-checked witness, and the
    sharpened relation separates filters that [Analysis.relate] alone
    cannot. *)
@@ -8,7 +8,6 @@
 open Pf_filter
 module Packet = Pf_pkt.Packet
 module Gen = Pf_fuzz.Gen
-module Oracle = Pf_fuzz.Oracle
 module Runner = Pf_fuzz.Runner
 module Shrink = Pf_fuzz.Shrink
 module Pfdev = Pf_kernel.Pfdev
@@ -193,119 +192,89 @@ let test_equiv_self_proved () =
             Equiv.pp_report r)
     builtins
 
-(* Acceptance criterion: every shipped rewrite over the builtin corpus is
-   proved — none is Unknown, none refuted. *)
+(* Acceptance criterion: the shipped rewrite of every builtin is proved —
+   none is Unknown, none refuted. *)
 let test_builtin_rewrites_certified () =
   List.iter
     (fun (name, program) ->
       let v = validate_exn program in
-      (* peephole *)
-      let opt = Peephole.optimize program in
-      let vopt = validate_exn opt in
-      (match (Equiv.check_programs v vopt).Equiv.verdict with
-      | Equiv.Proved_equal -> ()
-      | _ -> Alcotest.failf "%s: peephole rewrite not proved" name);
-      (* regopt IR *)
       let ir, _ = Regopt.optimize v in
       match (Equiv.check_ir v ir).Equiv.verdict with
       | Equiv.Proved_equal -> ()
       | _ -> Alcotest.failf "%s: optimized IR not proved" name)
     builtins
 
-(* {1 Counterexample synthesis: the seeded miscompilation}
+(* {1 Counterexample synthesis: a seeded miscompilation}
 
-   [Peephole.For_testing.miscompile_literal_two] rewrites [pushlit 2] to
-   [pushone] — the classic wrong-constant strength-reduction bug. The
-   checker must refute it with a confirmed witness, the certified entry
-   point must fall back to the original program, and the fuzz oracle must
-   blame the peephole pass. *)
+   [miscompile] rewrites [pushlit 2] to [pushone] — the classic
+   wrong-constant strength-reduction bug. The checker must refute it with a
+   confirmed witness, and the shrinker must reduce a padded instance to the
+   pinned regression. *)
 
-let with_buggy_peephole f =
-  Peephole.For_testing.miscompile_literal_two := true;
-  Fun.protect ~finally:(fun () ->
-      Peephole.For_testing.miscompile_literal_two := false)
-    f
+let miscompile p =
+  Program.v ~priority:(Program.priority p)
+    (List.map
+       (fun (insn : Insn.t) ->
+         match insn.Insn.action with
+         | Action.Pushlit 2 -> { insn with Insn.action = Action.Pushone }
+         | _ -> insn)
+       (Program.insns p))
+
+(* The witness [Equiv] synthesizes against [p]'s miscompilation. *)
+let refute p =
+  match
+    (Equiv.check_programs (validate_exn p) (validate_exn (miscompile p))).Equiv.verdict
+  with
+  | Equiv.Counterexample w -> w
+  | Equiv.Proved_equal -> Alcotest.fail "seeded miscompilation proved equal"
+  | Equiv.Unknown -> Alcotest.fail "seeded miscompilation not refuted"
 
 (* The pinned minimal regression the shrinker converges to. *)
 let literal_two_program =
   Program.v [ i (Action.Pushword 0); i ~op:Op.Eq (Action.Pushlit 2) ]
 
-let test_buggy_peephole_refuted () =
-  with_buggy_peephole (fun () ->
-      let fallback, cert = Peephole.optimize_certified literal_two_program in
-      match cert with
-      | Equiv.Refuted w ->
-          (* fall back to the unoptimized program... *)
-          Alcotest.(check bool) "falls back to the original" true
-            (Program.equal fallback literal_two_program);
-          (* ...with a witness the engines really disagree on *)
-          let buggy = Peephole.optimize literal_two_program in
-          Alcotest.(check bool) "original's verdict on the witness" true
-            (Interp.accepts ~semantics:`Paper literal_two_program w);
-          Alcotest.(check bool) "miscompiled verdict differs" false
-            (Interp.accepts ~semantics:`Paper buggy w);
-          (* the oracle blames the peephole equivalence check by name *)
-          (match Oracle.check literal_two_program w with
-          | Oracle.Disagreement ms ->
-              Alcotest.(check bool) "oracle blames equiv-peephole" true
-                (List.exists
-                   (fun (m : Oracle.mismatch) ->
-                     m.Oracle.engine = "equiv-peephole")
-                   ms)
-          | o ->
-              Alcotest.failf "oracle missed the miscompilation: %a"
-                Oracle.pp_outcome o)
-      | Equiv.Certified -> Alcotest.fail "seeded miscompilation certified"
-      | Equiv.Uncertified why ->
-          Alcotest.failf "seeded miscompilation uncertified: %s" why)
+let test_miscompilation_refuted () =
+  let w = refute literal_two_program in
+  Alcotest.(check bool) "original's verdict on the witness" true
+    (Interp.accepts ~semantics:`Paper literal_two_program w);
+  Alcotest.(check bool) "miscompiled verdict differs" false
+    (Interp.accepts ~semantics:`Paper (miscompile literal_two_program) w)
 
-let test_buggy_peephole_shrinks_to_regression () =
-  with_buggy_peephole (fun () ->
-      (* a padded variant: dead identity arithmetic around the live
-         [pushlit 2] comparison *)
-      let padded =
-        Program.v
-          [
-            i (Action.Pushword 0);
-            i ~op:Op.Or (Action.Pushlit 0);
-            i ~op:Op.Eq (Action.Pushlit 2);
-            i (Action.Pushword 1);
-            i ~op:Op.Ge (Action.Pushlit 0);
-            i ~op:Op.And Action.Nopush;
-          ]
-      in
-      let witness =
-        match Peephole.optimize_certified padded with
-        | _, Equiv.Refuted w -> w
-        | _, Equiv.Certified -> Alcotest.fail "padded miscompilation certified"
-        | _, Equiv.Uncertified why ->
-            Alcotest.failf "padded miscompilation uncertified: %s" why
-      in
-      (* keep = "the miscompiled optimum still disagrees with the source" *)
-      let keep p pkt =
-        match Validate.check p with
-        | Error _ -> false
-        | Ok _ -> (
-            let opt = Peephole.optimize p in
-            match Validate.check opt with
-            | Error _ -> false
-            | Ok _ ->
-                Interp.accepts ~semantics:`Paper p pkt
-                <> Interp.accepts ~semantics:`Paper opt pkt)
-      in
-      Alcotest.(check bool) "padded case disagrees" true (keep padded witness);
-      let shrunk_p, shrunk_w = Shrink.minimize ~keep padded witness in
-      Alcotest.(check bool) "shrunk case still disagrees" true
-        (keep shrunk_p shrunk_w);
-      (* greedy minimization keeps only the live [pushlit 2] comparison
-         (it can even drop the packet dependence: [2 land 1 = 0] while the
-         miscompiled [1 land 1 = 1]) *)
-      Alcotest.(check bool)
-        (Format.asprintf "shrunk to <= 4 insns: %a" Program.pp shrunk_p)
-        true
-        (Program.insn_count shrunk_p <= 4);
-      Alcotest.(check bool) "witness shrunk to <= 1 word" true
-        (Packet.word_count shrunk_w <= 1))
+let test_miscompilation_shrinks_to_regression () =
+  (* a padded variant: dead identity arithmetic around the live [pushlit 2]
+     comparison *)
+  let padded =
+    Program.v
+      [
+        i (Action.Pushword 0);
+        i ~op:Op.Or (Action.Pushlit 0);
+        i ~op:Op.Eq (Action.Pushlit 2);
+        i (Action.Pushword 1);
+        i ~op:Op.Ge (Action.Pushlit 0);
+        i ~op:Op.And Action.Nopush;
+      ]
+  in
+  let witness = refute padded in
+  (* keep = "the miscompilation still disagrees with the source" *)
+  let keep p pkt =
+    match Validate.check p with
+    | Error _ -> false
+    | Ok _ ->
+      Interp.accepts ~semantics:`Paper p pkt
+      <> Interp.accepts ~semantics:`Paper (miscompile p) pkt
+  in
+  Alcotest.(check bool) "padded case disagrees" true (keep padded witness);
+  let shrunk_p, shrunk_w = Shrink.minimize ~keep padded witness in
+  Alcotest.(check bool) "shrunk case still disagrees" true (keep shrunk_p shrunk_w);
+  (* greedy minimization keeps only the live [pushlit 2] comparison (it can
+     even drop the packet dependence: [2 land 1 = 0] while the miscompiled
+     [1 land 1 = 1]) *)
+  Alcotest.(check bool)
+    (Format.asprintf "shrunk to <= 4 insns: %a" Program.pp shrunk_p)
+    true
+    (Program.insn_count shrunk_p <= 4);
+  Alcotest.(check bool) "witness shrunk to <= 1 word" true
+    (Packet.word_count shrunk_w <= 1)
 
 (* {1 Every counterexample is runnable on every engine} *)
 
@@ -581,10 +550,10 @@ let suite =
         test_equiv_self_proved;
       Alcotest.test_case "builtin rewrites certified" `Quick
         test_builtin_rewrites_certified;
-      Alcotest.test_case "seeded peephole miscompilation refuted" `Quick
-        test_buggy_peephole_refuted;
+      Alcotest.test_case "seeded miscompilation refuted" `Quick
+        test_miscompilation_refuted;
       Alcotest.test_case "miscompilation shrinks to pinned regression" `Quick
-        test_buggy_peephole_shrinks_to_regression;
+        test_miscompilation_shrinks_to_regression;
       Alcotest.test_case "counterexamples confirmed on all engines" `Quick
         test_counterexamples_confirmed_on_all_engines;
       Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
