@@ -5,6 +5,7 @@ type 'a entry = {
   value : 'a;
   exact : bool;
   fast : Fast.t;
+  answer : (int * 'a) option; (* [Some (rank, value)]: [classify]'s result *)
 }
 
 type residual_reason = [ `Unbounded | `No_chain | `Excluded ]
@@ -49,10 +50,22 @@ type 'a item = {
   slot : 'a slot option;
 }
 
+(* [classify]'s counts, in one record per automaton that every call resets
+   and reuses: the simulator serializes demux events. *)
+type counts = {
+  mutable probes : int;
+  mutable hash_words : int;
+  mutable exact_accepts : int;
+  mutable candidates_run : int;
+  mutable insns : int;
+  mutable slots_matched : int;
+}
+
 type 'a t = {
   mutable groups : 'a group list; (* sorted by offset signature: deterministic *)
   mutable residual : (int * 'a) list; (* rank order *)
   items : (int, 'a item) Hashtbl.t; (* by rank *)
+  counts : counts;
 }
 
 module For_testing = struct
@@ -81,7 +94,21 @@ let slot_key values =
   List.iteri (fun i v -> Bytes.set_uint16_be key (2 * i) v) values;
   key
 
-let create () = { groups = []; residual = []; items = Hashtbl.create 16 }
+let create () =
+  {
+    groups = [];
+    residual = [];
+    items = Hashtbl.create 16;
+    counts =
+      {
+        probes = 0;
+        hash_words = 0;
+        exact_accepts = 0;
+        candidates_run = 0;
+        insns = 0;
+        slots_matched = 0;
+      };
+  }
 
 (* [x] into the list [l], kept ascending by [key]. *)
 let insert_sorted key x l =
@@ -180,7 +207,9 @@ let add t ~rank ?(indexable = true) fast value =
         let slot = slot_of t offsets (slot_key (List.map snd canonical)) in
         place (Indexed { offsets; exact = whole }) (Some slot);
         slot.entries <-
-          insert_sorted (fun e -> e.rank) { rank; value; exact = whole; fast } slot.entries;
+          insert_sorted (fun e -> e.rank)
+            { rank; value; exact = whole; fast; answer = Some (rank, value) }
+            slot.entries;
         reshadow t slot ~from:rank
       end
 
@@ -240,68 +269,83 @@ type stats = {
   insns : int;
 }
 
+(* Probe each group: a missing guard word means every member of the group
+   rejects (its pushword faults), so the whole group is skipped. Distinct
+   slots of one group demand different values of a shared word, hence are
+   pairwise disjoint — probing order cannot matter. The offsets ascend, so
+   the words the packet holds are a prefix of them; a probe writes them
+   into the group's reused key and allocates nothing. Returns the live
+   entries of the matched slots: the one slot's own list, already in rank
+   order, or when several matched, their entries in no order. *)
+let rec probe (c : counts) packet words matched = function
+  | [] -> matched
+  | g :: rest ->
+    c.probes <- c.probes + 1;
+    let n = Array.length g.offsets in
+    let p = ref 0 in
+    while !p < n && g.offsets.(!p) < words do
+      incr p
+    done;
+    if !p < n then begin
+      c.hash_words <- c.hash_words + !p + 1;
+      probe c packet words matched rest
+    end
+    else begin
+      c.hash_words <- c.hash_words + n;
+      for i = 0 to n - 1 do
+        Bytes.set_uint16_be g.probe (2 * i) (Packet.word packet g.offsets.(i))
+      done;
+      (* [mem] first: most probes miss, and raising [Not_found] costs more
+         than a second lookup on a hit. *)
+      if Slots.mem g.slots g.probe then begin
+        let slot = Slots.find g.slots g.probe in
+        c.slots_matched <- c.slots_matched + 1;
+        let matched =
+          match matched with [] -> slot.live | _ :: _ -> List.rev_append slot.live matched
+        in
+        probe c packet words matched rest
+      end
+      else probe c packet words matched rest
+    end
+
+(* The first entry, in rank order, to accept the packet. *)
+let rec scan (c : counts) on_run packet = function
+  | [] -> None
+  | e :: rest ->
+    if e.exact || !For_testing.unsound_prefix_sharing then begin
+      c.exact_accepts <- c.exact_accepts + 1;
+      e.answer
+    end
+    else begin
+      let r = Fast.eval e.fast packet in
+      let n = Op.packed_insns r in
+      c.candidates_run <- c.candidates_run + 1;
+      c.insns <- c.insns + n;
+      on_run e.value ~insns:n;
+      if Op.packed_accepts r then e.answer else scan c on_run packet rest
+    end
+
 let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
-  let probes = ref 0
-  and hash_words = ref 0
-  and exact_accepts = ref 0
-  and candidates_run = ref 0
-  and insns = ref 0 in
-  (* Probe each group: a missing guard word means every member of the group
-     rejects (its pushword faults), so the whole group is skipped. Distinct
-     slots of one group demand different values of a shared word, hence are
-     pairwise disjoint — probing order cannot matter. The offsets ascend, so
-     the words the packet holds are a prefix of them; a probe writes them
-     into the group's reused key and allocates nothing. *)
-  let words = Packet.word_count packet in
+  let c = t.counts in
+  c.probes <- 0;
+  c.hash_words <- 0;
+  c.exact_accepts <- 0;
+  c.candidates_run <- 0;
+  c.insns <- 0;
+  c.slots_matched <- 0;
+  let matched = probe c packet (Packet.word_count packet) [] t.groups in
   let matched =
-    List.fold_left
-      (fun acc g ->
-        incr probes;
-        let n = Array.length g.offsets in
-        let p = ref 0 in
-        while !p < n && g.offsets.(!p) < words do
-          incr p
-        done;
-        if !p < n then begin
-          hash_words := !hash_words + !p + 1;
-          acc
-        end
-        else begin
-          hash_words := !hash_words + n;
-          for i = 0 to n - 1 do
-            Bytes.set_uint16_be g.probe (2 * i) (Packet.word packet g.offsets.(i))
-          done;
-          match Slots.find_opt g.slots g.probe with
-          | Some slot -> List.rev_append slot.live acc
-          | None -> acc
-        end)
-      [] t.groups
+    if c.slots_matched > 1 then List.sort (fun a b -> compare a.rank b.rank) matched
+    else matched
   in
-  let matched = List.sort (fun a b -> compare a.rank b.rank) matched in
-  let rec scan = function
-    | [] -> None
-    | e :: rest ->
-      if e.exact || !For_testing.unsound_prefix_sharing then begin
-        incr exact_accepts;
-        Some (e.rank, e.value)
-      end
-      else begin
-        let r = Fast.eval e.fast packet in
-        let n = Op.packed_insns r in
-        incr candidates_run;
-        insns := !insns + n;
-        on_run e.value ~insns:n;
-        if Op.packed_accepts r then Some (e.rank, e.value) else scan rest
-      end
-  in
-  let result = scan matched in
+  let result = scan c on_run packet matched in
   ( result,
     {
-      probes = !probes;
-      hash_words = !hash_words;
-      exact_accepts = !exact_accepts;
-      candidates_run = !candidates_run;
-      insns = !insns;
+      probes = c.probes;
+      hash_words = c.hash_words;
+      exact_accepts = c.exact_accepts;
+      candidates_run = c.candidates_run;
+      insns = c.insns;
     } )
 
 (* {1 Inspection} *)

@@ -121,7 +121,13 @@ val classify :
     walk {!residuals} of lower rank than the winner to preserve
     first-match semantics. [on_run] is invoked for every candidate program
     actually interpreted (the kernel uses it for per-port engine
-    accounting); exact entries accept without any interpretation. *)
+    accounting); exact entries accept without any interpretation.
+
+    Allocates only its result, the pair and the [stats] record (9 minor
+    words), unless several slots match: their entries are then merged and
+    sorted by rank. Not reentrant: the counts and probe keys are scratch
+    space in the automaton, which is safe because the simulator serializes
+    demux events. *)
 
 (** {1 Inspection} *)
 

@@ -144,6 +144,9 @@ and t = {
   mutable dispatch_exact_accepts : int;
   mutable dispatch_candidates : int;
   mutable dispatch_residual_runs : int;
+  mutable demux_cost : Pf_sim.Time.t;
+      (* the CPU charge of the packet being demuxed: [demux] runs to
+         completion inside one engine event and never re-enters itself *)
   mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
@@ -242,6 +245,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     dispatch_exact_accepts = 0;
     dispatch_candidates = 0;
     dispatch_residual_runs = 0;
+    demux_cost = 0;
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
@@ -481,7 +485,7 @@ let reprioritize t port priority =
   port.priority <- priority;
   insert_port t port
 
-let maybe_reorder ?cpu t =
+let maybe_reorder ~cpu t =
   t.demuxed_since_reorder <- t.demuxed_since_reorder + 1;
   if t.demuxed_since_reorder >= 256 then begin
     t.demuxed_since_reorder <- 0;
@@ -497,8 +501,8 @@ let maybe_reorder ?cpu t =
        wins a packet, so any cached decision taken under the old order is
        stale. *)
     if List.map (fun p -> p.id) t.ports <> before then begin
-      san_table_write ?cpu t;
-      invalidate_cache ?cpu t
+      san_table_write ~cpu t;
+      invalidate_cache ~cpu t
     end
   end
 
@@ -982,6 +986,197 @@ let pp_smp_stats ppf s =
     s.ncpus s.lock_acquisitions s.lock_contended s.lock_wait_total_us s.ipis;
   List.iter (fun c -> Format.fprintf ppf "@\n  %a" pp_smp_cpu_stats c) s.per_cpu
 
+(* {1 Demultiplexing}
+
+   The walks and the delivery below are top-level functions, and the CPU
+   charge accumulates in [t.demux_cost], so a demux allocates only what
+   delivery keeps: the acceptor list, the delivery event's closure, and
+   each acceptor's capture and queue cell. *)
+
+let add_cost t cost = t.demux_cost <- t.demux_cost + cost
+
+(* Count one filter run of [port]'s, on a walk or inside the automaton. *)
+let count_run port ~insns =
+  let ctr = port.dev.ctr in
+  Stats.bump ctr.filters_tested;
+  Stats.add ctr.filter_insns insns;
+  port.engine_applications <- port.engine_applications + 1;
+  port.engine_insns <- port.engine_insns + insns
+
+(* Boxed once: [~on_run:count_run] would box it per classify. *)
+let on_candidate_run = Some count_run
+
+(* One filter run on a walk. Allocates nothing: the walk's work must not
+   grow the heap with the number of filters tested. *)
+let run_port_filter t port frame =
+  let costs = t.costs in
+  let r =
+    match port.regvm with
+    | Some rvm ->
+      let r = Pf_filter.Regvm.eval rvm frame in
+      let insns = Pf_filter.Op.packed_insns r in
+      add_cost t (costs.Costs.regvm_apply + (insns * costs.Costs.regvm_insn));
+      Stats.add t.ctr.regvm_insns insns;
+      r
+    | None ->
+      let r = Pf_filter.Fast.eval (Option.get port.filter) frame in
+      add_cost t
+        (costs.Costs.filter_apply + (Pf_filter.Op.packed_insns r * costs.Costs.filter_insn));
+      r
+  in
+  count_run port ~insns:(Pf_filter.Op.packed_insns r);
+  Pf_filter.Op.packed_accepts r
+
+let accept t port =
+  port.accepted <- port.accepted + 1;
+  if port.timestamps then add_cost t t.costs.Costs.timestamp
+
+(* A cache hit replays its acceptors: each counts as having accepted. *)
+let rec accept_all t = function
+  | [] -> ()
+  | port :: rest ->
+    accept t port;
+    accept_all t rest
+
+(* The figure 4-1 loop over the port table: the acceptors, in walk order. *)
+let rec walk_ports t frame ~kernel_claimed = function
+  | [] -> []
+  | port :: rest ->
+    if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap) then
+      walk_ports t frame ~kernel_claimed rest
+    else if run_port_filter t port frame then begin
+      accept t port;
+      (* Stop unless this filter asked for copies to lower priorities. *)
+      port :: (if port.copy_all then walk_ports t frame ~kernel_claimed rest else [])
+    end
+    else walk_ports t frame ~kernel_claimed rest
+
+(* The residual walk, merged by rank with the automaton's [winner]: walk
+   residual ports of lower rank than the winner (a residual may outrank it,
+   or be copy-all and accept additionally); once every remaining residual
+   ranks past the winner, the winner — always non-copy-all — takes the
+   packet and stops the walk, exactly where the sequential walk would have
+   stopped. *)
+let rec merge_residuals t frame winner ~winner_rank = function
+  | (rank, port) :: rest when rank <= winner_rank ->
+    if (not port.is_open) || port.filter = None then
+      merge_residuals t frame winner ~winner_rank rest
+    else begin
+      t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
+      Stats.bump t.ctr.dispatch_residual_run;
+      if run_port_filter t port frame then begin
+        accept t port;
+        port :: (if port.copy_all then merge_residuals t frame winner ~winner_rank rest else [])
+      end
+      else merge_residuals t frame winner ~winner_rank rest
+    end
+  | _ -> (
+    match winner with
+    | Some (_, port) ->
+      accept t port;
+      [ port ]
+    | None -> [])
+
+(* The acceptors of a frame the flow cache did not answer. *)
+let classify t ~cpu ~kernel_claimed frame =
+  let costs = t.costs and ctr = t.ctr in
+  match t.dispatch with
+  | Some d when not kernel_claimed ->
+    (* Automaton classification, then the residual walk merged by rank. *)
+    (match t.san with
+    | Some h ->
+      San.read h.checker ~cpu h.res_table;
+      add_cost t costs.Costs.san_access
+    | None -> ());
+    t.dispatch_classifies <- t.dispatch_classifies + 1;
+    Stats.bump ctr.dispatch_classify;
+    let winner, dstats = Pf_filter.Dispatch.classify ?on_run:on_candidate_run d frame in
+    add_cost t
+      ((dstats.Pf_filter.Dispatch.probes * costs.Costs.dispatch_probe)
+      + (dstats.Pf_filter.Dispatch.hash_words * costs.Costs.dispatch_hash_word)
+      + (dstats.Pf_filter.Dispatch.candidates_run * costs.Costs.filter_apply)
+      + (dstats.Pf_filter.Dispatch.insns * costs.Costs.filter_insn));
+    t.dispatch_exact_accepts <-
+      t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
+    t.dispatch_candidates <- t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
+    if dstats.Pf_filter.Dispatch.exact_accepts > 0 then Stats.bump ctr.dispatch_exact_accept;
+    let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
+    merge_residuals t frame winner ~winner_rank (Pf_filter.Dispatch.residuals d)
+  | Some _ -> walk_ports t frame ~kernel_claimed t.ports
+  | None ->
+    (* Busier-first reordering only matters (and only makes sense) for the
+       sequential strategy; the automaton is keyed on guards, not
+       position. *)
+    maybe_reorder ~cpu t;
+    walk_ports t frame ~kernel_claimed t.ports
+
+(* Remember a missed frame's acceptors under its key, unless something
+   (e.g. a busier-first reorder during this very walk) invalidated the
+   cache after the probe. *)
+let store t ~cpu c ~generation key acceptors =
+  if generation = c.generation then begin
+    add_cost t t.costs.Costs.cache_probe (* insert *);
+    if Key_table.length c.table >= t.cache_capacity then (
+      match Queue.take_opt c.fifo with
+      | Some victim ->
+        Key_table.remove c.table victim;
+        c.evictions <- c.evictions + 1;
+        Stats.bump t.ctr.cache_eviction
+      | None -> ());
+    let key = Bytes.copy key in
+    Key_table.replace c.table key acceptors;
+    Queue.push key c.fifo;
+    match t.san with
+    | Some h ->
+      San.write h.checker ~cpu h.res_cache.(cpu);
+      San.note_store h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key);
+      add_cost t t.costs.Costs.san_access
+    | None -> ()
+  end
+
+let san_queue_write t ~cpu =
+  match t.san with
+  | Some h ->
+    San.write h.checker ~cpu h.res_queue;
+    t.costs.Costs.san_access
+  | None -> 0
+
+(* The CPU cost of inserting into the port queues, begun at
+   [classify_done]. On an SMP device the queues are shared, so the insert
+   runs under the costed delivery spinlock. The lock covers only the insert
+   (the [lock_acquire] charge); the scheduler wakeup runs after release —
+   holding a spinlock across a wakeup would serialize the whole complex. *)
+let queue_insert_cost t ~cpu ~classify_done =
+  if Smp.ncpus t.smp = 1 || !For_testing.skip_delivery_lock then
+    (* Single CPU: the legacy lock-free delivery. The instrumented write
+       keeps the queue resource in the sanitizer's Exclusive state, so a
+       1-CPU campaign can never report on it. With the seeded bug on, the
+       shared-queue insert runs bare: verdicts and queue contents are
+       identical (the engine serializes demux events), so only the
+       sanitizer's lockset can see it. *)
+    san_queue_write t ~cpu
+  else begin
+    let wait = Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0 in
+    Stats.bump t.ctr.lock_acquire;
+    if wait > 0 then begin
+      t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
+      t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait;
+      Stats.bump t.ctr.lock_contended;
+      Stats.add t.ctr.lock_wait_us wait
+    end;
+    let san = san_queue_write t ~cpu in
+    Smp.Lock.release t.delivery_lock ~cpu;
+    wait + t.costs.Costs.lock_acquire + san
+  end
+
+(* The delivery event: queue the frame on every acceptor, in order. *)
+let rec deliver arrival frame = function
+  | [] -> ()
+  | port :: rest ->
+    let timestamp = if port.timestamps then Some arrival else None in
+    enqueue port { packet = frame; timestamp; dropped_before = port.dropped };
+    deliver arrival frame rest
+
 let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   let costs = t.costs in
   let n = Smp.ncpus t.smp in
@@ -991,7 +1186,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
   if n > 1 then Stats.bump ctr.cpu_packets.(cpu);
   let arrival = Engine.now t.engine in
-  let cpu_cost = ref 0 in
+  t.demux_cost <- 0;
   let c = t.caches.(cpu) in
   (* Sanitizer instrumentation. Each instrumented access is a real shadow
      bookkeeping step on the demuxing CPU, charged at [san_access] — that
@@ -1001,253 +1196,69 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   | Some h ->
     San.write h.checker ~cpu h.res_statword.(cpu);
     San.read h.checker ~cpu h.res_table;
-    cpu_cost := !cpu_cost + (2 * costs.Costs.san_access)
+    add_cost t (2 * costs.Costs.san_access)
   | None -> ());
   (* Probe this CPU's flow cache before any filter interpretation.
      Kernel-claimed packets bypass it: they see a different port subset
      (taps only), so caching their decisions under the same key would be
      unsound. The key is the device's reused buffer, intact until the store
-     below because the simulator serializes demux events. *)
+     because the simulator serializes demux events. *)
   let probing = t.cache_enabled && (not kernel_claimed) && t.key.unbounded = 0 in
   if t.cache_enabled && not probing then begin
     c.bypasses <- c.bypasses + 1;
     Stats.bump ctr.cache_bypass
   end;
-  let key = if probing then fill_key t.key frame else Bytes.empty in
-  let generation = c.generation in
-  let cached =
-    if not probing then None
+  let acceptors =
+    if not probing then classify t ~cpu ~kernel_claimed frame
     else begin
-      cpu_cost :=
-        !cpu_cost + costs.Costs.cache_probe
-        + (Array.length t.key.offsets * costs.Costs.cache_hash_word);
+      let key = fill_key t.key frame in
+      let generation = c.generation in
+      add_cost t
+        (costs.Costs.cache_probe + (Array.length t.key.offsets * costs.Costs.cache_hash_word));
       (match t.san with
       | Some h ->
         San.read h.checker ~cpu h.res_cache.(cpu);
-        cpu_cost := !cpu_cost + costs.Costs.san_access
+        add_cost t costs.Costs.san_access
       | None -> ());
-      let cached = Key_table.find_opt c.table key in
-      (match (t.san, cached) with
-      | Some h, Some _ ->
-        San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key)
-      | _ -> ());
-      cached
-    end
-  in
-  let acceptors =
-    match cached with
-    | Some acceptors ->
-      c.hits <- c.hits + 1;
-      Stats.bump ctr.cache_hit;
-      List.iter
-        (fun port ->
-          port.accepted <- port.accepted + 1;
-          if port.timestamps then cpu_cost := !cpu_cost + costs.Costs.timestamp)
-        acceptors;
-      acceptors
-    | None ->
-      (* Busier-first reordering only matters (and only makes sense) for the
-         sequential strategy; the automaton is keyed on guards, not
-         position. *)
-      if Option.is_none t.dispatch then maybe_reorder ~cpu t;
-      let acceptors = ref [] in
-      (* Allocates nothing: the walk's work must not grow the heap with
-         the number of filters tested. *)
-      let run_port_filter port =
-        Stats.bump ctr.filters_tested;
-        let r =
-          match port.regvm with
-          | Some rvm ->
-            let r = Pf_filter.Regvm.eval rvm frame in
-            let insns = Pf_filter.Op.packed_insns r in
-            cpu_cost :=
-              !cpu_cost + costs.Costs.regvm_apply + (insns * costs.Costs.regvm_insn);
-            Stats.add ctr.regvm_insns insns;
-            r
-          | None ->
-            let r = Pf_filter.Fast.eval (Option.get port.filter) frame in
-            cpu_cost :=
-              !cpu_cost + costs.Costs.filter_apply
-              + (Pf_filter.Op.packed_insns r * costs.Costs.filter_insn);
-            r
-        in
-        let insns = Pf_filter.Op.packed_insns r in
-        Stats.add ctr.filter_insns insns;
-        port.engine_applications <- port.engine_applications + 1;
-        port.engine_insns <- port.engine_insns + insns;
-        Pf_filter.Op.packed_accepts r
-      in
-      let accept port =
-        port.accepted <- port.accepted + 1;
-        if port.timestamps then cpu_cost := !cpu_cost + costs.Costs.timestamp;
-        acceptors := port :: !acceptors
-      in
-      let rec apply = function
-        | [] -> ()
-        | port :: rest ->
-          if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap)
-          then apply rest
-          else if run_port_filter port then begin
-            accept port;
-            (* Stop unless this filter asked for copies to lower priorities. *)
-            if port.copy_all then apply rest
-          end
-          else apply rest
-      in
-      (match t.dispatch with
-      | Some d when not kernel_claimed ->
-        (* Automaton classification, then the residual walk merged by rank:
-           walk residual ports of lower rank than the automaton winner (a
-           residual may outrank it, or be copy-all and accept additionally);
-           once every remaining residual ranks past the winner, the winner —
-           always non-copy-all — takes the packet and stops the walk, exactly
-           where the sequential walk would have stopped. *)
+      match Key_table.find c.table key with
+      | acceptors ->
         (match t.san with
         | Some h ->
-          San.read h.checker ~cpu h.res_table;
-          cpu_cost := !cpu_cost + costs.Costs.san_access
+          San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key)
         | None -> ());
-        t.dispatch_classifies <- t.dispatch_classifies + 1;
-        Stats.bump ctr.dispatch_classify;
-        let winner, dstats =
-          Pf_filter.Dispatch.classify
-            ~on_run:(fun port ~insns ->
-              Stats.bump ctr.filters_tested;
-              Stats.add ctr.filter_insns insns;
-              port.engine_applications <- port.engine_applications + 1;
-              port.engine_insns <- port.engine_insns + insns)
-            d frame
-        in
-        cpu_cost :=
-          !cpu_cost
-          + (dstats.Pf_filter.Dispatch.probes * costs.Costs.dispatch_probe)
-          + (dstats.Pf_filter.Dispatch.hash_words * costs.Costs.dispatch_hash_word)
-          + (dstats.Pf_filter.Dispatch.candidates_run * costs.Costs.filter_apply)
-          + (dstats.Pf_filter.Dispatch.insns * costs.Costs.filter_insn);
-        t.dispatch_exact_accepts <-
-          t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
-        t.dispatch_candidates <-
-          t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
-        if dstats.Pf_filter.Dispatch.exact_accepts > 0 then
-          Stats.bump ctr.dispatch_exact_accept;
-        let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
-        let deliver_winner () =
-          match winner with Some (_, port) -> accept port | None -> ()
-        in
-        let rec walk = function
-          | [] -> deliver_winner ()
-          | (rank, port) :: rest ->
-            if rank > winner_rank then deliver_winner ()
-            else if (not port.is_open) || port.filter = None then walk rest
-            else begin
-              t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-              Stats.bump ctr.dispatch_residual_run;
-              if run_port_filter port then begin
-                accept port;
-                if port.copy_all then walk rest
-              end
-              else walk rest
-            end
-        in
-        walk (Pf_filter.Dispatch.residuals d)
-      | Some _ | None -> apply t.ports);
-      let acceptors = List.rev !acceptors in
-      if probing then begin
+        c.hits <- c.hits + 1;
+        Stats.bump ctr.cache_hit;
+        accept_all t acceptors;
+        acceptors
+      | exception Not_found ->
+        let acceptors = classify t ~cpu ~kernel_claimed frame in
         c.misses <- c.misses + 1;
         Stats.bump ctr.cache_miss;
-        (* Store the decision unless something (e.g. a busier-first reorder
-           during this very walk) invalidated the cache after the probe. *)
-        if generation = c.generation then begin
-          cpu_cost := !cpu_cost + costs.Costs.cache_probe (* insert *);
-          if Key_table.length c.table >= t.cache_capacity then (
-            match Queue.take_opt c.fifo with
-            | Some victim ->
-              Key_table.remove c.table victim;
-              c.evictions <- c.evictions + 1;
-              Stats.bump ctr.cache_eviction
-            | None -> ());
-          let key = Bytes.copy key in
-          Key_table.replace c.table key acceptors;
-          Queue.push key c.fifo;
-          match t.san with
-          | Some h ->
-            San.write h.checker ~cpu h.res_cache.(cpu);
-            San.note_store h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key);
-            cpu_cost := !cpu_cost + costs.Costs.san_access
-          | None -> ()
-        end
-      end;
-      acceptors
+        store t ~cpu c ~generation key acceptors;
+        acceptors
+    end
   in
   let accepted = acceptors <> [] in
   if accepted then Stats.bump ctr.accepted
   else if not kernel_claimed then Stats.bump ctr.drop_nomatch;
   (* The filter interpretation and bookkeeping happen at interrupt level;
      delivery (queueing + reader wakeup) completes when that CPU work
-     retires. On an SMP device delivery mutates shared port queues, so it
-     runs under the costed delivery spinlock; classification itself touches
-     only this CPU's private cache and the read-only shared automaton, and
-     needs no lock. The
-     split into two interrupt-owner runs is cost-neutral on one CPU (no
-     context switch is ever charged between them), which is what keeps the
-     single-CPU SMP path byte-identical to the legacy accounting. *)
-  let wake = if accepted then costs.Costs.wakeup else 0 in
+     retires. Classification touches only this CPU's private cache and the
+     read-only shared automaton, and needs no lock. The split into two
+     interrupt-owner runs is cost-neutral on one CPU (no context switch is
+     ever charged between them), which is what keeps the single-CPU SMP
+     path byte-identical to the legacy accounting. *)
   let cpu_exec = Smp.cpu t.smp cpu in
   let classify_done =
-    Cpu.run cpu_exec ~owner:`Interrupt ~start:arrival ~cost:!cpu_cost
+    Cpu.run cpu_exec ~owner:`Interrupt ~start:arrival ~cost:t.demux_cost
   in
-  let finish =
-    if not accepted then classify_done
-    else begin
-      let deliver_cost = ref wake in
-      let san_queue_write () =
-        match t.san with
-        | Some h ->
-          San.write h.checker ~cpu h.res_queue;
-          deliver_cost := !deliver_cost + costs.Costs.san_access
-        | None -> ()
-      in
-      if n > 1 then
-        if !For_testing.skip_delivery_lock then
-          (* The seeded bug: the shared-queue insert runs bare. Verdicts
-             and queue contents are identical (the engine serializes demux
-             events), so only the sanitizer's lockset can see this. *)
-          san_queue_write ()
-        else begin
-          (* The lock covers only the queue insert (the [lock_acquire]
-             charge); the scheduler wakeup runs after release — holding a
-             spinlock across a wakeup would serialize the whole complex. *)
-          let wait =
-            Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0
-          in
-          deliver_cost := !deliver_cost + wait + costs.Costs.lock_acquire;
-          Stats.bump ctr.lock_acquire;
-          if wait > 0 then begin
-            t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
-            t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait;
-            Stats.bump ctr.lock_contended;
-            Stats.add ctr.lock_wait_us wait
-          end;
-          san_queue_write ();
-          Smp.Lock.release t.delivery_lock ~cpu
-        end
-      else
-        (* Single CPU: the legacy lock-free delivery. The instrumented
-           write keeps the queue resource in the sanitizer's Exclusive
-           state, so a 1-CPU campaign can never report on it. *)
-        san_queue_write ();
-      cpu_cost := !cpu_cost + !deliver_cost;
-      Cpu.run cpu_exec ~owner:`Interrupt ~start:classify_done ~cost:!deliver_cost
-    end
-  in
-  Stats.add ctr.demux_cpu_us !cpu_cost;
-  if accepted then
-    Engine.schedule t.engine ~at:finish (fun () ->
-        List.iter
-          (fun port ->
-            let timestamp = if port.timestamps then Some arrival else None in
-            enqueue port { packet = frame; timestamp; dropped_before = port.dropped })
-          acceptors);
+  if accepted then begin
+    let deliver_cost = costs.Costs.wakeup + queue_insert_cost t ~cpu ~classify_done in
+    add_cost t deliver_cost;
+    let finish = Cpu.run cpu_exec ~owner:`Interrupt ~start:classify_done ~cost:deliver_cost in
+    Engine.schedule t.engine ~at:finish (fun () -> deliver arrival frame acceptors)
+  end;
+  Stats.add ctr.demux_cpu_us t.demux_cost;
   accepted
 
 (* {1 User side} *)

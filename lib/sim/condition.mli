@@ -9,7 +9,9 @@ val create : unit -> 'a t
 
 val await : ?timeout:Time.t -> 'a t -> 'a option
 (** Block the calling process until {!signal}/{!broadcast} delivers a value,
-    or the timeout expires ([None]). Must be called inside a process. *)
+    or the timeout expires ([None]). Must be called inside a process. A
+    waiter whose timeout expires leaves the condition at once; the other
+    waiters keep their order. *)
 
 val signal : 'a t -> 'a -> bool
 (** Wake the longest-waiting live waiter; [false] if nobody was waiting (the
@@ -19,4 +21,4 @@ val broadcast : 'a t -> 'a -> int
 (** Wake every live waiter; returns how many were woken. *)
 
 val has_waiters : 'a t -> bool
-(** Conservative: may report true for waiters that already timed out. *)
+(** Whether some process is blocked in {!await}. *)

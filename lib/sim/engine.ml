@@ -1,92 +1,114 @@
 (* Binary min-heap on (time, seq); a fresh seq per event makes the order of
-   same-time events deterministic (FIFO in scheduling order). *)
-
-type event = { time : Time.t; seq : int; run : unit -> unit }
+   same-time events deterministic (FIFO in scheduling order). The heap is
+   three parallel arrays, so an event is no record: scheduling allocates
+   nothing beyond the caller's callback. *)
 
 type t = {
-  mutable heap : event array;
+  mutable times : Time.t array;
+  mutable seqs : int array;
+  mutable runs : (unit -> unit) array;
   mutable size : int;
   mutable clock : Time.t;
   mutable next_seq : int;
   mutable processed : int;
 }
 
-let dummy = { time = 0; seq = 0; run = ignore }
-let create () = { heap = Array.make 64 dummy; size = 0; clock = 0; next_seq = 0; processed = 0 }
+let create () =
+  {
+    times = Array.make 64 0;
+    seqs = Array.make 64 0;
+    runs = Array.make 64 ignore;
+    size = 0;
+    clock = 0;
+    next_seq = 0;
+    processed = 0;
+  }
+
 let now t = t.clock
 let pending t = t.size
 let events_processed t = t.processed
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let earlier t i j =
+  let ti = t.times.(i) and tj = t.times.(j) in
+  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
-let push t ev =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  let heap = t.heap in
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  heap.(!i) <- ev;
-  (* sift up *)
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if earlier heap.(!i) heap.(parent) then begin
-      let tmp = heap.(parent) in
-      heap.(parent) <- heap.(!i);
-      heap.(!i) <- tmp;
-      i := parent
+let swap t i j =
+  let time = t.times.(i) and seq = t.seqs.(i) and run = t.runs.(i) in
+  t.times.(i) <- t.times.(j);
+  t.seqs.(i) <- t.seqs.(j);
+  t.runs.(i) <- t.runs.(j);
+  t.times.(j) <- time;
+  t.seqs.(j) <- seq;
+  t.runs.(j) <- run
+
+let grow t =
+  let n = 2 * t.size in
+  let extend a fill =
+    let bigger = Array.make n fill in
+    Array.blit a 0 bigger 0 t.size;
+    bigger
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.runs <- extend t.runs ignore
+
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if earlier t i parent then begin
+      swap t i parent;
+      sift_up t parent
     end
-    else continue := false
-  done
+  end
 
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = if l < t.size && earlier t l i then l else i in
+  let smallest = if r < t.size && earlier t r smallest then r else smallest in
+  if smallest <> i then begin
+    swap t i smallest;
+    sift_down t smallest
+  end
+
+(* Remove the earliest event and return its callback; the vacated slot is
+   cleared so the callback can be collected once it has run. *)
 let pop t =
-  let heap = t.heap in
-  let top = heap.(0) in
-  t.size <- t.size - 1;
-  heap.(0) <- heap.(t.size);
-  heap.(t.size) <- dummy;
-  (* sift down *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && earlier heap.(l) heap.(!smallest) then smallest := l;
-    if r < t.size && earlier heap.(r) heap.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      let tmp = heap.(!smallest) in
-      heap.(!smallest) <- heap.(!i);
-      heap.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done;
-  top
+  let run = t.runs.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  t.times.(0) <- t.times.(last);
+  t.seqs.(0) <- t.seqs.(last);
+  t.runs.(0) <- t.runs.(last);
+  t.runs.(last) <- ignore;
+  sift_down t 0;
+  run
 
 let schedule t ~at run =
   let at = if at < t.clock then t.clock else at in
-  let ev = { time = at; seq = t.next_seq; run } in
+  if t.size = Array.length t.times then grow t;
+  let i = t.size in
+  t.times.(i) <- at;
+  t.seqs.(i) <- t.next_seq;
+  t.runs.(i) <- run;
   t.next_seq <- t.next_seq + 1;
-  push t ev
+  t.size <- i + 1;
+  sift_up t i
 
 let schedule_after t delay run = schedule t ~at:(t.clock + delay) run
 
 let run ?until t =
   let continue = ref true in
   while !continue && t.size > 0 do
-    let next = t.heap.(0) in
+    let time = t.times.(0) in
     match until with
-    | Some limit when next.time > limit ->
+    | Some limit when time > limit ->
       t.clock <- limit;
       continue := false
     | Some _ | None ->
-      let ev = pop t in
-      t.clock <- ev.time;
+      let run = pop t in
+      t.clock <- time;
       t.processed <- t.processed + 1;
-      ev.run ()
+      run ()
   done;
   match until with
   | Some limit when t.size = 0 && t.clock < limit -> t.clock <- limit

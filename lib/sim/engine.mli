@@ -14,7 +14,9 @@ val now : t -> Time.t
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs [f] at virtual time [at]. Scheduling in the past
     (including [at = now] from within an event) runs [f] at the current time,
-    after already-queued same-time events. *)
+    after already-queued same-time events. Allocates nothing beyond [f]
+    itself (save when the queue doubles), and the queue drops [f] once it
+    has run. *)
 
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 

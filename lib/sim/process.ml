@@ -5,6 +5,7 @@ type t = {
   cpu : Cpu.t;
   mutable state : [ `Runnable | `Blocked | `Dead ];
   mutable exit_hooks : (unit -> unit) list;
+  mutable cost : Time.t; (* the [use_cpu] being performed, for its handler *)
 }
 
 type _ Effect.t +=
@@ -33,30 +34,44 @@ let use_cpu cost = Effect.perform (Use_cpu cost)
 let pause d = Effect.perform (Pause d)
 let suspend ?timeout register = Effect.perform (Suspend (register, timeout))
 
+(* [f a b] as process [me] (its [Some p], built once): [current] is
+   restored when the process next yields, ends or raises. *)
+let as_current me f a b =
+  let saved = !current in
+  current := me;
+  match f a b with
+  | () -> current := saved
+  | exception e ->
+    current := saved;
+    raise e
+
+let resume me k v = as_current me Effect.Deep.continue k v
+
 let spawn engine cpu ~name body =
   incr next_id;
-  let proc = { id = !next_id; name; engine; cpu; state = `Runnable; exit_hooks = [] } in
-  let as_current f =
-    let saved = !current in
-    current := Some proc;
-    Fun.protect ~finally:(fun () -> current := saved) f
+  let proc =
+    { id = !next_id; name; engine; cpu; state = `Runnable; exit_hooks = []; cost = 0 }
+  in
+  let me = Some proc and owner = `Proc proc.id in
+  (* Built once: the runtime applies an effect's handler to the continuation
+     at once, before any other code runs, so [proc.cost] is still the cost
+     this [Use_cpu] set. *)
+  let on_cpu =
+    Some
+      (fun k ->
+        let finish = Cpu.run cpu ~owner ~start:(Engine.now engine) ~cost:proc.cost in
+        Engine.schedule engine ~at:finish (fun () -> resume me k ()))
   in
   let effc : type b. b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option =
     function
     | Use_cpu cost ->
-      Some
-        (fun k ->
-          let finish =
-            Cpu.run cpu ~owner:(`Proc proc.id) ~start:(Engine.now engine) ~cost
-          in
-          Engine.schedule engine ~at:finish (fun () ->
-              as_current (fun () -> Effect.Deep.continue k ())))
+      proc.cost <- cost;
+      on_cpu
     | Pause d ->
       Some
         (fun k ->
           Cpu.mark_descheduled cpu;
-          Engine.schedule_after engine d (fun () ->
-              as_current (fun () -> Effect.Deep.continue k ())))
+          Engine.schedule_after engine d (fun () -> resume me k ()))
     | Suspend (register, timeout) ->
       Some
         (fun k ->
@@ -68,8 +83,7 @@ let spawn engine cpu ~name body =
             else begin
               decided := true;
               proc.state <- `Runnable;
-              Engine.schedule engine ~at:(Engine.now engine) (fun () ->
-                  as_current (fun () -> Effect.Deep.continue k (Some v)));
+              Engine.schedule engine ~at:(Engine.now engine) (fun () -> resume me k (Some v));
               true
             end
           in
@@ -80,7 +94,7 @@ let spawn engine cpu ~name body =
                 if not !decided then begin
                   decided := true;
                   proc.state <- `Runnable;
-                  as_current (fun () -> Effect.Deep.continue k None)
+                  resume me k None
                 end));
           register deliver)
     | _ -> None
@@ -101,7 +115,7 @@ let spawn engine cpu ~name body =
     }
   in
   Engine.schedule engine ~at:(Engine.now engine) (fun () ->
-      as_current (fun () -> Effect.Deep.match_with body () handler));
+      as_current me (Effect.Deep.match_with body) () handler);
   proc
 
 let join target =

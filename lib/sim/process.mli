@@ -32,7 +32,11 @@ val running : unit -> bool
 
 val use_cpu : Time.t -> unit
 (** Consume CPU time on the host CPU (queueing behind other work and paying a
-    context switch if another process ran since). *)
+    context switch if another process ran since).
+
+    On the host, one wake-up allocates one closure (the event that resumes
+    the process) plus what the effect itself needs: a [use_cpu] round trip
+    is 12 minor words on OCaml 5.1. *)
 
 val pause : Time.t -> unit
 (** Let virtual time pass without using the CPU. *)

@@ -589,11 +589,13 @@ let test_unsound_sharing_mutant_caught_and_shrunk () =
     Alcotest.(check bool) "repro command present" true
       (Testutil.contains f.Runner.repro "pffuzz --seed")
 
-(* {1 Classification allocates nothing per probed group}
+(* {1 Classification allocates only its result}
 
    Each group's slot table is probed with the group's reused key, so adding
    groups the packet probes — matching none of them, or skipping them for a
-   missing word — adds no allocation. *)
+   missing word — adds no allocation. A classify allocates its returned
+   pair and stats record (9 words); the winner's answer is stored with its
+   entry. *)
 
 let test_classify_allocation_flat_in_groups () =
   let words_per_classify groups packet =
@@ -615,9 +617,13 @@ let test_classify_allocation_flat_in_groups () =
   in
   List.iter
     (fun (what, packet) ->
+      let at8 = words_per_classify 8 packet in
       Alcotest.(check (float 0.))
         (what ^ ": minor words per classify, 8 groups = 1 group")
-        (words_per_classify 1 packet) (words_per_classify 8 packet))
+        (words_per_classify 1 packet) at8;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per classify <= 9" what at8)
+        true (at8 <= 9.))
     [
       ("no slot matches", Packet.of_words (List.init 16 Fun.id));
       ("the first group matches", Packet.of_words (0xBEEF :: List.init 15 Fun.id));

@@ -279,10 +279,9 @@ let test_select_leaves_no_watchers () =
   Alcotest.(check int) "no watcher left on p1" 0 (Pfdev.For_testing.pending_watchers p1);
   Alcotest.(check int) "no watcher left on p2" 0 (Pfdev.For_testing.pending_watchers p2)
 
-(* Per-filter work on the sequential walk allocates nothing, so a demux of a
-   frame no filter accepts allocates the same at 8 and at 64 ports. The
-   cache is off, and fewer than 256 packets keep the busier-first reorder
-   from running. *)
+(* The sequential walk allocates nothing, so a demux of a frame no filter
+   accepts allocates nothing, at 8 ports as at 64. The cache is off, and
+   fewer than 256 packets keep the busier-first reorder from running. *)
 let test_demux_allocation_flat_in_filters () =
   let words_per_demux ports =
     let eng = Engine.create () in
@@ -314,12 +313,12 @@ let test_demux_allocation_flat_in_filters () =
   in
   let at8 = words_per_demux 8 in
   let at64 = words_per_demux 64 in
-  Alcotest.(check (float 0.)) "minor words per demux: 64 ports = 8 ports" at8 at64
+  Alcotest.(check (float 0.)) "minor words per demux: 64 ports = 8 ports" at8 at64;
+  Alcotest.(check (float 0.)) "minor words per demux" 0. at64
 
 (* A cache hit writes the flow key into a reused buffer and probes with it
-   in place, so its allocation does not grow with the key's width: the same
-   at 2 and at 16 key words. The filter reads its words and rejects the
-   frame, so a hit delivers nothing. *)
+   in place, so it allocates nothing, at 2 key words as at 16. The filter
+   reads its words and rejects the frame, so a hit delivers nothing. *)
 let test_cache_hit_allocation_flat_in_key_width () =
   let words_per_hit width =
     let eng = Engine.create () in
@@ -353,7 +352,55 @@ let test_cache_hit_allocation_flat_in_key_width () =
   in
   let at2 = words_per_hit 2 in
   let at16 = words_per_hit 16 in
-  Alcotest.(check (float 0.)) "minor words per cache hit: 16 key words = 2" at2 at16
+  Alcotest.(check (float 0.)) "minor words per cache hit: 16 key words = 2" at2 at16;
+  Alcotest.(check (float 0.)) "minor words per cache hit" 0. at16
+
+(* An accepted packet allocates what delivery keeps: the acceptor list (on
+   a miss; a hit replays the cached one), the delivery event's closure, the
+   capture and its queue cell. The accepting port is the last of 8, so the
+   sequential walk tests them all. *)
+let test_accepted_demux_allocation () =
+  let words_per_delivery ~cache =
+    let eng = Engine.create () in
+    let costs = Pf_sim.Costs.microvax_ii in
+    let stats = Pf_sim.Stats.create () in
+    let pf =
+      Pfdev.create eng (Pf_sim.Cpu.create costs) costs stats ~variant:Frame.Exp3
+        ~address:(Addr.exp 2) ~send:ignore
+    in
+    Pfdev.set_cache_enabled pf cache;
+    for i = 1 to 7 do
+      set_filter_exn (Pfdev.open_port pf) (socket_filter (100 + i))
+    done;
+    let port = Pfdev.open_port pf in
+    set_filter_exn port (socket_filter 35);
+    Pfdev.set_queue_limit port 1000;
+    let frame = Testutil.pup_frame ~dst_byte:2 ~dst_socket:35l () in
+    let demuxes = 100 in
+    ignore (Pfdev.demux pf frame : bool);
+    Engine.run eng;
+    let words =
+      Testutil.minor_words (fun () ->
+          for _ = 1 to demuxes do
+            ignore (Pfdev.demux pf frame : bool);
+            Engine.run eng
+          done)
+    in
+    Alcotest.(check int) "every packet queued" (demuxes + 1) (Pfdev.poll port);
+    Alcotest.(check int)
+      (if cache then "every later demux hit" else "no cache")
+      (if cache then demuxes else 0)
+      (Pf_sim.Stats.get stats "pf.cache.hit");
+    words /. float_of_int demuxes
+  in
+  let sequential = words_per_delivery ~cache:false in
+  let hit = words_per_delivery ~cache:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per sequential delivery <= 16" sequential)
+    true (sequential <= 16.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per cache-hit delivery <= 13" hit)
+    true (hit <= 13.)
 
 let test_signal_callback () =
   let eng, _, alice, bob = mk_world () in
@@ -856,6 +903,8 @@ let suite =
         test_demux_allocation_flat_in_filters;
       Alcotest.test_case "cache-hit allocation flat in key width" `Quick
         test_cache_hit_allocation_flat_in_key_width;
+      Alcotest.test_case "accepted demux allocates what delivery keeps" `Quick
+        test_accepted_demux_allocation;
       Alcotest.test_case "signal callback" `Quick test_signal_callback;
       Alcotest.test_case "no filter, no delivery" `Quick test_no_filter_no_delivery;
       Alcotest.test_case "status ioctl" `Quick test_status;

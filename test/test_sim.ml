@@ -176,6 +176,108 @@ let test_stale_waiter_skipped () =
   Alcotest.(check (option int)) "w1 timed out" None !first;
   Alcotest.(check (option int)) "w2 got the value" (Some 7) !second
 
+(* A waiter whose timeout fires takes itself off the condition, so idle
+   timed reads neither grow the waiter queue nor keep their processes'
+   continuations alive for the next signal to walk. *)
+let test_timed_out_waiters_leave () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create Costs.free in
+  let cond : unit Condition.t = Condition.create () in
+  let timed_out = ref 0 in
+  let _w =
+    Process.spawn eng cpu ~name:"reader" (fun () ->
+        for _ = 1 to 1000 do
+          match Condition.await ~timeout:10 cond with
+          | Some () -> ()
+          | None -> incr timed_out
+        done)
+  in
+  Engine.run eng;
+  Alcotest.(check int) "every await timed out" 1000 !timed_out;
+  Alcotest.(check bool) "no waiter left" false (Condition.has_waiters cond);
+  (* A timed-out waiter leaves the others queued, in their order. *)
+  let got = ref [] in
+  let spawn_waiter name timeout =
+    ignore
+      (Process.spawn eng cpu ~name (fun () ->
+           match Condition.await ?timeout cond with
+           | Some () -> got := name :: !got
+           | None -> ())
+        : Process.t)
+  in
+  spawn_waiter "a" None;
+  spawn_waiter "b" (Some 5);
+  spawn_waiter "c" None;
+  Engine.run ~until:(Engine.now eng + 10) eng;
+  Alcotest.(check int) "two woken by two signals" 2 (Condition.broadcast cond ());
+  Engine.run eng;
+  Alcotest.(check (list string)) "in waiting order" [ "a"; "c" ] (List.rev !got)
+
+(* {1 Allocation per wake-up}
+
+   Per-event budgets on the host clock, in minor words: the heap boxes
+   nothing per event, and a process wake-up allocates one closure plus what
+   the effect runtime itself needs. *)
+
+let test_engine_event_allocates_nothing () =
+  let eng = Engine.create () in
+  let ran = ref 0 in
+  let event () = incr ran in
+  Engine.schedule eng ~at:1 event;
+  Engine.run eng;
+  let words =
+    Testutil.minor_words (fun () ->
+        for _ = 1 to 1000 do
+          Engine.schedule eng ~at:(Engine.now eng + 1) event;
+          Engine.schedule eng ~at:(Engine.now eng + 1) event;
+          Engine.run eng
+        done)
+  in
+  Alcotest.(check int) "every event ran" 2001 !ran;
+  Alcotest.(check (float 0.)) "minor words per event" 0. (words /. 2000.)
+
+(* Warm the process up, then measure [rounds] of its loop to the end. *)
+let words_per_round eng ~rounds ~warm =
+  Engine.run ~until:warm eng;
+  Testutil.minor_words (fun () -> Engine.run eng) /. float_of_int rounds
+
+let test_use_cpu_allocation () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create Costs.free in
+  let _p =
+    Process.spawn eng cpu ~name:"worker" (fun () ->
+        for _ = 1 to 1100 do
+          Process.use_cpu 1
+        done)
+  in
+  let words = words_per_round eng ~rounds:1000 ~warm:100 in
+  Alcotest.(check int) "all the work ran" 1100 (Engine.now eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per use_cpu round trip <= 20" words)
+    true (words <= 20.)
+
+let test_await_signal_allocation () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create Costs.free in
+  let cond : unit Condition.t = Condition.create () in
+  let woken = ref 0 in
+  let _w =
+    Process.spawn eng cpu ~name:"waiter" (fun () ->
+        for _ = 1 to 1100 do
+          match Condition.await cond with Some () -> incr woken | None -> ()
+        done)
+  in
+  (* The signaller is one closure, rescheduled: it allocates nothing. *)
+  let rec tick () =
+    if Condition.signal cond () then Engine.schedule_after eng 1 tick
+  in
+  Engine.schedule_after eng 1 tick;
+  let words = words_per_round eng ~rounds:1000 ~warm:100 in
+  Alcotest.(check int) "every await woken" 1100 !woken;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per await/signal round <= 52" words)
+    true (words <= 52.)
+
 (* {1 Stats & Rng} *)
 
 let test_stats () =
@@ -274,4 +376,10 @@ let suite =
       Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
       Alcotest.test_case "rng exponential" `Quick test_rng_exponential_positive;
       Alcotest.test_case "time conversions" `Quick test_time;
+      Alcotest.test_case "timed-out waiters leave the condition" `Quick
+        test_timed_out_waiters_leave;
+      Alcotest.test_case "engine event allocates nothing" `Quick
+        test_engine_event_allocates_nothing;
+      Alcotest.test_case "use_cpu round trip allocation" `Quick test_use_cpu_allocation;
+      Alcotest.test_case "await/signal round allocation" `Quick test_await_signal_allocation;
     ] )
