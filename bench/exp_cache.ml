@@ -32,9 +32,8 @@ type result = {
 }
 
 let run_mix ~cache () =
-  let world = dix_world ~costs_a:Pf_sim.Costs.free () in
+  let world = dix_world ~costs_a:Pf_sim.Costs.free ~cache () in
   let pf = Host.pf world.b in
-  Pfdev.set_cache_enabled pf cache;
   (* A fresh generator per run with the same seed: the cached and uncached
      passes see byte-identical frame sequences. Descending open order puts
      the hot flows (the lowest indices) at the end of the walk. *)

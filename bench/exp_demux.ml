@@ -46,13 +46,12 @@ let mean_latency deliveries arrivals =
 
 (* These experiments replay one identical frame, which the demux flow cache
    would short-circuit entirely; the paper's 1987 kernel had no such cache,
-   so the reproduction rows run with it disabled ([run_cache_revisit] below
-   shows what it buys). *)
+   so the reproduction rows run with it disabled, [dix_world]'s default
+   ([run_cache_revisit] below shows what it buys). *)
 
 let kernel_latency_us ~size =
   let world = dix_world ~costs_a:free_sender () in
   let n = 60 in
-  Pfdev.set_cache_enabled (Host.pf world.b) false;
   let port = Pfdev.open_port (Host.pf world.b) in
   set_filter_exn port Pf_filter.Predicates.accept_all;
   Pfdev.set_timeout port (Some 100_000);
@@ -72,7 +71,6 @@ let kernel_latency_us ~size =
 let user_latency_us ~size =
   let world = dix_world ~costs_a:free_sender () in
   let n = 60 in
-  Pfdev.set_cache_enabled (Host.pf world.b) false;
   let demux = Userdemux.start world.b ~route:(fun _ -> Some 0) ~clients:1 () in
   let pipe = Userdemux.client_pipe demux 0 in
   let deliveries = ref [] and arrivals = ref [] in
@@ -93,9 +91,8 @@ let user_latency_us ~size =
 (* {1 Sustained rate (tables 6-9 and 6-10)} *)
 
 let kernel_saturated_us ~size ?(filter_length = 0) ?(cache = false) () =
-  let world = dix_world ~costs_a:free_sender () in
+  let world = dix_world ~costs_a:free_sender ~cache () in
   let n = 150 in
-  Pfdev.set_cache_enabled (Host.pf world.b) cache;
   let port = Pfdev.open_port (Host.pf world.b) in
   let filter =
     if filter_length = 0 then Pf_filter.Predicates.accept_all
@@ -127,7 +124,6 @@ let kernel_saturated_us ~size ?(filter_length = 0) ?(cache = false) () =
 let user_saturated_us ~size =
   let world = dix_world ~costs_a:free_sender () in
   let n = 150 in
-  Pfdev.set_cache_enabled (Host.pf world.b) false;
   let demux =
     Userdemux.start world.b ~batch:true ~queue_limit:500 ~route:(fun _ -> Some 0)
       ~clients:1 ()

@@ -41,9 +41,8 @@ let skew_of = function
 type result = { us_per_packet : float; insns_per_packet : float }
 
 let run_mix ~n ~mix ~strategy ~cache =
-  let world = dix_world ~costs_a:Pf_sim.Costs.free () in
+  let world = dix_world ~costs_a:Pf_sim.Costs.free ~cache () in
   let pf = Host.pf world.b in
-  Pfdev.set_cache_enabled pf cache;
   Pfdev.set_strategy pf strategy;
   (* A fresh generator per run with the same seed: every strategy and
      cache setting sees the identical frame sequence. All-Pup blend, one

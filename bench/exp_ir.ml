@@ -42,7 +42,6 @@ type result = { demux_us_per_packet : float; accepted : int }
 let run_mix strategy =
   let world = dix_world ~costs_a:Pf_sim.Costs.free () in
   let pf = Host.pf world.b in
-  Pfdev.set_cache_enabled pf false;
   Pfdev.set_compile_strategy pf strategy;
   List.iter
     (fun i ->

@@ -46,7 +46,7 @@ type result = {
    [san] attaches the Pfsan checker, whose instrumented accesses charge
    [Costs.san_access] each — the modeled overhead the --san gate bounds. *)
 let run_one ?(san = false) ~ncpus ~skew () =
-  let world = dix_world ~costs_a:Pf_sim.Costs.free ?ncpus_b:ncpus () in
+  let world = dix_world ~costs_a:Pf_sim.Costs.free ?ncpus_b:ncpus ~cache:true () in
   let pf = Host.pf world.b in
   let checker =
     if san then begin

@@ -21,7 +21,6 @@ let experiments =
     ("ir", "Register-IR compile strategies on the §6 filter mix", Exp_ir.run);
     ("dispatch", "Demux scaling: dispatch automaton vs linear walk (10 -> 10k ports)",
      Exp_dispatch.run);
-    ("fw", "Firewall frontend: lint cost + verified optimization payoff", Exp_fw.run);
     ("smp", "Multi-CPU receive scaling with RSS steering (1 -> 8 CPUs)", Exp_smp.run);
     ("figures", "Figures 2-1/2-2, 2-3, 3-4/3-5 cost decompositions", Exp_figures.run);
     ("ablation", "Design ablations + Bechamel microbenchmarks", Exp_ablation.run);
@@ -59,10 +58,9 @@ let () =
        everything else — the §6 demux tables, the flow cache, the
        interpreter profile — to the original BENCH_demux.json. *)
     Util.write_json_excluding "BENCH_demux.json"
-      ~prefixes:[ "ir_"; "dispatch_"; "fw_"; "smp_"; "ablation_" ];
+      ~prefixes:[ "ir_"; "dispatch_"; "smp_"; "ablation_" ];
     Util.write_json_filtered "BENCH_ir.json" ~prefix:"ir_";
     Util.write_json_filtered "BENCH_dispatch.json" ~prefix:"dispatch_";
-    Util.write_json_filtered "BENCH_fw.json" ~prefix:"fw_";
     Util.write_json_filtered "BENCH_smp.json" ~prefix:"smp_";
     Util.write_json_filtered "BENCH_ablation.json" ~prefix:"ablation_"
   end

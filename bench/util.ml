@@ -16,14 +16,20 @@ type world = {
   b : Host.t; (* server / receiver *)
 }
 
+(* The paper's 1987 kernel had no demux flow cache, so the worlds that
+   reproduce §6 run with both hosts' caches off; [~cache:true] keeps the
+   kernel's default. The cache is never switched back on: each toggle
+   flushes every CPU's cache. *)
 let dix_world ?(costs = Costs.microvax_ii) ?costs_a ?costs_b ?ncpus_b ?(rate = 10.)
-    () =
+    ?(cache = false) () =
   let engine = Engine.create () in
   let link = Pf_net.Link.create engine Frame.Dix10 ~rate_mbit:rate () in
   let costs_a = Option.value ~default:costs costs_a in
   let costs_b = Option.value ~default:costs costs_b in
   let a = Host.create ~costs:costs_a link ~name:"a" ~addr:(Addr.eth_host 1) in
   let b = Host.create ~costs:costs_b ?ncpus:ncpus_b link ~name:"b" ~addr:(Addr.eth_host 2) in
+  if not cache then
+    List.iter (fun h -> Pf_kernel.Pfdev.set_cache_enabled (Host.pf h) false) [ a; b ];
   { engine; link; a; b }
 
 let exp3_world ?(costs = Costs.microvax_ii) ?(rate = 3.) () =

@@ -15,7 +15,6 @@ open Cmdliner
 module Runner = Pf_fuzz.Runner
 module Gen = Pf_fuzz.Gen
 module Oracle = Pf_fuzz.Oracle
-module Fwcase = Pf_fuzz.Fwcase
 module Sancase = Pf_fuzz.Sancase
 
 let replay ~seed ~index =
@@ -59,23 +58,6 @@ let campaign ~seed ~iters ~seconds ~max_failures ~quiet =
         stats.Runner.failures <> [],
         fun () -> Format.printf "%a@." Runner.pp_stats stats ))
 
-(* The firewall-frontend campaign: random rule tables + packets against
-   the reference semantics and every compiled engine (--firewall). *)
-let fw_replay ~seed ~index =
-  let case, outcome = Fwcase.run_case ~seed ~index () in
-  Format.printf
-    "@[<v>firewall case %d of seed %d (%s):@,@[<v 2>table:@,%a@]packet: %a@,%a@]@."
-    index seed case.Fwcase.shape Pf_firewall.Table.pp case.Fwcase.table
-    Pf_pkt.Packet.pp_hex case.Fwcase.packet Fwcase.pp_outcome outcome;
-  match outcome with Fwcase.Disagreement _ -> 1 | _ -> 0
-
-let fw_campaign ~seed ~iters ~seconds ~max_failures ~quiet =
-  drive ~seconds ~iters ~quiet ~every:500 (fun ~should_stop ~progress ~iters ->
-      let stats = Fwcase.run ~max_failures ~should_stop ~progress ~seed ~iters () in
-      ( stats.Fwcase.cases,
-        stats.Fwcase.failures <> [],
-        fun () -> Format.printf "%a@." Fwcase.pp_stats stats ))
-
 (* The sanitizer campaign (--san): whole SMP receive scenarios with Pfsan
    attached, no differential oracle — the report list is the verdict.
    Clean kernel must stay silent; with --mutant, exit 1 means "caught". *)
@@ -104,7 +86,7 @@ let san_campaign ~mutant ~seed ~iters ~seconds ~max_failures ~quiet =
         stats.Sancase.failures <> [],
         fun () -> Format.printf "%a@." Sancase.pp_stats stats ))
 
-let main firewall san mutant seed iters index seconds max_failures quiet =
+let main san mutant seed iters index seconds max_failures quiet =
   let mutant =
     match mutant with
     | None -> None
@@ -123,20 +105,11 @@ let main firewall san mutant seed iters index seconds max_failures quiet =
     | Some index -> san_replay ~mutant ~seed ~index
     | None -> san_campaign ~mutant ~seed ~iters ~seconds ~max_failures ~quiet
   else
-    match (firewall, index) with
-    | false, Some index -> replay ~seed ~index
-    | false, None -> campaign ~seed ~iters ~seconds ~max_failures ~quiet
-    | true, Some index -> fw_replay ~seed ~index
-    | true, None -> fw_campaign ~seed ~iters ~seconds ~max_failures ~quiet
+    match index with
+    | Some index -> replay ~seed ~index
+    | None -> campaign ~seed ~iters ~seconds ~max_failures ~quiet
 
 let cmd =
-  let firewall =
-    Arg.(value & flag
-         & info [ "firewall" ]
-             ~doc:"Fuzz the firewall rule-table frontend instead of raw \
-                   programs: random tables + packets, reference semantics \
-                   vs every compiled engine.")
-  in
   let san =
     Arg.(value & flag
          & info [ "san" ]
@@ -174,7 +147,7 @@ let cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress output.") in
   Cmd.v
     (Cmd.info "pffuzz" ~doc:"Differential fuzzer: one oracle over every packet-filter engine")
-    Term.(const main $ firewall $ san $ mutant $ seed $ iters $ index $ seconds
+    Term.(const main $ san $ mutant $ seed $ iters $ index $ seconds
           $ max_failures $ quiet)
 
 let () = exit (Cmd.eval' cmd)

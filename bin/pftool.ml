@@ -1063,234 +1063,6 @@ let sanlint_cmd =
           DAG — no traffic is run")
     Term.(const run $ demo $ cpus $ json_flag)
 
-(* {1 Firewall rule tables} *)
-
-module Fw = Pf_firewall
-
-let read_table path =
-  let content =
-    if path = "-" then In_channel.input_all stdin
-    else In_channel.with_open_text path In_channel.input_all
-  in
-  match Fw.Table.of_string content with
-  | Ok t -> t
-  | Error e ->
-    Printf.eprintf "pftool: %s: %s\n" path e;
-    exit 2
-
-let fw_budget =
-  Arg.(value & opt int Fw.Compile.default_budget
-       & info [ "budget" ] ~docv:"N"
-           ~doc:"Path budget per side for the symbolic executor.")
-
-let fwcompile_cmd =
-  let files =
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"TABLE.fw"
-           ~doc:"Rule tables to compile ('-' for stdin).")
-  in
-  let run files budget =
-    let fell_back = ref false in
-    List.iter
-      (fun file ->
-        let table = read_table file in
-        Format.printf "== %s ==@." file;
-        Format.printf "%s" (Fw.Table.to_string table);
-        List.iteri
-          (fun i r ->
-            let chain, exact = Fw.Compile.rule_guards r in
-            Format.printf "rule %d guard chain:%s%s@." (i + 1)
-              (String.concat ""
-                 (List.map
-                    (fun (w, v) -> Printf.sprintf " word[%d]=%04x" w v)
-                    chain))
-              (if exact then " (exact)" else ""))
-          table.Fw.Table.rules;
-        match Fw.Compile.compile ~budget table with
-        | Error e ->
-          Format.printf "does not compile: %a@." Validate.pp_error e;
-          exit 2
-        | Ok c ->
-          let naive = Validate.program c.Fw.Compile.naive in
-          let installed = Validate.program c.Fw.Compile.installed in
-          Format.printf "naive chain: %d instructions, %d code words@."
-            (Program.insn_count naive) (Program.code_words naive);
-          Format.printf "installed: %d instructions, %d code words (%s)@."
-            (Program.insn_count installed) (Program.code_words installed)
-            (if c.Fw.Compile.fell_back then "naive chain" else "optimized");
-          Format.printf "translation validation: %a (naive %d paths, optimized %d paths)@."
-            Equiv.pp_certification c.Fw.Compile.certification
-            c.Fw.Compile.report.Equiv.paths_left
-            c.Fw.Compile.report.Equiv.paths_right;
-          report_analysis installed;
-          Printf.printf "wire: %s\n"
-            (String.concat " "
-               (List.map (Printf.sprintf "%04x") (Program.encode installed)));
-          if c.Fw.Compile.fell_back then fell_back := true;
-          Format.printf "@.")
-      files;
-    if !fell_back then exit 1
-  in
-  Cmd.v
-    (Cmd.info "fwcompile"
-       ~doc:
-         "Compile firewall rule tables to filter programs, proving the \
-          optimized program equal to the reference first-match chain \
-          (translation validation; a fallback to the naive chain exits 1)")
-    Term.(const run $ files $ fw_budget)
-
-let fwlint_cmd =
-  let files =
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"TABLE.fw"
-           ~doc:"Rule tables to analyze ('-' for stdin).")
-  in
-  let strict =
-    Arg.(value & flag
-         & info [ "strict" ]
-             ~doc:"Also fail when a check stayed undecided (budget \
-                   exhaustion); by default only proven findings fail.")
-  in
-  let cex_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cex-dir" ] ~docv:"DIR"
-             ~doc:"Write each conflict's witness packet (hex, one per line) \
-                   to \\$(docv)/<table>-conflict-rI-rJ.hex for artifact \
-                   upload and replay with `pftool run`.")
-  in
-  let sanitize name =
-    String.map
-      (fun c ->
-        match c with 'a'..'z' | 'A'..'Z' | '0'..'9' | '-' | '_' -> c | _ -> '-')
-      name
-  in
-  let class_fields = function
-    | Fw.Lint.Live -> [ ("class", json_str "live") ]
-    | Fw.Lint.Shadowed j ->
-      [ ("class", json_str "shadowed"); ("by", string_of_int (j + 1)) ]
-    | Fw.Lint.Dead -> [ ("class", json_str "dead") ]
-    | Fw.Lint.Redundant -> [ ("class", json_str "redundant") ]
-    | Fw.Lint.Conflicting j ->
-      [ ("class", json_str "conflicting"); ("with", string_of_int (j + 1)) ]
-  in
-  let run files strict json budget cex_dir =
-    (match cex_dir with
-    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-    | _ -> ());
-    let results =
-      List.map
-        (fun file ->
-          let table = read_table file in
-          match Fw.Lint.analyze ~budget table with
-          | Error e ->
-            Format.eprintf "pftool: %s does not compile: %a@." file
-              Validate.pp_error e;
-            exit 2
-          | Ok report -> (file, report))
-        files
-    in
-    Option.iter
-      (fun dir ->
-        List.iter
-          (fun (file, report) ->
-            let base = sanitize (Filename.remove_extension (Filename.basename file)) in
-            List.iter
-              (fun (c : Fw.Lint.conflict) ->
-                let path =
-                  Filename.concat dir
-                    (Printf.sprintf "%s-conflict-r%d-r%d.hex" base
-                       (c.Fw.Lint.earlier + 1) (c.Fw.Lint.later + 1))
-                in
-                Out_channel.with_open_text path (fun oc ->
-                    output_string oc (hex_of_packet c.Fw.Lint.witness ^ "\n")))
-              report.Fw.Lint.conflicts)
-          results)
-      cex_dir;
-    let findings =
-      List.fold_left (fun acc (_, r) -> acc + Fw.Lint.findings r) 0 results
-    in
-    let undecided =
-      List.fold_left
-        (fun acc (_, r) -> acc + List.length r.Fw.Lint.unknowns)
-        0 results
-    in
-    if json then begin
-      let tables =
-        List.map
-          (fun (file, r) ->
-            let t = r.Fw.Lint.compiled.Fw.Compile.table in
-            let rules = Array.of_list t.Fw.Table.rules in
-            json_obj
-              [ ("file", json_str file);
-                ("rules", string_of_int (Array.length rules));
-                ("default", json_str (Fw.Rule.action_to_string t.Fw.Table.default));
-                ("validation",
-                 json_obj
-                   [ ("status",
-                      json_str
-                        (match r.Fw.Lint.compiled.Fw.Compile.certification with
-                         | Equiv.Certified -> "certified"
-                         | Equiv.Refuted _ -> "refuted"
-                         | Equiv.Uncertified _ -> "unknown"));
-                     ("fell_back",
-                      if r.Fw.Lint.compiled.Fw.Compile.fell_back then "true"
-                      else "false");
-                     ("naive_paths",
-                      string_of_int
-                        r.Fw.Lint.compiled.Fw.Compile.report.Equiv.paths_left);
-                     ("optimized_paths",
-                      string_of_int
-                        r.Fw.Lint.compiled.Fw.Compile.report.Equiv.paths_right) ]);
-                ("rule_report",
-                 json_arr
-                   (List.mapi
-                      (fun i c ->
-                        json_obj
-                          (("index", string_of_int (i + 1))
-                           :: ("rule", json_str (Fw.Rule.to_string rules.(i)))
-                           :: class_fields c))
-                      (Array.to_list r.Fw.Lint.classes)));
-                ("conflicts",
-                 json_arr
-                   (List.map
-                      (fun (c : Fw.Lint.conflict) ->
-                        json_obj
-                          [ ("earlier", string_of_int (c.Fw.Lint.earlier + 1));
-                            ("later", string_of_int (c.Fw.Lint.later + 1));
-                            ("witness", json_str (hex_of_packet c.Fw.Lint.witness));
-                            ("resolved",
-                             json_str (Fw.Rule.action_to_string c.Fw.Lint.resolved));
-                            ("confirmed",
-                             if c.Fw.Lint.confirmed then "true" else "false") ])
-                      r.Fw.Lint.conflicts));
-                ("unknowns", json_arr (List.map json_str r.Fw.Lint.unknowns));
-                ("findings", string_of_int (Fw.Lint.findings r)) ])
-          results
-      in
-      print_string
-        (json_obj
-           [ ("tables", json_arr tables);
-             ("findings", string_of_int findings);
-             ("undecided", string_of_int undecided) ]);
-      print_newline ()
-    end
-    else begin
-      List.iter
-        (fun (file, r) ->
-          Format.printf "== %s ==@.%a@." file Fw.Lint.pp r)
-        results;
-      Format.printf "%d table(s) analyzed: %d finding(s), %d undecided@."
-        (List.length results) findings undecided
-    end;
-    if findings > 0 || (strict && undecided > 0) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "fwlint"
-       ~doc:
-         "Statically analyze firewall rule tables: prove rules shadowed, \
-          dead or redundant, and synthesize witness packets for \
-          conflicting rule pairs (exit 1 on findings; translation-validate \
-          the compiled table on the way)")
-    Term.(const run $ files $ strict $ json_flag $ fw_budget $ cex_dir)
-
 let () =
   let info = Cmd.info "pftool" ~doc:"Packet filter assembler / disassembler / evaluator" in
   exit
@@ -1298,4 +1070,4 @@ let () =
        (Cmd.group info
           [ asm_cmd; disasm_cmd; run_cmd; compile_cmd; fields_cmd; examples_cmd; lint_cmd;
             cache_cmd; dispatch_cmd; smp_cmd; san_cmd; sanlint_cmd; ir_cmd;
-            equiv_cmd; verify_cmd; fwcompile_cmd; fwlint_cmd ]))
+            equiv_cmd; verify_cmd ]))

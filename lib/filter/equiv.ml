@@ -151,10 +151,9 @@ let relate ?(budget = default_budget) ?(pair_budget = default_pair_budget) va
       | Counterexample _ | Unknown -> Analysis.Unknown
   end
 
-(* One memo table for the symbolic relations the dispatch automaton and
-   the firewall lint ask for. Keys are the encoded programs plus the
-   budgets, so one table can serve callers with different budgets without
-   confusing their answers. *)
+(* One memo table for the symbolic relations the dispatch automaton asks
+   for. Keys are the encoded programs plus the budgets, so one table can
+   serve callers with different budgets without confusing their answers. *)
 module Memo = struct
   type t = (int list * int list * int * int, Analysis.relation) Hashtbl.t
 

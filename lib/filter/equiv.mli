@@ -70,11 +70,10 @@ val relate :
     {!check_programs} proves equality, [Unknown] otherwise. Never returns
     [Subsumes]/[Subsumed_by]. *)
 
-(** Memo table for symbolic relation verdicts ({!relate_memo}), shared by
-    the dispatch automaton and the firewall rule lint. Keys are the
-    encoded programs ({!Program.encode}) plus the budgets, so one table
-    can serve callers with different budgets without confusing their
-    answers. *)
+(** Memo table for symbolic relation verdicts ({!relate_memo}), used by
+    the dispatch automaton. Keys are the encoded programs
+    ({!Program.encode}) plus the budgets, so one table can serve callers
+    with different budgets without confusing their answers. *)
 module Memo : sig
   type t
 
@@ -93,7 +92,7 @@ val relate_memo :
     symbolic {!relate} through the memo table. *)
 
 (** Outcome of certifying one optimizer rewrite, shared by [pftool
-    verify], the firewall compiler and the kernel's certifying installs. *)
+    verify] and the kernel's certifying installs. *)
 type certification =
   | Certified  (** the rewrite is proved meaning-preserving *)
   | Refuted of Pf_pkt.Packet.t

@@ -44,8 +44,8 @@ type case = {
   tseed : int;
 }
 
-(* Distinct stream tag so san cases never correlate with the filter or
-   firewall campaigns run under the same seed. *)
+(* Distinct stream tag so san cases never correlate with the filter
+   campaign run under the same seed. *)
 let case ~seed ~index =
   let rng = Gen.Rng.derive ~seed:(seed lxor 0x73616e63) ~index in
   let ncpus = Gen.Rng.choose rng [ 1; 2; 4; 8 ] in

@@ -74,7 +74,7 @@ val run :
   stats
 (** On the clean kernel ([?mutant] absent) a failure is any case with
     reports; with a mutant, a failure records the catch — both are shrunk.
-    Campaign semantics match {!Fwcase.run}: stop at [max_failures]. *)
+    Campaign semantics match {!Runner.run}: stop at [max_failures]. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_stats : Format.formatter -> stats -> unit

@@ -1410,43 +1410,3 @@ let status (t : t) =
   }
 
 let active_ports t = List.length (List.filter (fun p -> p.filter <> None) t.ports)
-
-(* Installed-filter relations, the pseudodevice's analysis status surface:
-   which filters can never both accept (safe to reorder within a priority),
-   and which ports are dead weight because a higher-priority filter already
-   accepts everything they would (and, not being copy-all, consumes it). *)
-
-let filtered_ports t =
-  List.filter_map
-    (fun p ->
-      match p.validated with
-      | Some v when p.is_open -> Some (p, v)
-      | Some _ | None -> None)
-    t.ports
-
-let filter_relations t =
-  let rec pairs = function
-    | [] -> []
-    | (p, v) :: rest ->
-      List.map (fun (q, w) -> (p.id, q.id, Pf_filter.Analysis.relate v w)) rest
-      @ pairs rest
-  in
-  pairs (filtered_ports t)
-
-let shadowed_ports t =
-  let active = filtered_ports t in
-  List.filter_map
-    (fun (p, v) ->
-      let shadow =
-        List.find_opt
-          (fun (q, w) ->
-            q.priority > p.priority
-            && (not q.copy_all)
-            &&
-            match Pf_filter.Analysis.relate w v with
-            | Pf_filter.Analysis.Subsumes | Pf_filter.Analysis.Equivalent -> true
-            | _ -> false)
-          active
-      in
-      Option.map (fun (q, _) -> (p, q)) shadow)
-    active

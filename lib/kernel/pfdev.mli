@@ -107,7 +107,8 @@ val port_certification : port -> Pf_filter.Equiv.certification option
     diagnosis. *)
 
 val port_id : port -> int
-(** Stable identifier, for correlating {!filter_relations} output. *)
+(** Stable identifier, assigned in open order; among ports of equal
+    priority the lower id is tried first. *)
 
 val port_accepted : port -> int
 (** Packets this port's filter has accepted (before queue-overflow drops). *)
@@ -398,17 +399,6 @@ type status = {
 
 val status : t -> status
 val active_ports : t -> int
-
-val filter_relations : t -> (int * int * Pf_filter.Analysis.relation) list
-(** Pairwise {!Pf_filter.Analysis.relate} over every open port with an
-    installed filter, as [(port_id_a, port_id_b, relate a b)] — the
-    subsumption/disjointness map the pseudodevice surfaces to operators. *)
-
-val shadowed_ports : t -> (port * port) list
-(** [(shadowed, by)] pairs: [shadowed]'s filter is proven subsumed by (or
-    equivalent to) a strictly-higher-priority port's filter that is not
-    copy-all, so [shadowed] can never receive a packet — almost certainly a
-    configuration mistake. *)
 
 (** {1 Test hooks} *)
 

@@ -3,13 +3,13 @@ type owner = [ `Proc of int | `Interrupt ]
 type t = {
   costs : Costs.t;
   mutable busy_until : Time.t;
-  mutable last_proc : int option;
+  mutable last_proc : int; (* -1 before any process ran; 0 = descheduled *)
   mutable context_switches : int;
   mutable busy_time : Time.t;
 }
 
 let create costs =
-  { costs; busy_until = 0; last_proc = None; context_switches = 0; busy_time = 0 }
+  { costs; busy_until = 0; last_proc = -1; context_switches = 0; busy_time = 0 }
 
 let costs t = t.costs
 
@@ -19,14 +19,12 @@ let run t ~owner ~start ~cost =
     match owner with
     | `Interrupt -> 0
     | `Proc id ->
+      (* the first process to run has nothing to switch from *)
       let charged =
-        match t.last_proc with
-        | Some prev when prev = id -> 0
-        | Some _ -> t.costs.Costs.context_switch
-        | None -> 0 (* first process to run: nothing to switch from *)
+        if t.last_proc = id || t.last_proc < 0 then 0 else t.costs.Costs.context_switch
       in
       if charged > 0 then t.context_switches <- t.context_switches + 1;
-      t.last_proc <- Some id;
+      t.last_proc <- id;
       charged
   in
   let finish = start + switch + cost in
@@ -36,8 +34,7 @@ let run t ~owner ~start ~cost =
 
 (* Process ids start at 1; owner 0 is the scheduler/idle pseudo-process a
    blocked process hands the CPU to. *)
-let mark_descheduled t =
-  match t.last_proc with Some _ -> t.last_proc <- Some 0 | None -> ()
+let mark_descheduled t = if t.last_proc >= 0 then t.last_proc <- 0
 
 let busy_until t = t.busy_until
 let context_switches t = t.context_switches

@@ -99,7 +99,7 @@ module Lock = struct
     mutable acquisitions : int;
     mutable contended : int;
     mutable wait_time : Time.t;
-    mutable owner : int option; (* logical holder between acquire/release *)
+    mutable owner : int; (* logical holder between acquire/release; -1 = free *)
     mutable misuses : misuse list; (* reverse detection order *)
   }
 
@@ -111,7 +111,7 @@ module Lock = struct
       acquisitions = 0;
       contended = 0;
       wait_time = 0;
-      owner = None;
+      owner = -1;
       misuses = [];
     }
 
@@ -139,10 +139,8 @@ module Lock = struct
   (* Misuse detection and sanitizer edges are bookkeeping only: the time
      accounting below is byte-identical to the pre-hardening lock, so every
      pinned cost and counter is unchanged. *)
-  let acquire ?(cpu = 0) l ~start ~hold =
-    (match l.owner with
-    | Some o when o = cpu -> flag l ~cpu (Reentrant_acquire cpu)
-    | Some _ | None -> ());
+  let acquire l ~cpu ~start ~hold =
+    if l.owner = cpu then flag l ~cpu (Reentrant_acquire cpu);
     let granted = max start l.held_until in
     let wait = granted - start in
     if wait > 0 then begin
@@ -151,18 +149,17 @@ module Lock = struct
     end;
     l.acquisitions <- l.acquisitions + 1;
     l.held_until <- granted + l.smp.costs.Costs.lock_acquire + hold;
-    l.owner <- Some cpu;
+    l.owner <- cpu;
     (match l.smp.san with
     | Some san -> San.lock_acquired san ~cpu l.name
     | None -> ());
     wait
 
   let release l ~cpu =
-    (match l.owner with
-    | None -> flag l ~cpu (Double_release cpu)
-    | Some o when o <> cpu -> flag l ~cpu (Release_by_non_owner { cpu; owner = o })
-    | Some _ -> ());
-    l.owner <- None;
+    if l.owner < 0 then flag l ~cpu (Double_release cpu)
+    else if l.owner <> cpu then
+      flag l ~cpu (Release_by_non_owner { cpu; owner = l.owner });
+    l.owner <- -1;
     match l.smp.san with
     | Some san -> San.lock_released san ~cpu l.name
     | None -> ()

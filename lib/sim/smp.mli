@@ -70,14 +70,14 @@ module Lock : sig
 
   val name : lock -> string
 
-  val acquire : ?cpu:int -> lock -> start:Time.t -> hold:Time.t -> Time.t
-  (** [acquire l ~start ~hold] acquires at virtual time [start], holding
-      the lock for [Costs.lock_acquire + hold] once granted. Returns the
-      {e wait}: how long the acquiring CPU spun before the grant (0 when
-      uncontended). The caller charges [wait + Costs.lock_acquire + hold]
-      to its own CPU — the spin burns the acquirer's cycles. [cpu]
-      (default 0) is the acquiring CPU, used only for ownership tracking
-      and sanitizer edges. *)
+  val acquire : lock -> cpu:int -> start:Time.t -> hold:Time.t -> Time.t
+  (** [acquire l ~cpu ~start ~hold] acquires at virtual time [start],
+      holding the lock for [Costs.lock_acquire + hold] once granted.
+      Returns the {e wait}: how long the acquiring CPU spun before the
+      grant (0 when uncontended). The caller charges
+      [wait + Costs.lock_acquire + hold] to its own CPU — the spin burns
+      the acquirer's cycles. [cpu] is the acquiring CPU, used only for
+      ownership tracking and sanitizer edges. *)
 
   val release : lock -> cpu:int -> unit
   (** Logical release by [cpu]. Purely bookkeeping — the virtual-time hold

@@ -162,7 +162,7 @@ let test_relations () =
   Alcotest.check relation "guard subset subsumes" Analysis.Subsumes
     (Analysis.relate (v base) (v narrower))
 
-(* {1 The pseudodevice: admission control, relations, shadowing} *)
+(* {1 The pseudodevice: admission control} *)
 
 let mk_dev () =
   let eng = Pf_sim.Engine.create () in
@@ -198,49 +198,6 @@ let test_pfdev_admission () =
   match Pfdev.install port (Program.v [ i ~op:Op.Eq Action.Nopush ]) with
   | Error (Pfdev.Invalid _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "static underflow not refused"
-
-let test_pfdev_relations_and_shadowing () =
-  let dev = mk_dev () in
-  let p1 = Pfdev.open_port dev in
-  let p2 = Pfdev.open_port dev in
-  let p3 = Pfdev.open_port dev in
-  let install_exn port p =
-    match Pfdev.install port p with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e
-  in
-  install_exn p1 (Predicates.pup_dst_socket ~priority:5 35l);
-  install_exn p2 (Predicates.pup_dst_socket ~priority:5 99l);
-  install_exn p3 (Program.with_priority Predicates.accept_all 50);
-  let rel a b =
-    let find (x, y, r) =
-      if (x, y) = (Pfdev.port_id a, Pfdev.port_id b)
-         || (x, y) = (Pfdev.port_id b, Pfdev.port_id a)
-      then Some r
-      else None
-    in
-    match List.find_map find (Pfdev.filter_relations dev) with
-    | Some r -> r
-    | None -> Alcotest.fail "pair missing from filter_relations"
-  in
-  Alcotest.check relation "sockets disjoint" Analysis.Disjoint (rel p1 p2);
-  Alcotest.check relation "accept-all subsumes socket 35" Analysis.Subsumes
-    (rel p3 p1);
-  (* The catch-all at priority 50 starves both socket ports. *)
-  let shadowed = Pfdev.shadowed_ports dev in
-  let ids = List.map (fun (p, _) -> Pfdev.port_id p) shadowed in
-  Alcotest.(check (list int)) "socket ports shadowed"
-    [ Pfdev.port_id p1; Pfdev.port_id p2 ]
-    (List.sort compare ids);
-  List.iter
-    (fun (_, by) ->
-      Alcotest.(check int) "shadowed by the catch-all" (Pfdev.port_id p3)
-        (Pfdev.port_id by))
-    shadowed;
-  (* copy-all ports pass packets on: no starvation, no report. *)
-  Pfdev.set_copy_all p3 true;
-  Alcotest.(check (list int)) "copy-all does not shadow" []
-    (List.map (fun (p, _) -> Pfdev.port_id p) (Pfdev.shadowed_ports dev))
 
 (* {1 Satellite: assembler round-trips} *)
 
@@ -407,8 +364,6 @@ let suite =
       Alcotest.test_case "interval-driven dead code elimination" `Quick test_dead_code;
       Alcotest.test_case "subsumption and disjointness" `Quick test_relations;
       Alcotest.test_case "pfdev cost-bound admission control" `Quick test_pfdev_admission;
-      Alcotest.test_case "pfdev filter relations and shadowing" `Quick
-        test_pfdev_relations_and_shadowing;
       Alcotest.test_case "instruction assembler round-trip" `Quick test_insn_round_trip;
       Alcotest.test_case "program assembler round-trip" `Quick test_program_round_trip;
       Alcotest.test_case "unsound interval mutant caught and shrunk" `Quick

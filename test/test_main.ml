@@ -23,7 +23,6 @@ let () =
       Test_ir.suite;
       Test_symex.suite;
       Test_dispatch.suite;
-      Test_firewall.suite;
       Test_smp.suite;
       Test_san.suite;
     ]

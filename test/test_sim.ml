@@ -278,6 +278,41 @@ let test_await_signal_allocation () =
     (Printf.sprintf "%.1f minor words per await/signal round <= 52" words)
     true (words <= 52.)
 
+(* The SMP receive path takes the delivery lock once per accepted packet
+   and once per dequeue, and runs a process per wake-up: lock ownership
+   and the CPU's last process are plain ints, so neither boxes. *)
+
+let test_lock_pair_allocates_nothing () =
+  let smp = Smp.create ~ncpus:2 (Engine.create ()) Costs.microvax_ii in
+  let l = Smp.Lock.create smp in
+  let words =
+    Testutil.minor_words (fun () ->
+        for k = 1 to 1000 do
+          let cpu = k land 1 in
+          ignore (Smp.Lock.acquire l ~cpu ~start:(k * 100) ~hold:0 : Time.t);
+          Smp.Lock.release l ~cpu
+        done)
+  in
+  Alcotest.(check int) "every pair acquired" 1000 (Smp.Lock.acquisitions l);
+  Alcotest.(check int) "no misuse" 0 (List.length (Smp.Lock.misuses l));
+  Alcotest.(check (float 0.)) "minor words per acquire + release" 0.
+    (words /. 1000.)
+
+let test_cpu_run_allocates_nothing () =
+  let cpu = Cpu.create Costs.microvax_ii in
+  let a = `Proc 1 and b = `Proc 2 in
+  let words =
+    Testutil.minor_words (fun () ->
+        for k = 1 to 1000 do
+          let owner = if k land 1 = 0 then a else b in
+          ignore (Cpu.run cpu ~owner ~start:0 ~cost:1 : Time.t);
+          if k mod 10 = 0 then Cpu.mark_descheduled cpu
+        done)
+  in
+  Alcotest.(check int) "every run after the first switched" 999
+    (Cpu.context_switches cpu);
+  Alcotest.(check (float 0.)) "minor words per run" 0. (words /. 1000.)
+
 (* {1 Stats & Rng} *)
 
 let test_stats () =
@@ -382,4 +417,7 @@ let suite =
         test_engine_event_allocates_nothing;
       Alcotest.test_case "use_cpu round trip allocation" `Quick test_use_cpu_allocation;
       Alcotest.test_case "await/signal round allocation" `Quick test_await_signal_allocation;
+      Alcotest.test_case "lock acquire + release allocates nothing" `Quick
+        test_lock_pair_allocates_nothing;
+      Alcotest.test_case "cpu run allocates nothing" `Quick test_cpu_run_allocates_nothing;
     ] )

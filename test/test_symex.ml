@@ -347,6 +347,84 @@ let test_counterexamples_confirmed_on_all_engines () =
       | Equiv.Unknown -> Alcotest.failf "%s: pair not separated" name)
     pairs
 
+(* {1 A whole first-match chain}
+
+   The builtins reach 14 instructions and generated fuzz programs about 40
+   code words; this chain is the one input that gives [Symex] and [Equiv]
+   hundreds of paths. It is a 5-tuple rule table over the Dix10 IPv4
+   layout (word 6 EtherType, 7 version/IHL, 10 fragment offset, 11
+   protocol, 15 destination address high half, 18 destination port):
+   a shape guard conjoined with a first-match fold, every conjunct a
+   masked word equality or a range bound. *)
+
+let word n = Expr.Word n
+let lit v = Expr.Lit v
+let eq a b = Expr.Bin (Expr.Eq, a, b)
+let ge n v = Expr.Bin (Expr.Ge, word n, lit v)
+let le n v = Expr.Bin (Expr.Le, word n, lit v)
+let masked_eq n mask v = eq (Expr.Bin (Expr.Band, word n, lit mask)) (lit v)
+let tcp = 6 and udp = 17
+let to_10_8 = masked_eq 15 0xff00 0x0a00
+let to_10_x_16 x = eq (word 15) (lit (0x0a00 lor x))
+
+(* [proto] to [dst] with destination-port tests, first fragments only *)
+let rule proto dst dports =
+  Expr.All ([ masked_eq 11 0x00ff proto; dst; masked_eq 10 0x1fff 0 ] @ dports)
+
+(* First match wins, default drop: an accept rule [r] over the rest [k] is
+   [r ∨ k], a drop rule [¬r ∧ k]. The guard's [word 18 >= 0] makes every
+   compiled form reject the same short packets. *)
+let table rules =
+  Expr.All
+    [
+      eq (word 6) (lit 0x0800);
+      masked_eq 7 0xff00 0x4500;
+      ge 18 0;
+      List.fold_right
+        (fun (accept, r) rest ->
+          if accept then Expr.Any [ r; rest ] else Expr.All [ Expr.Not r; rest ])
+        rules (lit 0);
+    ]
+
+let test_whole_chain () =
+  (* ssh and DNS to 10/8, web to 10.10/16 *)
+  let chain =
+    table
+      [
+        (true, rule tcp to_10_8 [ eq (word 18) (lit 22) ]);
+        (true, rule udp to_10_8 [ eq (word 18) (lit 53) ]);
+        (true, rule tcp (to_10_x_16 10) [ ge 18 80; le 18 443 ]);
+      ]
+  in
+  let naive =
+    validate_exn (Expr.compile ~short_circuit:false ~optimize:false chain)
+  in
+  let words = Program.code_words (Validate.program naive) in
+  Alcotest.(check bool)
+    (Printf.sprintf "naive chain has %d >= 72 code words" words)
+    true (words >= 72);
+  (match
+     (Equiv.check_programs naive (validate_exn (Expr.compile chain))).Equiv.verdict
+   with
+  | Equiv.Proved_equal -> ()
+  | _ -> Alcotest.fail "short-circuit compile not proved equal to the chain");
+  let ir, _ = Regopt.optimize naive in
+  (match (Equiv.check_ir naive ir).Equiv.verdict with
+  | Equiv.Proved_equal -> ()
+  | _ -> Alcotest.fail "Regopt output not proved equal to the chain");
+  (* Two overlapping rules of opposite action: drop tcp to 10/8 at ports
+     >= 1024, accept tcp to 10.2/16 at ports 1000-2000. Their order is the
+     whole story, so the two folds must be refuted with a witness that
+     every engine reads the same way within each order. *)
+  let drop = (false, rule tcp to_10_8 [ ge 18 1024 ]) in
+  let accept = (true, rule tcp (to_10_x_16 2) [ ge 18 1000; le 18 2000 ]) in
+  let va = validate_exn (Expr.compile (table [ drop; accept ])) in
+  let vb = validate_exn (Expr.compile (table [ accept; drop ])) in
+  match (Equiv.check_programs va vb).Equiv.verdict with
+  | Equiv.Counterexample w -> confirm_matrix "rule order" va vb w
+  | Equiv.Proved_equal -> Alcotest.fail "reordered rules proved equal"
+  | Equiv.Unknown -> Alcotest.fail "reordered rules not separated"
+
 (* {1 The sharpened relation closes Analysis.relate's coverage gap} *)
 
 (* [Analysis.relate] separates syntactic guard chains; flip one comparison's
@@ -377,6 +455,14 @@ let test_relate_coverage_gap () =
     Analysis.Unknown (Analysis.relate va vb);
   Alcotest.check relation "Equiv.relate proves them disjoint" Analysis.Disjoint
     (Equiv.relate va vb);
+  (* the dispatch automaton asks through a memo table: one entry, and a
+     hit that agrees *)
+  let memo = Equiv.Memo.create () in
+  Alcotest.check relation "memoized relate" Analysis.Disjoint
+    (Equiv.relate_memo memo va vb);
+  Alcotest.check relation "memo hit agrees" Analysis.Disjoint
+    (Equiv.relate_memo memo va vb);
+  Alcotest.(check int) "one memo entry" 1 (Equiv.Memo.size memo);
   (* an operand-swapped reformulation of the same filter: equivalence, too *)
   let plain_w7_is_5 =
     Program.v [ i (Action.Pushword 7); i ~op:Op.Eq (Action.Pushlit 5) ]
@@ -556,6 +642,8 @@ let suite =
         test_miscompilation_shrinks_to_regression;
       Alcotest.test_case "counterexamples confirmed on all engines" `Quick
         test_counterexamples_confirmed_on_all_engines;
+      Alcotest.test_case "whole first-match chain: proved, reorder refuted"
+        `Quick test_whole_chain;
       Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
         test_relate_coverage_gap;
       Alcotest.test_case "Equiv-disjoint pair: dispatch = sequential" `Quick
