@@ -4,7 +4,8 @@
    socket of 35" — written (1) instruction by instruction, (2) through the
    run-time compiler (the Dsl/Expr "library procedure" of §3.1), and
    (3) loaded from its wire encoding, then evaluated by the checked
-   interpreter, the validated fast interpreter, and the closure compiler.
+   interpreter, the validated fast interpreter, and the register VM, which
+   runs the filter as optimized register code compiled at install time.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -67,7 +68,7 @@ let () =
      validation (§7). *)
   let validated = Validate.check_exn compiled in
   let fast = Fast.compile validated in
-  let closure = Closure.compile validated in
+  let regvm = Regvm.compile validated in
   List.iter
     (fun (name, packet) ->
       Format.printf "%s:@." name;
@@ -75,7 +76,7 @@ let () =
       Format.printf "  hand-written, checked interpreter: %b (%d insns executed)@."
         outcome.Interp.accept outcome.Interp.insns_executed;
       Format.printf "  compiled, fast interpreter:        %b@." (Fast.run fast packet);
-      Format.printf "  compiled, closure-compiled:        %b@." (Closure.run closure packet);
+      Format.printf "  compiled, register VM:             %b@." (Regvm.run regvm packet);
       Format.printf "  decoded from wire:                 %b@.@."
         (Interp.accepts from_wire packet))
     [ ("packet for socket 35", matching); ("packet for socket 36", other) ];

@@ -28,7 +28,7 @@
       filters' accept sets.
 
     All facts describe the [`Paper] semantics of {!Interp.run} (the
-    semantics {!Fast} and {!Closure} implement); every fact is
+    semantics {!Fast} and {!Regvm} implement); every fact is
     cross-checked against the concrete engines by the differential fuzzer
     ({!Pf_fuzz.Oracle}), which asserts that no concrete run ever
     contradicts the verdict, the fault facts, or the cost bound. *)
@@ -94,8 +94,8 @@ type t = private {
       (** Packets with at least this many words cannot fault {e any}
           packet access, constant-offset or indirect. At least
           {!Validate.t.min_packet_words}; [max 0x10000] when an indirect
-          index is unbounded. {!Fast} and {!Closure} run entirely
-          checkless at or above it. *)
+          index is unbounded. {!Fast} runs entirely checkless at or
+          above it. *)
   min_packet_words : int;
       (** Packets with {e fewer} words than this are certainly rejected
           (they fault a packet access on every path that could otherwise

@@ -21,12 +21,13 @@ type report = {
 let default_budget = Symex.default_budget
 let default_pair_budget = 4096
 
-(* Concrete IR execution is [Ir.exec], which mirrors [Regvm.run_counted]
-   (a [Regvm.t] is compiled from a stack program, not from an IR side). *)
+(* A witness is confirmed on the engines the kernel trusts: the checked
+   interpreter for a stack program, and the register VM's own loop for an
+   IR side, which need not be [Regopt]'s output. *)
 let run_side side packet =
   match side with
   | Prog v -> Interp.accepts ~semantics:`Paper (Validate.program v) packet
-  | Ir_prog ir -> Ir.exec ir packet
+  | Ir_prog ir -> Regvm.exec ir packet
 
 let symex ctx budget = function
   | Prog v -> Symex.run ~budget ctx v

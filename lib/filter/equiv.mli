@@ -105,7 +105,7 @@ val certification_of_report : report -> certification
 
 val run_side : side -> Pf_pkt.Packet.t -> bool
 (** Concrete execution used for confirmation: {!Interp.run} with [`Paper]
-    semantics for programs, the {!Regvm} instruction semantics for IR. *)
+    semantics for programs, {!Regvm.exec} for IR. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_reasons : Format.formatter -> reason list -> unit

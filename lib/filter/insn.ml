@@ -1,8 +1,8 @@
 type t = { action : Action.t; op : Op.t }
 
 (* Literals live in a 16-bit wire word; normalizing here keeps every engine
-   (the checked interpreter masks on push, the fast and closure engines do
-   not) and the codec in agreement on out-of-range values. *)
+   (the checked interpreter masks on push, the fast engine does not) and
+   the codec in agreement on out-of-range values. *)
 let make ?(op = Op.Nop) action =
   let action =
     match action with

@@ -103,38 +103,6 @@ let instr_cost = function
 
 let cost t = Array.fold_left (fun acc i -> acc + instr_cost i) 0 t.instrs
 
-(* Concrete execution, mirroring [Regvm.run_counted]'s semantics: an
-   out-of-bounds load, an indirect load beyond the packet, and a division
-   by zero all reject at that instruction; the terminator is free. *)
-let exec t packet =
-  let words = Pf_pkt.Packet.word_count packet in
-  let regs = Array.make (max 1 t.reg_count) 0 in
-  let value = function Reg r -> regs.(r) | Imm v -> v in
-  let exception Done of bool in
-  try
-    Array.iter
-      (fun instr ->
-        match instr with
-        | Load { dst; word } ->
-            if word >= words then raise (Done false);
-            regs.(dst) <- Pf_pkt.Packet.word packet word
-        | Loadind { dst; idx } ->
-            let i = value idx in
-            if i >= words then raise (Done false);
-            regs.(dst) <- Pf_pkt.Packet.word packet i
-        | Binop { dst; op; a; b } ->
-            let r = Op.apply_int op ~t2:(value a) ~t1:(value b) in
-            if r >= 0 then regs.(dst) <- r else raise (Done false)
-        | Tcond { cond; a; b; verdict } ->
-            let eq = value a = value b in
-            let fires = match cond with Ceq -> eq | Cne -> not eq in
-            if fires then raise (Done verdict))
-      t.instrs;
-    (match t.terminator with
-    | Halt v -> v
-    | Accept_if o -> value o <> 0)
-  with Done v -> v
-
 let load_count t =
   Array.fold_left
     (fun acc i ->

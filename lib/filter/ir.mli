@@ -76,11 +76,6 @@ val cost : t -> int
     free (mirroring {!Regvm.run_counted}'s charging). [pftool ir --json]
     reports it as [optimized_cost]. *)
 
-val exec : t -> Pf_pkt.Packet.t -> bool
-(** Concrete execution with {!Regvm} fault semantics: out-of-bounds loads
-    and division by zero reject at that instruction. {!Equiv} confirms its
-    witnesses with it. *)
-
 val load_count : t -> int
 (** Number of packet-load instructions ([Load] + [Loadind]) — what common
     subexpression elimination minimizes. *)

@@ -20,13 +20,13 @@ let priority t = Program.priority (Validate.program t.validated)
 
 let value regs = function Ir.Reg r -> regs.(r) | Ir.Imm v -> v
 
-(* One run, allocation-free, like [Fast.eval]: the result is [Op.packed], a
-   terminating instruction sets [stop], which ends the loop, and operands
-   are read through the top-level [value], so a run builds no closure. *)
-let eval t packet =
+(* One run of [ir] over the register file [regs], allocation-free, like
+   [Fast.eval]: the result is [Op.packed], a terminating instruction sets
+   [stop], which ends the loop, and operands are read through the top-level
+   [value], so a run builds no closure. *)
+let eval_ir (ir : Ir.t) regs packet =
   let words = Packet.word_count packet in
-  let regs = t.regs in
-  let instrs = t.ir.Ir.instrs in
+  let instrs = ir.Ir.instrs in
   let n = Array.length instrs in
   let i = ref 0 and stop = ref (-1) in
   while !stop < 0 && !i < n do
@@ -54,14 +54,18 @@ let eval t packet =
   if !stop >= 0 then !stop
   else
     let accept =
-      match t.ir.Ir.terminator with
+      match ir.Ir.terminator with
       | Ir.Halt v -> v
       | Ir.Accept_if o -> value regs o <> 0
     in
     Op.packed ~accept ~insns:n
 
+let eval t packet = eval_ir t.ir t.regs packet
 let run t packet = Op.packed_accepts (eval t packet)
 
 let run_counted t packet =
   let r = eval t packet in
   (Op.packed_accepts r, Op.packed_insns r)
+
+let exec ir packet =
+  Op.packed_accepts (eval_ir ir (Array.make (max 1 ir.Ir.reg_count) 0) packet)

@@ -37,3 +37,8 @@ val run_counted : t -> Pf_pkt.Packet.t -> bool * int
 
 val run : t -> Pf_pkt.Packet.t -> bool
 (** The verdict of {!eval}. *)
+
+val exec : Ir.t -> Pf_pkt.Packet.t -> bool
+(** The verdict of any IR, optimized or not, run by the loop {!eval} runs
+    over a fresh register file. {!Equiv} confirms its IR witnesses with
+    it, so certification checks the semantics the kernel runs. *)

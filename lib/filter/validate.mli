@@ -4,8 +4,8 @@
     branches, the per-instruction validity, stack-bounds, and (for constant
     offsets) packet-bounds checks performed by the 1987 interpreter can all be
     hoisted to filter-installation time. This module performs that static
-    analysis; {!Fast} and {!Closure} then run validated programs without
-    per-step checks.
+    analysis; {!Fast} then runs validated programs without per-step
+    checks.
 
     Validation tracks the exact stack depth before each instruction — exact
     because the language is straight-line and every action/operator has a

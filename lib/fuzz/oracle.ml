@@ -77,7 +77,6 @@ let check ?(extra = []) program packet =
           fail "fast-count"
             (Printf.sprintf "interp executed %d insns, fast executed %d"
                paper.Interp.insns_executed executed));
-      check "closure" (fun () -> Closure.run (Closure.compile v) packet);
       (* Register-IR backend: the optimized IR executed directly must agree
          with the reference on every packet. *)
       check "regvm" (fun () -> Regvm.run (Regvm.compile v) packet);

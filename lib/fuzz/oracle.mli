@@ -6,7 +6,6 @@
       ([`Paper] and [`Bsd]),
     - the unchecked {!Pf_filter.Fast} interpreter (verdict {e and}
       instruction count),
-    - the {!Pf_filter.Closure} compiler,
     - the {!Pf_filter.Analysis} abstract interpreter, whose claims (verdict
       summary, division-fault impossibility, the safe/minimum packet-word
       bounds, instruction and cost bounds, self-relation, and the read set —

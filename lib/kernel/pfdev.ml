@@ -91,16 +91,13 @@ type port = {
   dev : t;
   id : int;
   mutable filter : Pf_filter.Fast.t option;
+      (* the installed program's stack compilation, which also holds its
+         analysis *)
   mutable regvm : Pf_filter.Regvm.t option;
       (* When set, the sequential walk runs this instead of [filter]; the
          stack compilation is kept alongside for admission and status. *)
-  mutable engine_kind : [ `Stack | `Regvm ];
   mutable engine_applications : int;
   mutable engine_insns : int;
-  mutable insns_source : int;
-  mutable insns_compiled : int;
-  mutable validated : Pf_filter.Validate.t option;
-  mutable analysis : Pf_filter.Analysis.t option;
   mutable certification : Pf_filter.Equiv.certification option;
       (* translation-validation outcome of the install-time compilation;
          None when the device was not certifying at install time *)
@@ -471,7 +468,10 @@ let insert_port t port =
     | p :: rest -> p :: ins rest
   in
   t.ports <- ins t.ports;
-  port.key_share <- Option.map (fun a -> a.Pf_filter.Analysis.read_set) port.analysis;
+  port.key_share <-
+    Option.map
+      (fun f -> (Pf_filter.Fast.analysis f).Pf_filter.Analysis.read_set)
+      port.filter;
   Option.iter (key_count t.key ~by:1) port.key_share
 
 let remove_port t port =
@@ -556,13 +556,8 @@ let open_port t =
       id = t.next_id;
       filter = None;
       regvm = None;
-      engine_kind = `Stack;
       engine_applications = 0;
       engine_insns = 0;
-      insns_source = 0;
-      insns_compiled = 0;
-      validated = None;
-      analysis = None;
       certification = None;
       priority = 0;
       timeout = None;
@@ -639,16 +634,12 @@ let install port program =
           else None
         in
         match certification with
-        | Some (Pf_filter.Equiv.Refuted _) ->
-          (* A refuted IR compilation never runs: keep the checked stack
-             engine for this port and surface the witness. *)
+        | Some (Pf_filter.Equiv.Refuted _ | Pf_filter.Equiv.Uncertified _) ->
+          (* Only a proved IR compilation runs: a refuted or inconclusive
+             one leaves the port on the checked stack engine, and the
+             outcome (a witness, or why the check fell short) is kept. *)
           (None, certification)
-        | _ -> (Some rvm, certification))
-    in
-    let kind, compiled_insns =
-      match regvm with
-      | None -> (`Stack, Pf_filter.Program.insn_count program)
-      | Some rvm -> (`Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm))
+        | Some Pf_filter.Equiv.Certified | None -> (Some rvm, certification))
     in
     (match certification with
     | None -> ()
@@ -671,13 +662,8 @@ let install port program =
       let record () =
         port.filter <- Some fast;
         port.regvm <- regvm;
-        port.engine_kind <- kind;
         port.engine_applications <- 0;
         port.engine_insns <- 0;
-        port.insns_source <- Pf_filter.Program.insn_count program;
-        port.insns_compiled <- compiled_insns;
-        port.validated <- Some (Pf_filter.Fast.validated fast);
-        port.analysis <- Some analysis;
         port.certification <- certification
       in
       let priority = Pf_filter.Program.priority program in
@@ -707,9 +693,8 @@ let install port program =
 let set_filter port program =
   match install port program with Ok _ -> Ok () | Error _ as e -> e
 
-let port_analysis port = port.analysis
+let port_analysis port = Option.map Pf_filter.Fast.analysis port.filter
 let port_certification port = port.certification
-let port_id port = port.id
 let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
@@ -782,14 +767,20 @@ type engine_stats = {
 let port_engine_stats port =
   match port.filter with
   | None -> None
-  | Some _ ->
+  | Some fast ->
+    let insns_source = Pf_filter.Program.insn_count (Pf_filter.Fast.program fast) in
+    let engine, insns_compiled =
+      match port.regvm with
+      | None -> (`Stack, insns_source)
+      | Some rvm -> (`Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm))
+    in
     Some
       {
-        engine = port.engine_kind;
+        engine;
         applications = port.engine_applications;
         insns_executed = port.engine_insns;
-        insns_source = port.insns_source;
-        insns_compiled = port.insns_compiled;
+        insns_source;
+        insns_compiled;
       }
 
 let set_timeout port timeout = port.timeout <- timeout
@@ -880,12 +871,6 @@ let dispatch_stats t =
     candidates_run = t.dispatch_candidates;
     residual_runs = t.dispatch_residual_runs;
   }
-
-let pp_dispatch_stats ppf s =
-  Format.fprintf ppf
-    "dispatch: %d rebuilds, %d updates, %d classifies, %d exact accepts, %d candidates run, \
-     %d residual runs"
-    s.rebuilds s.updates s.classifies s.exact_accepts s.candidates_run s.residual_runs
 
 let pp_cache_stats ppf s =
   Format.fprintf ppf

@@ -102,13 +102,9 @@ val port_analysis : port -> Pf_filter.Analysis.t option
 val port_certification : port -> Pf_filter.Equiv.certification option
 (** Translation-validation outcome of the install-time compilation,
     recorded when the device was certifying ({!set_certify}) — [None]
-    otherwise. [Refuted] means the optimized form was {e rejected} and the
-    port runs a fallback engine; the witness packet is kept for
-    diagnosis. *)
-
-val port_id : port -> int
-(** Stable identifier, assigned in open order; among ports of equal
-    priority the lower id is tried first. *)
+    otherwise. [Refuted] and [Uncertified] mean the optimized form was
+    {e rejected} and the port runs the checked stack engine; the witness
+    packet, or why the check fell short, is kept for diagnosis. *)
 
 val port_accepted : port -> int
 (** Packets this port's filter has accepted (before queue-overflow drops). *)
@@ -182,11 +178,12 @@ val set_certify : t -> bool -> unit
     ["pf.certify.proved"], a confirmed counterexample increments
     ["pf.certify.refuted"] {e and} makes the port fall back to the checked
     stack engine (a refuted [`Regvm] compilation never runs), and an
-    inconclusive check increments ["pf.certify.unknown"] and keeps the
-    optimized form. Under [`Off] the installed program is its own
-    compilation and certifies trivially. The outcome is recorded on the
-    port ({!port_certification}). Applies to installs {e after} the call.
-    Default: off. *)
+    inconclusive check (a budget ran out, or a path pair stayed
+    undecided) increments ["pf.certify.unknown"] and falls back the same
+    way: only a proved compilation runs. Under [`Off] the installed
+    program is its own compilation and certifies trivially. The outcome
+    is recorded on the port ({!port_certification}). Applies to installs
+    {e after} the call. Default: off. *)
 
 val certify : t -> bool
 
@@ -342,8 +339,6 @@ type dispatch_stats = {
 val dispatch_stats : t -> dispatch_stats
 (** Counters since device creation (also mirrored as ["pf.dispatch.*"]
     device stats); all zero unless the [`Dispatch] strategy was set. *)
-
-val pp_dispatch_stats : Format.formatter -> dispatch_stats -> unit
 
 (** {1 SMP: receive steering and per-CPU observability} *)
 

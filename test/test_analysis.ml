@@ -1,5 +1,5 @@
 (* The installation-time abstract interpreter: known-filter facts, the
-   consumers that act on them (Fast/Closure checkless runs, Pfdev admission
+   consumers that act on them (Fast's checkless runs, Pfdev admission
    control and relations), the satellite assembler properties, and the
    seeded unsound interval mutant the differential oracle must catch. *)
 
@@ -67,7 +67,7 @@ let test_cost_model () =
 
    [udp_dst_port_any_ihl] computes the UDP port offset from the IHL nibble:
    index = ((word 7 >> 8) & 0x0f) * 2 + 8, so every index lies in [8, 38].
-   The analysis must prove that bound, and Fast/Closure must use it to skip
+   The analysis must prove that bound, and Fast must use it to skip
    the Pushind dynamic check on packets of >= 39 words. *)
 
 let test_indirect_bound () =
@@ -96,15 +96,13 @@ let test_engines_skip_checks () =
     (Fast.runs_checkless fast short);
   (* Checkless runs must still agree with the checked interpreter — on
      matching and non-matching long packets alike. *)
-  let closure = Closure.compile v in
   let rng = Gen.Rng.make 0x1D1D in
   for _ = 1 to 200 do
     let base, _ = Gen.packet rng in
     let pkt = Packet.concat [ base; Packet.of_words (List.init 40 (fun w -> w)) ] in
     let reference = Interp.accepts p pkt in
     Alcotest.(check bool) "fast checkless" true (Fast.runs_checkless fast pkt);
-    Alcotest.(check bool) "fast agrees" reference (Fast.run fast pkt);
-    Alcotest.(check bool) "closure agrees" reference (Closure.run closure pkt)
+    Alcotest.(check bool) "fast agrees" reference (Fast.run fast pkt)
   done
 
 (* {1 Analysis-driven dead-code elimination}
@@ -360,7 +358,7 @@ let suite =
       Alcotest.test_case "read set union" `Quick test_union_read_sets;
       Alcotest.test_case "cost model bounds every run" `Quick test_cost_model;
       Alcotest.test_case "indirect index bound via data flow" `Quick test_indirect_bound;
-      Alcotest.test_case "fast/closure skip proven checks" `Quick test_engines_skip_checks;
+      Alcotest.test_case "fast skips proven checks" `Quick test_engines_skip_checks;
       Alcotest.test_case "interval-driven dead code elimination" `Quick test_dead_code;
       Alcotest.test_case "subsumption and disjointness" `Quick test_relations;
       Alcotest.test_case "pfdev cost-bound admission control" `Quick test_pfdev_admission;

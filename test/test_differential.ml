@@ -264,10 +264,10 @@ let test_stale_remote_cache_mutant_caught_and_shrunk () =
 (* {1 Pinned regression: the out-of-range literal divergence}
 
    Found by construction while building the oracle: Interp masks every push
-   to 16 bits, Fast and Closure push literals raw, so an out-of-range
-   Pushlit (only constructible programmatically — the parser and codec both
-   mask) made the checked and unchecked engines disagree. Insn.make now
-   masks at construction; this pins every engine to the same verdict. *)
+   to 16 bits and Fast pushed literals raw, so an out-of-range Pushlit
+   (only constructible programmatically — the parser and codec both mask)
+   made the checked and unchecked engines disagree. Insn.make now masks at
+   construction; this pins every engine to the same verdict. *)
 
 let test_literal_masking_regression () =
   let program =
@@ -281,7 +281,7 @@ let test_literal_masking_regression () =
   | Ok v ->
     Alcotest.(check bool) "interp accepts" true (Interp.accepts program pkt);
     Alcotest.(check bool) "fast agrees" true (Fast.run (Fast.compile v) pkt);
-    Alcotest.(check bool) "closure agrees" true (Closure.run (Closure.compile v) pkt));
+    Alcotest.(check bool) "regvm agrees" true (Regvm.run (Regvm.compile v) pkt));
   match Oracle.check program pkt with
   | Oracle.Agreement { accept = true; _ } -> ()
   | o -> Alcotest.failf "oracle: %a" Oracle.pp_outcome o

@@ -168,7 +168,8 @@ let test_div_by_zero () =
 
 let test_short_circuit_early_accept_short_packet () =
   (* A COR that fires before an out-of-range push must accept, in all three
-     evaluators (the subtlety Fast handles with its per-push fallback). *)
+     engines (the subtlety Fast handles with its per-push fallback, and the
+     register VM with a Tcond ahead of the load). *)
   let insns =
     [ Insn.make (Action.Pushword 0);
       Insn.make ~op:Op.Cor (Action.Pushlit 0xAABB);
@@ -180,7 +181,7 @@ let test_short_circuit_early_accept_short_packet () =
   Alcotest.(check bool) "interp accepts" true (Interp.accepts p packet);
   let v = Validate.check_exn p in
   Alcotest.(check bool) "fast accepts" true (Fast.run (Fast.compile v) packet);
-  Alcotest.(check bool) "closure accepts" true (Closure.run (Closure.compile v) packet)
+  Alcotest.(check bool) "regvm accepts" true (Regvm.run (Regvm.compile v) packet)
 
 let test_bsd_semantics () =
   (* Figures 3-8/3-9 mean the same under both published short-circuit
@@ -334,7 +335,7 @@ let test_engines_allocate_nothing () =
     [ (`Fault, "fault exit"); (`Short_circuit, "short-circuit exit");
       (`Accept, "completed accept"); (`Reject, "completed reject") ]
 
-(* {1 Equivalence properties: interp = fast = closure} *)
+(* {1 Equivalence properties: interp = fast} *)
 
 let arb_program_packet = Testutil.arb_program_packet
 
@@ -350,15 +351,6 @@ let prop_fast_equals_interp =
         let fast_accept, fast_count = Fast.run_counted (Fast.compile v) packet in
         checked.Interp.accept = fast_accept
         && checked.Interp.insns_executed = fast_count)
-
-let prop_closure_equals_interp =
-  QCheck.Test.make ~name:"closure compiler = checked interpreter" ~count:1000
-    arb_program_packet
-    (fun (insns, packet) ->
-      let p = Program.v insns in
-      match Validate.check p with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok v -> Interp.accepts p packet = Closure.run (Closure.compile v) packet)
 
 let prop_program_wire_roundtrip =
   QCheck.Test.make ~name:"program encode/decode roundtrip" ~count:500
@@ -420,7 +412,6 @@ let suite =
       Alcotest.test_case "engine runs allocate nothing" `Quick
         test_engines_allocate_nothing;
       QCheck_alcotest.to_alcotest prop_fast_equals_interp;
-      QCheck_alcotest.to_alcotest prop_closure_equals_interp;
       QCheck_alcotest.to_alcotest prop_program_wire_roundtrip;
       QCheck_alcotest.to_alcotest prop_program_text_roundtrip;
       QCheck_alcotest.to_alcotest prop_validated_never_faults_on_stack;

@@ -273,6 +273,39 @@ let test_regvm_matches_interp () =
         sample_packets)
     corpus
 
+(* {1 The register VM runs any IR}
+
+   [Regvm.exec] runs [Regvm.eval]'s loop over an IR the kernel never
+   compiles: the plain lowering, before any [Regopt] pass. [Equiv] confirms
+   its IR witnesses with it. *)
+
+let test_lowered_ir_matches_interp () =
+  let rng = Gen.Rng.make 0x10E4 in
+  let frames =
+    [ Testutil.pup_frame (); Testutil.pup_frame ~dst_socket:36l ();
+      Testutil.pup_frame ~ptype:0 (); Testutil.ip_udp_frame ~dst_port:53;
+      Testutil.ip_udp_frame ~dst_port:54 ]
+  in
+  let packets = frames @ List.init 195 (fun _ -> fst (Gen.packet rng)) in
+  let accepted = ref 0 and runs = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      let ir = Ir.lower (validate_exn p) in
+      List.iter
+        (fun pkt ->
+          let reference = Interp.accepts ~semantics:`Paper p pkt in
+          if reference then incr accepted;
+          incr runs;
+          Alcotest.(check bool)
+            (Format.asprintf "%s: lowered IR on %a" name Packet.pp_hex pkt)
+            reference (Regvm.exec ir pkt))
+        packets)
+    Predicates.builtins;
+  Alcotest.(check bool)
+    (Printf.sprintf "runs accept and reject (%d of %d accepted)" !accepted !runs)
+    true
+    (!accepted > 0 && !accepted < !runs)
+
 (* {1 Pfdev compile strategies} *)
 
 let mk_dev strategy =
@@ -349,5 +382,7 @@ let suite =
       Alcotest.test_case "early exits: blender conjunctions (QCheck)" `Quick test_exits_property;
       Alcotest.test_case "regvm matches interp (corpus)" `Quick
         test_regvm_matches_interp;
+      Alcotest.test_case "lowered IR on Regvm.exec matches interp" `Quick
+        test_lowered_ir_matches_interp;
       Alcotest.test_case "pfdev compile strategies" `Quick test_pfdev_strategies
     ] )

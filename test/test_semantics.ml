@@ -194,8 +194,8 @@ let test_empty_program_edge_cases () =
   let v = Validate.check_exn empty in
   Alcotest.(check int) "needs no packet words" 0 v.Validate.min_packet_words;
   Alcotest.(check bool) "fast agrees" true (Fast.run (Fast.compile v) (Packet.of_string ""));
-  Alcotest.(check bool) "closure agrees" true
-    (Closure.run (Closure.compile v) (Packet.of_string ""));
+  Alcotest.(check bool) "regvm agrees" true
+    (Regvm.run (Regvm.compile v) (Packet.of_string ""));
   (* The dispatch automaton leaves accept-all to the residual walk. *)
   Alcotest.(check (list (pair int string))) "accept-all is residual" [ (0, "all") ]
     (Dispatch.residuals (Dispatch.build [ (v, "all") ]));

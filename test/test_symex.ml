@@ -280,7 +280,7 @@ let test_miscompilation_shrinks_to_regression () =
 
 (* The confirmation matrix of a refuting witness: each side's verdict is
    engine-independent (checked interpreter under both semantics, Fast,
-   Closure, Regvm), and the two sides differ — exactly the claim a
+   Regvm), and the two sides differ — exactly the claim a
    [Counterexample] makes. *)
 let confirm_matrix name va vb w =
   let verdict v =
@@ -290,7 +290,6 @@ let confirm_matrix name va vb w =
       [
         ("interp-bsd", Interp.accepts ~semantics:`Bsd program w);
         ("fast", Fast.run (Fast.compile v) w);
-        ("closure", Closure.run (Closure.compile v) w);
         ("regvm", Regvm.run (Regvm.compile v) w);
       ]
     in
@@ -347,6 +346,37 @@ let test_counterexamples_confirmed_on_all_engines () =
       | Equiv.Unknown -> Alcotest.failf "%s: pair not separated" name)
     pairs
 
+(* {1 IR witnesses are confirmed on the register VM}
+
+   [check_ir]'s IR side may be any IR, not only [Regopt]'s output. Flip
+   every early-exit verdict of fig 3-9's lowered IR: the check must return
+   a witness that the checked interpreter and [Regvm.exec], the loop the
+   kernel runs, read differently. *)
+
+let test_flipped_ir_refuted () =
+  let v = validate_exn Predicates.fig_3_9 in
+  let ir = Ir.lower v in
+  let flip = function
+    | Ir.Tcond t -> Ir.Tcond { t with verdict = not t.verdict }
+    | instr -> instr
+  in
+  let flipped = { ir with Ir.instrs = Array.map flip ir.Ir.instrs } in
+  Alcotest.(check bool) "fig 3-9 lowers to early exits" true
+    (flipped.Ir.instrs <> ir.Ir.instrs);
+  let r = Equiv.check_ir v flipped in
+  match r.Equiv.verdict with
+  | Equiv.Counterexample w ->
+      let reference = Interp.accepts ~semantics:`Paper Predicates.fig_3_9 w in
+      Alcotest.(check bool) "Regvm.exec reads the witness the other way"
+        (not reference) (Regvm.exec flipped w);
+      Alcotest.(check bool) "Equiv confirms with Regvm.exec"
+        (Regvm.exec flipped w)
+        (Equiv.run_side (Equiv.Ir_prog flipped) w);
+      Alcotest.(check bool) "the lowered IR reads it like Interp" reference
+        (Regvm.exec ir w)
+  | Equiv.Proved_equal | Equiv.Unknown ->
+      Alcotest.failf "flipped IR not refuted: %a" Equiv.pp_report r
+
 (* {1 A whole first-match chain}
 
    The builtins reach 14 instructions and generated fuzz programs about 40
@@ -386,19 +416,27 @@ let table rules =
         rules (lit 0);
     ]
 
+(* ssh and DNS to 10/8, web to 10.10/16 *)
+let service_rules =
+  [
+    (true, rule tcp to_10_8 [ eq (word 18) (lit 22) ]);
+    (true, rule udp to_10_8 [ eq (word 18) (lit 53) ]);
+    (true, rule tcp (to_10_x_16 10) [ ge 18 80; le 18 443 ]);
+  ]
+
+(* Two overlapping rules of opposite action: drop tcp to 10/8 at ports
+   >= 1024, accept tcp to 10.2/16 at ports 1000-2000. *)
+let drop_high = (false, rule tcp to_10_8 [ ge 18 1024 ])
+let accept_mid = (true, rule tcp (to_10_x_16 2) [ ge 18 1000; le 18 2000 ])
+
+(* The chain as a naive code generator emits it: no short-circuit
+   operators, no constant folding. *)
+let naive_chain rules =
+  validate_exn (Expr.compile ~short_circuit:false ~optimize:false (table rules))
+
 let test_whole_chain () =
-  (* ssh and DNS to 10/8, web to 10.10/16 *)
-  let chain =
-    table
-      [
-        (true, rule tcp to_10_8 [ eq (word 18) (lit 22) ]);
-        (true, rule udp to_10_8 [ eq (word 18) (lit 53) ]);
-        (true, rule tcp (to_10_x_16 10) [ ge 18 80; le 18 443 ]);
-      ]
-  in
-  let naive =
-    validate_exn (Expr.compile ~short_circuit:false ~optimize:false chain)
-  in
+  let chain = table service_rules in
+  let naive = naive_chain service_rules in
   let words = Program.code_words (Validate.program naive) in
   Alcotest.(check bool)
     (Printf.sprintf "naive chain has %d >= 72 code words" words)
@@ -412,18 +450,128 @@ let test_whole_chain () =
   (match (Equiv.check_ir naive ir).Equiv.verdict with
   | Equiv.Proved_equal -> ()
   | _ -> Alcotest.fail "Regopt output not proved equal to the chain");
-  (* Two overlapping rules of opposite action: drop tcp to 10/8 at ports
-     >= 1024, accept tcp to 10.2/16 at ports 1000-2000. Their order is the
-     whole story, so the two folds must be refuted with a witness that
-     every engine reads the same way within each order. *)
-  let drop = (false, rule tcp to_10_8 [ ge 18 1024 ]) in
-  let accept = (true, rule tcp (to_10_x_16 2) [ ge 18 1000; le 18 2000 ]) in
-  let va = validate_exn (Expr.compile (table [ drop; accept ])) in
-  let vb = validate_exn (Expr.compile (table [ accept; drop ])) in
+  (* The order of two overlapping rules of opposite action is the whole
+     story, so the two folds must be refuted with a witness that every
+     engine reads the same way within each order. *)
+  let va = validate_exn (Expr.compile (table [ drop_high; accept_mid ])) in
+  let vb = validate_exn (Expr.compile (table [ accept_mid; drop_high ])) in
   match (Equiv.check_programs va vb).Equiv.verdict with
   | Equiv.Counterexample w -> confirm_matrix "rule order" va vb w
   | Equiv.Proved_equal -> Alcotest.fail "reordered rules proved equal"
   | Equiv.Unknown -> Alcotest.fail "reordered rules not separated"
+
+(* {1 The pair budget's edge: an inconclusive certification falls back}
+
+   Each rule multiplies the chain's paths, and [check_ir] pairs every
+   differing-verdict path of one side with the other's. Four rules prove
+   within [Equiv.default_pair_budget]; a fifth exhausts it, although a
+   larger budget proves it too. A device certifying [`Regvm] must then run
+   the checked stack engine, never the unproved IR. *)
+
+(* IPv4-shaped frames that reach every rule: the guard's words, the
+   protocols and destinations the rules name, ports at and around their
+   bounds, and truncations that cut the port or the guard. *)
+let chain_packets () =
+  let rng = Gen.Rng.make 0xC4A1 in
+  List.init 400 (fun n ->
+      let pick l = Gen.Rng.choose rng l in
+      let words =
+        Array.init 20 (fun _ -> Gen.Rng.int rng 0x10000)
+      in
+      words.(6) <- pick [ 0x0800; 0x0800; 0x0800; 0x0806 ];
+      words.(7) <- pick [ 0x4500; 0x4500; 0x4500; 0x4600 ];
+      words.(10) <- pick [ 0; 0; 0; 0x2000; 0x0001 ];
+      words.(11) <- (words.(11) land 0xff00) lor pick [ tcp; tcp; udp; 1 ];
+      words.(15) <- pick [ 0x0a00; 0x0a02; 0x0a0a; 0x0a63; 0x0b02; 0xc0a8 ];
+      words.(18) <-
+        pick [ 22; 53; 79; 80; 443; 444; 999; 1000; 1023; 1024; 2000; 2001 ];
+      let pkt = Packet.of_words (Array.to_list words) in
+      match n mod 10 with
+      | 0 -> Packet.sub pkt ~pos:0 ~len:(2 * Gen.Rng.int rng 19)
+      | 1 -> Packet.sub pkt ~pos:0 ~len:37
+      | _ -> pkt)
+
+let certify_on_device program =
+  let eng = Pf_sim.Engine.create () in
+  let costs = Pf_sim.Costs.free in
+  let stats = Pf_sim.Stats.create () in
+  let dev =
+    Pfdev.create eng (Pf_sim.Cpu.create costs) costs stats
+      ~variant:Pf_net.Frame.Dix10 ~address:(Pf_net.Addr.exp 1)
+      ~send:(fun _ -> ())
+  in
+  Pfdev.set_compile_strategy dev `Regvm;
+  Pfdev.set_certify dev true;
+  (* every packet runs the port's filter *)
+  Pfdev.set_cache_enabled dev false;
+  let port = Pfdev.open_port dev in
+  Pfdev.set_queue_limit port max_int;
+  (match Pfdev.set_filter port program with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e);
+  (dev, stats, port)
+
+let test_pair_budget_edge () =
+  let check ?pair_budget v =
+    Equiv.check_ir ?pair_budget v (fst (Regopt.optimize v))
+  in
+  let four = naive_chain (service_rules @ [ drop_high ]) in
+  let five = naive_chain (service_rules @ [ drop_high; accept_mid ]) in
+  let r4 = check four in
+  (match r4.Equiv.verdict with
+  | Equiv.Proved_equal -> ()
+  | _ -> Alcotest.failf "4 rules: %a" Equiv.pp_report r4);
+  Alcotest.(check bool)
+    (Printf.sprintf "4 rules spend most of the pair budget (%d pairs)"
+       r4.Equiv.pairs_checked)
+    true
+    (2 * r4.Equiv.pairs_checked > Equiv.default_pair_budget);
+  let r5 = check five in
+  (match r5.Equiv.verdict with
+  | Equiv.Counterexample w ->
+      Alcotest.failf "5 rules refuted by %a" Packet.pp_hex w
+  | Equiv.Proved_equal | Equiv.Unknown -> ());
+  (match (check ~pair_budget:(4 * Equiv.default_pair_budget) five).Equiv.verdict with
+  | Equiv.Proved_equal -> ()
+  | _ -> Alcotest.fail "5 rules not proved with a larger pair budget");
+  let engine port = (Option.get (Pfdev.port_engine_stats port)).Pfdev.engine in
+  (* four rules: proved, so the optimized IR runs *)
+  let _, stats, port = certify_on_device (Validate.program four) in
+  Alcotest.(check bool) "4 rules certified" true
+    (Pfdev.port_certification port = Some Equiv.Certified);
+  Alcotest.(check int) "pf.certify.proved" 1 (Pf_sim.Stats.get stats "pf.certify.proved");
+  Alcotest.(check bool) "4 rules run the register VM" true (engine port = `Regvm);
+  (* five rules: inconclusive, so the checked stack engine runs *)
+  let program = Validate.program five in
+  let dev, stats, port = certify_on_device program in
+  (match Pfdev.port_certification port with
+  | Some (Equiv.Uncertified why) ->
+      Alcotest.(check bool) ("reason names the pair budget: " ^ why) true
+        (contains ~affix:"path-pair budget" why)
+  | _ -> Alcotest.fail "5 rules: install did not record Uncertified");
+  Alcotest.(check int) "pf.certify.unknown" 1 (Pf_sim.Stats.get stats "pf.certify.unknown");
+  Alcotest.(check int) "pf.certify.proved" 0 (Pf_sim.Stats.get stats "pf.certify.proved");
+  Alcotest.(check bool) "5 rules fall back to the stack engine" true (engine port = `Stack);
+  let s = Option.get (Pfdev.port_engine_stats port) in
+  Alcotest.(check int) "stack engine runs the source" s.Pfdev.insns_source
+    s.Pfdev.insns_compiled;
+  let packets = chain_packets () in
+  let accepted = ref 0 in
+  List.iter
+    (fun pkt ->
+      let reference = Interp.accepts program pkt in
+      if reference then incr accepted;
+      Alcotest.(check bool)
+        (Format.asprintf "device = interp on %a" Packet.pp_hex pkt)
+        reference (Pfdev.demux dev pkt))
+    packets;
+  Alcotest.(check bool)
+    (Printf.sprintf "the mix is accepted and rejected (%d of %d accepted)"
+       !accepted (List.length packets))
+    true
+    (!accepted > 0 && !accepted < List.length packets);
+  Alcotest.(check int) "every packet ran the stack program" (List.length packets)
+    (Option.get (Pfdev.port_engine_stats port)).Pfdev.applications
 
 (* {1 The sharpened relation closes Analysis.relate's coverage gap} *)
 
@@ -642,8 +790,12 @@ let suite =
         test_miscompilation_shrinks_to_regression;
       Alcotest.test_case "counterexamples confirmed on all engines" `Quick
         test_counterexamples_confirmed_on_all_engines;
+      Alcotest.test_case "flipped IR exits refuted, witness on Regvm.exec"
+        `Quick test_flipped_ir_refuted;
       Alcotest.test_case "whole first-match chain: proved, reorder refuted"
         `Quick test_whole_chain;
+      Alcotest.test_case "pair-budget edge: uncertified install falls back"
+        `Quick test_pair_budget_edge;
       Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
         test_relate_coverage_gap;
       Alcotest.test_case "Equiv-disjoint pair: dispatch = sequential" `Quick
