@@ -1,5 +1,6 @@
-(* Ablations over the design choices DESIGN.md calls out, plus real
-   wall-clock microbenchmarks (Bechamel) of the evaluation strategies:
+(* Ablations over the design choices DESIGN.md calls out ([bench
+   ablation]), plus real wall-clock microbenchmarks (Bechamel) of the
+   evaluation strategies, run on their own as [bench wallclock]:
 
    - short-circuit operators vs plain combination (the optimization §3.1
      says "is especially important for performance");
@@ -11,8 +12,9 @@
      (§7's "compiling filters into machine code") vs the dispatch
      automaton (§7's "decision table").
 
-   The tables on stdout are counts and simulated time; the Bechamel rows
-   are host wall clock and go to stderr, so stdout is deterministic. *)
+   The ablation tables on stdout are counts and simulated time, so they
+   are deterministic; the Bechamel rows are host wall clock and go to
+   stderr. *)
 
 open Util
 open Pf_filter
@@ -396,8 +398,8 @@ let bechamel_suite () =
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  (* Host wall clock, not simulated time: on stderr, after the simulated
-     tables. *)
+  (* Host wall clock, not simulated time: on stderr, so stdout stays
+     deterministic. *)
   flush stdout;
   Printf.eprintf "\nWall-clock microbenchmarks (Bechamel, ns/run on this machine)\n";
   Printf.eprintf "--------------------------------------------------------------\n";
@@ -423,5 +425,4 @@ let run () =
   install_optimization ();
   nit_baseline ();
   ikp_vs_vmtp ();
-  coexistence ();
-  bechamel_suite ()
+  coexistence ()

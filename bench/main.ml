@@ -23,7 +23,9 @@ let experiments =
      Exp_dispatch.run);
     ("smp", "Multi-CPU receive scaling with RSS steering (1 -> 8 CPUs)", Exp_smp.run);
     ("figures", "Figures 2-1/2-2, 2-3, 3-4/3-5 cost decompositions", Exp_figures.run);
-    ("ablation", "Design ablations + Bechamel microbenchmarks", Exp_ablation.run);
+    ("ablation", "Design ablations", Exp_ablation.run);
+    ("wallclock", "Bechamel wall-clock microbenchmarks of the filter engines",
+     Exp_ablation.bechamel_suite);
   ]
 
 

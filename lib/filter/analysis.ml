@@ -393,14 +393,14 @@ let pp ppf t =
       (pc + 1) pc pp_termination how);
   Format.fprintf ppf "@]"
 
-(* {1 Relations between filters}
+(* {1 Guard chains}
 
-   Built on guard chains: a leading run of [pushword+i / const CAND] pairs
-   (operands in either order, plus a final EQ pair) is a set of *necessary*
-   equality conditions for acceptance — a mismatched CAND exits rejecting,
-   and the final EQ leaves its result on top. When such a chain is the whole
-   program the conditions are also *sufficient*. The dispatch automaton
-   indexes on these chains. *)
+   A leading run of [pushword+i / const CAND] pairs (operands in either
+   order, plus a final EQ pair) is a set of *necessary* equality conditions
+   for acceptance — a mismatched CAND exits rejecting, and the final EQ
+   leaves its result on top. When such a chain is the whole program the
+   conditions are also *sufficient*. The dispatch automaton indexes on
+   these chains. *)
 
 let guards program =
   let rec leading acc = function
@@ -420,44 +420,3 @@ let guards program =
     | _ -> (List.rev acc, false)
   in
   leading [] (Program.insns program)
-
-type relation = Equivalent | Subsumes | Subsumed_by | Disjoint | Unknown
-
-(* Two guard lists demand different values for the same word. Applied to a
-   single program's own list this detects a self-contradictory filter (it
-   accepts nothing). *)
-let conflicting g1 g2 =
-  List.exists
-    (fun (off, v) ->
-      match List.assoc_opt off g2 with Some v' -> v' <> v | None -> false)
-    g1
-
-let subset g1 g2 =
-  List.for_all (fun (off, v) -> List.assoc_opt off g2 = Some v) g1
-
-let relate (va : Validate.t) (vb : Validate.t) =
-  let a = analyze va and b = analyze vb in
-  let ga, exact_a = guards a.program in
-  let gb, exact_b = guards b.program in
-  let empty_a = a.verdict = Always_reject || conflicting ga ga in
-  let empty_b = b.verdict = Always_reject || conflicting gb gb in
-  if empty_a && empty_b then Equivalent
-  else if empty_a then Subsumed_by
-  else if empty_b then Subsumes
-  else if a.verdict = Always_accept && b.verdict = Always_accept then Equivalent
-  else if a.verdict = Always_accept then Subsumes
-  else if b.verdict = Always_accept then Subsumed_by
-  else if conflicting ga gb then Disjoint
-  else if exact_a && exact_b then
-    if subset ga gb && subset gb ga then Equivalent
-    else if subset ga gb then Subsumes
-    else if subset gb ga then Subsumed_by
-    else Unknown
-  else Unknown
-
-let pp_relation ppf = function
-  | Equivalent -> Format.pp_print_string ppf "equivalent"
-  | Subsumes -> Format.pp_print_string ppf "subsumes"
-  | Subsumed_by -> Format.pp_print_string ppf "subsumed by"
-  | Disjoint -> Format.pp_print_string ppf "disjoint"
-  | Unknown -> Format.pp_print_string ppf "unknown"

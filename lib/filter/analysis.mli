@@ -23,9 +23,7 @@
       reaching it terminates, making everything after it unreachable
       ({!Regopt}'s analysis pass truncates there);
     - a {e worst-case cost bound} in abstract cycles ({!Pf_kernel.Pfdev}
-      records it for admission control);
-    - via {!relate}, pairwise {e subsumption / disjointness} between two
-      filters' accept sets.
+      records it for admission control).
 
     All facts describe the [`Paper] semantics of {!Interp.run} (the
     semantics {!Fast} and {!Regvm} implement); every fact is
@@ -148,30 +146,17 @@ val cost_of_prefix : Program.t -> int -> int
     concrete cost of a run that executed [k] instructions (execution is
     always a prefix in a straight-line language). *)
 
-(** {1 Filter-to-filter relations} *)
-
-type relation = Equivalent | Subsumes | Subsumed_by | Disjoint | Unknown
-(** Relation between two filters' accept sets, [relate a b]:
-    [Equivalent]: same accept set. [Subsumes]: [a] accepts a superset of
-    [b]'s packets. [Subsumed_by]: a subset. [Disjoint]: no packet is
-    accepted by both. [Unknown]: not provable here. All answers but
-    [Unknown] are proofs. *)
-
-val relate : Validate.t -> Validate.t -> relation
-(** Decided from the verdict summaries and from necessary / exact guard
-    conditions: a leading chain of [pushword+i / const CAND] pairs (and a
-    trailing [EQ] pair) is necessary for acceptance, and when such a chain
-    is the whole program it is also sufficient. *)
+(** {1 Guard chains} *)
 
 val guards : Program.t -> (int * int) list * bool
 (** The leading [(word index, required value)] guard chain of a program —
-    each pair is a {e necessary} condition for acceptance (a mismatched or
-    missing word rejects) — and whether the chain is the {e whole} program,
-    in which case the conditions are also {e sufficient} (every packet
-    matching the chain is accepted). The foundation of {!relate} and of the
-    cross-filter dispatch automaton ({!Dispatch}). *)
-
-val pp_relation : Format.formatter -> relation -> unit
+    a run of [pushword+i / const CAND] pairs, operands in either order, and
+    a trailing [EQ] pair. Each pair is a {e necessary} condition for
+    acceptance (a mismatched or missing word rejects). The second component
+    says whether the chain is the {e whole} program, in which case the
+    conditions are also {e sufficient} (every packet matching the chain is
+    accepted). The foundation of the cross-filter dispatch automaton
+    ({!Dispatch}). *)
 
 (** {1 Test hooks} *)
 

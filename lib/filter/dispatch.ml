@@ -24,13 +24,11 @@ module Slots = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* One guard-value tuple of a group: every indexed entry in rank order, and
-   the unshadowed ones among them, the only part [classify] reads. *)
+(* One guard-value tuple of a group: every indexed entry, in rank order. *)
 type 'a slot = {
   group : 'a group;
   key : Bytes.t;
   mutable entries : 'a entry list;
-  mutable live : 'a entry list;
 }
 
 and 'a group = {
@@ -44,11 +42,7 @@ and 'a group = {
 
 (* What the automaton holds at one rank; indexed entries also name their
    slot, so a removal touches nothing else. *)
-type 'a item = {
-  value : 'a;
-  mutable decision : decision;
-  slot : 'a slot option;
-}
+type 'a item = { value : 'a; decision : decision; slot : 'a slot option }
 
 (* [classify]'s counts, in one record per automaton that every call resets
    and reuses: the simulator serializes demux events. *)
@@ -139,50 +133,9 @@ let slot_of t signature key =
   match Slots.find_opt group.slots key with
   | Some s -> s
   | None ->
-    let s = { group; key; entries = []; live = [] } in
+    let s = { group; key; entries = [] } in
     Slots.add group.slots key s;
     s
-
-(* Shadow elimination, per slot in rank order: an earlier exact entry
-   accepts every packet that reaches its slot, and an earlier entry that
-   Subsumes (or is Equivalent to) a later one accepts every packet the
-   later one would — either way the earlier, lower-rank entry wins every
-   such packet, so the later entry is dead weight and is dropped.
-   Same-slot subsumption asks Analysis.relate first, the symbolic engine
-   (memoized, small budget) where it answers Unknown; Equiv.relate only
-   ever upgrades to Equivalent/Disjoint, both sound here. A change at rank
-   [from] leaves the fold over the entries ranked before it as it was, so
-   the fold resumes there, from the live entries it had kept. *)
-let reshadow t slot ~from =
-  let memo = lazy (Equiv.Memo.create ()) in
-  let relate fa fb =
-    Equiv.relate_memo ~budget:64 ~pair_budget:256 (Lazy.force memo)
-      (Fast.validated fa) (Fast.validated fb)
-  in
-  let shadow_of kept e =
-    List.find_opt
-      (fun k ->
-        k.exact
-        ||
-        match relate k.fast e.fast with
-        | Analysis.Subsumes | Analysis.Equivalent -> true
-        | Analysis.Subsumed_by | Analysis.Disjoint | Analysis.Unknown -> false)
-      kept
-  in
-  let offsets = slot.group.signature in
-  slot.live <-
-    List.fold_left
-      (fun kept e ->
-        let item = Hashtbl.find t.items e.rank in
-        match shadow_of kept e with
-        | Some k ->
-          item.decision <- Shadowed { by = k.rank };
-          kept
-        | None ->
-          item.decision <- Indexed { offsets; exact = e.exact };
-          kept @ [ e ])
-      (List.filter (fun e -> e.rank < from) slot.live)
-      (List.filter (fun e -> e.rank >= from) slot.entries)
 
 let add t ~rank ?(indexable = true) fast value =
   if Hashtbl.mem t.items rank then invalid_arg "Dispatch.add: rank already taken";
@@ -209,8 +162,7 @@ let add t ~rank ?(indexable = true) fast value =
         slot.entries <-
           insert_sorted (fun e -> e.rank)
             { rank; value; exact = whole; fast; answer = Some (rank, value) }
-            slot.entries;
-        reshadow t slot ~from:rank
+            slot.entries
       end
 
 let remove t ~rank =
@@ -225,8 +177,7 @@ let remove t ~rank =
     | None -> ()
     | Some slot ->
       slot.entries <- List.filter (fun e -> e.rank <> rank) slot.entries;
-      if slot.entries <> [] then reshadow t slot ~from:rank
-      else begin
+      if slot.entries = [] then begin
         (* a group disappears with its last entry, as if never built *)
         let g = slot.group in
         Slots.remove g.slots slot.key;
@@ -255,9 +206,25 @@ let build ?indexable filters =
 let size t = Hashtbl.length t.items
 let residuals t = t.residual
 
+(* An exact entry accepts every packet that reaches its slot, and a slot's
+   entries are scanned in rank order, so the ones ranked after its first
+   exact entry can never win: [classify] never reaches them. *)
+let rec live = function
+  | [] -> []
+  | e :: rest -> if e.exact then [ e ] else e :: live rest
+
 let decisions t =
   Hashtbl.fold
-    (fun rank (item : _ item) acc -> (rank, item.value, item.decision) :: acc)
+    (fun rank (item : _ item) acc ->
+      let decision =
+        match item.slot with
+        | Some slot -> (
+          match List.find_opt (fun e -> e.exact && e.rank < rank) slot.entries with
+          | Some k -> Shadowed { by = k.rank }
+          | None -> item.decision)
+        | None -> item.decision
+      in
+      (rank, item.value, decision) :: acc)
     t.items []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
@@ -274,9 +241,9 @@ type stats = {
    slots of one group demand different values of a shared word, hence are
    pairwise disjoint — probing order cannot matter. The offsets ascend, so
    the words the packet holds are a prefix of them; a probe writes them
-   into the group's reused key and allocates nothing. Returns the live
-   entries of the matched slots: the one slot's own list, already in rank
-   order, or when several matched, their entries in no order. *)
+   into the group's reused key and allocates nothing. Returns the entries
+   of the matched slots: the one slot's own list, already in rank order, or
+   when several matched, their entries in no order. *)
 let rec probe (c : counts) packet words matched = function
   | [] -> matched
   | g :: rest ->
@@ -301,7 +268,9 @@ let rec probe (c : counts) packet words matched = function
         let slot = Slots.find g.slots g.probe in
         c.slots_matched <- c.slots_matched + 1;
         let matched =
-          match matched with [] -> slot.live | _ :: _ -> List.rev_append slot.live matched
+          match matched with
+          | [] -> slot.entries
+          | _ :: _ -> List.rev_append slot.entries matched
         in
         probe c packet words matched rest
       end
@@ -379,8 +348,8 @@ let info t =
         let members, exact_members =
           Slots.fold
             (fun _ slot (m, e) ->
-              ( m + List.length slot.live,
-                e + List.length (List.filter (fun en -> en.exact) slot.live) ))
+              let live = live slot.entries in
+              (m + List.length live, e + List.length (List.filter (fun en -> en.exact) live)))
             g.slots (0, 0)
         in
         {

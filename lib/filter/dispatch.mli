@@ -12,20 +12,18 @@
     costs one probe per group — independent of how many filters share the
     group — plus running the few same-slot candidate programs.
 
-    Soundness is the guard-chain theorem {!Analysis.relate} is built on:
+    Soundness rests on the guard chains of {!Analysis.guards}:
 
     - a guard is {e necessary}, so a filter whose slot does not match the
-      packet (or whose guard word is missing) provably rejects — skipping
-      it is exactly {!Analysis.relation.Disjoint}'s conflicting-guards
-      argument, which is why hash dispatch across slots needs no order;
+      packet (or whose guard word is missing) provably rejects; two slots
+      of one group demand different values of a shared word, so a packet
+      matches at most one of them, which is why hash dispatch across
+      slots needs no order;
     - when the chain is the {e whole} program it is also {e sufficient},
       so an [exact] entry accepts on slot match with zero interpretation;
-    - entries sharing a slot stay in walk order, and a later entry is
-      dropped only when {!Analysis.relate} — upgraded by the symbolic
-      engine ({!Equiv.relate}) where it answers [Unknown] — proves an
-      earlier same-slot entry [Subsumes] it (or is [Equivalent]): the
-      earlier, first-match entry then wins every packet the later one
-      could.
+    - entries sharing a slot are scanned in walk order and an exact entry
+      ends the scan, so an entry ranked after an exact entry of its slot
+      can never win a packet ({!decisions} reports it [Shadowed]).
 
     Everything that cannot be indexed soundly — unbounded read sets,
     empty or unprovable guard chains, and entries the caller excludes
@@ -46,8 +44,8 @@ type decision =
       (** member of the group keyed on [offsets]; [exact] entries accept
           on slot match without running the program *)
   | Shadowed of { by : int }
-      (** same-slot entry proven subsumed by the entry at rank [by];
-          dropped — it can never win a packet *)
+      (** ranked after an exact entry of its slot, the one at rank [by]:
+          it can never win a packet *)
   | Residual of residual_reason  (** walked per-port, in rank order *)
   | Never_accepts
       (** [Always_reject] verdict or a self-contradictory guard chain;
@@ -71,21 +69,19 @@ val add : 'a t -> rank:int -> ?indexable:bool -> Fast.t -> 'a -> unit
     the filter if it can prove that safe and classifies it per {!decision}
     otherwise; [indexable] (default [true]) [false] forces it residual
     ([`Excluded]) — {!Pf_kernel.Pfdev} excludes copy-all and tap ports,
-    whose multi-delivery the first-match automaton cannot express. Re-runs
-    shadow elimination for the filter's slot only. Raises
+    whose multi-delivery the first-match automaton cannot express. Raises
     [Invalid_argument] if [rank] is taken. *)
 
 val remove : 'a t -> rank:int -> unit
-(** Take out the filter at [rank], re-running shadow elimination for its
-    slot; a slot or group disappears with its last entry. Raises
-    [Invalid_argument] if no filter has that rank. *)
+(** Take out the filter at [rank]; a slot or group disappears with its
+    last entry. Raises [Invalid_argument] if no filter has that rank. *)
 
 val build_compiled : ?indexable:('a -> bool) -> (Fast.t * 'a) list -> 'a t
 (** [build_compiled filters] ranks filters by decreasing
     {!Program.priority} of their programs, breaking ties by list position,
     and {!add}s them in that order under dense ranks [0 .. n-1].
-    [indexable] (default: everything) is asked per value. Linear in the
-    number of filters, apart from same-slot shadow checks. *)
+    [indexable] (default: everything) is asked per value. One {!add} per
+    filter. *)
 
 val build : ?indexable:('a -> bool) -> (Validate.t * 'a) list -> 'a t
 (** {!build_compiled} after {!Fast.compile} of every filter ([pftool

@@ -50,13 +50,13 @@ exception Witness of Packet.t
 exception Pairs_exhausted
 
 (* Run [f] on every pair of paths drawn from the two outcomes whose
-   verdicts satisfy [select], counting against [pair_budget]. *)
-let iter_pairs ~pair_budget ~select ~count oa ob f =
+   verdicts differ, counting against [pair_budget]. *)
+let iter_pairs ~pair_budget ~count oa ob f =
   List.iter
     (fun (pa : Symex.path) ->
       List.iter
         (fun (pb : Symex.path) ->
-          if select pa.Symex.accept pb.Symex.accept then begin
+          if pa.Symex.accept <> pb.Symex.accept then begin
             if !count >= pair_budget then raise Pairs_exhausted;
             incr count;
             f pa pb
@@ -82,7 +82,7 @@ let check ?(budget = default_budget) ?(pair_budget = default_pair_budget) left
     let pair_budget_hit = ref false in
     let verdict =
       try
-        iter_pairs ~pair_budget ~select:(fun a b -> a <> b) ~count oa ob
+        iter_pairs ~pair_budget ~count oa ob
           (fun pa pb ->
             match Symex.conj pa.Symex.cond pb.Symex.cond with
             | None -> ()
@@ -124,61 +124,6 @@ let check_programs ?budget ?pair_budget va vb =
 
 let check_ir ?budget ?pair_budget va ir =
   check ?budget ?pair_budget (Prog va) (Ir_prog ir)
-
-let relate ?(budget = default_budget) ?(pair_budget = default_pair_budget) va
-    vb =
-  let ctx = Symex.Ctx.create () in
-  let oa = Symex.run ~budget ctx va and ob = Symex.run ~budget ctx vb in
-  if not (oa.Symex.complete && ob.Symex.complete) then Analysis.Unknown
-  else begin
-    (* Disjoint: every accept/accept pair refuted. *)
-    let count = ref 0 in
-    let disjoint =
-      try
-        let ok = ref true in
-        iter_pairs ~pair_budget ~select:(fun a b -> a && b) ~count oa ob
-          (fun pa pb ->
-            match Symex.conj pa.Symex.cond pb.Symex.cond with
-            | None -> ()
-            | Some c -> if Symex.solve c <> `Unsat then ok := false);
-        !ok
-      with Pairs_exhausted -> false
-    in
-    if disjoint then Analysis.Disjoint
-    else
-      let r = check ~budget ~pair_budget (Prog va) (Prog vb) in
-      match r.verdict with
-      | Proved_equal -> Analysis.Equivalent
-      | Counterexample _ | Unknown -> Analysis.Unknown
-  end
-
-(* One memo table for the symbolic relations the dispatch automaton asks
-   for. Keys are the encoded programs plus the budgets, so one table can
-   serve callers with different budgets without confusing their answers. *)
-module Memo = struct
-  type t = (int list * int list * int * int, Analysis.relation) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-  let size (t : t) = Hashtbl.length t
-end
-
-let relate_memo ?(budget = default_budget)
-    ?(pair_budget = default_pair_budget) (memo : Memo.t) va vb =
-  match Analysis.relate va vb with
-  | Analysis.Unknown -> (
-      let key =
-        ( Program.encode (Validate.program va),
-          Program.encode (Validate.program vb),
-          budget,
-          pair_budget )
-      in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-          let r = relate ~budget ~pair_budget va vb in
-          Hashtbl.add memo key r;
-          r)
-  | r -> r
 
 type certification =
   | Certified

@@ -62,35 +62,6 @@ val check_ir : ?budget:int -> ?pair_budget:int -> Validate.t -> Ir.t -> report
 (** Program ↔ IR — certifies {!Regopt.optimize} output against its
     source. *)
 
-val relate :
-  ?budget:int -> ?pair_budget:int -> Validate.t -> Validate.t ->
-  Analysis.relation
-(** Sharpen {!Analysis.relate}: [Disjoint] when no packet is accepted by
-    both (proved path-pair by path-pair), [Equivalent] when
-    {!check_programs} proves equality, [Unknown] otherwise. Never returns
-    [Subsumes]/[Subsumed_by]. *)
-
-(** Memo table for symbolic relation verdicts ({!relate_memo}), used by
-    the dispatch automaton. Keys are the encoded programs
-    ({!Program.encode}) plus the budgets, so one table can serve callers
-    with different budgets without confusing their answers. *)
-module Memo : sig
-  type t
-
-  val create : unit -> t
-
-  val size : t -> int
-  (** Number of cached relations (cheap {!Analysis.relate} hits are not
-      stored). *)
-end
-
-val relate_memo :
-  ?budget:int -> ?pair_budget:int -> Memo.t -> Validate.t ->
-  Validate.t -> Analysis.relation
-(** {!Analysis.relate} first (interval reasoning, never cached — it is
-    cheaper than the lookup); where it answers [Unknown], fall back to the
-    symbolic {!relate} through the memo table. *)
-
 (** Outcome of certifying one optimizer rewrite, shared by [pftool
     verify] and the kernel's certifying installs. *)
 type certification =

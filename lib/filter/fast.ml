@@ -16,7 +16,6 @@ let compile validated =
     stack = Array.make Interp.stack_size 0;
   }
 
-let validated t = t.validated
 let program t = Validate.program t.validated
 let priority t = Program.priority (program t)
 let analysis t = t.analysis

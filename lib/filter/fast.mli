@@ -14,9 +14,6 @@ val compile : Validate.t -> t
 (** Also runs {!Analysis.analyze}; its proven access bound lets runs on
     long-enough packets skip the [Pushind] dynamic check too. *)
 
-val validated : t -> Validate.t
-(** The validation result the filter was compiled from. *)
-
 val program : t -> Program.t
 val priority : t -> int
 

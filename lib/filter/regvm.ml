@@ -1,7 +1,6 @@
 module Packet = Pf_pkt.Packet
 
 type t = {
-  validated : Validate.t;
   ir : Ir.t;
   report : Regopt.report;
   regs : int array;
@@ -11,12 +10,10 @@ type t = {
 
 let compile validated =
   let ir, report = Regopt.optimize validated in
-  { validated; ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 }
+  { ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 }
 
-let validated t = t.validated
 let ir t = t.ir
 let report t = t.report
-let priority t = Program.priority (Validate.program t.validated)
 
 let value regs = function Ir.Reg r -> regs.(r) | Ir.Imm v -> v
 

@@ -21,10 +21,8 @@ val compile : Validate.t -> t
     {!Fast.t}, the scratch state makes a compiled filter safe for
     sequential reuse but not for concurrent runs. *)
 
-val validated : t -> Validate.t
 val ir : t -> Ir.t
 val report : t -> Regopt.report
-val priority : t -> int
 
 val eval : t -> Pf_pkt.Packet.t -> int
 (** One run, allocating nothing: the verdict and the number of IR

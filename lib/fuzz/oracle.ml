@@ -121,10 +121,6 @@ let check ?(extra = []) program packet =
           fail "analysis-cost"
             (Printf.sprintf "claimed cost bound %d; the run cost %d"
                a.Analysis.cost_bound run_cost);
-        (* A filter that accepts this packet shares it with itself, so its
-           self-relation can never soundly be Disjoint. *)
-        if reference && Analysis.relate v v = Analysis.Disjoint then
-          fail "analysis-relate" "relate f f = Disjoint for an accepting filter";
         (* Read-set soundness: an [Exact] read set claims the verdict depends
            only on those words (and their presence), so flipping every word
            outside it — and growing the packet by one word it does not

@@ -8,7 +8,7 @@
       instruction count),
     - the {!Pf_filter.Analysis} abstract interpreter, whose claims (verdict
       summary, division-fault impossibility, the safe/minimum packet-word
-      bounds, instruction and cost bounds, self-relation, and the read set —
+      bounds, instruction and cost bounds, and the read set —
       flipping every packet word outside an [Exact] read set, or growing the
       packet by a word it does not contain, must not change the verdict)
       must all be consistent with the concrete run,

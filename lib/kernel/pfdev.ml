@@ -146,7 +146,6 @@ and t = {
          completion inside one engine event and never re-enters itself *)
   mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
-  mutable cache_capacity : int;
   key : flow_key; (* shared: maintained with the port table *)
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
@@ -207,6 +206,9 @@ and flow_key = {
          zero byte per absent offset; every byte but the words is fixed *)
 }
 
+(* Entries per CPU's cache; a miss stored beyond it evicts the oldest. *)
+let cache_capacity = 256
+
 let fresh_cache () =
   {
     table = Key_table.create 64;
@@ -245,7 +247,6 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     demux_cost = 0;
     cost_limit = None;
     cache_enabled = true;
-    cache_capacity = 256;
     key = { readers = [||]; unbounded = 0; offsets = [||]; scratch = [| Bytes.empty |] };
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
@@ -608,7 +609,7 @@ let set_cost_limit t limit =
 (* Installation = validation + abstract interpretation. The analysis result
    is recorded on the port: its cost bound gates admission (a filter the
    device provably cannot afford per packet is refused up front, not
-   throttled later), and its verdict/relations feed the status surface. *)
+   throttled later), and its verdict feeds the status surface. *)
 let install port program =
   match Pf_filter.Validate.check program with
   | Error e -> Error (Invalid e)
@@ -807,10 +808,6 @@ let set_cache_enabled t flag =
     invalidate_cache t
   end
 
-let set_cache_capacity t n =
-  t.cache_capacity <- max 1 n;
-  invalidate_cache t
-
 type cache_stats = {
   enabled : bool;
   entries : int;
@@ -845,7 +842,7 @@ let cache_stats t =
   {
     enabled = t.cache_enabled;
     entries = !entries;
-    capacity = t.cache_capacity;
+    capacity = cache_capacity;
     hits = !hits;
     misses = !misses;
     bypasses = !bypasses;
@@ -1101,7 +1098,7 @@ let classify t ~cpu ~kernel_claimed frame =
 let store t ~cpu c ~generation key acceptors =
   if generation = c.generation then begin
     add_cost t t.costs.Costs.cache_probe (* insert *);
-    if Key_table.length c.table >= t.cache_capacity then (
+    if Key_table.length c.table >= cache_capacity then (
       match Queue.take_opt c.fifo with
       | Some victim ->
         Key_table.remove c.table victim;

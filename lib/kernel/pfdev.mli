@@ -301,14 +301,10 @@ val set_cache_enabled : t -> bool -> unit
     full filter walk (the paper-faithful configuration for reproducing the
     section 6.5 tables). *)
 
-val set_cache_capacity : t -> int -> unit
-(** Bounded size (entries), FIFO eviction beyond it; default 256, clamped to
-    at least 1. Changing it flushes the cache. *)
-
 type cache_stats = {
   enabled : bool;
   entries : int;  (** currently cached decisions *)
-  capacity : int;
+  capacity : int;  (** entries per CPU's cache (256), FIFO eviction beyond *)
   hits : int;
   misses : int;
   bypasses : int;  (** kernel-claimed packets + unbounded-read-set periods *)

@@ -1,6 +1,6 @@
 (* The installation-time abstract interpreter: known-filter facts, the
    consumers that act on them (Fast's checkless runs, Pfdev admission
-   control and relations), the satellite assembler properties, and the
+   control), the satellite assembler properties, and the
    seeded unsound interval mutant the differential oracle must catch. *)
 
 open Pf_filter
@@ -21,7 +21,6 @@ let validate_exn p =
 let analyze p = Analysis.analyze (validate_exn p)
 
 let verdict = Alcotest.testable Analysis.pp_verdict ( = )
-let relation = Alcotest.testable Analysis.pp_relation ( = )
 
 (* {1 Facts about known filters} *)
 
@@ -125,40 +124,6 @@ let test_dead_code () =
   Alcotest.check verdict "always rejects" Analysis.Always_reject a.Analysis.verdict;
   Alcotest.(check (option int)) "dead after the cand" (Some 2)
     (Analysis.dead_after a)
-
-(* {1 Relations between filters} *)
-
-let test_relations () =
-  let v p = validate_exn p in
-  let socket n = v (Predicates.pup_dst_socket (Int32.of_int n)) in
-  Alcotest.check relation "different sockets never share a packet"
-    Analysis.Disjoint
-    (Analysis.relate (socket 35) (socket 36));
-  Alcotest.check relation "a filter is equivalent to itself" Analysis.Equivalent
-    (Analysis.relate (socket 35) (socket 35));
-  Alcotest.check relation "figure 3-9 is the socket-35 filter"
-    Analysis.Equivalent
-    (Analysis.relate (v Predicates.fig_3_9) (socket 35));
-  Alcotest.check relation "the empty filter subsumes everything"
-    Analysis.Subsumes
-    (Analysis.relate (v Predicates.accept_all) (socket 35));
-  Alcotest.check relation "reject-all is subsumed by everything"
-    Analysis.Subsumed_by
-    (Analysis.relate (v Predicates.reject_all) (socket 35));
-  (* Adding a guard restricts the accept set. *)
-  let base = Program.v [ i (Action.Pushword 1); i ~op:Op.Eq (Action.Pushlit 2) ] in
-  let narrower =
-    Program.v
-      [ i (Action.Pushword 4);
-        i ~op:Op.Cand (Action.Pushlit 7);
-        i (Action.Pushword 1);
-        i ~op:Op.Eq (Action.Pushlit 2)
-      ]
-  in
-  Alcotest.check relation "guard superset is subsumed" Analysis.Subsumed_by
-    (Analysis.relate (v narrower) (v base));
-  Alcotest.check relation "guard subset subsumes" Analysis.Subsumes
-    (Analysis.relate (v base) (v narrower))
 
 (* {1 The pseudodevice: admission control} *)
 
@@ -360,7 +325,6 @@ let suite =
       Alcotest.test_case "indirect index bound via data flow" `Quick test_indirect_bound;
       Alcotest.test_case "fast skips proven checks" `Quick test_engines_skip_checks;
       Alcotest.test_case "interval-driven dead code elimination" `Quick test_dead_code;
-      Alcotest.test_case "subsumption and disjointness" `Quick test_relations;
       Alcotest.test_case "pfdev cost-bound admission control" `Quick test_pfdev_admission;
       Alcotest.test_case "instruction assembler round-trip" `Quick test_insn_round_trip;
       Alcotest.test_case "program assembler round-trip" `Quick test_program_round_trip;

@@ -6,7 +6,8 @@
    unbounded read sets, direct unit tests of the build decisions, and the
    seeded unsound-prefix-sharing mutant, which the fuzz oracle must catch
    and shrink; plus the maintained automaton against a scratch build after
-   every add and remove. *)
+   every add and remove, and port mutations in a crowded slot bounded on
+   the host clock. *)
 
 open Pf_kernel
 module Packet = Pf_pkt.Packet
@@ -383,6 +384,112 @@ let test_identical_filters_shadowed () =
   | Some (r, n), _ -> Alcotest.failf "wrong winner: rank %d (%s)" r n
   | None, _ -> Alcotest.fail "the packet should have been classified"
 
+(* {1 Same-slot churn}
+
+   One hundred distinct non-exact filters share one slot: port k guards
+   words 6 and 7, then requires word 20 > 100 + k. A port mutation
+   touches one slot entry and analyses none of its neighbours, so
+   re-filtering, closing or re-ranking a port costs no more than the
+   automaton's list work, and the first match stays the sequential
+   walk's. *)
+
+let churn_filter k =
+  Pf_filter.Expr.compile
+    Pf_filter.Dsl.(
+      word 6 =: lit 0x0200 &&: (word 7 =: lit 5) &&: (word 20 >: lit (100 + k)))
+
+let test_same_slot_churn () =
+  let n = 100 in
+  let eng_s, dev_s = mk_dev () in
+  let eng_d, dev_d = mk_dev () in
+  Pfdev.set_strategy dev_d `Dispatch;
+  let ports =
+    List.init n (fun k ->
+        let ps = Pfdev.open_port dev_s and pd = Pfdev.open_port dev_d in
+        set_filter_exn ps (churn_filter k);
+        set_filter_exn pd (churn_filter k);
+        (ps, pd))
+  in
+  (* Frames that reach the slot, with word 20 on either side of every
+     threshold, frames that miss it, and frames too short for word 20. *)
+  let rng = Rng.make 0xC4A2 in
+  let frames =
+    List.init 240 (fun _ ->
+        let w7 = if Rng.chance rng 8 then 4 else 5 in
+        let words = if Rng.chance rng 8 then 20 else 21 in
+        let w20 = 95 + Rng.int rng 110 in
+        Packet.of_words
+          (List.init words (fun i ->
+               match i with 6 -> 0x0200 | 7 -> w7 | 20 -> w20 | _ -> i)))
+  in
+  let winners = Hashtbl.create 16 in
+  let check_first_matches what =
+    List.iteri
+      (fun i frame ->
+        let winner side demux =
+          let before = List.map (fun p -> Pfdev.port_accepted (side p)) ports in
+          ignore (demux frame : bool);
+          List.concat
+            (List.mapi
+               (fun k (p, b) -> if Pfdev.port_accepted (side p) > b then [ k ] else [])
+               (List.combine ports before))
+        in
+        let sequential = winner fst (Pfdev.demux dev_s) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, frame %d: first match" what i)
+          sequential
+          (winner snd (Pfdev.demux dev_d));
+        List.iter (fun k -> Hashtbl.replace winners k ()) sequential)
+      frames
+  in
+  let timed what f =
+    let t0 = Sys.time () in
+    f ();
+    let ms = (Sys.time () -. t0) *. 1000. in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s took %.2f ms, under 50" what ms)
+      true (ms < 50.)
+  in
+  check_first_matches "installed";
+  let first_s, first_d = List.hd ports and last_s, last_d = List.nth ports (n - 1) in
+  set_filter_exn first_s (churn_filter n);
+  timed "re-filtering the first port" (fun () -> set_filter_exn first_d (churn_filter n));
+  check_first_matches "re-filtered";
+  Pfdev.close_port first_s;
+  timed "closing the first port" (fun () -> Pfdev.close_port first_d);
+  check_first_matches "closed";
+  Pfdev.set_priority last_s 1;
+  timed "raising the last port to priority 1" (fun () -> Pfdev.set_priority last_d 1);
+  check_first_matches "re-ranked";
+  (* Thresholds rise with rank, so the lowest-ranked open port whose
+     threshold the frame clears wins: port 0, then port 1 once port 0 asks
+     for more, then port 99 once it walks first. *)
+  Alcotest.(check (list int)) "ports that won a frame" [ 0; 1; n - 1 ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys winners)));
+  Pf_sim.Engine.run eng_s;
+  Pf_sim.Engine.run eng_d;
+  (* Every entry is indexed: no entry of the slot is exact, so none is
+     shadowed, and a copy of a non-exact filter runs when the first copy
+     rejects, as the sequential walk runs it. *)
+  let d = Dispatch.build (List.init n (fun k -> (validate_exn (churn_filter k), k))) in
+  Alcotest.(check int) "decisions" n (List.length (Dispatch.decisions d));
+  List.iter
+    (fun (_, k, decision) ->
+      match decision with
+      | Dispatch.Indexed { offsets = [ 6; 7 ]; exact = false } -> ()
+      | other -> Alcotest.failf "filter %d: %a" k Dispatch.pp_decision other)
+    (Dispatch.decisions d);
+  let copy () = validate_exn (Predicates.pup_dst_port_10mb ~host:2 35l) in
+  let copies = Dispatch.build [ (copy (), "first"); (copy (), "second") ] in
+  match Dispatch.decisions copies with
+  | [ (_, _, Dispatch.Indexed { exact = false; _ });
+      (_, _, Dispatch.Indexed { exact = false; _ }) ] -> ()
+  | ds ->
+    Alcotest.failf "expected both copies indexed, got:@.%a"
+      (Format.pp_print_list (fun ppf (r, name, d) ->
+           Format.fprintf ppf "  rank %d (%s): %a" r name Dispatch.pp_decision d))
+      ds
+
 let test_never_accepts_dropped () =
   let d =
     Dispatch.build
@@ -414,7 +521,8 @@ let test_copy_all_goes_residual () =
    The kernel builds from the [Fast.t] each port compiled at install;
    [pftool dispatch] and the tests build from validated programs. Both must
    yield the same automaton. Every seventh entry is repeated under a fresh
-   name, so same-slot pairs run the shadow-elimination path too. *)
+   name, so slots hold several entries and exact entries shadow their
+   copies. *)
 
 let check_build_agreement ~what ~dup entries frames =
   let entries =
@@ -651,6 +759,8 @@ let suite =
         test_identical_filters_shadowed;
       Alcotest.test_case "never-accepting filter is dropped" `Quick
         test_never_accepts_dropped;
+      Alcotest.test_case "same-slot churn: bounded and indexed" `Quick
+        test_same_slot_churn;
       Alcotest.test_case "excluded (copy-all) filter goes residual" `Quick
         test_copy_all_goes_residual;
       Alcotest.test_case "build_compiled agrees with build" `Quick

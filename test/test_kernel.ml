@@ -710,19 +710,20 @@ let test_cache_capacity_eviction () =
   let pf = Host.pf bob in
   let port = Pfdev.open_port pf in
   set_filter_exn port (socket_filter 35);
-  Pfdev.set_cache_capacity pf 2;
-  let f s = cache_frame ~dst_socket:s () in
-  ignore (Pfdev.demux pf (f 1l) : bool);
-  ignore (Pfdev.demux pf (f 2l) : bool);
-  ignore (Pfdev.demux pf (f 3l) : bool);
+  (* One more distinct key than the cache holds; none of them matches. *)
+  let capacity = (Pfdev.cache_stats pf).Pfdev.capacity in
+  let f k = cache_frame ~dst_socket:(Int32.of_int (1000 + k)) () in
+  for k = 1 to capacity + 1 do
+    ignore (Pfdev.demux pf (f k) : bool)
+  done;
   let cs = Pfdev.cache_stats pf in
-  Alcotest.(check int) "bounded at capacity" 2 cs.Pfdev.entries;
+  Alcotest.(check int) "bounded at capacity" capacity cs.Pfdev.entries;
   Alcotest.(check int) "FIFO-evicted the oldest" 1 cs.Pfdev.evictions;
   (* The evicted (oldest) key misses again; the youngest still hits. *)
-  ignore (Pfdev.demux pf (f 1l) : bool);
-  ignore (Pfdev.demux pf (f 3l) : bool);
+  ignore (Pfdev.demux pf (f 1) : bool);
+  ignore (Pfdev.demux pf (f (capacity + 1)) : bool);
   let cs = Pfdev.cache_stats pf in
-  Alcotest.(check int) "evicted key missed" 4 cs.Pfdev.misses;
+  Alcotest.(check int) "evicted key missed" (capacity + 2) cs.Pfdev.misses;
   Alcotest.(check int) "resident key hit" 1 cs.Pfdev.hits;
   Engine.run eng
 
@@ -764,7 +765,6 @@ let test_cache_invalidation_triggers_counted () =
   bumps "set_copy_all" (fun () -> Pfdev.set_copy_all port true);
   bumps "set_tap" (fun () -> Pfdev.set_tap port true);
   bumps "set_cost_limit" (fun () -> Pfdev.set_cost_limit pf (Some 10_000));
-  bumps "set_cache_capacity" (fun () -> Pfdev.set_cache_capacity pf 8);
   Engine.run eng
 
 (* {1 Removed engine tags} *)

@@ -1,9 +1,8 @@
 (* The symbolic path engine and the translation-validation layer on top of
    it: path enumeration agrees with the interpreter packet by packet,
    [Equiv] proves the shipped optimizer's output and refutes a seeded
-   miscompilation with a confirmed, engine-checked witness, and the
-   sharpened relation separates filters that [Analysis.relate] alone
-   cannot. *)
+   miscompilation with a confirmed, engine-checked witness, and an
+   operand-swapped rewrite that leaves no guard chain is still proved. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -19,8 +18,6 @@ let validate_exn p =
   match Validate.check p with
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpectedly invalid: %a" Validate.pp_error e
-
-let relation = Alcotest.testable Analysis.pp_relation ( = )
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -573,23 +570,14 @@ let test_pair_budget_edge () =
   Alcotest.(check int) "every packet ran the stack program" (List.length packets)
     (Option.get (Pfdev.port_engine_stats port)).Pfdev.applications
 
-(* {1 The sharpened relation closes Analysis.relate's coverage gap} *)
+(* {1 Operand-swapped comparisons}
 
-(* [Analysis.relate] separates syntactic guard chains; flip one comparison's
-   operand order and it answers Unknown, while the symbolic engine still
-   decides the pair. *)
-let test_relate_coverage_gap () =
-  let guards_w7_is_0 =
-    Program.v
-      [
-        i (Action.Pushword 7);
-        i ~op:Op.Cand (Action.Pushlit 0);
-        i (Action.Pushword 1);
-        i ~op:Op.Eq (Action.Pushlit 2);
-      ]
-  in
-  (* same predicate as [pushword+7; pushlit cand 5; ...] but with the
-     trailing comparison's operands swapped: no extractable guard chain *)
+   Swap a comparison's operands and [Analysis.guards] finds no chain, so
+   the dispatch automaton cannot index the filter; the symbolic engine
+   still proves the rewrite, and the automaton still answers as the
+   sequential walk does. *)
+
+let test_operand_swap_proved () =
   let swapped_w7_is_5 =
     Program.v
       [
@@ -598,33 +586,25 @@ let test_relate_coverage_gap () =
         i ~op:Op.Eq Action.Nopush;
       ]
   in
-  let va = validate_exn guards_w7_is_0 and vb = validate_exn swapped_w7_is_5 in
-  Alcotest.check relation "Analysis.relate cannot separate the pair"
-    Analysis.Unknown (Analysis.relate va vb);
-  Alcotest.check relation "Equiv.relate proves them disjoint" Analysis.Disjoint
-    (Equiv.relate va vb);
-  (* the dispatch automaton asks through a memo table: one entry, and a
-     hit that agrees *)
-  let memo = Equiv.Memo.create () in
-  Alcotest.check relation "memoized relate" Analysis.Disjoint
-    (Equiv.relate_memo memo va vb);
-  Alcotest.check relation "memo hit agrees" Analysis.Disjoint
-    (Equiv.relate_memo memo va vb);
-  Alcotest.(check int) "one memo entry" 1 (Equiv.Memo.size memo);
-  (* an operand-swapped reformulation of the same filter: equivalence, too *)
   let plain_w7_is_5 =
     Program.v [ i (Action.Pushword 7); i ~op:Op.Eq (Action.Pushlit 5) ]
   in
-  let vc = validate_exn plain_w7_is_5 in
-  Alcotest.check relation "Analysis.relate cannot prove the rewrite"
-    Analysis.Unknown (Analysis.relate vc vb);
-  Alcotest.check relation "Equiv.relate proves equivalence"
-    Analysis.Equivalent (Equiv.relate vc vb)
+  Alcotest.(check (pair (list (pair int int)) bool))
+    "no guard chain in the swapped form" ([], false)
+    (Analysis.guards swapped_w7_is_5);
+  let r =
+    Equiv.check_programs (validate_exn plain_w7_is_5)
+      (validate_exn swapped_w7_is_5)
+  in
+  match r.Equiv.verdict with
+  | Equiv.Proved_equal -> ()
+  | _ -> Alcotest.failf "operand swap not proved: %a" Equiv.pp_report r
 
-(* A pair only [Equiv] proves disjoint, classified through the dispatch
-   automaton: its first match must be the sequential walk's on every
+(* A guarded filter and a chainless one that never share a packet: the
+   first goes into the automaton, the second into the residual walk, and
+   the merged first match must be the sequential walk's on every
    packet. *)
-let test_equiv_disjoint_pair_through_dispatch () =
+let test_operand_swap_pair_through_dispatch () =
   let expensive =
     Program.v
       [
@@ -642,11 +622,6 @@ let test_equiv_disjoint_pair_through_dispatch () =
       [ i (Action.Pushlit 5); i (Action.Pushword 7); i ~op:Op.Eq Action.Nopush ]
   in
   let ve = validate_exn expensive and vc = validate_exn cheap in
-  (* operand-swapped comparisons leave no guard chains to relate *)
-  Alcotest.check relation "the pair is beyond Analysis.relate"
-    Analysis.Unknown (Analysis.relate ve vc);
-  Alcotest.check relation "but symbolically disjoint" Analysis.Disjoint
-    (Equiv.relate ve vc);
   let first_match =
     Testutil.dispatch_first_match [ (ve, "expensive"); (vc, "cheap") ]
   in
@@ -796,10 +771,10 @@ let suite =
         `Quick test_whole_chain;
       Alcotest.test_case "pair-budget edge: uncertified install falls back"
         `Quick test_pair_budget_edge;
-      Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
-        test_relate_coverage_gap;
-      Alcotest.test_case "Equiv-disjoint pair: dispatch = sequential" `Quick
-        test_equiv_disjoint_pair_through_dispatch;
+      Alcotest.test_case "operand swap: rewrite proved equal" `Quick
+        test_operand_swap_proved;
+      Alcotest.test_case "operand swap: dispatch = sequential" `Quick
+        test_operand_swap_pair_through_dispatch;
       Alcotest.test_case "solve synthesizes satisfying packets" `Quick
         test_solve_synthesizes_satisfying_packets;
       Alcotest.test_case "solve detects unsatisfiable conditions" `Quick
