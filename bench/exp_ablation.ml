@@ -104,7 +104,7 @@ let priority_ordering () =
 (* The first match through [d], whose values carry their compiled filter,
    and the instructions interpreted to find it. *)
 let dispatch_first_match d packet =
-  let winner, stats = Dispatch.classify d packet in
+  let winner = Dispatch.classify d packet in
   let below = match winner with Some (rank, _) -> rank | None -> max_int in
   let rec walk insns = function
     | (rank, (fast, i)) :: rest when rank < below ->
@@ -112,7 +112,7 @@ let dispatch_first_match d packet =
       if ok then (Some i, insns + n) else walk (insns + n) rest
     | _ -> (Option.map (fun (_, (_, i)) -> i) winner, insns)
   in
-  walk stats.Dispatch.insns (Dispatch.residuals d)
+  walk (Dispatch.stats d).Dispatch.insns (Dispatch.residuals d)
 
 let compile_sockets sockets =
   List.map

@@ -22,8 +22,8 @@
     - the {e dead-code boundary}: the instruction at which every execution
       reaching it terminates, making everything after it unreachable
       ({!Regopt}'s analysis pass truncates there);
-    - a {e worst-case cost bound} in abstract cycles ({!Pf_kernel.Pfdev}
-      records it for admission control).
+    - a {e worst-case cost bound} in abstract cycles, which [pftool lint]
+      reports.
 
     All facts describe the [`Paper] semantics of {!Interp.run} (the
     semantics {!Fast} and {!Regvm} implement); every fact is

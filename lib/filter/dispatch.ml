@@ -46,7 +46,7 @@ type 'a item = { value : 'a; decision : decision; slot : 'a slot option }
 
 (* [classify]'s counts, in one record per automaton that every call resets
    and reuses: the simulator serializes demux events. *)
-type counts = {
+type stats = {
   mutable probes : int;
   mutable hash_words : int;
   mutable exact_accepts : int;
@@ -59,7 +59,7 @@ type 'a t = {
   mutable groups : 'a group list; (* sorted by offset signature: deterministic *)
   mutable residual : (int * 'a) list; (* rank order *)
   items : (int, 'a item) Hashtbl.t; (* by rank *)
-  counts : counts;
+  counts : stats;
 }
 
 module For_testing = struct
@@ -228,14 +228,6 @@ let decisions t =
     t.items []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-type stats = {
-  probes : int;
-  hash_words : int;
-  exact_accepts : int;
-  candidates_run : int;
-  insns : int;
-}
-
 (* Probe each group: a missing guard word means every member of the group
    rejects (its pushword faults), so the whole group is skipped. Distinct
    slots of one group demand different values of a shared word, hence are
@@ -244,7 +236,7 @@ type stats = {
    into the group's reused key and allocates nothing. Returns the entries
    of the matched slots: the one slot's own list, already in rank order, or
    when several matched, their entries in no order. *)
-let rec probe (c : counts) packet words matched = function
+let rec probe (c : stats) packet words matched = function
   | [] -> matched
   | g :: rest ->
     c.probes <- c.probes + 1;
@@ -278,7 +270,7 @@ let rec probe (c : counts) packet words matched = function
     end
 
 (* The first entry, in rank order, to accept the packet. *)
-let rec scan (c : counts) on_run packet = function
+let rec scan (c : stats) on_run packet = function
   | [] -> None
   | e :: rest ->
     if e.exact || !For_testing.unsound_prefix_sharing then begin
@@ -307,15 +299,9 @@ let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
     if c.slots_matched > 1 then List.sort (fun a b -> compare a.rank b.rank) matched
     else matched
   in
-  let result = scan c on_run packet matched in
-  ( result,
-    {
-      probes = c.probes;
-      hash_words = c.hash_words;
-      exact_accepts = c.exact_accepts;
-      candidates_run = c.candidates_run;
-      insns = c.insns;
-    } )
+  scan c on_run packet matched
+
+let stats t = t.counts
 
 (* {1 Inspection} *)
 

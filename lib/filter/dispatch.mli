@@ -99,31 +99,34 @@ val decisions : 'a t -> (int * 'a * decision) list
 (** Per-filter decisions in rank order (the [pftool dispatch] inspection
     surface). *)
 
-type stats = {
-  probes : int;  (** group hash probes performed *)
-  hash_words : int;  (** packet words read while forming slot keys *)
-  exact_accepts : int;  (** 1 when the winner was an exact entry *)
-  candidates_run : int;  (** same-slot candidate programs interpreted *)
-  insns : int;  (** instructions those candidates executed *)
-}
-
 val classify :
-  ?on_run:('a -> insns:int -> unit) ->
-  'a t ->
-  Pf_pkt.Packet.t ->
-  (int * 'a) option * stats
+  ?on_run:('a -> insns:int -> unit) -> 'a t -> Pf_pkt.Packet.t -> (int * 'a) option
 (** The lowest-rank {e indexed} filter accepting the packet, with its
     rank, or [None] when no indexed filter accepts. The caller must still
     walk {!residuals} of lower rank than the winner to preserve
     first-match semantics. [on_run] is invoked for every candidate program
     actually interpreted (the kernel uses it for per-port engine
-    accounting); exact entries accept without any interpretation.
+    accounting); exact entries accept without any interpretation. Its
+    counts are read with {!stats}.
 
-    Allocates only its result, the pair and the [stats] record (9 minor
-    words), unless several slots match: their entries are then merged and
-    sorted by rank. Not reentrant: the counts and probe keys are scratch
-    space in the automaton, which is safe because the simulator serializes
-    demux events. *)
+    Allocates nothing, unless several slots match: their entries are then
+    merged and sorted by rank. The winner is stored with its entry. Not
+    reentrant: the counts and probe keys are scratch space in the
+    automaton, which is safe because the simulator serializes demux
+    events. *)
+
+type stats = private {
+  mutable probes : int;  (** group hash probes performed *)
+  mutable hash_words : int;  (** packet words read while forming slot keys *)
+  mutable exact_accepts : int;  (** 1 when the winner was an exact entry *)
+  mutable candidates_run : int;  (** same-slot candidate programs interpreted *)
+  mutable insns : int;  (** instructions those candidates executed *)
+  mutable slots_matched : int;  (** slots whose guard values the packet holds *)
+}
+
+val stats : 'a t -> stats
+(** The counts of the last {!classify} on this automaton, in one record
+    that each classify resets and refills: read it before the next. *)
 
 (** {1 Inspection} *)
 

@@ -114,9 +114,6 @@ type port = {
   mutable is_open : bool;
   mutable dropped : int;
   mutable accepted : int;
-  mutable key_share : Pf_filter.Analysis.read_set option;
-      (* what this port's filter added to the flow key: [None] while the
-         port is out of the port table or has no filter *)
 }
 
 and t = {
@@ -128,7 +125,9 @@ and t = {
   variant : Frame.variant;
   address : Addr.t;
   send : Packet.t -> unit;
-  mutable ports : port list; (* sorted: priority desc, then id asc *)
+  mutable ports : port list;
+      (* the open ports, sorted: priority desc, then id asc; only [enter],
+         [leave] and the two re-sorts write it *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
   mutable compile_strategy : [ `Off | `Regvm ];
@@ -144,7 +143,6 @@ and t = {
   mutable demux_cost : Pf_sim.Time.t;
       (* the CPU charge of the packet being demuxed: [demux] runs to
          completion inside one engine event and never re-enters itself *)
-  mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
   key : flow_key; (* shared: maintained with the port table *)
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
@@ -191,9 +189,9 @@ and flow_cache = {
 }
 
 (* The flow key: the union read set of the filters in the port table,
-   counted per word as ports enter and leave the table ([insert_port],
-   [remove_port]). A packet is keyed by writing its words into a scratch
-   buffer, so keying allocates nothing. *)
+   counted per word as ports enter and leave the table ([enter], [leave]).
+   A packet is keyed by writing its words into a scratch buffer, so keying
+   allocates nothing. *)
 and flow_key = {
   mutable readers : int array;
       (* by word index: ports whose filter reads it; grown to the highest
@@ -245,7 +243,6 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     dispatch_candidates = 0;
     dispatch_residual_runs = 0;
     demux_cost = 0;
-    cost_limit = None;
     cache_enabled = true;
     key = { readers = [||]; unbounded = 0; offsets = [||]; scratch = [| Bytes.empty |] };
     caches = Array.init n (fun _ -> fresh_cache ());
@@ -263,10 +260,11 @@ let ncpus t = Smp.ncpus t.smp
 let smp t = t.smp
 
 module For_testing = struct
-  (* When set, [install]/[set_filter] leave the flow cache alone — the
-     "forgot to invalidate" kernel bug. The differential suite flips this to
-     prove the cold/warm/disabled demux oracle catches stale entries; never
-     set it outside tests. *)
+  (* When set, every port mutation (open, close, install, priority,
+     copy-all, tap) leaves the flow cache alone — the "forgot to
+     invalidate" kernel bug. The differential suite flips this to prove the
+     cold/warm/disabled demux oracle catches stale entries; never set it
+     outside tests. *)
   let skip_install_invalidation = ref false
 
   (* When set, invalidations flush only the mutating CPU's flow cache and
@@ -353,14 +351,6 @@ let attach_san t san =
   t.san <-
     Some { checker = san; res_queue; res_table; res_cache; res_statword }
 
-(* A real mutation of the port table, for the sanitizer's happens-before
-   tracking. (Distinct from [invalidate_cache], which also covers
-   mutations of cache {e policy} that touch no table state.) *)
-let san_table_write ?(cpu = 0) t =
-  match t.san with
-  | Some h -> San.write h.checker ~cpu h.res_table
-  | None -> ()
-
 let invalidate_cache ?(cpu = 0) t =
   (* An acceptor-changing mutation: tell the protocol checker a new
      configuration epoch begins now, before any CPU syncs to it. *)
@@ -397,6 +387,17 @@ let invalidate_cache ?(cpu = 0) t =
     end
   end;
   Stats.incr t.stats "pf.cache.invalidation"
+
+(* The one place a change to the port table, the flow key or the dispatch
+   automaton becomes visible: the sanitizer records the table write, and
+   every CPU's flow cache is flushed. [flush:false] is the seeded
+   forgot-to-invalidate bug: the checker still learns that the epoch
+   advanced, though no CPU will ever sync to it, which is what lets Pfsan
+   flag the mutant from the trace alone. *)
+let publish ?(cpu = 0) ?(flush = true) t =
+  (match t.san with Some h -> San.write h.checker ~cpu h.res_table | None -> ());
+  if flush then invalidate_cache ~cpu t
+  else match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ()
 
 (* {1 The flow key}
 
@@ -455,13 +456,33 @@ let fill_key k frame =
 
 (* {1 The port table}
 
-   Stable order: decreasing priority, then open order — maintained at
-   mutation time ([insert_port]/[reprioritize]), not by re-sorting on the
-   demux path. The occasional busier-first reordering of equal-priority
-   filters (section 3.2) happens in [maybe_reorder]. A port's filter joins
-   the flow key when the port enters the table and leaves it when the port
-   does. *)
-let insert_port t port =
+   A port is in the table exactly while it is open, its filter's read set
+   counts in the flow key for as long, and it is in the dispatch automaton
+   exactly while it is also filtered. [enter] and [leave] are the only
+   functions that change any of the three for one port, and [mutate] is
+   the only caller of either. The table is sorted by decreasing priority,
+   then open order, at mutation time, not by re-sorting on the demux path;
+   the occasional busier-first reordering of equal-priority filters
+   (section 3.2) happens in [maybe_reorder].
+
+   The automaton ({!Pf_filter.Dispatch}) ranks a port by its place in that
+   order: priorities lie in 0..255, so priority and open order fit one int.
+   Copy-all and tap ports are excluded from indexing (their multi-delivery
+   cannot be expressed by a first-match winner) and fall to the
+   rank-ordered residual walk, which [demux] merges with the automaton
+   winner by rank. One instance serves every CPU, which only read it. *)
+
+let rank_of port = ((255 - port.priority) lsl 32) lor port.id
+
+let dispatch_add d port f =
+  Pf_filter.Dispatch.add d ~rank:(rank_of port)
+    ~indexable:((not port.copy_all) && not port.tap)
+    f port
+
+let read_set f = (Pf_filter.Fast.analysis f).Pf_filter.Analysis.read_set
+
+(* An equal-priority port goes before the first one opened after it. *)
+let enter t port =
   let rec ins = function
     | [] -> [ port ]
     | p :: _ as l when p.priority < port.priority || (p.priority = port.priority && p.id > port.id)
@@ -469,85 +490,65 @@ let insert_port t port =
     | p :: rest -> p :: ins rest
   in
   t.ports <- ins t.ports;
-  port.key_share <-
-    Option.map
-      (fun f -> (Pf_filter.Fast.analysis f).Pf_filter.Analysis.read_set)
-      port.filter;
-  Option.iter (key_count t.key ~by:1) port.key_share
+  match port.filter with
+  | None -> ()
+  | Some f ->
+    key_count t.key ~by:1 (read_set f);
+    Option.iter (fun d -> dispatch_add d port f) t.dispatch
 
-let remove_port t port =
-  t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
-  Option.iter (key_count t.key ~by:(-1)) port.key_share;
-  port.key_share <- None
-
-(* Only for an open port: a closed one never re-enters the table. *)
-let reprioritize t port priority =
-  remove_port t port;
-  port.priority <- priority;
-  insert_port t port
+(* The inverse of [enter]: it must run before the port's filter, priority
+   or flags change. *)
+let leave t port =
+  t.ports <- List.filter (fun p -> p != port) t.ports;
+  match port.filter with
+  | None -> ()
+  | Some f ->
+    key_count t.key ~by:(-1) (read_set f);
+    Option.iter (fun d -> Pf_filter.Dispatch.remove d ~rank:(rank_of port)) t.dispatch
 
 let maybe_reorder ~cpu t =
   t.demuxed_since_reorder <- t.demuxed_since_reorder + 1;
   if t.demuxed_since_reorder >= 256 then begin
     t.demuxed_since_reorder <- 0;
-    let before = List.map (fun p -> p.id) t.ports in
+    let before = t.ports in
     t.ports <-
       List.stable_sort
         (fun a b ->
           match compare b.priority a.priority with
           | 0 -> compare b.accepted a.accepted (* busier first *)
           | c -> c)
-        t.ports;
+        before;
     (* Reordering equal-priority overlapping filters can change which port
        wins a packet, so any cached decision taken under the old order is
        stale. *)
-    if List.map (fun p -> p.id) t.ports <> before then begin
-      san_table_write ~cpu t;
-      invalidate_cache ~cpu t
-    end
+    if not (List.equal ( == ) before t.ports) then publish ~cpu t
+  end
+
+(* The one way a port changes (the open, close and ioctl calls of
+   section 4): an open port leaves the table, [change] runs, the port
+   re-enters if it is open afterwards, and the change is published. So an
+   equal-priority port re-enters at its open-order place, even after a
+   busier-first reorder moved it. A port closed before and after changes
+   only its record. *)
+let mutate port change =
+  let t = port.dev in
+  let was_open = port.is_open in
+  if was_open then leave t port;
+  change ();
+  if port.is_open then enter t port;
+  if was_open || port.is_open then begin
+    (* No call removes a filter, so a filtered port had an automaton entry
+       before the change, has one after it, or both. *)
+    if t.dispatch <> None && port.filter <> None then begin
+      t.dispatch_updates <- t.dispatch_updates + 1;
+      Stats.incr t.stats "pf.dispatch.update"
+    end;
+    publish ~flush:(not !For_testing.skip_install_invalidation) t
   end
 
 (* Charge CPU when called from process context; plain setup code (before the
    simulation starts) runs free. *)
 let charge cost = if Process.running () && cost > 0 then Process.use_cpu cost
-
-(* {1 The dispatch automaton}
-
-   The cross-filter dispatch automaton ({!Pf_filter.Dispatch}) holds every
-   open port with an installed filter, ranked by the port's place in the
-   walk order: priority descending, then open order. Priorities lie in
-   0..255, so both fit one int. Copy-all and tap ports are excluded from
-   indexing (their multi-delivery cannot be expressed by a first-match
-   winner) and fall to the rank-ordered residual walk, which [demux] merges
-   with the automaton winner by rank. Each mutation of a port updates its
-   own entry in place; one instance serves every CPU, which only read it. *)
-
-let rank_of port = ((255 - port.priority) lsl 32) lor port.id
-
-let dispatch_add d port =
-  match port.filter with
-  | Some f when port.is_open ->
-    Pf_filter.Dispatch.add d ~rank:(rank_of port)
-      ~indexable:((not port.copy_all) && not port.tap)
-      f port
-  | Some _ | None -> ()
-
-(* Run [change] on [port] with its automaton entry taken out before and put
-   back after, under its new filter, rank and indexability. *)
-let updating_entry port change =
-  let t = port.dev in
-  match t.dispatch with
-  | None -> change ()
-  | Some d ->
-    let resident () = port.is_open && port.filter <> None in
-    let was = resident () in
-    if was then Pf_filter.Dispatch.remove d ~rank:(rank_of port);
-    change ();
-    dispatch_add d port;
-    if was || resident () then begin
-      t.dispatch_updates <- t.dispatch_updates + 1;
-      Stats.incr t.stats "pf.dispatch.update"
-    end
 
 let open_port t =
   t.next_id <- t.next_id + 1;
@@ -570,55 +571,35 @@ let open_port t =
       tap = false;
       timestamps = false;
       signal = None;
-      is_open = true;
+      is_open = false;
       dropped = 0;
       accepted = 0;
-      key_share = None;
     }
   in
-  insert_port t port;
-  san_table_write t;
-  invalidate_cache t;
+  mutate port (fun () -> port.is_open <- true);
   port
 
+(* On a closed port this does nothing: no reader waits on one. *)
 let close_port port =
-  if port.is_open then begin
-    updating_entry port (fun () ->
-        port.is_open <- false;
-        remove_port port.dev port);
-    san_table_write port.dev;
-    invalidate_cache port.dev;
-    (* Wake any blocked readers; they will notice the port is closed. *)
-    ignore (Condition.broadcast port.cond () : int)
-  end
+  mutate port (fun () -> port.is_open <- false);
+  (* Wake any blocked readers; they will notice the port is closed. *)
+  ignore (Condition.broadcast port.cond () : int)
 
-type install_error =
-  | Invalid of Pf_filter.Validate.error
-  | Cost_limit_exceeded of { bound : int; limit : int }
+type install_error = Invalid of Pf_filter.Validate.error
 
-let pp_install_error ppf = function
-  | Invalid e -> Pf_filter.Validate.pp_error ppf e
-  | Cost_limit_exceeded { bound; limit } ->
-    Format.fprintf ppf
-      "filter cost bound %d exceeds the device admission limit %d" bound limit
-
-let set_cost_limit t limit =
-  t.cost_limit <- limit;
-  invalidate_cache t
+let pp_install_error ppf (Invalid e) = Pf_filter.Validate.pp_error ppf e
 
 (* Installation = validation + abstract interpretation. The analysis result
-   is recorded on the port: its cost bound gates admission (a filter the
-   device provably cannot afford per packet is refused up front, not
-   throttled later), and its verdict feeds the status surface. *)
+   is recorded on the port for the status surface. *)
 let install port program =
   match Pf_filter.Validate.check program with
   | Error e -> Error (Invalid e)
-  | Ok validated -> (
+  | Ok validated ->
     let t = port.dev in
     (* Compile according to the device strategy. [`Regvm] additionally
        compiles the optimized IR for direct register execution on the
-       sequential walk; the stack compilation is kept for admission and the
-       status surface. *)
+       sequential walk; the stack compilation is kept for the automaton
+       and the status surface. *)
     let fast = Pf_filter.Fast.compile validated in
     let regvm, certification =
       match t.compile_strategy with
@@ -649,47 +630,16 @@ let install port program =
       Stats.incr t.stats "pf.certify.refuted"
     | Some (Pf_filter.Equiv.Uncertified _) ->
       Stats.incr t.stats "pf.certify.unknown");
-    (* Admission and the status surface use the analysis of the installed
-       stack program. *)
-    let analysis = Pf_filter.Fast.analysis fast in
-    match t.cost_limit with
-    | Some limit when analysis.Pf_filter.Analysis.cost_bound > limit ->
-      Error
-        (Cost_limit_exceeded
-           { bound = analysis.Pf_filter.Analysis.cost_bound; limit })
-    | _ ->
-      (* "at a cost comparable to that of receiving a packet" (§3.1) *)
-      charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
-      let record () =
+    (* "at a cost comparable to that of receiving a packet" (§3.1) *)
+    charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
+    mutate port (fun () ->
         port.filter <- Some fast;
         port.regvm <- regvm;
         port.engine_applications <- 0;
         port.engine_insns <- 0;
-        port.certification <- certification
-      in
-      let priority = Pf_filter.Program.priority program in
-      if not port.is_open then begin
-        (* A closed port is out of the table: only its record changes. *)
-        record ();
-        port.priority <- priority
-      end
-      else begin
-        updating_entry port (fun () ->
-            record ();
-            reprioritize t port priority);
-        san_table_write t;
-        if not !For_testing.skip_install_invalidation then invalidate_cache t
-        else begin
-          (* The buggy kernel still mutated the acceptor set — the protocol
-             checker must learn the epoch advanced even though no CPU will
-             ever sync to it. That is precisely what lets Pfsan flag this
-             mutant from the trace alone. *)
-          match t.san with
-          | Some h -> San.publish h.checker ~cpu:0 h.res_table
-          | None -> ()
-        end
-      end;
-      Ok analysis)
+        port.certification <- certification;
+        port.priority <- Pf_filter.Program.priority program);
+    Ok (Pf_filter.Fast.analysis fast)
 
 let set_filter port program =
   match install port program with Ok _ -> Ok () | Error _ as e -> e
@@ -700,13 +650,7 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 let set_priority port priority =
-  let priority = max 0 (min 255 priority) in
-  if not port.is_open then port.priority <- priority
-  else begin
-    updating_entry port (fun () -> reprioritize port.dev port priority);
-    san_table_write port.dev;
-    invalidate_cache port.dev
-  end
+  mutate port (fun () -> port.priority <- max 0 (min 255 priority))
 
 (* The public tag sets are wider than the engines that remain: the removed
    tags are refused, naming their replacement, before anything changes. *)
@@ -722,22 +666,21 @@ let set_strategy t strategy =
           match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c)
         t.ports;
     let d = Pf_filter.Dispatch.create () in
-    List.iter (dispatch_add d) t.ports;
+    List.iter (fun p -> Option.iter (dispatch_add d p) p.filter) t.ports;
     t.dispatch <- Some d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
     Stats.incr t.stats "pf.dispatch.rebuild"
   | `Decision_tree ->
     invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch");
-  invalidate_cache t
+  publish t
 
 (* The compile strategy applies to future installs only: already-installed
    filters keep the engine they were compiled with (like a real driver,
-   where recompiling under the caller's feet would need locking). Verdicts
-   are engine-independent, so cached decisions stay sound; we still flush
-   defensively since per-port cost accounting changes. *)
+   where recompiling under the caller's feet would need locking). So no
+   verdict changes, and nothing is published. *)
 let set_compile_strategy t strategy =
-  let strategy =
-    match strategy with
+  t.compile_strategy <-
+    (match strategy with
     | (`Off | `Regvm) as s -> s
     | `Raise_only ->
       invalid_arg
@@ -745,12 +688,7 @@ let set_compile_strategy t strategy =
     | `Regvm_super ->
       invalid_arg
         "Pfdev.set_compile_strategy: `Regvm_super was removed; use `Regvm \
-         (its pipeline makes the early exits)"
-  in
-  if t.compile_strategy <> strategy then begin
-    t.compile_strategy <- strategy;
-    invalidate_cache t
-  end
+         (its pipeline makes the early exits)")
 
 let compile_strategy t = t.compile_strategy
 
@@ -786,17 +724,8 @@ let port_engine_stats port =
 
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
-
-(* A closed port is out of the table: only its record changes. *)
-let set_delivery_flag port set =
-  if not port.is_open then set ()
-  else begin
-    updating_entry port set;
-    invalidate_cache port.dev
-  end
-
-let set_copy_all port flag = set_delivery_flag port (fun () -> port.copy_all <- flag)
-let set_tap port flag = set_delivery_flag port (fun () -> port.tap <- flag)
+let set_copy_all port flag = mutate port (fun () -> port.copy_all <- flag)
+let set_tap port flag = mutate port (fun () -> port.tap <- flag)
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
 
@@ -1024,7 +953,7 @@ let rec accept_all t = function
 let rec walk_ports t frame ~kernel_claimed = function
   | [] -> []
   | port :: rest ->
-    if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap) then
+    if port.filter = None || (kernel_claimed && not port.tap) then
       walk_ports t frame ~kernel_claimed rest
     else if run_port_filter t port frame then begin
       accept t port;
@@ -1041,17 +970,13 @@ let rec walk_ports t frame ~kernel_claimed = function
    stopped. *)
 let rec merge_residuals t frame winner ~winner_rank = function
   | (rank, port) :: rest when rank <= winner_rank ->
-    if (not port.is_open) || port.filter = None then
-      merge_residuals t frame winner ~winner_rank rest
-    else begin
-      t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-      Stats.bump t.ctr.dispatch_residual_run;
-      if run_port_filter t port frame then begin
-        accept t port;
-        port :: (if port.copy_all then merge_residuals t frame winner ~winner_rank rest else [])
-      end
-      else merge_residuals t frame winner ~winner_rank rest
+    t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
+    Stats.bump t.ctr.dispatch_residual_run;
+    if run_port_filter t port frame then begin
+      accept t port;
+      port :: (if port.copy_all then merge_residuals t frame winner ~winner_rank rest else [])
     end
+    else merge_residuals t frame winner ~winner_rank rest
   | _ -> (
     match winner with
     | Some (_, port) ->
@@ -1072,16 +997,16 @@ let classify t ~cpu ~kernel_claimed frame =
     | None -> ());
     t.dispatch_classifies <- t.dispatch_classifies + 1;
     Stats.bump ctr.dispatch_classify;
-    let winner, dstats = Pf_filter.Dispatch.classify ?on_run:on_candidate_run d frame in
+    let winner = Pf_filter.Dispatch.classify ?on_run:on_candidate_run d frame in
+    let s = Pf_filter.Dispatch.stats d in
     add_cost t
-      ((dstats.Pf_filter.Dispatch.probes * costs.Costs.dispatch_probe)
-      + (dstats.Pf_filter.Dispatch.hash_words * costs.Costs.dispatch_hash_word)
-      + (dstats.Pf_filter.Dispatch.candidates_run * costs.Costs.filter_apply)
-      + (dstats.Pf_filter.Dispatch.insns * costs.Costs.filter_insn));
-    t.dispatch_exact_accepts <-
-      t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
-    t.dispatch_candidates <- t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
-    if dstats.Pf_filter.Dispatch.exact_accepts > 0 then Stats.bump ctr.dispatch_exact_accept;
+      ((s.Pf_filter.Dispatch.probes * costs.Costs.dispatch_probe)
+      + (s.Pf_filter.Dispatch.hash_words * costs.Costs.dispatch_hash_word)
+      + (s.Pf_filter.Dispatch.candidates_run * costs.Costs.filter_apply)
+      + (s.Pf_filter.Dispatch.insns * costs.Costs.filter_insn));
+    t.dispatch_exact_accepts <- t.dispatch_exact_accepts + s.Pf_filter.Dispatch.exact_accepts;
+    t.dispatch_candidates <- t.dispatch_candidates + s.Pf_filter.Dispatch.candidates_run;
+    if s.Pf_filter.Dispatch.exact_accepts > 0 then Stats.bump ctr.dispatch_exact_accept;
     let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
     merge_residuals t frame winner ~winner_rank (Pf_filter.Dispatch.residuals d)
   | Some _ -> walk_ports t frame ~kernel_claimed t.ports

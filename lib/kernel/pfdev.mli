@@ -70,31 +70,31 @@ val open_port : t -> port
 val close_port : port -> unit
 (** Take the port out of the port table, the flow key and the dispatch
     automaton, flush every CPU's flow cache, and wake its blocked readers.
-    Closing a port that is already closed does nothing. *)
+    Closing a port that is already closed does nothing.
 
-type install_error =
-  | Invalid of Pf_filter.Validate.error
-  | Cost_limit_exceeded of { bound : int; limit : int }
-      (** The filter's worst-case {!Pf_filter.Analysis.t.cost_bound} exceeds
-          the device's admission limit ({!set_cost_limit}). *)
+    Every port mutation ({!open_port}, [close_port], {!install},
+    {!set_priority}, {!set_copy_all}, {!set_tap}) follows one rule. An
+    open port leaves the port table, the flow key and the dispatch
+    automaton; the change is applied; the port re-enters all three if it
+    is open afterwards, at its place in priority-then-open order; and the
+    change is published: the sanitizer sees one port-table write, and
+    every CPU's flow cache is flushed. On a closed port only the port's
+    record changes. *)
+
+type install_error = Invalid of Pf_filter.Validate.error
 
 val pp_install_error : Format.formatter -> install_error -> unit
 
 val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_error) result
 (** Validates ahead of time (section 7), runs the installation-time abstract
-    interpretation ({!Pf_filter.Analysis}), applies cost-bound admission
-    control, and installs; charges a cost "comparable to that of receiving a
-    packet" (section 3.1). Returns the recorded analysis. On a closed port
-    only the port's record changes: the port stays out of the port table,
-    the flow key and the dispatch automaton, and no cache is flushed. *)
+    interpretation ({!Pf_filter.Analysis}), and installs the filter with
+    the priority in the program's header; charges a cost "comparable to
+    that of receiving a packet" (section 3.1). Returns the recorded
+    analysis. An invalid program is refused with [Invalid], and the port
+    keeps its old filter. *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
-
-val set_cost_limit : t -> int option -> unit
-(** Admission control: refuse filters whose worst-case cost bound (abstract
-    cycles per packet) exceeds the limit. Default [None] (no limit); does not
-    re-examine already-installed filters. *)
 
 val port_analysis : port -> Pf_filter.Analysis.t option
 (** Analysis of the installed filter, recorded at installation time. *)
@@ -165,9 +165,10 @@ val set_compile_strategy :
     offline ({!Pf_filter.Regopt}).
 
     Applies to filters installed {e after} the call; already-installed
-    ports keep their engine. Verdicts are engine-independent (the fuzz
-    oracle cross-checks all of them), so demultiplexing decisions do not
-    change — only their simulated cost. *)
+    ports keep their engine. So no demultiplexing decision changes, and no
+    cache is flushed. Verdicts are engine-independent (the fuzz oracle
+    cross-checks all of them): a later install changes only the simulated
+    cost. *)
 
 val compile_strategy : t -> [ `Off | `Regvm ]
 
@@ -213,13 +214,17 @@ val set_queue_limit : port -> int -> unit
 
 val set_copy_all : port -> bool -> unit
 (** Deliver packets this port accepts to lower-priority filters as well
-    (monitoring, multicast-style delivery; section 3.2). On a closed port
-    only the recorded flag changes: no cache is flushed. *)
+    (monitoring, multicast-style delivery; section 3.2). Like every port
+    mutation ({!close_port}), this re-enters the port at its
+    priority-then-open-order place, so it undoes a busier-first reorder's
+    move of this port until the next reorder. On a closed port only the
+    recorded flag changes: no cache is flushed. *)
 
 val set_tap : port -> bool -> unit
 (** See even the packets claimed by kernel-resident protocols (with
-    [set_copy_all] this is what a network monitor uses). On a closed port
-    only the recorded flag changes: no cache is flushed. *)
+    [set_copy_all] this is what a network monitor uses). Re-enters the
+    port as {!set_copy_all} does. On a closed port only the recorded flag
+    changes: no cache is flushed. *)
 
 val set_timestamps : port -> bool -> unit
 (** Mark each received packet with the arrival time (costs a [microtime]
@@ -280,12 +285,12 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     ({!open_port}, {!install}, {!close_port}), and a probe writes the key
     into a reused buffer. The cache — only the cache; the dispatch
     automaton and the key are updated by the mutation itself — is
-    transparently flushed by every
-    mutation that could change a decision ({!open_port}, {!close_port},
-    {!install}/{!set_filter}, {!set_priority}, {!set_strategy},
-    {!set_copy_all}, {!set_tap}, {!set_cost_limit}, and busier-first
-    reorders that change the walk order) and bypassed for kernel-claimed
-    packets or when any installed filter's read set is [Unbounded].
+    transparently flushed by every mutation that could change a decision
+    (the port mutations of {!close_port}, {!set_strategy},
+    {!set_cache_enabled}, and busier-first reorders that change the walk
+    order) and bypassed for kernel-claimed packets or when any installed
+    filter's read set is [Unbounded]. {!set_compile_strategy} and
+    {!set_certify} apply to later installs only, and flush nothing.
 
     On the host, a demux of a frame no port accepts allocates nothing, on
     the sequential walk or a cache hit. An accepted frame allocates what
@@ -395,10 +400,11 @@ val active_ports : t -> int
 
 module For_testing : sig
   val skip_install_invalidation : bool ref
-  (** When set, {!install}/{!set_filter} leave the flow cache alone — the
-      "forgot to invalidate" kernel bug. The differential suite flips this
-      to prove the cold/warm/disabled demux oracle catches stale entries;
-      never set it outside tests. *)
+  (** When set, every port mutation ({!close_port} lists them) leaves the
+      flow cache alone — the "forgot to invalidate" kernel bug; the name
+      is the one [pftool] and [pffuzz] use. The differential suite flips
+      this to prove the cold/warm/disabled demux oracle catches stale
+      entries; never set it outside tests. *)
 
   val skip_remote_invalidation : bool ref
   (** When set, invalidations flush only the mutating CPU's flow cache and

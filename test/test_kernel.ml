@@ -750,21 +750,106 @@ let test_cache_disabled () =
 let test_cache_invalidation_triggers_counted () =
   (* Every remaining configuration mutation must flush: each call bumps the
      invalidation counter (the correctness-critical ones are exercised
-     end-to-end above and by the fuzz oracle). *)
+     end-to-end above and by the fuzz oracle). The setters that apply to
+     later installs only change no verdict, and flush nothing. *)
   let eng, _, _, bob = mk_world () in
   let pf = Host.pf bob in
   let port = Pfdev.open_port pf in
   set_filter_exn port (socket_filter 35);
+  let invalidations () = (Pfdev.cache_stats pf).Pfdev.invalidations in
   let bumps name f =
-    let before = (Pfdev.cache_stats pf).Pfdev.invalidations in
+    let before = invalidations () in
     f ();
-    Alcotest.(check bool) (name ^ " invalidates") true
-      ((Pfdev.cache_stats pf).Pfdev.invalidations > before)
+    Alcotest.(check bool) (name ^ " invalidates") true (invalidations () > before)
+  in
+  let flushes_nothing name f =
+    let before = invalidations () in
+    f ();
+    Alcotest.(check int) (name ^ " flushes nothing") before (invalidations ())
   in
   bumps "set_strategy" (fun () -> Pfdev.set_strategy pf `Dispatch);
   bumps "set_copy_all" (fun () -> Pfdev.set_copy_all port true);
   bumps "set_tap" (fun () -> Pfdev.set_tap port true);
-  bumps "set_cost_limit" (fun () -> Pfdev.set_cost_limit pf (Some 10_000));
+  flushes_nothing "set_compile_strategy" (fun () -> Pfdev.set_compile_strategy pf `Regvm);
+  flushes_nothing "set_certify" (fun () -> Pfdev.set_certify pf true);
+  Engine.run eng
+
+(* {1 One port-mutation path}
+
+   Every port mutation leaves the port table, applies the change, re-enters
+   and publishes, so the sanitizer sees the same accesses from each, and an
+   equal-priority port re-enters at its open-order place. *)
+
+let test_san_sees_every_port_mutation () =
+  let eng = Engine.create () in
+  let link = Pf_net.Link.create eng Frame.Dix10 ~rate_mbit:10. () in
+  let h =
+    Host.create ~costs:Pf_sim.Costs.microvax_ii ~ncpus:2 link ~name:"rx"
+      ~addr:(Addr.eth_host 2)
+  in
+  let san = Pf_sim.San.create ~ncpus:2 () in
+  Host.attach_san h san;
+  let pf = Host.pf h in
+  let module Gen = Pf_monitor.Traffic.Gen in
+  let gen = Gen.make ~seed:0x5EED ~flows:1 ~skew:Gen.Uniform () in
+  let filter = Gen.filter (Gen.flow gen 0) in
+  let port = Pfdev.open_port pf in
+  set_filter_exn port filter;
+  let counts () =
+    let c = Pf_sim.San.counters san in
+    List.map
+      (fun k -> Option.value ~default:0 (List.assoc_opt ("pf.san." ^ k) c))
+      [ "writes"; "publishes"; "syncs" ]
+  in
+  (* One port-table write, then one publication and a flush (a cache write
+     and a sync) on each of the two CPUs. *)
+  let adds name f =
+    let before = counts () in
+    f ();
+    Alcotest.(check (list int))
+      (name ^ ": writes, publishes, syncs added")
+      [ 3; 1; 2 ]
+      (List.map2 ( - ) (counts ()) before)
+  in
+  adds "re-filter" (fun () -> set_filter_exn port filter);
+  adds "set_priority" (fun () -> Pfdev.set_priority port 3);
+  adds "set_copy_all" (fun () -> Pfdev.set_copy_all port true);
+  adds "set_tap" (fun () -> Pfdev.set_tap port true);
+  adds "set_strategy `Dispatch" (fun () -> Pfdev.set_strategy pf `Dispatch);
+  adds "close_port" (fun () -> Pfdev.close_port port);
+  Engine.run eng;
+  Alcotest.(check int) "no reports" 0 (Pf_sim.San.report_count san)
+
+let test_mutation_reenters_at_open_order () =
+  (* Three equal-priority ports whose filters all accept [shared]; only
+     port 3's accepts [only3]. With the cache off every frame takes the
+     walk, so 300 frames for port 3 trigger the busier-first reorder. *)
+  let eng, _, _, bob = mk_world () in
+  let pf = Host.pf bob in
+  Pfdev.set_cache_enabled pf false;
+  let p1 = Pfdev.open_port pf in
+  let p2 = Pfdev.open_port pf in
+  let p3 = Pfdev.open_port pf in
+  set_filter_exn p1 (socket_filter 35);
+  set_filter_exn p2 (socket_filter 35);
+  set_filter_exn p3 Pf_filter.Predicates.accept_all;
+  let shared = cache_frame () and only3 = cache_frame ~dst_socket:99l () in
+  let winner () =
+    let before = List.map Pfdev.port_accepted [ p1; p2; p3 ] in
+    Alcotest.(check bool) "shared frame accepted" true (Pfdev.demux pf shared);
+    match List.map2 ( - ) (List.map Pfdev.port_accepted [ p1; p2; p3 ]) before with
+    | [ 1; 0; 0 ] -> 1
+    | [ 0; 1; 0 ] -> 2
+    | [ 0; 0; 1 ] -> 3
+    | _ -> Alcotest.fail "the shared frame should have exactly one acceptor"
+  in
+  Alcotest.(check int) "open order first" 1 (winner ());
+  for _ = 1 to 300 do
+    ignore (Pfdev.demux pf only3 : bool)
+  done;
+  Alcotest.(check int) "busier-first reorder put port 3 first" 3 (winner ());
+  Pfdev.set_tap p1 true;
+  Alcotest.(check int) "set_tap re-entered port 1 at its open-order place" 1 (winner ());
   Engine.run eng
 
 (* {1 Removed engine tags} *)
@@ -930,6 +1015,10 @@ let suite =
       Alcotest.test_case "flow cache: disable/enable" `Quick test_cache_disabled;
       Alcotest.test_case "flow cache: remaining invalidation triggers" `Quick
         test_cache_invalidation_triggers_counted;
+      Alcotest.test_case "pfsan sees every port mutation alike" `Quick
+        test_san_sees_every_port_mutation;
+      Alcotest.test_case "a mutation re-enters at open order" `Quick
+        test_mutation_reenters_at_open_order;
       Alcotest.test_case "removed engine tags are refused" `Quick
         test_removed_engine_tags_rejected;
       Alcotest.test_case "queue limit: dropped_before on next read" `Quick

@@ -69,7 +69,7 @@ let dispatch_first_match filters =
          filters)
   in
   fun packet ->
-    let winner, stats = Dispatch.classify d packet in
+    let winner = Dispatch.classify d packet in
     let below = match winner with Some (rank, _) -> rank | None -> max_int in
     let rec walk insns = function
       | (rank, (fast, x)) :: rest when rank < below ->
@@ -77,7 +77,7 @@ let dispatch_first_match filters =
         if ok then (Some x, insns + n) else walk (insns + n) rest
       | _ -> (Option.map (fun (_, (_, x)) -> x) winner, insns)
     in
-    walk stats.Dispatch.insns (Dispatch.residuals d)
+    walk (Dispatch.stats d).Dispatch.insns (Dispatch.residuals d)
 
 (* {1 QCheck generators shared by the filter suites} *)
 
