@@ -435,11 +435,14 @@ let dispatch_cmd =
     let d = Pf_filter.Dispatch.build entries in
     let info = Pf_filter.Dispatch.info d in
     if json then begin
+      let words_fields words =
+        [ ("offsets", json_arr (List.map (fun (off, _) -> string_of_int off) words));
+          ("masks", json_arr (List.map (fun (_, m) -> string_of_int m) words)) ]
+      in
       let decision_fields = function
-        | Dispatch.Indexed { offsets; exact } ->
-          [ ("decision", json_str "indexed");
-            ("offsets", json_arr (List.map string_of_int offsets));
-            ("exact", if exact then "true" else "false") ]
+        | Dispatch.Indexed { words; exact } ->
+          (("decision", json_str "indexed") :: words_fields words)
+          @ [ ("exact", if exact then "true" else "false") ]
         | Dispatch.Shadowed { by } ->
           [ ("decision", json_str "shadowed"); ("by", string_of_int by) ]
         | Dispatch.Residual reason ->
@@ -470,10 +473,10 @@ let dispatch_cmd =
         List.map
           (fun (g : Dispatch.group_info) ->
             json_obj
-              [ ("offsets", json_arr (List.map string_of_int g.Dispatch.offsets));
-                ("slots", string_of_int g.Dispatch.slots);
-                ("members", string_of_int g.Dispatch.members);
-                ("exact_members", string_of_int g.Dispatch.exact_members) ])
+              (words_fields g.Dispatch.words
+              @ [ ("slots", string_of_int g.Dispatch.slots);
+                  ("members", string_of_int g.Dispatch.members);
+                  ("exact_members", string_of_int g.Dispatch.exact_members) ]))
           info.Dispatch.groups
       in
       print_string

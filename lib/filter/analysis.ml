@@ -396,26 +396,42 @@ let pp ppf t =
 (* {1 Guard chains}
 
    A leading run of [pushword+i / const CAND] pairs (operands in either
-   order, plus a final EQ pair) is a set of *necessary* equality conditions
-   for acceptance — a mismatched CAND exits rejecting, and the final EQ
-   leaves its result on top. When such a chain is the whole program the
-   conditions are also *sufficient*. The dispatch automaton indexes on
-   these chains. *)
+   order, plus a final EQ pair) is a set of *necessary* conditions for
+   acceptance — a mismatched CAND exits rejecting, and the final EQ leaves
+   its result on top. After [pushword+i], a constant AND (mask m) or a
+   constant right shift by k (mask [0xffff lsl k], value shifted up by k)
+   may come before the comparison: the two byte forms [Expr] emits. When
+   such a chain is the whole program the conditions are also *sufficient*.
+   The dispatch automaton indexes on these chains. *)
 
 let guards program =
   let rec leading acc = function
     | [] -> (List.rev acc, true)
-    | ({ Insn.action = Action.Pushword i; op = Op.Nop } : Insn.t) :: second :: rest
-      -> (
-      match (Action.const second.Insn.action, second.Insn.op) with
-      | Some c, Op.Cand -> leading ((i, c) :: acc) rest
-      | Some c, Op.Eq when rest = [] -> (List.rev ((i, c) :: acc), true)
-      | _ -> (List.rev acc, false))
+    | ({ Insn.action = Action.Pushword i; op = Op.Nop } : Insn.t) :: rest -> (
+      (* the guard on the compared constant, after an optional mask *)
+      let guard, rest =
+        match rest with
+        | (insn : Insn.t) :: masked -> (
+          match (Action.const insn.Insn.action, insn.Insn.op) with
+          | Some m, Op.And -> ((fun c -> (i, m, c)), masked)
+          | Some k, Op.Rsh ->
+            let k = k land 15 in
+            ((fun c -> (i, (0xffff lsl k) land 0xffff, c lsl k)), masked)
+          | _ -> ((fun c -> (i, 0xffff, c)), rest))
+        | [] -> ((fun c -> (i, 0xffff, c)), rest)
+      in
+      match rest with
+      | (cmp : Insn.t) :: rest -> (
+        match (Action.const cmp.Insn.action, cmp.Insn.op) with
+        | Some c, Op.Cand -> leading (guard c :: acc) rest
+        | Some c, Op.Eq when rest = [] -> (List.rev (guard c :: acc), true)
+        | _ -> (List.rev acc, false))
+      | [] -> (List.rev acc, false))
     | ({ Insn.action; op = Op.Nop } : Insn.t) :: second :: rest -> (
       match (Action.const action, second.Insn.action, second.Insn.op) with
-      | Some c, Action.Pushword i, Op.Cand -> leading ((i, c) :: acc) rest
+      | Some c, Action.Pushword i, Op.Cand -> leading ((i, 0xffff, c) :: acc) rest
       | Some c, Action.Pushword i, Op.Eq when rest = [] ->
-        (List.rev ((i, c) :: acc), true)
+        (List.rev ((i, 0xffff, c) :: acc), true)
       | _ -> (List.rev acc, false))
     | _ -> (List.rev acc, false)
   in

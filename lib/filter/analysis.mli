@@ -148,15 +148,18 @@ val cost_of_prefix : Program.t -> int -> int
 
 (** {1 Guard chains} *)
 
-val guards : Program.t -> (int * int) list * bool
-(** The leading [(word index, required value)] guard chain of a program —
-    a run of [pushword+i / const CAND] pairs, operands in either order, and
-    a trailing [EQ] pair. Each pair is a {e necessary} condition for
-    acceptance (a mismatched or missing word rejects). The second component
-    says whether the chain is the {e whole} program, in which case the
-    conditions are also {e sufficient} (every packet matching the chain is
-    accepted). The foundation of the cross-filter dispatch automaton
-    ({!Dispatch}). *)
+val guards : Program.t -> (int * int * int) list * bool
+(** The leading guard chain of a program — a run of [pushword+i / const
+    CAND] pairs, operands in either order, and a trailing [EQ] pair; word
+    first, a constant [AND] by [m] or [RSH] by [k] (the [low_byte] and
+    [high_byte] forms {!Expr} emits) may precede the comparison. A guard
+    [(word index, mask, value)] requires [word land mask = value]: mask
+    [0xffff] for a whole word, [m], or [0xffff lsl k] with the value
+    shifted up by [k] (a value outside its mask never holds). Each is a
+    {e necessary} condition for acceptance (a mismatched or missing word
+    rejects). The second component says whether the chain is the
+    {e whole} program, in which case the conditions are also
+    {e sufficient}. The foundation of {!Dispatch}. *)
 
 (** {1 Test hooks} *)
 

@@ -11,12 +11,12 @@ type 'a entry = {
 type residual_reason = [ `Unbounded | `No_chain | `Excluded ]
 
 type decision =
-  | Indexed of { offsets : int list; exact : bool }
+  | Indexed of { words : (int * int) list; exact : bool }
   | Shadowed of { by : int }
   | Residual of residual_reason
   | Never_accepts
 
-(* Slot tables, keyed by the required words, two big-endian bytes each. *)
+(* Slot tables, keyed by the masked guard words, 2 big-endian bytes each. *)
 module Slots = Hashtbl.Make (struct
   type t = Bytes.t
 
@@ -32,12 +32,13 @@ type 'a slot = {
 }
 
 and 'a group = {
-  signature : int list; (* the offsets: sorted, duplicate-free *)
+  signature : (int * int) list; (* (offset, mask): by offset, one per word *)
   offsets : int array; (* the same, for probing *)
+  masks : int array;
   slots : 'a slot Slots.t;
   probe : Bytes.t;
-      (* [classify]'s reused key: the packet's words at [offsets]. Safe to
-         share because the simulator serializes demux events. *)
+      (* [classify]'s reused key: the packet's words at [offsets], masked.
+         Safe to share because the simulator serializes demux events. *)
 }
 
 (* What the automaton holds at one rank; indexed entries also name their
@@ -56,8 +57,9 @@ type stats = {
 }
 
 type 'a t = {
-  mutable groups : 'a group list; (* sorted by offset signature: deterministic *)
+  mutable groups : 'a group list; (* sorted by signature: deterministic *)
   mutable residual : (int * 'a) list; (* rank order *)
+  mutable inexact_heads : int; (* slots whose first entry is not exact *)
   items : (int, 'a item) Hashtbl.t; (* by rank *)
   counts : stats;
 }
@@ -69,17 +71,19 @@ module For_testing = struct
   let unsound_prefix_sharing = ref false
 end
 
-(* One required value per offset, sorted by offset; [None] when the chain
-   demands two different values of the same word — such a filter accepts
-   nothing (each guard is necessary). *)
+(* One guard per offset, sorted: a word's guards merge by OR-ing masks and
+   values. [None] when a value has bits outside its mask or two guards
+   disagree on a shared bit — such a filter accepts nothing. *)
 let canonical_chain chain =
   let rec go acc = function
     | [] -> Some (List.sort compare acc)
-    | (off, v) :: rest -> (
-      match List.assoc_opt off acc with
-      | Some v' when v' <> v -> None
-      | Some _ -> go acc rest
-      | None -> go ((off, v) :: acc) rest)
+    | (_, m, v) :: _ when v land lnot m <> 0 -> None
+    | (off, m, v) :: rest -> (
+      match List.find_opt (fun (o, _, _) -> o = off) acc with
+      | Some (_, m', v') when v land m' <> v' land m -> None
+      | Some (_, m', v') ->
+        go ((off, m lor m', v lor v') :: List.filter (fun (o, _, _) -> o <> off) acc) rest
+      | None -> go ((off, m, v) :: acc) rest)
   in
   go [] chain
 
@@ -92,6 +96,7 @@ let create () =
   {
     groups = [];
     residual = [];
+    inexact_heads = 0;
     items = Hashtbl.create 16;
     counts =
       {
@@ -118,11 +123,12 @@ let slot_of t signature key =
     match List.find_opt (fun g -> g.signature = signature) t.groups with
     | Some g -> g
     | None ->
-      let offsets = Array.of_list signature in
+      let offsets = Array.of_list (List.map fst signature) in
       let g =
         {
           signature;
           offsets;
+          masks = Array.of_list (List.map snd signature);
           slots = Slots.create 16;
           probe = Bytes.create (2 * Array.length offsets);
         }
@@ -136,6 +142,13 @@ let slot_of t signature key =
     let s = { group; key; entries = [] } in
     Slots.add group.slots key s;
     s
+
+(* A slot's entries change only here, which keeps [inexact_heads]. *)
+let set_entries t slot entries =
+  let inexact = function e :: _ -> not e.exact | [] -> false in
+  t.inexact_heads <-
+    t.inexact_heads - Bool.to_int (inexact slot.entries) + Bool.to_int (inexact entries);
+  slot.entries <- entries
 
 let add t ~rank ?(indexable = true) fast value =
   if Hashtbl.mem t.items rank then invalid_arg "Dispatch.add: rank already taken";
@@ -156,13 +169,13 @@ let add t ~rank ?(indexable = true) fast value =
         residual `Unbounded
       else if canonical = [] then residual `No_chain
       else begin
-        let offsets = List.map fst canonical in
-        let slot = slot_of t offsets (slot_key (List.map snd canonical)) in
-        place (Indexed { offsets; exact = whole }) (Some slot);
-        slot.entries <-
-          insert_sorted (fun e -> e.rank)
-            { rank; value; exact = whole; fast; answer = Some (rank, value) }
-            slot.entries
+        let words = List.map (fun (off, m, _) -> (off, m)) canonical in
+        let slot = slot_of t words (slot_key (List.map (fun (_, _, v) -> v) canonical)) in
+        place (Indexed { words; exact = whole }) (Some slot);
+        set_entries t slot
+          (insert_sorted (fun e -> e.rank)
+             { rank; value; exact = whole; fast; answer = Some (rank, value) }
+             slot.entries)
       end
 
 let remove t ~rank =
@@ -176,7 +189,7 @@ let remove t ~rank =
     match item.slot with
     | None -> ()
     | Some slot ->
-      slot.entries <- List.filter (fun e -> e.rank <> rank) slot.entries;
+      set_entries t slot (List.filter (fun e -> e.rank <> rank) slot.entries);
       if slot.entries = [] then begin
         (* a group disappears with its last entry, as if never built *)
         let g = slot.group in
@@ -206,6 +219,11 @@ let build ?indexable filters =
 let size t = Hashtbl.length t.items
 let residuals t = t.residual
 
+let decisive t =
+  if t.residual <> [] || t.inexact_heads > 0 then None
+  else
+    Some (List.length t.groups, List.fold_left (fun n g -> n + Array.length g.offsets) 0 t.groups)
+
 (* An exact entry accepts every packet that reaches its slot, and a slot's
    entries are scanned in rank order, so the ones ranked after its first
    exact entry can never win: [classify] never reaches them. *)
@@ -230,10 +248,11 @@ let decisions t =
 
 (* Probe each group: a missing guard word means every member of the group
    rejects (its pushword faults), so the whole group is skipped. Distinct
-   slots of one group demand different values of a shared word, hence are
-   pairwise disjoint — probing order cannot matter. The offsets ascend, so
-   the words the packet holds are a prefix of them; a probe writes them
-   into the group's reused key and allocates nothing. Returns the entries
+   slots of one group demand different values of a shared word under the
+   same mask, hence are pairwise disjoint — probing order cannot matter.
+   The offsets ascend, so the words the packet holds are a prefix of them;
+   a probe writes them, masked, into the group's reused key and allocates
+   nothing. Returns the entries
    of the matched slots: the one slot's own list, already in rank order, or
    when several matched, their entries in no order. *)
 let rec probe (c : stats) packet words matched = function
@@ -252,7 +271,8 @@ let rec probe (c : stats) packet words matched = function
     else begin
       c.hash_words <- c.hash_words + n;
       for i = 0 to n - 1 do
-        Bytes.set_uint16_be g.probe (2 * i) (Packet.word packet g.offsets.(i))
+        Bytes.set_uint16_be g.probe (2 * i)
+          (Packet.word packet g.offsets.(i) land g.masks.(i))
       done;
       (* [mem] first: most probes miss, and raising [Not_found] costs more
          than a second lookup on a hit. *)
@@ -306,7 +326,7 @@ let stats t = t.counts
 (* {1 Inspection} *)
 
 type group_info = {
-  offsets : int list;
+  words : (int * int) list;
   slots : int;
   members : int;
   exact_members : int;
@@ -339,7 +359,7 @@ let info t =
             g.slots (0, 0)
         in
         {
-          offsets = g.signature;
+          words = g.signature;
           slots = Slots.length g.slots;
           members;
           exact_members;
@@ -356,16 +376,19 @@ let info t =
     never_accepts = count (function Never_accepts -> true | _ -> false);
     shadowed = count (function Shadowed _ -> true | _ -> false);
     max_prefix_depth =
-      List.fold_left (fun acc g -> max acc (List.length g.offsets)) 0 groups;
+      List.fold_left (fun acc g -> max acc (List.length g.words)) 0 groups;
     groups;
   }
 
-let pp_offsets ppf offsets =
-  Format.fprintf ppf "[%s]" (String.concat " " (List.map string_of_int offsets))
+let word_name (off, mask) =
+  if mask = 0xffff then string_of_int off else Printf.sprintf "%d&%04x" off mask
+
+let pp_words ppf words =
+  Format.fprintf ppf "[%s]" (String.concat " " (List.map word_name words))
 
 let pp_decision ppf = function
-  | Indexed { offsets; exact } ->
-    Format.fprintf ppf "indexed on words %a%s" pp_offsets offsets
+  | Indexed { words; exact } ->
+    Format.fprintf ppf "indexed on words %a%s" pp_words words
       (if exact then ", exact" else "")
   | Shadowed { by } -> Format.fprintf ppf "shadowed by the entry at rank %d" by
   | Residual `Unbounded -> Format.fprintf ppf "residual (unbounded read set)"
@@ -387,5 +410,5 @@ let pp_info ppf i =
   List.iter
     (fun g ->
       Format.fprintf ppf "  group %a: %d member(s) (%d exact) in %d slot(s)@."
-        pp_offsets g.offsets g.members g.exact_members g.slots)
+        pp_words g.words g.members g.exact_members g.slots)
     i.groups

@@ -5,20 +5,22 @@
     decision table"; this module is that table, and it makes demux cheaper
     {e in the number of filters}. The entire active set is compiled
     into one shared-prefix dispatch structure over read-set words (in the
-    spirit of BPF+'s CFG merging): filters are grouped by the {e offset
-    signature} of their leading guard chain ({!Analysis.guards}), and each
-    group keeps one hash table from the packet words at those offsets to
-    the filters requiring exactly those values. Classifying a packet then
-    costs one probe per group — independent of how many filters share the
-    group — plus running the few same-slot candidate programs.
+    spirit of BPF+'s CFG merging): filters are grouped by the {e signature}
+    of their leading guard chain ({!Analysis.guards}) — its guard words and
+    the mask each is compared under — and each group keeps one hash table
+    from the packet's masked words at those offsets to the filters
+    requiring exactly those values. Classifying a packet then costs one
+    probe per group — independent of how many filters share the group —
+    plus running the few same-slot candidate programs.
 
     Soundness rests on the guard chains of {!Analysis.guards}:
 
-    - a guard is {e necessary}, so a filter whose slot does not match the
-      packet (or whose guard word is missing) provably rejects; two slots
-      of one group demand different values of a shared word, so a packet
-      matches at most one of them, which is why hash dispatch across
-      slots needs no order;
+    - a guard [word land mask = value] is {e necessary}, so a filter whose
+      slot does not match the packet (or whose guard word is missing)
+      provably rejects; the guards on one word merge into one, so two
+      slots of one group demand different values of a shared word under
+      one mask, a packet matches at most one of them, and hash dispatch
+      across slots needs no order;
     - when the chain is the {e whole} program it is also {e sufficient},
       so an [exact] entry accepts on slot match with zero interpretation;
     - entries sharing a slot are scanned in walk order and an exact entry
@@ -40,15 +42,15 @@ type residual_reason =
 
 (** What the automaton decided for one filter. *)
 type decision =
-  | Indexed of { offsets : int list; exact : bool }
-      (** member of the group keyed on [offsets]; [exact] entries accept
-          on slot match without running the program *)
+  | Indexed of { words : (int * int) list; exact : bool }
+      (** member of the group keyed on [words], (offset, mask) pairs;
+          [exact] entries accept on slot match without running it *)
   | Shadowed of { by : int }
       (** ranked after an exact entry of its slot, the one at rank [by]:
           it can never win a packet *)
   | Residual of residual_reason  (** walked per-port, in rank order *)
   | Never_accepts
-      (** [Always_reject] verdict or a self-contradictory guard chain;
+      (** [Always_reject] verdict or a guard chain that can never hold;
           dropped from both the automaton and the residual walk *)
 
 (** {1 Maintenance}
@@ -95,6 +97,11 @@ val residuals : 'a t -> (int * 'a) list
     Ranks are shared with {!classify}'s winner, so the caller can
     interleave the residual walk with the automaton's answer. *)
 
+val decisive : 'a t -> (int * int) option
+(** [Some (groups, words)] — the probes and the most guard words hashed per
+    classify — when {!classify} decides every packet without running a
+    program: no residuals, and every slot's first entry exact. *)
+
 val decisions : 'a t -> (int * 'a * decision) list
 (** Per-filter decisions in rank order (the [pftool dispatch] inspection
     surface). *)
@@ -131,7 +138,7 @@ val stats : 'a t -> stats
 (** {1 Inspection} *)
 
 type group_info = {
-  offsets : int list;  (** the shared guard-word signature *)
+  words : (int * int) list;  (** the shared (offset, mask) signature *)
   slots : int;  (** distinct guard-value tuples *)
   members : int;  (** indexed entries across the slots, post-shadowing *)
   exact_members : int;

@@ -205,7 +205,13 @@ let program rng pkt =
   let depth = ref 0 in
   let emit insn = insns := insn :: !insns in
   (* Leading guard chain: the [pushword+i] [const | CAND] idiom the run-time
-     compiler emits and the dispatch automaton indexes on. *)
+     compiler emits and the dispatch automaton indexes on, sometimes with a
+     mask between the two: [push00ff and] ([low_byte]), [pushlit m and], or
+     [pushlit k rsh] ([high_byte] at k = 8). The masked value usually fits
+     the mask. Masks are drawn from a side stream seeded from [rng]'s state
+     without advancing it, so the main stream's draws, and so every case
+     without a masked guard, do not depend on them. *)
+  let side = { Rng.state = Rng.mix (Int64.lognot rng.Rng.state) } in
   let guards = Rng.int rng 3 in
   for _ = 1 to guards do
     if !depth + 2 <= Interp.stack_size then begin
@@ -215,6 +221,22 @@ let program rng pkt =
         else literal rng pkt
       in
       emit (Insn.make (Action.Pushword i));
+      let fit fitted = if Rng.chance side 80 then fitted else c in
+      let c =
+        match Rng.int side 8 with
+        | 0 ->
+          emit (Insn.make ~op:Op.And Action.Push00ff);
+          fit (c land 0x00ff)
+        | 1 ->
+          let m = Rng.int side 0x10000 in
+          emit (Insn.make ~op:Op.And (Action.Pushlit m));
+          fit (c land m)
+        | 2 ->
+          let k = if Rng.bool side then 8 else Rng.int side 16 in
+          emit (Insn.make ~op:Op.Rsh (Action.Pushlit k));
+          fit (c lsr k)
+        | _ -> c
+      in
       emit (Insn.make ~op:Op.Cand (const_action rng c));
       incr depth
     end

@@ -33,8 +33,9 @@ val packet : Rng.t -> Pf_pkt.Packet.t * string
 val program : Rng.t -> Pf_pkt.Packet.t -> Pf_filter.Program.t
 (** A validator-accepted program by construction, biased toward the packet it
     will run against: literals are often drawn from the packet's own words so
-    equality guards pass, and leading [pushword/CAND] guard chains exercise
-    the dispatch automaton's indexed paths. *)
+    equality guards pass, and leading [pushword/CAND] guard chains, some
+    masked by a constant [AND] or [RSH], exercise the dispatch automaton's
+    indexed paths. *)
 
 val malformed : Rng.t -> Pf_pkt.Packet.t -> Pf_filter.Program.t
 (** A program the validator must reject, one defect per

@@ -144,6 +144,8 @@ and t = {
       (* the CPU charge of the packet being demuxed: [demux] runs to
          completion inside one engine event and never re-enters itself *)
   mutable cache_enabled : bool;
+  mutable cache_pays : bool;
+      (* whether a hit could be cheaper than classifying; set by [publish] *)
   key : flow_key; (* shared: maintained with the port table *)
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
@@ -244,6 +246,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     dispatch_residual_runs = 0;
     demux_cost = 0;
     cache_enabled = true;
+    cache_pays = true;
     key = { readers = [||]; unbounded = 0; offsets = [||]; scratch = [| Bytes.empty |] };
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
@@ -388,13 +391,25 @@ let invalidate_cache ?(cpu = 0) t =
   end;
   Stats.incr t.stats "pf.cache.invalidation"
 
+(* A hit costs a probe and the key's hashed words. While the automaton
+   decides every packet alone for no more than that, a hit saves nothing
+   and a miss adds a store. *)
+let cache_pays t =
+  match Option.bind t.dispatch Pf_filter.Dispatch.decisive with
+  | None -> true
+  | Some (groups, words) ->
+    let c = t.costs in
+    (groups * c.Costs.dispatch_probe) + (words * c.Costs.dispatch_hash_word)
+    > c.Costs.cache_probe + (Array.length t.key.offsets * c.Costs.cache_hash_word)
+
 (* The one place a change to the port table, the flow key or the dispatch
-   automaton becomes visible: the sanitizer records the table write, and
-   every CPU's flow cache is flushed. [flush:false] is the seeded
-   forgot-to-invalidate bug: the checker still learns that the epoch
-   advanced, though no CPU will ever sync to it, which is what lets Pfsan
-   flag the mutant from the trace alone. *)
+   automaton becomes visible: the sanitizer records the table write, every
+   CPU's flow cache is flushed, and whether the cache can pay is decided
+   again. [flush:false] is the seeded forgot-to-invalidate bug: the checker
+   still learns that the epoch advanced, though no CPU will ever sync to
+   it, which is what lets Pfsan flag the mutant from the trace alone. *)
 let publish ?(cpu = 0) ?(flush = true) t =
+  t.cache_pays <- cache_pays t;
   (match t.san with Some h -> San.write h.checker ~cpu h.res_table | None -> ());
   if flush then invalidate_cache ~cpu t
   else match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ()
@@ -649,15 +664,23 @@ let port_certification port = port.certification
 let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
+(* A setter that changes nothing returns before [mutate] or [publish],
+   which would flush every CPU's cache and broadcast IPIs. *)
 let set_priority port priority =
-  mutate port (fun () -> port.priority <- max 0 (min 255 priority))
+  let priority = max 0 (min 255 priority) in
+  if priority <> port.priority then mutate port (fun () -> port.priority <- priority)
 
 (* The public tag sets are wider than the engines that remain: the removed
    tags are refused, naming their replacement, before anything changes. *)
 let set_strategy t strategy =
-  (match strategy with
-  | `Sequential -> t.dispatch <- None
-  | `Dispatch ->
+  match (strategy, t.dispatch) with
+  | `Sequential, None | `Dispatch, Some _ -> ()
+  | `Decision_tree, _ ->
+    invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch"
+  | `Sequential, Some _ ->
+    t.dispatch <- None;
+    publish t
+  | `Dispatch, None ->
     (* The one full build. Busier-first reordering may have permuted the
        walk; put it back in rank order first. *)
     t.ports <-
@@ -669,10 +692,8 @@ let set_strategy t strategy =
     List.iter (fun p -> Option.iter (dispatch_add d p) p.filter) t.ports;
     t.dispatch <- Some d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
-    Stats.incr t.stats "pf.dispatch.rebuild"
-  | `Decision_tree ->
-    invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch");
-  publish t
+    Stats.incr t.stats "pf.dispatch.rebuild";
+    publish t
 
 (* The compile strategy applies to future installs only: already-installed
    filters keep the engine they were compiled with (like a real driver,
@@ -724,8 +745,8 @@ let port_engine_stats port =
 
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
-let set_copy_all port flag = mutate port (fun () -> port.copy_all <- flag)
-let set_tap port flag = mutate port (fun () -> port.tap <- flag)
+let set_copy_all port flag = if flag <> port.copy_all then mutate port (fun () -> port.copy_all <- flag)
+let set_tap port flag = if flag <> port.tap then mutate port (fun () -> port.tap <- flag)
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
 
@@ -1108,9 +1129,12 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   (* Probe this CPU's flow cache before any filter interpretation.
      Kernel-claimed packets bypass it: they see a different port subset
      (taps only), so caching their decisions under the same key would be
-     unsound. The key is the device's reused buffer, intact until the store
-     because the simulator serializes demux events. *)
-  let probing = t.cache_enabled && (not kernel_claimed) && t.key.unbounded = 0 in
+     unsound. So does every packet while a hit cannot pay ([cache_pays]).
+     The key is the device's reused buffer, intact until the store because
+     the simulator serializes demux events. *)
+  let probing =
+    t.cache_enabled && (not kernel_claimed) && t.key.unbounded = 0 && t.cache_pays
+  in
   if t.cache_enabled && not probing then begin
     c.bypasses <- c.bypasses + 1;
     Stats.bump ctr.cache_bypass

@@ -79,7 +79,8 @@ val close_port : port -> unit
     is open afterwards, at its place in priority-then-open order; and the
     change is published: the sanitizer sees one port-table write, and
     every CPU's flow cache is flushed. On a closed port only the port's
-    record changes. *)
+    record changes. A setter that changes nothing returns at once, and
+    publishes nothing. *)
 
 type install_error = Invalid of Pf_filter.Validate.error
 
@@ -142,7 +143,7 @@ val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
     that port's entry in place, and one instance serves every CPU.
     [`Sequential] drops it. Kernel-claimed packets bypass the automaton
     (taps-only delivery is a different port subset) and take the
-    sequential walk.
+    sequential walk. Selecting the current strategy does nothing.
 
     [`Decision_tree] raises [Invalid_argument] and leaves the device
     unchanged: use [`Dispatch], which is also section 7's decision
@@ -289,7 +290,10 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     (the port mutations of {!close_port}, {!set_strategy},
     {!set_cache_enabled}, and busier-first reorders that change the walk
     order) and bypassed for kernel-claimed packets or when any installed
-    filter's read set is [Unbounded]. {!set_compile_strategy} and
+    filter's read set is [Unbounded], or while a hit cannot be cheaper than
+    classifying: the automaton decides every packet alone
+    ({!Pf_filter.Dispatch.decisive}) for no more than a probe and the key's
+    hashed words. {!set_compile_strategy} and
     {!set_certify} apply to later installs only, and flush nothing.
 
     On the host, a demux of a frame no port accepts allocates nothing, on
@@ -312,7 +316,9 @@ type cache_stats = {
   capacity : int;  (** entries per CPU's cache (256), FIFO eviction beyond *)
   hits : int;
   misses : int;
-  bypasses : int;  (** kernel-claimed packets + unbounded-read-set periods *)
+  bypasses : int;
+      (** kernel-claimed packets, unbounded-read-set periods, and packets
+          the automaton classifies for no more than a hit would cost *)
   invalidations : int;  (** full flushes from configuration changes *)
   evictions : int;  (** capacity-pressure FIFO evictions *)
 }

@@ -50,13 +50,24 @@ let validate_exn program =
    missed (every mutation that can change an acceptor list must update the
    port's entry in place). *)
 
+(* A masked guard chain that stays non-exact: the Pup type, then a range
+   test on the low socket word, which no guard can express. It shares the
+   slot of [Predicates.pup_type_is (1 + (s mod 3))]. *)
+let range_filter s =
+  Pf_filter.Expr.compile
+    Pf_filter.Dsl.(
+      word 1 =: lit 2 &&: (low_byte (word 3) =: lit (1 + (s mod 3))) &&: (word 8 >: lit (30 + s)))
+
 (* Filter pool: exact guard chains (distinct sockets, and figure 3-9,
-   which shares no slot with them), a non-exact chain (pup_dst_port_10mb
-   keeps code after its guards), a short chain shared across sockets
-   (pup_type_is), an unbounded read set (residual), a chainless accept-all
-   (residual) and a reject-all (never accepts). The exact chain and the
-   accept-all come a second time with a non-zero program priority, which
-   [set_priority] then overrides on the port. *)
+   which shares no slot with them), exact masked chains (pup_type_is and
+   udp_dst_port mask a byte; the high-and-low-byte Pup type merges into a
+   whole-word guard, so it keys word 3 under a different mask than
+   pup_type_is), a non-exact chain ([range_filter]), exact chains for a
+   10 Mb/s framing these packets never match (pup_dst_port_10mb), an
+   unbounded read set (residual), a chainless accept-all (residual) and a
+   reject-all (never accepts). The exact chain and the accept-all come a
+   second time with a non-zero program priority, which [set_priority]
+   then overrides on the port. *)
 let pool =
   [|
     (fun s -> Predicates.pup_dst_socket (Int32.of_int (30 + s)));
@@ -68,6 +79,14 @@ let pool =
     (fun s -> Program.with_priority Predicates.accept_all (1 + s));
     (fun _ -> Predicates.fig_3_9);
     (fun _ -> Predicates.reject_all);
+    range_filter;
+    (fun s -> Predicates.udp_dst_port (1000 + s));
+    (fun s ->
+      Pf_filter.Expr.compile
+        Pf_filter.Dsl.(
+          word 1 =: lit 2
+          &&: (high_byte (word 3) =: lit 0)
+          &&: (low_byte (word 3) =: lit (1 + (s mod 3)))));
   |]
 
 let random_program rng =
@@ -470,16 +489,17 @@ let test_same_slot_churn () =
   Pf_sim.Engine.run eng_d;
   (* Every entry is indexed: no entry of the slot is exact, so none is
      shadowed, and a copy of a non-exact filter runs when the first copy
-     rejects, as the sequential walk runs it. *)
+     rejects, as the sequential walk runs it. A masked chain with a
+     trailing range test is such a filter. *)
   let d = Dispatch.build (List.init n (fun k -> (validate_exn (churn_filter k), k))) in
   Alcotest.(check int) "decisions" n (List.length (Dispatch.decisions d));
   List.iter
     (fun (_, k, decision) ->
       match decision with
-      | Dispatch.Indexed { offsets = [ 6; 7 ]; exact = false } -> ()
+      | Dispatch.Indexed { words = [ (6, 0xffff); (7, 0xffff) ]; exact = false } -> ()
       | other -> Alcotest.failf "filter %d: %a" k Dispatch.pp_decision other)
     (Dispatch.decisions d);
-  let copy () = validate_exn (Predicates.pup_dst_port_10mb ~host:2 35l) in
+  let copy () = validate_exn (range_filter 0) in
   let copies = Dispatch.build [ (copy (), "first"); (copy (), "second") ] in
   match Dispatch.decisions copies with
   | [ (_, _, Dispatch.Indexed { exact = false; _ });
@@ -489,6 +509,125 @@ let test_same_slot_churn () =
       (Format.pp_print_list (fun ppf (r, name, d) ->
            Format.fprintf ppf "  rank %d (%s): %a" r name Dispatch.pp_decision d))
       ds
+
+(* {1 Masked guards}
+
+   A guard requires [word land mask = value]. The byte tests [Expr] emits
+   for [low_byte] and [high_byte] are guards, so the filters built from
+   them are exact; the guards on one word merge into one; and filters that
+   mask one word differently key different groups. *)
+
+let decision_of program =
+  match Dispatch.decisions (Dispatch.build [ (validate_exn program, ()) ]) with
+  | [ (_, (), d) ] -> d
+  | _ -> Alcotest.fail "one filter, one decision"
+
+let check_exact what program =
+  match decision_of program with
+  | Dispatch.Indexed { exact = true; _ } -> ()
+  | d -> Alcotest.failf "%s: %a" what Dispatch.pp_decision d
+
+let test_masked_filters_exact () =
+  let gen = Gen.make ~seed:0x3A5C ~flows:64 ~skew:Gen.Uniform () in
+  let protos = Hashtbl.create 4 in
+  List.iter
+    (fun (f : Gen.flow) ->
+      Hashtbl.replace protos f.Gen.proto ();
+      check_exact (Printf.sprintf "flow %d" f.Gen.index) (Gen.filter f))
+    (Gen.flows gen);
+  Alcotest.(check int) "filters of all four protocols" 4 (Hashtbl.length protos);
+  List.iter
+    (fun name -> check_exact name (List.assoc name Predicates.builtins))
+    [ "pup-type-is-1"; "pup-dst-port"; "pup-dst-port-10mb"; "udp-dst-port-53" ]
+
+let test_guards_on_one_word_merge () =
+  let compile = Pf_filter.Expr.compile in
+  let open Pf_filter.Dsl in
+  List.iter
+    (fun (what, e) ->
+      match decision_of (compile e) with
+      | Dispatch.Never_accepts -> ()
+      | d -> Alcotest.failf "%s: %a" what Dispatch.pp_decision d)
+    [
+      ("high_byte w = 0x1ff", high_byte (word 7) =: lit 0x1ff);
+      ("low_byte w = 0x145", low_byte (word 7) =: lit 0x145);
+      ("word 7 = 0x4500 && low_byte (word 7) = 1",
+       word 7 =: lit 0x4500 &&: (low_byte (word 7) =: lit 1));
+      ("(word 5 & 0x0f0f) = 0x00f0", (word 5 &: lit 0x0f0f) =: lit 0x00f0);
+    ];
+  (* The last two the interval analysis leaves undecided: only the guards
+     prove them. *)
+  List.iter
+    (fun e ->
+      let a = Pf_filter.Analysis.analyze (validate_exn (compile e)) in
+      Alcotest.(check bool) "verdict depends on the packet" true
+        (a.Pf_filter.Analysis.verdict = Pf_filter.Analysis.Depends_on_packet))
+    [ word 7 =: lit 0x4500 &&: (low_byte (word 7) =: lit 1);
+      (word 5 &: lit 0x0f0f) =: lit 0x00f0 ];
+  (* Both bytes of word 7 make the whole-word guard: the same slot, where
+     the exact entry ranked first shadows the other. *)
+  let d =
+    Dispatch.build
+      [ (validate_exn (compile (word 7 =: lit 0x4500)), "whole");
+        (validate_exn
+           (compile (high_byte (word 7) =: lit 0x45 &&: (low_byte (word 7) =: lit 0))),
+         "bytes") ]
+  in
+  match Dispatch.decisions d with
+  | [ (0, "whole", Dispatch.Indexed { words = [ (7, 0xffff) ]; exact = true });
+      (1, "bytes", Dispatch.Shadowed { by = 0 }) ] -> ()
+  | ds ->
+    Alcotest.failf "expected one slot, got:@.%a"
+      (Format.pp_print_list (fun ppf (r, n, d) ->
+           Format.fprintf ppf "  rank %d (%s): %a" r n Dispatch.pp_decision d))
+      ds
+
+let test_masks_on_one_word_group_apart () =
+  let filters =
+    Pf_filter.Dsl.
+      [
+        ("low", word 1 =: lit 2 &&: (low_byte (word 3) =: lit 1));
+        ("high", word 1 =: lit 2 &&: (high_byte (word 3) =: lit 0));
+        ("whole", word 1 =: lit 2 &&: (word 3 =: lit 0x0102));
+        ("nibble",
+         word 1 =: lit 2 &&: ((word 3 &: lit 0x0f00) =: lit 0x0100) &&: (word 8 >: lit 34));
+      ]
+  in
+  let entries =
+    List.map (fun (n, e) -> (validate_exn (Pf_filter.Expr.compile e), n)) filters
+  in
+  let d = Dispatch.build entries in
+  Alcotest.(check (list (list (pair int int))))
+    "one group per mask of word 3"
+    [ [ (1, 0xffff); (3, 0x00ff) ]; [ (1, 0xffff); (3, 0x0f00) ];
+      [ (1, 0xffff); (3, 0xff00) ]; [ (1, 0xffff); (3, 0xffff) ] ]
+    (List.map (fun (g : Dispatch.group_info) -> g.Dispatch.words) (Dispatch.info d).Dispatch.groups);
+  let reference packet =
+    List.find_map
+      (fun (v, n) -> if Fast.run (Fast.compile v) packet then Some n else None)
+      entries
+  in
+  let merged = Testutil.dispatch_first_match entries in
+  let winners = Hashtbl.create 4 in
+  List.iter
+    (fun (w1, w3, w8) ->
+      let packet =
+        Packet.of_words
+          (List.init 13 (fun i -> match i with 1 -> w1 | 3 -> w3 | 8 -> w8 | _ -> i))
+      in
+      let want = reference packet in
+      Option.iter (fun n -> Hashtbl.replace winners n ()) want;
+      Alcotest.(check (option string))
+        (Printf.sprintf "word 1 = %d, word 3 = 0x%04x, word 8 = %d: first match" w1 w3 w8)
+        want
+        (fst (merged packet)))
+    (List.concat_map
+       (fun w1 ->
+         List.concat_map
+           (fun w3 -> List.map (fun w8 -> (w1, w3, w8)) [ 34; 35 ])
+           [ 0x0001; 0x0002; 0x0102; 0x0100; 0x0200; 0x0101 ])
+       [ 2; 3 ]);
+  Alcotest.(check int) "every filter won a packet" 4 (Hashtbl.length winners)
 
 let test_never_accepts_dropped () =
   let d =
@@ -769,4 +908,10 @@ let suite =
         test_incremental_matches_scratch;
       Alcotest.test_case "unsound-prefix-sharing mutant caught and shrunk"
         `Quick test_unsound_sharing_mutant_caught_and_shrunk;
+      Alcotest.test_case "masked guards: generated and byte filters exact" `Quick
+        test_masked_filters_exact;
+      Alcotest.test_case "masked guards: one word's guards merge" `Quick
+        test_guards_on_one_word_merge;
+      Alcotest.test_case "masked guards: masks of one word group apart" `Quick
+        test_masks_on_one_word_group_apart;
     ] )

@@ -195,11 +195,12 @@ let prop_simplify_idempotent =
 
 let test_guard_chain () =
   let chain p = fst (Analysis.guards p) in
-  Alcotest.(check (list (pair int int))) "fig 3-9 guards" [ (8, 35); (7, 0); (1, 2) ]
+  Alcotest.(check (list (triple int int int))) "fig 3-9 guards"
+    [ (8, 0xffff, 35); (7, 0xffff, 0); (1, 0xffff, 2) ]
     (chain Predicates.fig_3_9);
-  Alcotest.(check (list (pair int int))) "fig 3-8 has no full guard chain" []
+  Alcotest.(check (list (triple int int int))) "fig 3-8 has no full guard chain" []
     (chain Predicates.fig_3_8);
-  Alcotest.(check (list (pair int int))) "empty program no guards" []
+  Alcotest.(check (list (triple int int int))) "empty program no guards" []
     (chain Predicates.accept_all)
 
 let test_dispatch_matches_sequential () =

@@ -820,6 +820,99 @@ let test_san_sees_every_port_mutation () =
   Engine.run eng;
   Alcotest.(check int) "no reports" 0 (Pf_sim.San.report_count san)
 
+(* A setter that changes nothing publishes nothing: no cache flush, no
+   IPI, and no sanitizer write, publication or sync. *)
+let test_noop_setters_publish_nothing () =
+  let eng = Engine.create () in
+  let link = Pf_net.Link.create eng Frame.Dix10 ~rate_mbit:10. () in
+  let h =
+    Host.create ~costs:Pf_sim.Costs.microvax_ii ~ncpus:2 link ~name:"rx"
+      ~addr:(Addr.eth_host 2)
+  in
+  let san = Pf_sim.San.create ~ncpus:2 () in
+  Host.attach_san h san;
+  let pf = Host.pf h in
+  let module Gen = Pf_monitor.Traffic.Gen in
+  let gen = Gen.make ~seed:0x5EED ~flows:1 ~skew:Gen.Uniform () in
+  let port = Pfdev.open_port pf in
+  set_filter_exn port (Gen.filter (Gen.flow gen 0));
+  Pfdev.set_priority port 300;
+  Pfdev.set_copy_all port true;
+  let counts () =
+    let c = Pf_sim.San.counters san in
+    (Pfdev.cache_stats pf).Pfdev.invalidations
+    :: (Pfdev.smp_stats pf).Pfdev.ipis
+    :: List.map
+         (fun k -> Option.value ~default:0 (List.assoc_opt ("pf.san." ^ k) c))
+         [ "writes"; "publishes"; "syncs" ]
+  in
+  let adds_nothing name f =
+    let before = counts () in
+    f ();
+    Alcotest.(check (list int))
+      (name ^ ": invalidations, IPIs, writes, publishes, syncs added")
+      [ 0; 0; 0; 0; 0 ]
+      (List.map2 ( - ) (counts ()) before)
+  in
+  adds_nothing "set_priority to the clamped priority" (fun () -> Pfdev.set_priority port 255);
+  adds_nothing "set_copy_all to the current flag" (fun () -> Pfdev.set_copy_all port true);
+  adds_nothing "set_tap to the current flag" (fun () -> Pfdev.set_tap port false);
+  adds_nothing "set_strategy `Sequential" (fun () -> Pfdev.set_strategy pf `Sequential);
+  Pfdev.set_strategy pf `Dispatch;
+  adds_nothing "set_strategy `Dispatch" (fun () -> Pfdev.set_strategy pf `Dispatch);
+  Engine.run eng;
+  Alcotest.(check int) "no reports" 0 (Pf_sim.San.report_count san)
+
+(* {1 The flow cache bypasses itself where a hit cannot pay}
+
+   On the MicroVAX-II model a probe and a hashed word cost the same in the
+   automaton and in the cache. One exact group hashing every key word
+   costs exactly a hit, so the cache is bypassed. A second group, a
+   copy-all port in the residual walk, or a non-exact first entry in a
+   slot makes classifying dearer than a hit, and probing resumes. *)
+
+let test_cache_bypass_edge () =
+  let eng, _, _, bob = mk_world ~costs:Pf_sim.Costs.microvax_ii () in
+  let pf = Host.pf bob in
+  Pfdev.set_strategy pf `Dispatch;
+  let exact = Pfdev.open_port pf in
+  set_filter_exn exact (socket_filter 35);
+  let frame = cache_frame () in
+  let probes_and_bypasses () =
+    let cs = Pfdev.cache_stats pf in
+    (cs.Pfdev.hits + cs.Pfdev.misses, cs.Pfdev.bypasses)
+  in
+  let check what ~probes =
+    let before = probes_and_bypasses () in
+    for _ = 1 to 2 do
+      Alcotest.(check bool) (what ^ ": accepted") true (Pfdev.demux pf frame)
+    done;
+    let p, b = probes_and_bypasses () in
+    Alcotest.(check (pair int int))
+      (what ^ ": probes, bypasses added")
+      (if probes then (2, 0) else (0, 2))
+      (p - fst before, b - snd before)
+  in
+  check "one exact group" ~probes:false;
+  let other = Pfdev.open_port pf in
+  set_filter_exn other (Pf_filter.Predicates.pup_type_is 1);
+  check "a second group" ~probes:true;
+  Pfdev.close_port other;
+  check "one exact group again" ~probes:false;
+  Pfdev.set_copy_all exact true;
+  check "a copy-all residual" ~probes:true;
+  Pfdev.set_copy_all exact false;
+  check "copy-all off" ~probes:false;
+  (* The same guards as [exact], then a test no guard expresses, ranked
+     first in the slot; it accepts the frame as well. *)
+  let first = Pfdev.open_port pf in
+  set_filter_exn first
+    (Pf_filter.Expr.compile ~priority:1
+       Pf_filter.Dsl.(
+         word 8 =: lit 35 &&: (word 7 =: lit 0) &&: (word 1 =: lit 2) &&: (word 9 >: lit 0)));
+  check "a non-exact slot head" ~probes:true;
+  Engine.run eng
+
 let test_mutation_reenters_at_open_order () =
   (* Three equal-priority ports whose filters all accept [shared]; only
      port 3's accepts [only3]. With the cache off every frame takes the
@@ -1026,4 +1119,8 @@ let suite =
       Alcotest.test_case "queue limit: read_batch accounting" `Quick
         test_dropped_before_with_read_batch;
       Alcotest.test_case "queue limit: clamped to one" `Quick test_queue_limit_clamped;
+      Alcotest.test_case "a setter that changes nothing publishes nothing" `Quick
+        test_noop_setters_publish_nothing;
+      Alcotest.test_case "flow cache: bypassed where a hit cannot pay" `Quick
+        test_cache_bypass_edge;
     ] )

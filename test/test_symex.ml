@@ -589,7 +589,7 @@ let test_operand_swap_proved () =
   let plain_w7_is_5 =
     Program.v [ i (Action.Pushword 7); i ~op:Op.Eq (Action.Pushlit 5) ]
   in
-  Alcotest.(check (pair (list (pair int int)) bool))
+  Alcotest.(check (pair (list (triple int int int)) bool))
     "no guard chain in the swapped form" ([], false)
     (Analysis.guards swapped_w7_is_5);
   let r =
