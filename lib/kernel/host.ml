@@ -27,6 +27,8 @@ type t = {
   ctr : counters;
   nic : Pf_net.Nic.t;
   pf : Pfdev.t;
+  mutable completions : (Pf_pkt.Packet.t -> unit) array;
+      (* the primary interface's, per CPU ([wire_rx]) *)
   mutable extra_interfaces : (Pf_net.Nic.t * Pfdev.t) list; (* beyond the primary *)
   mutable protocols : (int * (Pf_pkt.Packet.t -> unit)) list;
   mutable san_protocols : (San.t * San.resource) option;
@@ -51,49 +53,57 @@ let pf t = t.pf
    [in_kernel], which runs on the boot CPU — only the interrupt half of the
    receive path scales across CPUs, as in real kernels before per-CPU
    protocol processing. *)
-let rx t nic pf ~cpu:cpu_id frame =
+
+(* The half that runs once the driver interrupt retires. *)
+let complete t nic pf ~cpu:cpu_id frame =
+  (* The type-field dispatch reads the host-wide protocol table on the
+     receive CPU; the demux-side instrumentation carries the modeled cost,
+     this read only feeds the checker. *)
+  (match t.san_protocols with
+  | Some (san, res) -> San.read san ~cpu:cpu_id res
+  | None -> ());
+  let kernel_handler =
+    match t.protocols with
+    | [] -> None
+    | protocols ->
+      let variant = Pf_net.Nic.variant nic in
+      if Pf_pkt.Packet.length frame < Pf_net.Frame.header_length variant then None
+      else
+        List.assoc_opt
+          (Pf_pkt.Packet.word frame (Pf_net.Frame.type_word_index variant))
+          protocols
+  in
+  match kernel_handler with
+  | Some handler ->
+    Stats.bump t.ctr.rx_kernel_proto;
+    ignore (Pfdev.demux pf ~cpu:cpu_id ~kernel_claimed:true frame : bool);
+    handler frame
+  | None -> if not (Pfdev.demux pf ~cpu:cpu_id frame) then Stats.bump t.ctr.rx_unclaimed
+
+(* [completions] holds one [complete] per CPU, built by [wire_rx], so the
+   event a frame schedules closes over that function and the frame alone. *)
+let rx t completions ~cpu:cpu_id frame =
   Stats.bump t.ctr.rx;
   Stats.add t.ctr.interrupt_cpu_us t.costs.Costs.recv_interrupt;
   let finish =
     Cpu.run (Smp.cpu t.smp cpu_id) ~owner:`Interrupt ~start:(Engine.now t.engine)
       ~cost:t.costs.Costs.recv_interrupt
   in
-  Engine.schedule t.engine ~at:finish (fun () ->
-      (* The type-field dispatch reads the host-wide protocol table on the
-         receive CPU; the demux-side instrumentation carries the modeled
-         cost, this read only feeds the checker. *)
-      (match t.san_protocols with
-      | Some (san, res) -> San.read san ~cpu:cpu_id res
-      | None -> ());
-      let kernel_handler =
-        match t.protocols with
-        | [] -> None
-        | protocols ->
-          let variant = Pf_net.Nic.variant nic in
-          if Pf_pkt.Packet.length frame < Pf_net.Frame.header_length variant then None
-          else
-            List.assoc_opt
-              (Pf_pkt.Packet.word frame (Pf_net.Frame.type_word_index variant))
-              protocols
-      in
-      match kernel_handler with
-      | Some handler ->
-        Stats.bump t.ctr.rx_kernel_proto;
-        ignore (Pfdev.demux pf ~cpu:cpu_id ~kernel_claimed:true frame : bool);
-        handler frame
-      | None ->
-        if not (Pfdev.demux pf ~cpu:cpu_id frame) then
-          Stats.bump t.ctr.rx_unclaimed)
+  let complete = completions.(cpu_id) in
+  Engine.schedule t.engine ~at:finish (fun () -> complete frame)
 
-(* Wire an interface's receive side. With steering, the NIC's receive
-   hashing ({!Pfdev.steer}: the flow-cache key bytes modulo the CPU count)
-   picks the queue, and queues map to CPUs one-to-one — same flow, same
-   CPU, so each CPU's flow cache stays private and warm. *)
+(* Wire an interface's receive side, and return its per-CPU completions.
+   With steering, the NIC's receive hashing ({!Pfdev.steer}: the
+   flow-cache key bytes modulo the CPU count) picks the queue, and queues
+   map to CPUs one-to-one — same flow, same CPU, so each CPU's flow cache
+   stays private and warm. *)
 let wire_rx t nic pf =
+  let completions = Array.init (Smp.ncpus t.smp) (fun cpu -> complete t nic pf ~cpu) in
   if t.steered then
     Pf_net.Nic.set_rss nic ~hash:(Pfdev.steer pf) ~rx:(fun ~queue frame ->
-        rx t nic pf ~cpu:queue frame)
-  else Pf_net.Nic.set_rx nic (rx t nic pf ~cpu:0)
+        rx t completions ~cpu:queue frame)
+  else Pf_net.Nic.set_rx nic (rx t completions ~cpu:0);
+  completions
 
 let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
   let engine = Pf_net.Link.engine link in
@@ -128,12 +138,13 @@ let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
         };
       nic;
       pf;
+      completions = [||];
       extra_interfaces = [];
       protocols = [];
       san_protocols = None;
     }
   in
-  wire_rx t nic pf;
+  t.completions <- wire_rx t nic pf;
   t
 
 (* Attach a concurrency sanitizer to the whole host: the primary packet
@@ -161,7 +172,7 @@ let add_interface t link ~addr =
       ~variant:(Pf_net.Link.variant link) ~address:addr
       ~send:(fun frame -> Pf_net.Nic.send_frame nic frame)
   in
-  wire_rx t nic pf;
+  ignore (wire_rx t nic pf : (Pf_pkt.Packet.t -> unit) array);
   t.extra_interfaces <- t.extra_interfaces @ [ (nic, pf) ];
   (nic, pf)
 
@@ -172,7 +183,7 @@ let add_interface t link ~addr =
 let inject t frame =
   Stats.bump t.ctr.inject;
   let cpu_id = if t.steered then Pfdev.steer t.pf frame else 0 in
-  rx t t.nic t.pf ~cpu:cpu_id frame
+  rx t t.completions ~cpu:cpu_id frame
 
 let interfaces t = (t.nic, t.pf) :: t.extra_interfaces
 let join_multicast t group = Pf_net.Nic.join_multicast t.nic group

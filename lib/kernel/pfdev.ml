@@ -93,14 +93,11 @@ type port = {
   mutable filter : Pf_filter.Fast.t option;
       (* the installed program's stack compilation, which also holds its
          analysis *)
-  mutable regvm : Pf_filter.Regvm.t option;
-      (* When set, the sequential walk runs this instead of [filter]; the
-         stack compilation is kept alongside for admission and status. *)
+  mutable compiled : (Pf_filter.Regvm.t option * Pf_filter.Equiv.certification option) Lazy.t;
+      (* [compile]'s engine, which the walks run instead of [filter] when
+         set, and certification outcome (None when not certifying) *)
   mutable engine_applications : int;
   mutable engine_insns : int;
-  mutable certification : Pf_filter.Equiv.certification option;
-      (* translation-validation outcome of the install-time compilation;
-         None when the device was not certifying at install time *)
   mutable priority : int;
   mutable timeout : Pf_sim.Time.t option;
   mutable queue_limit : int;
@@ -125,9 +122,14 @@ and t = {
   variant : Frame.variant;
   address : Addr.t;
   send : Packet.t -> unit;
-  mutable ports : port list;
-      (* the open ports, sorted: priority desc, then id asc; only [enter],
-         [leave] and the two re-sorts write it *)
+  mutable walk : port array;
+      (* the open ports in [0, count), in walk order: priority desc, then id
+         asc, until a busier-first reorder; only [enter], [leave] and
+         [sort_walk] write it *)
+  mutable ranks : int array; (* [ranks.(i)] is [rank_of walk.(i)] *)
+  mutable count : int;
+  open_at : int array; (* open ports per priority *)
+  top_id : int array; (* per priority, a bound on the open ports' ids *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
   mutable compile_strategy : [ `Off | `Regvm ];
@@ -232,7 +234,11 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     variant;
     address;
     send;
-    ports = [];
+    walk = [||];
+    ranks = [||];
+    count = 0;
+    open_at = Array.make 256 0;
+    top_id = Array.make 256 0;
     next_id = 0;
     demuxed_since_reorder = 0;
     compile_strategy = `Off;
@@ -290,6 +296,8 @@ module For_testing = struct
   let flow_key t =
     if t.key.unbounded > 0 then Pf_filter.Analysis.Unbounded
     else Pf_filter.Analysis.Exact (Array.to_list t.key.offsets)
+
+  let walk_order t = List.init t.count (Array.get t.walk)
 end
 
 let san t = Option.map (fun h -> h.checker) t.san
@@ -475,10 +483,12 @@ let fill_key k frame =
    counts in the flow key for as long, and it is in the dispatch automaton
    exactly while it is also filtered. [enter] and [leave] are the only
    functions that change any of the three for one port, and [mutate] is
-   the only caller of either. The table is sorted by decreasing priority,
-   then open order, at mutation time, not by re-sorting on the demux path;
-   the occasional busier-first reordering of equal-priority filters
-   (section 3.2) happens in [maybe_reorder].
+   the only caller of either. The table is an array in walk order, sorted
+   by decreasing priority, then open order, at mutation time, not by
+   re-sorting on the demux path; the occasional busier-first reordering of
+   equal-priority filters (section 3.2) happens in [maybe_reorder]. Like a
+   rule joining or leaving a kernel's filter table, a mutation moves slots
+   and allocates nothing that grows with the number of open ports.
 
    The automaton ({!Pf_filter.Dispatch}) ranks a port by its place in that
    order: priorities lie in 0..255, so priority and open order fit one int.
@@ -496,15 +506,47 @@ let dispatch_add d port f =
 
 let read_set f = (Pf_filter.Fast.analysis f).Pf_filter.Analysis.read_set
 
-(* An equal-priority port goes before the first one opened after it. *)
+(* Whether [port] sorts after every open port: none has a lower priority,
+   and none of its priority a larger id. *)
+let sorts_last t port =
+  let p = port.priority in
+  port.id > t.top_id.(p)
+  &&
+  let q = ref 0 in
+  while !q < p && t.open_at.(!q) = 0 do
+    incr q
+  done;
+  !q = p
+
+(* An equal-priority port goes before the first one opened after it, that
+   is, before the first port of higher rank. A port that sorts after every
+   open one (a fresh port, or one just opened and now installed) is
+   appended without a scan. The walk's slots grow by doubling; a slot past
+   the last open port repeats an open one. *)
 let enter t port =
-  let rec ins = function
-    | [] -> [ port ]
-    | p :: _ as l when p.priority < port.priority || (p.priority = port.priority && p.id > port.id)
-      -> port :: l
-    | p :: rest -> p :: ins rest
-  in
-  t.ports <- ins t.ports;
+  let n = t.count and p = port.priority and r = rank_of port in
+  if n = Array.length t.walk then begin
+    t.walk <- Array.append t.walk (Array.make (max 8 n) port);
+    t.ranks <- Array.append t.ranks (Array.make (max 8 n) 0)
+  end;
+  let ranks = t.ranks in
+  let i = ref 0 in
+  if sorts_last t port then i := n
+  else
+    while !i < n && ranks.(!i) < r do
+      incr i
+    done;
+  let i = !i in
+  Array.blit t.walk i t.walk (i + 1) (n - i);
+  (* A typed int loop: [Array.blit] would pay the write barrier per slot. *)
+  for j = n downto i + 1 do
+    ranks.(j) <- ranks.(j - 1)
+  done;
+  t.walk.(i) <- port;
+  ranks.(i) <- r;
+  t.count <- n + 1;
+  t.open_at.(p) <- t.open_at.(p) + 1;
+  if port.id > t.top_id.(p) then t.top_id.(p) <- port.id;
   match port.filter with
   | None -> ()
   | Some f ->
@@ -512,31 +554,69 @@ let enter t port =
     Option.iter (fun d -> dispatch_add d port f) t.dispatch
 
 (* The inverse of [enter]: it must run before the port's filter, priority
-   or flags change. *)
+   or flags change. The scan runs from the end, where a port just opened
+   sits. *)
 let leave t port =
-  t.ports <- List.filter (fun p -> p != port) t.ports;
+  let n = t.count - 1 and p = port.priority and r = rank_of port in
+  let ranks = t.ranks in
+  let i = ref n in
+  while ranks.(!i) <> r do
+    decr i
+  done;
+  let i = !i in
+  Array.blit t.walk (i + 1) t.walk i (n - i);
+  for j = i to n - 1 do
+    ranks.(j) <- ranks.(j + 1)
+  done;
+  t.count <- n;
+  (* The vacated slot must not keep the closed port reachable. *)
+  if n > 0 then t.walk.(n) <- t.walk.(0)
+  else begin
+    t.walk <- [||];
+    t.ranks <- [||]
+  end;
+  t.open_at.(p) <- t.open_at.(p) - 1;
+  (* Ids are unique, so the others of this priority have lower ones. *)
+  if port.id = t.top_id.(p) then t.top_id.(p) <- port.id - 1;
   match port.filter with
   | None -> ()
   | Some f ->
     key_count t.key ~by:(-1) (read_set f);
     Option.iter (fun d -> Pf_filter.Dispatch.remove d ~rank:(rank_of port)) t.dispatch
 
+(* A stable insertion sort of the walk by [cmp], in place; whether any
+   port moved. The walk stays nearly sorted between sorts, so few do. *)
+let sort_walk t cmp =
+  let moved = ref false in
+  for i = 1 to t.count - 1 do
+    let port = t.walk.(i) and r = t.ranks.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && cmp t.walk.(!j) port > 0 do
+      t.walk.(!j + 1) <- t.walk.(!j);
+      t.ranks.(!j + 1) <- t.ranks.(!j);
+      decr j
+    done;
+    if !j + 1 < i then begin
+      moved := true;
+      t.walk.(!j + 1) <- port;
+      t.ranks.(!j + 1) <- r
+    end
+  done;
+  !moved
+
+let busier_first a b =
+  match compare b.priority a.priority with 0 -> compare b.accepted a.accepted | c -> c
+
+let rank_order a b = compare (rank_of a) (rank_of b)
+
 let maybe_reorder ~cpu t =
   t.demuxed_since_reorder <- t.demuxed_since_reorder + 1;
   if t.demuxed_since_reorder >= 256 then begin
     t.demuxed_since_reorder <- 0;
-    let before = t.ports in
-    t.ports <-
-      List.stable_sort
-        (fun a b ->
-          match compare b.priority a.priority with
-          | 0 -> compare b.accepted a.accepted (* busier first *)
-          | c -> c)
-        before;
     (* Reordering equal-priority overlapping filters can change which port
        wins a packet, so any cached decision taken under the old order is
        stale. *)
-    if not (List.equal ( == ) before t.ports) then publish ~cpu t
+    if sort_walk t busier_first then publish ~cpu t
   end
 
 (* The one way a port changes (the open, close and ioctl calls of
@@ -565,6 +645,10 @@ let mutate port change =
    simulation starts) runs free. *)
 let charge cost = if Process.running () && cost > 0 then Process.use_cpu cost
 
+(* The engine and certification of a port with no compilation to run or
+   certify. *)
+let uncompiled = Lazy.from_val (None, None)
+
 let open_port t =
   t.next_id <- t.next_id + 1;
   let port =
@@ -572,10 +656,9 @@ let open_port t =
       dev = t;
       id = t.next_id;
       filter = None;
-      regvm = None;
+      compiled = uncompiled;
       engine_applications = 0;
       engine_insns = 0;
-      certification = None;
       priority = 0;
       timeout = None;
       queue_limit = 32;
@@ -604,55 +687,63 @@ type install_error = Invalid of Pf_filter.Validate.error
 
 let pp_install_error ppf (Invalid e) = Pf_filter.Validate.pp_error ppf e
 
-(* Installation = validation + abstract interpretation. The analysis result
-   is recorded on the port for the status surface. *)
+(* A filter's walk engine and translation-validation outcome under the
+   compile strategy and certify flag in force now, built when first forced:
+   by a walk's first run of the filter or a status query. An exact
+   automaton entry never runs its program, so it never compiles. [`Regvm]
+   compiles the optimized IR for direct register execution on the walks.
+   Only a proved compilation runs: a refuted or inconclusive one leaves the
+   port on the checked stack engine, and the outcome (a witness, or why
+   the check fell short) is kept. A certification is counted when it is
+   carried out. *)
+let compile t validated =
+  let stats = t.stats and certify = t.certify in
+  match t.compile_strategy with
+  | `Off when not certify -> uncompiled
+  | strategy ->
+    lazy
+      (let regvm, certification =
+         match strategy with
+         | `Off ->
+           (* identity compilation: trivially meaning-preserving *)
+           (None, Some Pf_filter.Equiv.Certified)
+         | `Regvm -> (
+           let rvm = Pf_filter.Regvm.compile validated in
+           if not certify then (Some rvm, None)
+           else
+             match
+               Pf_filter.Equiv.certification_of_report
+                 (Pf_filter.Equiv.check_ir validated (Pf_filter.Regvm.ir rvm))
+             with
+             | Pf_filter.Equiv.Certified as c -> (Some rvm, Some c)
+             | (Pf_filter.Equiv.Refuted _ | Pf_filter.Equiv.Uncertified _) as c -> (None, Some c))
+       in
+       (match certification with
+       | None -> ()
+       | Some Pf_filter.Equiv.Certified -> Stats.incr stats "pf.certify.proved"
+       | Some (Pf_filter.Equiv.Refuted _) -> Stats.incr stats "pf.certify.refuted"
+       | Some (Pf_filter.Equiv.Uncertified _) -> Stats.incr stats "pf.certify.unknown");
+       (regvm, certification))
+
+(* Installation = validation + abstract interpretation; the analysis is
+   recorded on the port for the status surface, and the walk engine is
+   left to [compile]. *)
 let install port program =
   match Pf_filter.Validate.check program with
   | Error e -> Error (Invalid e)
   | Ok validated ->
     let t = port.dev in
-    (* Compile according to the device strategy. [`Regvm] additionally
-       compiles the optimized IR for direct register execution on the
-       sequential walk; the stack compilation is kept for the automaton
-       and the status surface. *)
+    (* The stack compilation serves the automaton and the status surface,
+       and runs on the walks unless [compile] builds a register engine. *)
     let fast = Pf_filter.Fast.compile validated in
-    let regvm, certification =
-      match t.compile_strategy with
-      | `Off ->
-        (* identity compilation: trivially meaning-preserving *)
-        (None, if t.certify then Some Pf_filter.Equiv.Certified else None)
-      | `Regvm -> (
-        let rvm = Pf_filter.Regvm.compile validated in
-        let certification =
-          if t.certify then
-            Some
-              (Pf_filter.Equiv.certification_of_report
-                 (Pf_filter.Equiv.check_ir validated (Pf_filter.Regvm.ir rvm)))
-          else None
-        in
-        match certification with
-        | Some (Pf_filter.Equiv.Refuted _ | Pf_filter.Equiv.Uncertified _) ->
-          (* Only a proved IR compilation runs: a refuted or inconclusive
-             one leaves the port on the checked stack engine, and the
-             outcome (a witness, or why the check fell short) is kept. *)
-          (None, certification)
-        | Some Pf_filter.Equiv.Certified | None -> (Some rvm, certification))
-    in
-    (match certification with
-    | None -> ()
-    | Some Pf_filter.Equiv.Certified -> Stats.incr t.stats "pf.certify.proved"
-    | Some (Pf_filter.Equiv.Refuted _) ->
-      Stats.incr t.stats "pf.certify.refuted"
-    | Some (Pf_filter.Equiv.Uncertified _) ->
-      Stats.incr t.stats "pf.certify.unknown");
+    let compiled = compile t validated in
     (* "at a cost comparable to that of receiving a packet" (§3.1) *)
     charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
     mutate port (fun () ->
         port.filter <- Some fast;
-        port.regvm <- regvm;
+        port.compiled <- compiled;
         port.engine_applications <- 0;
         port.engine_insns <- 0;
-        port.certification <- certification;
         port.priority <- Pf_filter.Program.priority program);
     Ok (Pf_filter.Fast.analysis fast)
 
@@ -660,7 +751,7 @@ let set_filter port program =
   match install port program with Ok _ -> Ok () | Error _ as e -> e
 
 let port_analysis port = Option.map Pf_filter.Fast.analysis port.filter
-let port_certification port = port.certification
+let port_certification port = snd (Lazy.force port.compiled)
 let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
@@ -683,13 +774,9 @@ let set_strategy t strategy =
   | `Dispatch, None ->
     (* The one full build. Busier-first reordering may have permuted the
        walk; put it back in rank order first. *)
-    t.ports <-
-      List.stable_sort
-        (fun a b ->
-          match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c)
-        t.ports;
+    ignore (sort_walk t rank_order : bool);
     let d = Pf_filter.Dispatch.create () in
-    List.iter (fun p -> Option.iter (dispatch_add d p) p.filter) t.ports;
+    Array.iter (fun p -> Option.iter (dispatch_add d p) p.filter) (Array.sub t.walk 0 t.count);
     t.dispatch <- Some d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
     Stats.incr t.stats "pf.dispatch.rebuild";
@@ -730,7 +817,7 @@ let port_engine_stats port =
   | Some fast ->
     let insns_source = Pf_filter.Program.insn_count (Pf_filter.Fast.program fast) in
     let engine, insns_compiled =
-      match port.regvm with
+      match fst (Lazy.force port.compiled) with
       | None -> (`Stack, insns_source)
       | Some rvm -> (`Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm))
     in
@@ -938,12 +1025,13 @@ let count_run port ~insns =
 (* Boxed once: [~on_run:count_run] would box it per classify. *)
 let on_candidate_run = Some count_run
 
-(* One filter run on a walk. Allocates nothing: the walk's work must not
-   grow the heap with the number of filters tested. *)
+(* One filter run on a walk. Allocates nothing once the port's engine is
+   built (its first run builds it): the walk's work must not grow the heap
+   with the number of filters tested. *)
 let run_port_filter t port frame =
   let costs = t.costs in
   let r =
-    match port.regvm with
+    match fst (Lazy.force port.compiled) with
     | Some rvm ->
       let r = Pf_filter.Regvm.eval rvm frame in
       let insns = Pf_filter.Op.packed_insns r in
@@ -970,18 +1058,20 @@ let rec accept_all t = function
     accept t port;
     accept_all t rest
 
-(* The figure 4-1 loop over the port table: the acceptors, in walk order. *)
-let rec walk_ports t frame ~kernel_claimed = function
-  | [] -> []
-  | port :: rest ->
+(* The figure 4-1 loop over the port table from slot [i]: the acceptors,
+   in walk order. *)
+let rec walk_ports t frame ~kernel_claimed i =
+  if i >= t.count then []
+  else
+    let port = t.walk.(i) in
     if port.filter = None || (kernel_claimed && not port.tap) then
-      walk_ports t frame ~kernel_claimed rest
+      walk_ports t frame ~kernel_claimed (i + 1)
     else if run_port_filter t port frame then begin
       accept t port;
       (* Stop unless this filter asked for copies to lower priorities. *)
-      port :: (if port.copy_all then walk_ports t frame ~kernel_claimed rest else [])
+      port :: (if port.copy_all then walk_ports t frame ~kernel_claimed (i + 1) else [])
     end
-    else walk_ports t frame ~kernel_claimed rest
+    else walk_ports t frame ~kernel_claimed (i + 1)
 
 (* The residual walk, merged by rank with the automaton's [winner]: walk
    residual ports of lower rank than the winner (a residual may outrank it,
@@ -1030,13 +1120,13 @@ let classify t ~cpu ~kernel_claimed frame =
     if s.Pf_filter.Dispatch.exact_accepts > 0 then Stats.bump ctr.dispatch_exact_accept;
     let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
     merge_residuals t frame winner ~winner_rank (Pf_filter.Dispatch.residuals d)
-  | Some _ -> walk_ports t frame ~kernel_claimed t.ports
+  | Some _ -> walk_ports t frame ~kernel_claimed 0
   | None ->
     (* Busier-first reordering only matters (and only makes sense) for the
        sequential strategy; the automaton is keyed on guards, not
        position. *)
     maybe_reorder ~cpu t;
-    walk_ports t frame ~kernel_claimed t.ports
+    walk_ports t frame ~kernel_claimed 0
 
 (* Remember a missed frame's acceptors under its key, unless something
    (e.g. a busier-first reorder during this very walk) invalidated the
@@ -1340,4 +1430,5 @@ let status (t : t) =
       | Frame.Dix10 -> Addr.broadcast_eth);
   }
 
-let active_ports t = List.length (List.filter (fun p -> p.filter <> None) t.ports)
+let active_ports t =
+  Array.fold_left (fun n p -> if p.filter <> None then n + 1 else n) 0 (Array.sub t.walk 0 t.count)

@@ -92,7 +92,11 @@ val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_erro
     the priority in the program's header; charges a cost "comparable to
     that of receiving a packet" (section 3.1). Returns the recorded
     analysis. An invalid program is refused with [Invalid], and the port
-    keeps its old filter. *)
+    keeps its old filter. The engine the compile strategy and certify flag
+    in force now call for is built, and certified, at the port's first
+    filter run on a walk or its first {!port_certification} or
+    {!port_engine_stats}: a port whose automaton entry is exact never
+    compiles. *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
@@ -101,11 +105,12 @@ val port_analysis : port -> Pf_filter.Analysis.t option
 (** Analysis of the installed filter, recorded at installation time. *)
 
 val port_certification : port -> Pf_filter.Equiv.certification option
-(** Translation-validation outcome of the install-time compilation,
-    recorded when the device was certifying ({!set_certify}) — [None]
-    otherwise. [Refuted] and [Uncertified] mean the optimized form was
-    {e rejected} and the port runs the checked stack engine; the witness
-    packet, or why the check fell short, is kept for diagnosis. *)
+(** Translation-validation outcome of the port's compilation, when the
+    device was certifying ({!set_certify}) at install — [None] otherwise;
+    builds the engine if it is not yet built ({!install}). [Refuted] and
+    [Uncertified] mean the optimized form was {e rejected} and the port
+    runs the checked stack engine; the witness packet, or why the check
+    fell short, is kept for diagnosis. *)
 
 val port_accepted : port -> int
 (** Packets this port's filter has accepted (before queue-overflow drops). *)
@@ -166,26 +171,26 @@ val set_compile_strategy :
     offline ({!Pf_filter.Regopt}).
 
     Applies to filters installed {e after} the call; already-installed
-    ports keep their engine. So no demultiplexing decision changes, and no
-    cache is flushed. Verdicts are engine-independent (the fuzz oracle
-    cross-checks all of them): a later install changes only the simulated
-    cost. *)
+    ports keep their engine, built or not ({!install}). So no
+    demultiplexing decision changes, and no cache is flushed. Verdicts are
+    engine-independent (the fuzz oracle cross-checks all of them): a later
+    install changes only the simulated cost. *)
 
 val compile_strategy : t -> [ `Off | `Regvm ]
 
 val set_certify : t -> bool -> unit
-(** When enabled, {!install} translation-validates whatever the compile
-    strategy produced against the installed program
-    ({!Pf_filter.Equiv}): a proof increments the device stat
-    ["pf.certify.proved"], a confirmed counterexample increments
-    ["pf.certify.refuted"] {e and} makes the port fall back to the checked
-    stack engine (a refuted [`Regvm] compilation never runs), and an
-    inconclusive check (a budget ran out, or a path pair stayed
-    undecided) increments ["pf.certify.unknown"] and falls back the same
-    way: only a proved compilation runs. Under [`Off] the installed
+(** When enabled, whatever the compile strategy produces for a filter
+    installed later is translation-validated against the installed program
+    ({!Pf_filter.Equiv}) when it is built ({!install}), and counted then:
+    a proof increments the device stat ["pf.certify.proved"], a confirmed
+    counterexample increments ["pf.certify.refuted"] {e and} makes the
+    port fall back to the checked stack engine (a refuted [`Regvm]
+    compilation never runs), and an inconclusive check (a budget ran out,
+    or a path pair stayed undecided) increments ["pf.certify.unknown"] and
+    falls back the same way: only a proved compilation runs. Under [`Off] the installed
     program is its own compilation and certifies trivially. The outcome
     is recorded on the port ({!port_certification}). Applies to installs
-    {e after} the call. Default: off. *)
+    {e after} the call, whenever their engine is built. Default: off. *)
 
 val certify : t -> bool
 
@@ -205,7 +210,8 @@ type engine_stats = {
 
 val port_engine_stats : port -> engine_stats option
 (** Per-port compiled-engine counters; [None] while no filter is
-    installed. Reset by each {!install}. *)
+    installed. Reset by each {!install}. Builds the port's engine if it
+    is not yet built ({!install}). *)
 
 val set_timeout : port -> Pf_sim.Time.t option -> unit
 (** Default [None]: block indefinitely. *)
@@ -434,4 +440,7 @@ module For_testing : sig
   val flow_key : t -> Pf_filter.Analysis.read_set
   (** The maintained flow key: the union read set of the open ports'
       filters, [Unbounded] while any of them is. *)
+
+  val walk_order : t -> port list
+  (** The open ports in the order the sequential walk tries them. *)
 end

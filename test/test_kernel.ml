@@ -945,6 +945,269 @@ let test_mutation_reenters_at_open_order () =
   Alcotest.(check int) "set_tap re-entered port 1 at its open-order place" 1 (winner ());
   Engine.run eng
 
+(* {1 The port table and the deferred compile}
+
+   The port table is an array changed in place, and an install leaves the
+   register-VM compilation and its certification to the port's first
+   filter run or status query, so what a mutation allocates does not grow
+   with the number of open ports. *)
+
+module Gen = Pf_monitor.Traffic.Gen
+
+(* A device on a free cost model with the cache off, so only the port
+   count differs between two sizes. The [Dispatch] one compiles for the
+   register VM and certifies. *)
+let free_device ~dispatch =
+  let eng = Engine.create () in
+  let costs = Pf_sim.Costs.free in
+  let stats = Pf_sim.Stats.create () in
+  let pf =
+    Pfdev.create eng (Pf_sim.Cpu.create costs) costs stats ~variant:Frame.Dix10
+      ~address:(Addr.eth_host 2) ~send:ignore
+  in
+  Pfdev.set_cache_enabled pf false;
+  if dispatch then begin
+    Pfdev.set_strategy pf `Dispatch;
+    Pfdev.set_compile_strategy pf `Regvm;
+    Pfdev.set_certify pf true
+  end;
+  (eng, stats, pf)
+
+let test_mutation_allocation_flat () =
+  let mutations = 100 in
+  let words_per_mutation ~dispatch ports =
+    let _, _, pf = free_device ~dispatch in
+    let gen = Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:0xF1A7 ~flows:ports ~skew:Gen.Uniform () in
+    let programs = Array.init mutations (fun i -> Gen.filter (Gen.flow gen i)) in
+    let open_ports =
+      Array.init ports (fun i ->
+          let p = Pfdev.open_port pf in
+          set_filter_exn p (Gen.filter (Gen.flow gen i));
+          p)
+    in
+    let mean f =
+      Testutil.minor_words (fun () ->
+          for k = 0 to mutations - 1 do
+            f k
+          done)
+      /. float_of_int mutations
+    in
+    [
+      ("set_filter", mean (fun k -> set_filter_exn open_ports.(k) programs.(k)));
+      ("open_port + close_port", mean (fun _ -> Pfdev.close_port (Pfdev.open_port pf)));
+      ("set_priority", mean (fun k -> Pfdev.set_priority open_ports.(k) 7));
+      ("set_tap", mean (fun k -> Pfdev.set_tap open_ports.(ports / 2) (k mod 2 = 0)));
+    ]
+  in
+  List.iter
+    (fun dispatch ->
+      let small = words_per_mutation ~dispatch 100 in
+      let large = words_per_mutation ~dispatch 10_000 in
+      List.iter2
+        (fun (op, at100) (_, at10k) ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s, %s: minor words at 10,000 ports = at 100"
+               (if dispatch then "Dispatch/Regvm" else "Sequential/Off")
+               op)
+            at100 at10k)
+        small large)
+    [ false; true ]
+
+let test_engines_compile_on_first_run () =
+  let eng, stats, pf = free_device ~dispatch:true in
+  let gen = Gen.make ~seed:0xC0DE ~flows:32 ~skew:Gen.Uniform () in
+  let ports =
+    Array.init 32 (fun i ->
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter (Gen.flow gen i));
+        p)
+  in
+  let certifications () =
+    List.map
+      (fun k -> Pf_sim.Stats.get stats ("pf.certify." ^ k))
+      [ "proved"; "refuted"; "unknown" ]
+  in
+  List.iter
+    (fun flow ->
+      Alcotest.(check bool) "accepted" true (Pfdev.demux pf (Gen.frame flow)))
+    (Gen.sequence gen 200);
+  Engine.run eng;
+  Alcotest.(check int) "every demux won by an exact entry" 200
+    (Pfdev.dispatch_stats pf).Pfdev.exact_accepts;
+  Alcotest.(check (list int)) "proved, refuted, unknown: nothing certified" [ 0; 0; 0 ]
+    (certifications ());
+  (* A copy-all port joins the residual walk, which runs its filter. *)
+  let port = ports.(5) in
+  Pfdev.set_copy_all port true;
+  Alcotest.(check bool) "accepted on the residual walk" true
+    (Pfdev.demux pf (Gen.frame (Gen.flow gen 5)));
+  Alcotest.(check (list int)) "certified once, on the first run" [ 1; 0; 0 ] (certifications ());
+  Alcotest.(check bool) "certified" true
+    (Pfdev.port_certification port = Some Pf_filter.Equiv.Certified);
+  let s = Option.get (Pfdev.port_engine_stats port) in
+  Alcotest.(check bool) "runs the register VM" true (s.Pfdev.engine = `Regvm);
+  Alcotest.(check int) "one run" 1 s.Pfdev.applications;
+  Alcotest.(check (list int)) "status queries certify nothing more" [ 1; 0; 0 ]
+    (certifications ());
+  (* An install takes the certify flag in force at the time. *)
+  let late = ports.(6) in
+  set_filter_exn late (Gen.filter (Gen.flow gen 6));
+  Alcotest.(check (list int)) "re-installing an unforced port certifies nothing" [ 1; 0; 0 ]
+    (certifications ());
+  Pfdev.set_certify pf false;
+  Alcotest.(check bool) "certified under the flag of its install" true
+    (Pfdev.port_certification late = Some Pf_filter.Equiv.Certified);
+  Alcotest.(check (list int)) "counted when carried out" [ 2; 0; 0 ] (certifications ());
+  Engine.run eng
+
+(* A reference model of the port table: a list in walk order.
+   [model_enter] puts a port before the first one of lower priority, or of
+   equal priority and larger id; [model_leave] filters it out; and every
+   256th demux on the sequential walk stably sorts the list busier-first
+   within a priority, before that packet's walk. *)
+type model_port = {
+  handle : Pfdev.port;
+  id : int;
+  mutable priority : int;
+  mutable copy_all : bool;
+  mutable tap : bool;
+  mutable is_open : bool;
+}
+
+let model_enter table port =
+  let rec ins = function
+    | [] -> [ port ]
+    | p :: _ as l
+      when p.priority < port.priority || (p.priority = port.priority && p.id > port.id) ->
+      port :: l
+    | p :: rest -> p :: ins rest
+  in
+  ins table
+
+let model_leave table port = List.filter (fun p -> p != port) table
+
+let model_reorder table =
+  List.stable_sort
+    (fun a b ->
+      match compare b.priority a.priority with
+      | 0 -> compare (Pfdev.port_accepted b.handle) (Pfdev.port_accepted a.handle)
+      | c -> c)
+    table
+
+let test_walk_order_model () =
+  let moves = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Pf_sim.Rng.create seed in
+      let eng, _, _, bob = mk_world () in
+      let pf = Host.pf bob in
+      Pfdev.set_cache_enabled pf false;
+      let table = ref [] and ports = ref [||] and demuxed = ref 0 in
+      (* [Pfdev]'s one mutation path, on the model. *)
+      let mutate port change =
+        if port.is_open then table := model_leave !table port;
+        change ();
+        if port.is_open then table := model_enter !table port
+      in
+      let sockets = [| 35; 36; 37 |] in
+      let any_port () = Pf_sim.Rng.pick rng !ports in
+      let step () =
+        if Array.length !ports = 0 then 0 else Pf_sim.Rng.int rng 10
+      in
+      for i = 1 to 80 do
+        (match step () with
+        | 0 | 1 ->
+          let port =
+            {
+              handle = Pfdev.open_port pf;
+              id = Array.length !ports + 1;
+              priority = 0;
+              copy_all = false;
+              tap = false;
+              is_open = false;
+            }
+          in
+          ports := Array.append !ports [| port |];
+          mutate port (fun () -> port.is_open <- true)
+        | 2 ->
+          let port = any_port () in
+          Pfdev.close_port port.handle;
+          mutate port (fun () -> port.is_open <- false)
+        | 3 | 4 ->
+          let port = any_port () and priority = Pf_sim.Rng.int rng 3 in
+          let program =
+            if Pf_sim.Rng.int rng 4 = 0 then
+              Pf_filter.Program.with_priority Pf_filter.Predicates.accept_all priority
+            else socket_filter ~priority (Pf_sim.Rng.pick rng sockets)
+          in
+          set_filter_exn port.handle program;
+          mutate port (fun () -> port.priority <- priority)
+        | 5 ->
+          let port = any_port () in
+          let priority = Pf_sim.Rng.pick rng [| -1; 0; 1; 2; 300 |] in
+          Pfdev.set_priority port.handle priority;
+          let priority = max 0 (min 255 priority) in
+          if priority <> port.priority then mutate port (fun () -> port.priority <- priority)
+        | 6 ->
+          let port = any_port () and flag = Pf_sim.Rng.bool rng 0.5 in
+          Pfdev.set_copy_all port.handle flag;
+          if flag <> port.copy_all then mutate port (fun () -> port.copy_all <- flag)
+        | 7 ->
+          let port = any_port () and flag = Pf_sim.Rng.bool rng 0.5 in
+          Pfdev.set_tap port.handle flag;
+          if flag <> port.tap then mutate port (fun () -> port.tap <- flag)
+        | _ ->
+          for _ = 1 to 100 + Pf_sim.Rng.int rng 300 do
+            incr demuxed;
+            if !demuxed >= 256 then begin
+              demuxed := 0;
+              let sorted = model_reorder !table in
+              if not (List.equal ( == ) sorted !table) then incr moves;
+              table := sorted
+            end;
+            let dst_socket = Int32.of_int (Pf_sim.Rng.pick rng sockets) in
+            ignore (Pfdev.demux pf (cache_frame ~dst_socket ()) : bool)
+          done;
+          Engine.run eng);
+        let id_of handle = (List.find (fun p -> p.handle == handle) (Array.to_list !ports)).id in
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d, step %d: walk order" seed i)
+          (List.map (fun p -> p.id) !table)
+          (List.map id_of (Pfdev.For_testing.walk_order pf))
+      done)
+    [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check bool) (Printf.sprintf "%d busier-first reorders moved a port" !moves) true
+    (!moves > 0)
+
+(* A closed port leaves no slot of the port table, no cache entry and no
+   event holding it: with the caller's handle dropped, nothing keeps it
+   alive. The port accepts a frame first, so the flow cache stored it. *)
+let closed_port_weak eng pf ~mid_table =
+  let w = Weak.create 1 in
+  let port = Pfdev.open_port pf in
+  set_filter_exn port (socket_filter 35);
+  if mid_table then set_filter_exn (Pfdev.open_port pf) (socket_filter 36);
+  Alcotest.(check bool) "accepted" true (Pfdev.demux pf (cache_frame ()));
+  Engine.run eng;
+  Weak.set w 0 (Some port);
+  Pfdev.close_port port;
+  w
+[@@inline never]
+
+let test_closed_port_collected () =
+  let eng, _, _, bob = mk_world () in
+  let pf = Host.pf bob in
+  let collected what w =
+    Gc.full_major ();
+    Alcotest.(check bool) (what ^ " is collected") false (Weak.check w 0)
+  in
+  collected "a port that emptied the table" (closed_port_weak eng pf ~mid_table:false);
+  set_filter_exn (Pfdev.open_port pf) (socket_filter 34);
+  collected "a port closed mid-table" (closed_port_weak eng pf ~mid_table:true);
+  collected "a port closed in the last slot" (closed_port_weak eng pf ~mid_table:false);
+  (* The device stays live throughout. *)
+  Alcotest.(check int) "the other two ports stay open" 2 (Pfdev.active_ports pf)
+
 (* {1 Removed engine tags} *)
 
 let test_removed_engine_tags_rejected () =
@@ -1123,4 +1386,10 @@ let suite =
         test_noop_setters_publish_nothing;
       Alcotest.test_case "flow cache: bypassed where a hit cannot pay" `Quick
         test_cache_bypass_edge;
+      Alcotest.test_case "port mutations allocate flat in the port count" `Quick
+        test_mutation_allocation_flat;
+      Alcotest.test_case "engines compile on first run" `Quick
+        test_engines_compile_on_first_run;
+      Alcotest.test_case "walk order matches the list model" `Quick test_walk_order_model;
+      Alcotest.test_case "a closed port can be collected" `Quick test_closed_port_collected;
     ] )

@@ -468,6 +468,36 @@ let test_steer_hash_parity () =
         0. words)
     [ 2; 4; 8 ]
 
+(* [Host.inject] charges the driver interrupt on the steered CPU and
+   schedules the rest of the receive path: one closure over that CPU's
+   completion function and the frame, 5 minor words. Steering and the
+   event heap allocate nothing; a first round grows the heap. *)
+let test_inject_allocation () =
+  let eng, h = mk_host ~ncpus:4 () in
+  let pf = Host.pf h in
+  let gen = Gen.make ~seed:0x1A7C ~flows:16 ~skew:Gen.Uniform () in
+  List.iter (fun f -> set_filter_exn (Pfdev.open_port pf) (Gen.filter f)) (Gen.flows gen);
+  Engine.run eng;
+  let frames = Array.of_list (List.map Gen.frame (Gen.sequence gen 200)) in
+  let inject_all () =
+    for i = 0 to Array.length frames - 1 do
+      Host.inject h frames.(i)
+    done
+  in
+  inject_all ();
+  Engine.run eng;
+  let words = Testutil.minor_words inject_all in
+  Engine.run eng;
+  List.iter
+    (fun (c : Pfdev.smp_cpu_stats) ->
+      Alcotest.(check bool) (Printf.sprintf "cpu%d received frames" c.Pfdev.cpu) true
+        (c.Pfdev.packets > 0))
+    (Pfdev.smp_stats pf).Pfdev.per_cpu;
+  let per_frame = words /. float_of_int (Array.length frames) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per injected frame <= 5" per_frame)
+    true (per_frame <= 5.)
+
 let suite =
   ( "smp",
     [
@@ -493,4 +523,6 @@ let suite =
         test_closed_port_stays_out;
       Alcotest.test_case "steer hashes the string-encoded key, allocation-free" `Quick
         test_steer_hash_parity;
+      Alcotest.test_case "inject allocates one small closure per frame" `Quick
+        test_inject_allocation;
     ] )
