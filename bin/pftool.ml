@@ -704,7 +704,7 @@ let verify_cmd =
 module Khost = Pf_kernel.Host
 module Kdev = Pf_kernel.Pfdev
 module San = Pf_sim.San
-module Tgen = Pf_monitor.Traffic.Gen
+module Sancase = Pf_fuzz.Sancase
 
 (* One JSON shape for the per-CPU counter block, shared by [pftool smp
    --json] and [pftool san --json] — same keys, same deterministic order,
@@ -753,57 +753,11 @@ let json_of_san san =
                   ("occurrences", string_of_int r.San.occurrences) ])
             (San.reports san))) ]
 
-(* The self-contained receive scenario behind [smp] and [san]: one host
-   with [cpus] CPUs, one port per generated flow, NIC receive-side
-   steering hashing each frame's flow-cache key to a CPU. [with_san]
-   attaches a checker before any traffic; [mutate] additionally
-   reinstalls the first flow's filter mid-run and replays the sequence —
-   the acceptor-changing reconfiguration the coherence checker watches. *)
-let run_smp_scenario ~cpus ~packets ~flows ~seed ~with_san ~mutate () =
-  let engine = Pf_sim.Engine.create () in
-  let link = Pf_net.Link.create engine Pf_net.Frame.Dix10 ~rate_mbit:10. () in
-  let host =
-    Khost.create ~ncpus:cpus link ~name:"rx" ~addr:(Pf_net.Addr.eth_host 2)
-  in
-  let san =
-    if with_san then begin
-      let s = San.create ~stats:(Khost.stats host) ~ncpus:cpus () in
-      Khost.attach_san host s;
-      Some s
-    end
-    else None
-  in
-  let pf = Khost.pf host in
-  let gen = Tgen.make ~seed ~flows ~skew:(Tgen.Zipf 1.2) () in
-  let first_port = ref None in
-  for i = flows - 1 downto 0 do
-    let p = Kdev.open_port pf in
-    (match Kdev.set_filter p (Tgen.filter (Tgen.flow gen i)) with
-    | Ok () -> ()
-    | Error e ->
-      Format.eprintf "pftool: install: %a@." Kdev.pp_install_error e;
-      exit 2);
-    Kdev.set_queue_limit p packets;
-    if i = 0 then first_port := Some p
-  done;
-  Pf_sim.Engine.run engine;
-  let seq = Tgen.sequence gen packets in
-  List.iter (fun flow -> Khost.inject host (Tgen.frame flow)) seq;
-  Pf_sim.Engine.run engine;
-  if mutate then begin
-    (match !first_port with
-    | Some p ->
-      (match Kdev.set_filter p (Tgen.filter ~priority:1 (Tgen.flow gen 0)) with
-      | Ok () -> ()
-      | Error e ->
-        Format.eprintf "pftool: reinstall: %a@." Kdev.pp_install_error e;
-        exit 2)
-    | None -> ());
-    Pf_sim.Engine.run engine;
-    List.iter (fun flow -> Khost.inject host (Tgen.frame flow)) seq;
-    Pf_sim.Engine.run engine
-  end;
-  (host, pf, san)
+(* The receive scenario behind [smp] and [san] is the sanitizer campaign's
+   ({!Sancase.scenario}), over a Zipf(1.2) mix. *)
+let smp_scenario ?mutant ?san ~reinstall ~cpus ~packets ~flows ~seed () =
+  Sancase.scenario ?mutant ?san ~zipf:1.2 ~reinstall
+    { Sancase.index = 0; ncpus = cpus; flows; packets; tseed = seed }
 
 let smp_cmd =
   let cpus =
@@ -833,9 +787,8 @@ let smp_cmd =
       Printf.eprintf "pftool: --cpus must be >= 1\n";
       exit 2
     end;
-    let _host, pf, checker =
-      run_smp_scenario ~cpus ~packets ~flows ~seed ~with_san:san ~mutate:false ()
-    in
+    let checker = if san then Some (San.create ~ncpus:cpus ()) else None in
+    let pf = smp_scenario ?san:checker ~reinstall:false ~cpus ~packets ~flows ~seed () in
     let s = Kdev.smp_stats pf in
     if json then begin
       print_string
@@ -874,11 +827,6 @@ let smp_cmd =
 
 (* {1 The concurrency sanitizer: dynamic checker and static lint} *)
 
-let san_mutants =
-  [ ("skip-remote-invalidation", Kdev.For_testing.skip_remote_invalidation);
-    ("skip-install-invalidation", Kdev.For_testing.skip_install_invalidation);
-    ("skip-delivery-lock", Kdev.For_testing.skip_delivery_lock) ]
-
 let san_cmd =
   let cpus =
     Arg.(value & opt int 4
@@ -911,27 +859,22 @@ let san_cmd =
       Printf.eprintf "pftool: --cpus must be >= 1\n";
       exit 2
     end;
-    let flag =
+    let seeded =
       match mutant with
       | None -> None
       | Some name -> (
-          match List.assoc_opt name san_mutants with
-          | Some f -> Some f
+          match Sancase.mutant_of_string name with
+          | Some _ as m -> m
           | None ->
             Printf.eprintf "pftool: unknown mutant %S (expected one of: %s)\n"
               name
-              (String.concat ", " (List.map fst san_mutants));
+              (String.concat ", " (List.map Sancase.mutant_name Sancase.all_mutants));
             exit 2)
     in
-    Option.iter (fun f -> f := true) flag;
-    let _host, pf, checker =
-      Fun.protect
-        ~finally:(fun () -> Option.iter (fun f -> f := false) flag)
-        (fun () ->
-          run_smp_scenario ~cpus ~packets ~flows ~seed ~with_san:true
-            ~mutate:true ())
+    let san = San.create ~ncpus:cpus () in
+    let pf =
+      smp_scenario ?mutant:seeded ~san ~reinstall:true ~cpus ~packets ~flows ~seed ()
     in
-    let san = Option.get checker in
     let s = Kdev.smp_stats pf in
     if json then begin
       print_string

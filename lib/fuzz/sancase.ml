@@ -7,7 +7,6 @@
    shrunk to the smallest scenario that still reports. *)
 
 module Engine = Pf_sim.Engine
-module Costs = Pf_sim.Costs
 module San = Pf_sim.San
 module Addr = Pf_net.Addr
 module Frame = Pf_net.Frame
@@ -54,14 +53,14 @@ let case ~seed ~index =
   let tseed = Gen.Rng.int rng 0x3FFF_FFFF in
   { index; ncpus; flows; packets; tseed }
 
-(* Build a fresh sanitized host, install one port per flow (descending,
-   as the benches do), inject the drawn sequence, reinstall the first
-   flow's filter — a genuine install, so the clean kernel broadcasts a
-   full invalidation — then replay the same sequence against the now
-   re-published table. Replaying identical traffic is what makes the
+(* Build a fresh host, install one port per flow (descending, as the
+   benches do), inject the drawn sequence; with [reinstall], reinstall the
+   first flow's filter — a genuine install, so the clean kernel broadcasts
+   a full invalidation — then replay the same sequence against the
+   now re-published table. Replaying identical traffic is what makes the
    missing-invalidation mutants observable: the second pass probes per-CPU
    caches warmed before the reconfiguration. *)
-let run_scenario ?mutant c =
+let scenario ?mutant ?san ~zipf ~reinstall c =
   let set v = Option.iter (fun m -> mutant_flag m := v) mutant in
   Fun.protect
     ~finally:(fun () -> set false)
@@ -69,43 +68,43 @@ let run_scenario ?mutant c =
       set true;
       let eng = Engine.create () in
       let link = Pf_net.Link.create eng Frame.Dix10 ~rate_mbit:10. () in
-      let h =
-        Host.create ~costs:Costs.microvax_ii ~ncpus:c.ncpus link ~name:"san"
-          ~addr:(Addr.eth_host 2)
-      in
-      let san = San.create ~ncpus:c.ncpus () in
-      Host.attach_san h san;
+      let h = Host.create ~ncpus:c.ncpus link ~name:"rx" ~addr:(Addr.eth_host 2) in
+      Option.iter (Host.attach_san h) san;
       let pf = Host.pf h in
-      let gen = Tgen.make ~seed:c.tseed ~flows:c.flows ~skew:(Tgen.Zipf 1.1) () in
+      let gen = Tgen.make ~seed:c.tseed ~flows:c.flows ~skew:(Tgen.Zipf zipf) () in
+      let install what p program =
+        match Pfdev.set_filter p program with
+        | Ok () -> ()
+        | Error e ->
+          invalid_arg (Format.asprintf "sancase: %s rejected: %a" what Pfdev.pp_install_error e)
+      in
       let first_port = ref None in
       for i = c.flows - 1 downto 0 do
         let p = Pfdev.open_port pf in
-        (match Pfdev.set_filter p (Tgen.filter (Tgen.flow gen i)) with
-        | Ok () -> ()
-        | Error e ->
-            invalid_arg
-              (Format.asprintf "sancase: generated filter rejected: %a"
-                 Pfdev.pp_install_error e));
+        install "generated filter" p (Tgen.filter (Tgen.flow gen i));
         Pfdev.set_queue_limit p c.packets;
         if i = 0 then first_port := Some p
       done;
       Engine.run eng;
       let seq = Tgen.sequence gen c.packets in
-      List.iter (fun f -> Host.inject h (Tgen.frame f)) seq;
-      Engine.run eng;
-      (match !first_port with
-      | Some p -> (
-          match Pfdev.set_filter p (Tgen.filter ~priority:1 (Tgen.flow gen 0)) with
-          | Ok () -> ()
-          | Error e ->
-              invalid_arg
-                (Format.asprintf "sancase: reinstall rejected: %a"
-                   Pfdev.pp_install_error e))
-      | None -> ());
-      Engine.run eng;
-      List.iter (fun f -> Host.inject h (Tgen.frame f)) seq;
-      Engine.run eng;
-      San.reports san)
+      let replay () =
+        List.iter (fun f -> Host.inject h (Tgen.frame f)) seq;
+        Engine.run eng
+      in
+      replay ();
+      if reinstall then begin
+        Option.iter
+          (fun p -> install "reinstall" p (Tgen.filter ~priority:1 (Tgen.flow gen 0)))
+          !first_port;
+        Engine.run eng;
+        replay ()
+      end;
+      pf)
+
+let run_scenario ?mutant c =
+  let san = San.create ~ncpus:c.ncpus () in
+  ignore (scenario ?mutant ~san ~zipf:1.1 ~reinstall:true c : Pfdev.t);
+  San.reports san
 
 type failure = {
   index : int;

@@ -34,12 +34,26 @@ type case = {
 val case : seed:int -> index:int -> case
 (** Pure function of [(seed, index)], like every fuzz case. *)
 
+val scenario :
+  ?mutant:mutant ->
+  ?san:Pf_sim.San.t ->
+  zipf:float ->
+  reinstall:bool ->
+  case ->
+  Pf_kernel.Pfdev.t
+(** The steered receive scenario behind {!run_scenario} and the [pftool
+    smp] and [pftool san] commands: a fresh host with [ncpus] CPUs, one
+    port per flow of a seeded Zipf([zipf]) mix (the case's [index] is not
+    used), and the drawn sequence injected. [san], when given, is attached
+    before any traffic. With [reinstall], the first flow's filter is then
+    reinstalled at priority 1 (the acceptor-changing mutation) and the
+    sequence injected again. Returns the host's device. The mutant flag,
+    when given, is set for the whole scenario and restored afterwards
+    (exception-safe). *)
+
 val run_scenario : ?mutant:mutant -> case -> Pf_sim.San.report list
-(** Build the host, attach a fresh sanitizer, install one filter per flow,
-    inject the sequence, reinstall the first port's filter (the
-    acceptor-changing mutation), inject the sequence again, and return the
-    sanitizer's reports. The mutant flag, when given, is set for the whole
-    scenario and restored afterwards (exception-safe). *)
+(** {!scenario} over a Zipf(1.1) mix with a fresh sanitizer and the
+    reinstall: the sanitizer's reports. *)
 
 type failure = {
   index : int;

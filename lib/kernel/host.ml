@@ -54,8 +54,10 @@ let pf t = t.pf
    receive path scales across CPUs, as in real kernels before per-CPU
    protocol processing. *)
 
-(* The half that runs once the driver interrupt retires. *)
-let complete t nic pf ~cpu:cpu_id frame =
+(* The half that runs once the driver interrupt retires. [on_cpu] is
+   [Some cpu_id], boxed once per CPU by [wire_rx]: passing [~cpu:cpu_id] to
+   [Pfdev.demux] would box it for every frame. *)
+let complete t nic pf ~cpu:cpu_id ~on_cpu frame =
   (* The type-field dispatch reads the host-wide protocol table on the
      receive CPU; the demux-side instrumentation carries the modeled cost,
      this read only feeds the checker. *)
@@ -76,9 +78,9 @@ let complete t nic pf ~cpu:cpu_id frame =
   match kernel_handler with
   | Some handler ->
     Stats.bump t.ctr.rx_kernel_proto;
-    ignore (Pfdev.demux pf ~cpu:cpu_id ~kernel_claimed:true frame : bool);
+    ignore (Pfdev.demux pf ?cpu:on_cpu ~kernel_claimed:true frame : bool);
     handler frame
-  | None -> if not (Pfdev.demux pf ~cpu:cpu_id frame) then Stats.bump t.ctr.rx_unclaimed
+  | None -> if not (Pfdev.demux pf ?cpu:on_cpu frame) then Stats.bump t.ctr.rx_unclaimed
 
 (* [completions] holds one [complete] per CPU, built by [wire_rx], so the
    event a frame schedules closes over that function and the frame alone. *)
@@ -98,7 +100,9 @@ let rx t completions ~cpu:cpu_id frame =
    map to CPUs one-to-one — same flow, same CPU, so each CPU's flow cache
    stays private and warm. *)
 let wire_rx t nic pf =
-  let completions = Array.init (Smp.ncpus t.smp) (fun cpu -> complete t nic pf ~cpu) in
+  let completions =
+    Array.init (Smp.ncpus t.smp) (fun cpu -> complete t nic pf ~cpu ~on_cpu:(Some cpu))
+  in
   if t.steered then
     Pf_net.Nic.set_rss nic ~hash:(Pfdev.steer pf) ~rx:(fun ~queue frame ->
         rx t completions ~cpu:queue frame)

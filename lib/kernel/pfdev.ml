@@ -10,15 +10,16 @@ module Condition = Pf_sim.Condition
 module Frame = Pf_net.Frame
 module Addr = Pf_net.Addr
 
-(* Handles on every counter the receive, read and write paths bump (per
-   packet, per filter run, per lock acquisition, per read or write),
-   resolved once when the device is created: those paths neither hash a
-   counter name nor allocate. [Stats.incr] by name stays on the cold paths:
-   install, invalidation and configuration. *)
+(* Handles on every counter the receive, read and write paths bump in the
+   host's [Stats] (per packet, per filter run, per read or write), resolved
+   once when the device is created: those paths neither hash a counter name
+   nor allocate. The flow-cache, dispatch and SMP counts have their one home
+   in this device's records ([cache_stats], [dispatch_stats], [smp_stats]),
+   not in [Stats], which a host shares across its interfaces. [Stats.incr]
+   by name stays on the cold path: certification. *)
 module Counters = struct
   type t = {
     packets : Stats.counter;
-    cpu_packets : Stats.counter array; (* bumped only on a multi-CPU device *)
     filters_tested : Stats.counter;
     filter_insns : Stats.counter;
     regvm_insns : Stats.counter;
@@ -26,27 +27,16 @@ module Counters = struct
     drop_nomatch : Stats.counter;
     drop_overflow : Stats.counter;
     demux_cpu_us : Stats.counter;
-    cache_hit : Stats.counter;
-    cache_miss : Stats.counter;
-    cache_bypass : Stats.counter;
-    cache_eviction : Stats.counter;
-    dispatch_classify : Stats.counter;
-    dispatch_exact_accept : Stats.counter;
-    dispatch_residual_run : Stats.counter;
-    lock_acquire : Stats.counter;
-    lock_contended : Stats.counter;
-    lock_wait_us : Stats.counter;
     copy_cpu_us : Stats.counter;
     reads_delivered : Stats.counter;
     syscalls : Stats.counter;
     writes : Stats.counter;
   }
 
-  let resolve stats ~ncpus =
+  let resolve stats =
     let c = Stats.counter stats in
     {
       packets = c "pf.packets";
-      cpu_packets = Array.init ncpus (fun k -> c (Printf.sprintf "pf.smp.cpu%d.packets" k));
       filters_tested = c "pf.filters_tested";
       filter_insns = c "pf.filter_insns";
       regvm_insns = c "pf.regvm_insns";
@@ -54,16 +44,6 @@ module Counters = struct
       drop_nomatch = c "pf.drop.nomatch";
       drop_overflow = c "pf.drop.overflow";
       demux_cpu_us = c "pf.demux_cpu_us";
-      cache_hit = c "pf.cache.hit";
-      cache_miss = c "pf.cache.miss";
-      cache_bypass = c "pf.cache.bypass";
-      cache_eviction = c "pf.cache.eviction";
-      dispatch_classify = c "pf.dispatch.classify";
-      dispatch_exact_accept = c "pf.dispatch.exact_accept";
-      dispatch_residual_run = c "pf.dispatch.residual_run";
-      lock_acquire = c "pf.smp.lock_acquire";
-      lock_contended = c "pf.smp.lock_contended";
-      lock_wait_us = c "pf.smp.lock_wait_us";
       copy_cpu_us = c "pf.copy_cpu_us";
       reads_delivered = c "pf.reads.delivered";
       syscalls = c "pf.syscalls";
@@ -95,9 +75,8 @@ type port = {
          analysis *)
   mutable compiled : (Pf_filter.Regvm.t option * Pf_filter.Equiv.certification option) Lazy.t;
       (* [compile]'s engine, which the walks run instead of [filter] when
-         set, and certification outcome (None when not certifying) *)
-  mutable engine_applications : int;
-  mutable engine_insns : int;
+         set, and certification outcome (None under [`Off] or when not
+         certifying) *)
   mutable priority : int;
   mutable timeout : Pf_sim.Time.t option;
   mutable queue_limit : int;
@@ -230,7 +209,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     smp;
     costs;
     stats;
-    ctr = Counters.resolve stats ~ncpus:n;
+    ctr = Counters.resolve stats;
     variant;
     address;
     send;
@@ -392,12 +371,8 @@ let invalidate_cache ?(cpu = 0) t =
        (The flush itself is done synchronously above — the simulation's
        demux events are already serialized by the engine, so no packet can
        race the shootdown; only the cost is modeled.) *)
-    if Smp.ncpus t.smp > 1 then begin
-      Stats.incr ~by:(Smp.ncpus t.smp - 1) t.stats "pf.smp.ipi";
-      Smp.ipi_broadcast t.smp ~src:cpu (fun _ -> ())
-    end
-  end;
-  Stats.incr t.stats "pf.cache.invalidation"
+    if Smp.ncpus t.smp > 1 then Smp.ipi_broadcast t.smp ~src:cpu (fun _ -> ())
+  end
 
 (* A hit costs a probe and the key's hashed words. While the automaton
    decides every packet alone for no more than that, a hit saves nothing
@@ -634,10 +609,8 @@ let mutate port change =
   if was_open || port.is_open then begin
     (* No call removes a filter, so a filtered port had an automaton entry
        before the change, has one after it, or both. *)
-    if t.dispatch <> None && port.filter <> None then begin
+    if t.dispatch <> None && port.filter <> None then
       t.dispatch_updates <- t.dispatch_updates + 1;
-      Stats.incr t.stats "pf.dispatch.update"
-    end;
     publish ~flush:(not !For_testing.skip_install_invalidation) t
   end
 
@@ -657,8 +630,6 @@ let open_port t =
       id = t.next_id;
       filter = None;
       compiled = uncompiled;
-      engine_applications = 0;
-      engine_insns = 0;
       priority = 0;
       timeout = None;
       queue_limit = 32;
@@ -690,40 +661,35 @@ let pp_install_error ppf (Invalid e) = Pf_filter.Validate.pp_error ppf e
 (* A filter's walk engine and translation-validation outcome under the
    compile strategy and certify flag in force now, built when first forced:
    by a walk's first run of the filter or a status query. An exact
-   automaton entry never runs its program, so it never compiles. [`Regvm]
-   compiles the optimized IR for direct register execution on the walks.
-   Only a proved compilation runs: a refuted or inconclusive one leaves the
-   port on the checked stack engine, and the outcome (a witness, or why
-   the check fell short) is kept. A certification is counted when it is
-   carried out. *)
+   automaton entry never runs its program, so it never compiles. [`Off]
+   runs the installed program itself, which leaves nothing to build or
+   certify. [`Regvm] compiles the optimized IR for direct register
+   execution on the walks. Only a proved compilation runs: a refuted or
+   inconclusive one leaves the port on the checked stack engine, and the
+   outcome (a witness, or why the check fell short) is kept. A
+   certification is counted when it is carried out. *)
 let compile t validated =
   let stats = t.stats and certify = t.certify in
   match t.compile_strategy with
-  | `Off when not certify -> uncompiled
-  | strategy ->
+  | `Off -> uncompiled
+  | `Regvm ->
     lazy
-      (let regvm, certification =
-         match strategy with
-         | `Off ->
-           (* identity compilation: trivially meaning-preserving *)
-           (None, Some Pf_filter.Equiv.Certified)
-         | `Regvm -> (
-           let rvm = Pf_filter.Regvm.compile validated in
-           if not certify then (Some rvm, None)
-           else
-             match
-               Pf_filter.Equiv.certification_of_report
-                 (Pf_filter.Equiv.check_ir validated (Pf_filter.Regvm.ir rvm))
-             with
-             | Pf_filter.Equiv.Certified as c -> (Some rvm, Some c)
-             | (Pf_filter.Equiv.Refuted _ | Pf_filter.Equiv.Uncertified _) as c -> (None, Some c))
-       in
-       (match certification with
-       | None -> ()
-       | Some Pf_filter.Equiv.Certified -> Stats.incr stats "pf.certify.proved"
-       | Some (Pf_filter.Equiv.Refuted _) -> Stats.incr stats "pf.certify.refuted"
-       | Some (Pf_filter.Equiv.Uncertified _) -> Stats.incr stats "pf.certify.unknown");
-       (regvm, certification))
+      (let rvm = Pf_filter.Regvm.compile validated in
+       if not certify then (Some rvm, None)
+       else
+         match
+           Pf_filter.Equiv.certification_of_report
+             (Pf_filter.Equiv.check_ir validated (Pf_filter.Regvm.ir rvm))
+         with
+         | Pf_filter.Equiv.Certified as c ->
+           Stats.incr stats "pf.certify.proved";
+           (Some rvm, Some c)
+         | Pf_filter.Equiv.Refuted _ as c ->
+           Stats.incr stats "pf.certify.refuted";
+           (None, Some c)
+         | Pf_filter.Equiv.Uncertified _ as c ->
+           Stats.incr stats "pf.certify.unknown";
+           (None, Some c))
 
 (* Installation = validation + abstract interpretation; the analysis is
    recorded on the port for the status surface, and the walk engine is
@@ -742,8 +708,6 @@ let install port program =
     mutate port (fun () ->
         port.filter <- Some fast;
         port.compiled <- compiled;
-        port.engine_applications <- 0;
-        port.engine_insns <- 0;
         port.priority <- Pf_filter.Program.priority program);
     Ok (Pf_filter.Fast.analysis fast)
 
@@ -779,7 +743,6 @@ let set_strategy t strategy =
     Array.iter (fun p -> Option.iter (dispatch_add d p) p.filter) (Array.sub t.walk 0 t.count);
     t.dispatch <- Some d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
-    Stats.incr t.stats "pf.dispatch.rebuild";
     publish t
 
 (* The compile strategy applies to future installs only: already-installed
@@ -802,33 +765,6 @@ let compile_strategy t = t.compile_strategy
 
 let set_certify t certify = t.certify <- certify
 let certify t = t.certify
-
-type engine_stats = {
-  engine : [ `Stack | `Regvm ];
-  applications : int;
-  insns_executed : int;
-  insns_source : int;
-  insns_compiled : int;
-}
-
-let port_engine_stats port =
-  match port.filter with
-  | None -> None
-  | Some fast ->
-    let insns_source = Pf_filter.Program.insn_count (Pf_filter.Fast.program fast) in
-    let engine, insns_compiled =
-      match fst (Lazy.force port.compiled) with
-      | None -> (`Stack, insns_source)
-      | Some rvm -> (`Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm))
-    in
-    Some
-      {
-        engine;
-        applications = port.engine_applications;
-        insns_executed = port.engine_insns;
-        insns_source;
-        insns_compiled;
-      }
 
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
@@ -1018,9 +954,7 @@ let add_cost t cost = t.demux_cost <- t.demux_cost + cost
 let count_run port ~insns =
   let ctr = port.dev.ctr in
   Stats.bump ctr.filters_tested;
-  Stats.add ctr.filter_insns insns;
-  port.engine_applications <- port.engine_applications + 1;
-  port.engine_insns <- port.engine_insns + insns
+  Stats.add ctr.filter_insns insns
 
 (* Boxed once: [~on_run:count_run] would box it per classify. *)
 let on_candidate_run = Some count_run
@@ -1082,7 +1016,6 @@ let rec walk_ports t frame ~kernel_claimed i =
 let rec merge_residuals t frame winner ~winner_rank = function
   | (rank, port) :: rest when rank <= winner_rank ->
     t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-    Stats.bump t.ctr.dispatch_residual_run;
     if run_port_filter t port frame then begin
       accept t port;
       port :: (if port.copy_all then merge_residuals t frame winner ~winner_rank rest else [])
@@ -1097,7 +1030,7 @@ let rec merge_residuals t frame winner ~winner_rank = function
 
 (* The acceptors of a frame the flow cache did not answer. *)
 let classify t ~cpu ~kernel_claimed frame =
-  let costs = t.costs and ctr = t.ctr in
+  let costs = t.costs in
   match t.dispatch with
   | Some d when not kernel_claimed ->
     (* Automaton classification, then the residual walk merged by rank. *)
@@ -1107,7 +1040,6 @@ let classify t ~cpu ~kernel_claimed frame =
       add_cost t costs.Costs.san_access
     | None -> ());
     t.dispatch_classifies <- t.dispatch_classifies + 1;
-    Stats.bump ctr.dispatch_classify;
     let winner = Pf_filter.Dispatch.classify ?on_run:on_candidate_run d frame in
     let s = Pf_filter.Dispatch.stats d in
     add_cost t
@@ -1117,7 +1049,6 @@ let classify t ~cpu ~kernel_claimed frame =
       + (s.Pf_filter.Dispatch.insns * costs.Costs.filter_insn));
     t.dispatch_exact_accepts <- t.dispatch_exact_accepts + s.Pf_filter.Dispatch.exact_accepts;
     t.dispatch_candidates <- t.dispatch_candidates + s.Pf_filter.Dispatch.candidates_run;
-    if s.Pf_filter.Dispatch.exact_accepts > 0 then Stats.bump ctr.dispatch_exact_accept;
     let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
     merge_residuals t frame winner ~winner_rank (Pf_filter.Dispatch.residuals d)
   | Some _ -> walk_ports t frame ~kernel_claimed 0
@@ -1138,8 +1069,7 @@ let store t ~cpu c ~generation key acceptors =
       match Queue.take_opt c.fifo with
       | Some victim ->
         Key_table.remove c.table victim;
-        c.evictions <- c.evictions + 1;
-        Stats.bump t.ctr.cache_eviction
+        c.evictions <- c.evictions + 1
       | None -> ());
     let key = Bytes.copy key in
     Key_table.replace c.table key acceptors;
@@ -1175,12 +1105,9 @@ let queue_insert_cost t ~cpu ~classify_done =
     san_queue_write t ~cpu
   else begin
     let wait = Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0 in
-    Stats.bump t.ctr.lock_acquire;
     if wait > 0 then begin
       t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
-      t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait;
-      Stats.bump t.ctr.lock_contended;
-      Stats.add t.ctr.lock_wait_us wait
+      t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait
     end;
     let san = san_queue_write t ~cpu in
     Smp.Lock.release t.delivery_lock ~cpu;
@@ -1202,7 +1129,6 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   let ctr = t.ctr in
   Stats.bump ctr.packets;
   t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
-  if n > 1 then Stats.bump ctr.cpu_packets.(cpu);
   let arrival = Engine.now t.engine in
   t.demux_cost <- 0;
   let c = t.caches.(cpu) in
@@ -1225,10 +1151,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   let probing =
     t.cache_enabled && (not kernel_claimed) && t.key.unbounded = 0 && t.cache_pays
   in
-  if t.cache_enabled && not probing then begin
-    c.bypasses <- c.bypasses + 1;
-    Stats.bump ctr.cache_bypass
-  end;
+  if t.cache_enabled && not probing then c.bypasses <- c.bypasses + 1;
   let acceptors =
     if not probing then classify t ~cpu ~kernel_claimed frame
     else begin
@@ -1248,13 +1171,11 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
           San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key)
         | None -> ());
         c.hits <- c.hits + 1;
-        Stats.bump ctr.cache_hit;
         accept_all t acceptors;
         acceptors
       | exception Not_found ->
         let acceptors = classify t ~cpu ~kernel_claimed frame in
         c.misses <- c.misses + 1;
-        Stats.bump ctr.cache_miss;
         store t ~cpu c ~generation key acceptors;
         acceptors
     end
@@ -1299,7 +1220,6 @@ let locked_dequeue port =
     let start = max (Engine.now t.engine) (Cpu.busy_until (Smp.cpu t.smp 0)) in
     let wait = Smp.Lock.acquire ~cpu:0 t.delivery_lock ~start ~hold:0 in
     Process.use_cpu (wait + t.costs.Costs.lock_acquire);
-    Stats.bump t.ctr.lock_acquire;
     let capture = Queue.take_opt port.queue in
     (match t.san with
     | Some h -> San.write h.checker ~cpu:0 h.res_queue

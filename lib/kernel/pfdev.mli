@@ -94,9 +94,8 @@ val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_erro
     analysis. An invalid program is refused with [Invalid], and the port
     keeps its old filter. The engine the compile strategy and certify flag
     in force now call for is built, and certified, at the port's first
-    filter run on a walk or its first {!port_certification} or
-    {!port_engine_stats}: a port whose automaton entry is exact never
-    compiles. *)
+    filter run on a walk or its first {!port_certification}: a port whose
+    automaton entry is exact never compiles. *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
@@ -106,7 +105,8 @@ val port_analysis : port -> Pf_filter.Analysis.t option
 
 val port_certification : port -> Pf_filter.Equiv.certification option
 (** Translation-validation outcome of the port's compilation, when the
-    device was certifying ({!set_certify}) at install — [None] otherwise;
+    device was certifying ({!set_certify}) and compiling for [`Regvm] at
+    install — [None] otherwise;
     builds the engine if it is not yet built ({!install}). [Refuted] and
     [Uncertified] mean the optimized form was {e rejected} and the port
     runs the checked stack engine; the witness packet, or why the check
@@ -187,31 +187,13 @@ val set_certify : t -> bool -> unit
     port fall back to the checked stack engine (a refuted [`Regvm]
     compilation never runs), and an inconclusive check (a budget ran out,
     or a path pair stayed undecided) increments ["pf.certify.unknown"] and
-    falls back the same way: only a proved compilation runs. Under [`Off] the installed
-    program is its own compilation and certifies trivially. The outcome
-    is recorded on the port ({!port_certification}). Applies to installs
-    {e after} the call, whenever their engine is built. Default: off. *)
+    falls back the same way: only a proved compilation runs. Under [`Off]
+    the installed program runs as it is: nothing is compiled, so nothing
+    is certified or counted. The outcome is recorded on the port
+    ({!port_certification}). Applies to installs {e after} the call,
+    whenever their engine is built. Default: off. *)
 
 val certify : t -> bool
-
-type engine_stats = {
-  engine : [ `Stack | `Regvm ];  (** how this port was compiled *)
-  applications : int;
-      (** filter applications: sequential-walk runs and dispatch-automaton
-          candidate or residual runs *)
-  insns_executed : int;
-      (** instructions executed by those applications: IR instructions when
-          a [`Regvm] port runs on the walk, stack instructions otherwise *)
-  insns_source : int;  (** instructions in the program as installed *)
-  insns_compiled : int;
-      (** instructions actually run per worst-case application: the
-          source's for [`Stack], the optimized IR's for [`Regvm] *)
-}
-
-val port_engine_stats : port -> engine_stats option
-(** Per-port compiled-engine counters; [None] while no filter is
-    installed. Reset by each {!install}. Builds the port's engine if it
-    is not yet built ({!install}). *)
 
 val set_timeout : port -> Pf_sim.Time.t option -> unit
 (** Default [None]: block indefinitely. *)
@@ -330,6 +312,9 @@ type cache_stats = {
 }
 
 val cache_stats : t -> cache_stats
+(** Summed over every CPU's cache since device creation, and kept here
+    only: the device stats hold no copy. *)
+
 val pp_cache_stats : Format.formatter -> cache_stats -> unit
 (** One-line summary, as shown by [pftool] and [pfmon]. *)
 
@@ -350,8 +335,8 @@ type dispatch_stats = {
 }
 
 val dispatch_stats : t -> dispatch_stats
-(** Counters since device creation (also mirrored as ["pf.dispatch.*"]
-    device stats); all zero unless the [`Dispatch] strategy was set. *)
+(** Counters since device creation, kept here only: the device stats
+    hold no copy. All zero unless the [`Dispatch] strategy was set. *)
 
 (** {1 SMP: receive steering and per-CPU observability} *)
 
@@ -388,9 +373,9 @@ type smp_stats = {
 }
 
 val smp_stats : t -> smp_stats
-(** Per-CPU counters (also mirrored as ["pf.smp.*"] device stats when the
-    device has more than one CPU). Meaningful but degenerate on a
-    single-CPU device: one row, no locks, no IPIs. *)
+(** Per-CPU counters since device creation, kept here only: the device
+    stats hold no copy. Meaningful but degenerate on a single-CPU device:
+    one row, no locks, no IPIs. *)
 
 val pp_smp_stats : Format.formatter -> smp_stats -> unit
 

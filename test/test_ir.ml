@@ -319,56 +319,59 @@ let mk_dev strategy =
       ~send:(fun _ -> ())
   in
   Pfdev.set_compile_strategy dev strategy;
-  (* Cache off: every packet must take the filter walk so the per-port
-     engine counters are exact. *)
+  (* Cache off: every packet must take the filter walk so the engine
+     counters are exact. *)
   Pfdev.set_cache_enabled dev false;
   (eng, stats, dev)
 
+let set_filter_exn port program =
+  match Pfdev.set_filter port program with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e
+
+(* The engine a port runs shows in the device stats: ["pf.regvm_insns"]
+   counts the register VM's share of ["pf.filter_insns"]. *)
 let test_pfdev_strategies () =
   let program = Predicates.pup_dst_port_10mb ~host:2 35l in
   let rng = Gen.Rng.make 0xBEEF in
   let packets = List.init 60 (fun _ -> fst (Gen.packet rng)) in
+  let get stats = Pf_sim.Stats.get stats in
   let run strategy =
     let eng, stats, dev = mk_dev strategy in
-    let port = Pfdev.open_port dev in
-    (match Pfdev.set_filter port program with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e);
+    set_filter_exn (Pfdev.open_port dev) program;
     let verdicts = List.map (fun pkt -> Pfdev.demux dev pkt) packets in
     Pf_sim.Engine.run eng;
-    (verdicts, Option.get (Pfdev.port_engine_stats port), stats)
+    (verdicts, stats)
   in
-  let v_off, s_off, _ = run `Off in
-  let v_reg, s_reg, st_reg = run `Regvm in
+  let v_off, st_off = run `Off in
+  let v_reg, st_reg = run `Regvm in
   Alcotest.(check (list bool)) "regvm verdicts agree" v_off v_reg;
-  Alcotest.(check bool) "off engine kind" true (s_off.Pfdev.engine = `Stack);
-  Alcotest.(check bool) "regvm engine kind" true (s_reg.Pfdev.engine = `Regvm);
+  Alcotest.(check bool) "off runs the stack engine" true
+    (get st_off "pf.filter_insns" > 0 && get st_off "pf.regvm_insns" = 0);
   Alcotest.(check int) "every packet applied the filter" (List.length packets)
-    s_reg.Pfdev.applications;
-  Alcotest.(check bool) "regvm executed IR insns" true
-    (s_reg.Pfdev.insns_executed > 0);
-  Alcotest.(check int) "regvm insns surfaced in stats"
-    s_reg.Pfdev.insns_executed
-    (Pf_sim.Stats.get st_reg "pf.regvm_insns");
+    (get st_reg "pf.filters_tested");
+  Alcotest.(check bool) "regvm executed IR insns" true (get st_reg "pf.regvm_insns" > 0);
+  Alcotest.(check int) "regvm runs every instruction counted"
+    (get st_reg "pf.filter_insns") (get st_reg "pf.regvm_insns");
   (* The register engine never executes more steps than the stack walk: the
      optimized IR carries no push-only instructions at all. *)
   Alcotest.(check bool) "regvm executes fewer steps" true
-    (s_reg.Pfdev.insns_executed <= s_off.Pfdev.insns_executed);
+    (get st_reg "pf.regvm_insns" <= get st_off "pf.filter_insns");
   (* The strategy applies to future installs: an already-installed port
      keeps its engine. *)
-  let eng, _, dev = mk_dev `Off in
+  let eng, stats, dev = mk_dev `Off in
   let port = Pfdev.open_port dev in
-  (match Pfdev.set_filter port program with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e);
+  set_filter_exn port program;
   Pfdev.set_compile_strategy dev `Regvm;
-  Alcotest.(check bool) "existing install keeps its engine" true
-    ((Option.get (Pfdev.port_engine_stats port)).Pfdev.engine = `Stack);
-  (match Pfdev.set_filter port program with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "reinstall: %a" Pfdev.pp_install_error e);
-  Alcotest.(check bool) "reinstall adopts the strategy" true
-    ((Option.get (Pfdev.port_engine_stats port)).Pfdev.engine = `Regvm);
+  let regvm_insns_of_a_run () =
+    let before = get stats "pf.regvm_insns" in
+    List.iter (fun pkt -> ignore (Pfdev.demux dev pkt : bool)) packets;
+    get stats "pf.regvm_insns" - before
+  in
+  Alcotest.(check int) "existing install keeps its engine" 0 (regvm_insns_of_a_run ());
+  set_filter_exn port program;
+  Alcotest.(check int) "reinstall adopts the strategy" (get st_reg "pf.regvm_insns")
+    (regvm_insns_of_a_run ());
   Pf_sim.Engine.run eng
 
 let suite =

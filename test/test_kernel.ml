@@ -347,7 +347,7 @@ let test_cache_hit_allocation_flat_in_key_width () =
           done)
     in
     Alcotest.(check int) (Printf.sprintf "%d key words: every demux hit" width) demuxes
-      (Pf_sim.Stats.get stats "pf.cache.hit");
+      (Pfdev.cache_stats pf).Pfdev.hits;
     words /. float_of_int demuxes
   in
   let at2 = words_per_hit 2 in
@@ -390,7 +390,7 @@ let test_accepted_demux_allocation () =
     Alcotest.(check int)
       (if cache then "every later demux hit" else "no cache")
       (if cache then demuxes else 0)
-      (Pf_sim.Stats.get stats "pf.cache.hit");
+      (Pfdev.cache_stats pf).Pfdev.hits;
     words /. float_of_int demuxes
   in
   let sequential = words_per_delivery ~cache:false in
@@ -607,8 +607,11 @@ let test_cache_warm_hit () =
   Alcotest.(check int) "two misses" 2 cs.Pfdev.misses;
   Alcotest.(check int) "two entries" 2 cs.Pfdev.entries;
   Alcotest.(check int) "hit path counts accepts" 2 (Pfdev.port_accepted port);
-  Alcotest.(check int) "stats mirror the struct" 2
-    (Pf_sim.Stats.get (Host.stats bob) "pf.cache.hit");
+  Alcotest.(check (list int)) "the per-CPU view counts the same hits and misses"
+    [ 2; 2 ]
+    (List.concat_map
+       (fun (c : Pfdev.smp_cpu_stats) -> [ c.Pfdev.cache_hits; c.Pfdev.cache_misses ])
+       (Pfdev.smp_stats pf).Pfdev.per_cpu);
   Engine.run eng;
   Alcotest.(check int) "hit path still delivers" 2 (Pfdev.poll port)
 
@@ -1044,9 +1047,10 @@ let test_engines_compile_on_first_run () =
   Alcotest.(check (list int)) "certified once, on the first run" [ 1; 0; 0 ] (certifications ());
   Alcotest.(check bool) "certified" true
     (Pfdev.port_certification port = Some Pf_filter.Equiv.Certified);
-  let s = Option.get (Pfdev.port_engine_stats port) in
-  Alcotest.(check bool) "runs the register VM" true (s.Pfdev.engine = `Regvm);
-  Alcotest.(check int) "one run" 1 s.Pfdev.applications;
+  Alcotest.(check int) "one run" 1 (Pf_sim.Stats.get stats "pf.filters_tested");
+  Alcotest.(check bool) "runs the register VM" true
+    (Pf_sim.Stats.get stats "pf.regvm_insns" > 0
+    && Pf_sim.Stats.get stats "pf.regvm_insns" = Pf_sim.Stats.get stats "pf.filter_insns");
   Alcotest.(check (list int)) "status queries certify nothing more" [ 1; 0; 0 ]
     (certifications ());
   (* An install takes the certify flag in force at the time. *)
@@ -1239,9 +1243,10 @@ let test_removed_engine_tags_rejected () =
   Alcotest.(check bool) "still demuxes" true (Pfdev.demux pf (cache_frame ()));
   Pfdev.set_strategy pf `Dispatch;
   Pfdev.set_compile_strategy pf `Regvm;
+  Pfdev.set_certify pf true;
   set_filter_exn port (socket_filter 35);
-  Alcotest.(check bool) "surviving engines install" true
-    ((Option.get (Pfdev.port_engine_stats port)).Pfdev.engine = `Regvm);
+  Alcotest.(check bool) "surviving engines install: a register VM, proved" true
+    (Pfdev.port_certification port = Some Pf_filter.Equiv.Certified);
   Alcotest.(check bool) "and demux" true (Pfdev.demux pf (cache_frame ()));
   Engine.run eng
 

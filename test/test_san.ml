@@ -400,15 +400,17 @@ let scenario_counters ~with_san =
   Engine.run eng;
   List.iter (fun f -> Host.inject h (Gen.frame f)) (Gen.sequence gen 400);
   Engine.run eng;
-  (Host.stats h, san)
+  (Host.stats h, Pfdev.smp_stats pf, san)
 
 let test_attach_changes_no_verdicts () =
-  let bare, _ = scenario_counters ~with_san:false in
-  let sanned, san = scenario_counters ~with_san:true in
+  let bare, bare_smp, _ = scenario_counters ~with_san:false in
+  let sanned, sanned_smp, san = scenario_counters ~with_san:true in
   List.iter
     (fun key ->
       Alcotest.(check int) key (Stats.get bare key) (Stats.get sanned key))
-    [ "host.inject"; "host.rx"; "pf.accepted"; "pf.smp.lock_acquire" ];
+    [ "host.inject"; "host.rx"; "pf.accepted" ];
+  Alcotest.(check int) "delivery-lock acquisitions" bare_smp.Pfdev.lock_acquisitions
+    sanned_smp.Pfdev.lock_acquisitions;
   (* and the pf.san.* counters landed in the host's stats *)
   let san = Option.get san in
   Alcotest.(check bool) "accesses counted" true

@@ -171,17 +171,91 @@ let test_one_cpu_parity () =
     "1-CPU SMP host reproduces the legacy host's counters exactly"
     (run None) (run (Some 1))
 
-let test_no_smp_keys_on_one_cpu () =
-  let _, h, _ =
-    drive ~ncpus:1 ~seed:0x9A21 ~flows:16 ~skew:Gen.Uniform ~packets:300 ()
-  in
+(* {1 One home per count: the device records, not the host's Stats}
+
+   The flow-cache, dispatch and SMP counts live in [cache_stats],
+   [dispatch_stats] and [smp_stats] alone. A scenario that moves every one
+   of them leaves no ["pf.cache."], ["pf.dispatch."] or ["pf.smp."] key in
+   the host's stats, and the records hold the counts it implies. *)
+
+let test_records_are_the_one_home () =
   List.iter
-    (fun (k, _) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "no %s on a single-CPU device" k)
-        false
-        (String.length k >= 7 && String.sub k 0 7 = "pf.smp."))
-    (Stats.pairs (Host.stats h))
+    (fun n ->
+      let eng, h = mk_host ~ncpus:n () in
+      let pf = Host.pf h in
+      let msg what = Printf.sprintf "%d CPU(s): %s" n what in
+      Pfdev.set_strategy pf `Dispatch;
+      let gen = Gen.make ~seed:0x0E0E ~flows:2 ~skew:Gen.Uniform () in
+      let open_flow i =
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter (Gen.flow gen i));
+        p
+      in
+      let a = open_flow 0 and b = open_flow 1 in
+      (* A copy-all port joins the residual walk: the automaton no longer
+         decides every packet alone, so a cache hit pays. *)
+      Pfdev.set_copy_all b true;
+      Engine.run eng;
+      let fa = Gen.frame (Gen.flow gen 0) and fb = Gen.frame (Gen.flow gen 1) in
+      (* Flow a on CPU 0 and flow b on the last CPU, at one instant. *)
+      let round () =
+        Alcotest.(check bool) (msg "a accepted") true (Pfdev.demux pf ~cpu:0 fa);
+        Alcotest.(check bool) (msg "b accepted") true (Pfdev.demux pf ~cpu:(n - 1) fb);
+        Engine.run eng
+      in
+      round () (* two misses: a exact, b on the residual walk *);
+      round () (* two hits, which cost the same: on two CPUs b's delivery spins *);
+      Alcotest.(check bool) (msg "kernel-claimed: bypassed, tapped by none") false
+        (Pfdev.demux pf ~cpu:0 ~kernel_claimed:true fa);
+      (* Re-filtering a flushes every CPU's cache and broadcasts IPIs. *)
+      set_filter_exn a (Gen.filter (Gen.flow gen 0));
+      Engine.run eng;
+      List.iter
+        (fun (k, _) ->
+          List.iter
+            (fun prefix ->
+              Alcotest.(check bool) (msg (k ^ " is not a " ^ prefix ^ "* key")) false
+                (String.starts_with ~prefix k))
+            [ "pf.cache."; "pf.dispatch."; "pf.smp." ])
+        (Stats.pairs (Host.stats h));
+      (* Seven publishes: the strategy, two opens, two installs, the
+         copy-all flag and the re-filter. *)
+      let publishes = 7 in
+      let cs = Pfdev.cache_stats pf in
+      Alcotest.(check (list int)) (msg "cache: hits, misses, bypasses, invalidations, evictions, entries")
+        [ 2; 2; 1; publishes * n; 0; 0 ]
+        [ cs.Pfdev.hits; cs.Pfdev.misses; cs.Pfdev.bypasses; cs.Pfdev.invalidations;
+          cs.Pfdev.evictions; cs.Pfdev.entries ];
+      let ds = Pfdev.dispatch_stats pf in
+      Alcotest.(check (list int))
+        (msg "dispatch: rebuilds, updates, classifies, exact accepts, candidates, residual runs")
+        [ 1; 4; 2; 1; 0; 1 ]
+        [ ds.Pfdev.rebuilds; ds.Pfdev.updates; ds.Pfdev.classifies; ds.Pfdev.exact_accepts;
+          ds.Pfdev.candidates_run; ds.Pfdev.residual_runs ];
+      let ss = Pfdev.smp_stats pf in
+      let lock_acquire = Pf_sim.Costs.microvax_ii.Pf_sim.Costs.lock_acquire in
+      let deliveries, contended = if n = 1 then (0, 0) else (4, 1) in
+      Alcotest.(check (list int)) (msg "lock: acquisitions, contended, spin; ipis")
+        [ deliveries; contended; contended * lock_acquire; publishes * (n - 1) ]
+        [ ss.Pfdev.lock_acquisitions; ss.Pfdev.lock_contended; ss.Pfdev.lock_wait_total_us;
+          ss.Pfdev.ipis ];
+      let per_cpu =
+        List.map
+          (fun (c : Pfdev.smp_cpu_stats) ->
+            [ c.Pfdev.packets; c.Pfdev.cache_hits; c.Pfdev.cache_misses; c.Pfdev.lock_waits;
+              c.Pfdev.lock_wait_us; c.Pfdev.ipis_sent; c.Pfdev.ipis_received ])
+          ss.Pfdev.per_cpu
+      in
+      Alcotest.(check (list (list int)))
+        (msg "per CPU: packets, hits, misses, lock waits, spin, ipis sent, received")
+        (if n = 1 then [ [ 5; 2; 2; 0; 0; 0; 0 ] ]
+         else
+           [ [ 3; 1; 1; 0; 0; publishes; 0 ]; [ 2; 1; 1; 1; lock_acquire; 0; publishes ] ])
+        per_cpu;
+      Alcotest.(check (list int)) (msg "host-scope counts: packets, accepted, filters tested")
+        [ 5; 4; 1 ]
+        (List.map (Stats.get (Host.stats h)) [ "pf.packets"; "pf.accepted"; "pf.filters_tested" ]))
+    [ 1; 2 ]
 
 (* {1 The delivery lock contends under simultaneous arrivals} *)
 
@@ -498,6 +572,39 @@ let test_inject_allocation () =
     (Printf.sprintf "%.2f minor words per injected frame <= 5" per_frame)
     true (per_frame <= 5.)
 
+(* The whole receive of a frame no port accepts, from [Host.inject] to the
+   end of [Engine.run], allocates only [inject]'s closure: the completion
+   passes its CPU to [Pfdev.demux] as an option built once per CPU, and a
+   warm cache hit on an empty acceptor list keeps nothing. *)
+let test_rejected_receive_allocation () =
+  let eng, h = mk_host ~ncpus:4 () in
+  let pf = Host.pf h in
+  let gen = Gen.make ~seed:0x1A7C ~flows:17 ~skew:Gen.Uniform () in
+  List.iter
+    (fun f -> if f.Gen.index < 16 then set_filter_exn (Pfdev.open_port pf) (Gen.filter f))
+    (Gen.flows gen);
+  Engine.run eng;
+  let frame = Gen.frame (Gen.flow gen 16) in
+  let receive () =
+    Host.inject h frame;
+    Engine.run eng
+  in
+  receive ();
+  let frames = 1_000 in
+  let words =
+    Testutil.minor_words (fun () ->
+        for _ = 1 to frames do
+          receive ()
+        done)
+  in
+  Alcotest.(check int) "no port accepted" 0 (Stats.get (Host.stats h) "pf.accepted");
+  Alcotest.(check int) "every later receive hit the cache" frames
+    (Pfdev.cache_stats pf).Pfdev.hits;
+  let per_frame = words /. float_of_int frames in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per rejected receive <= 5" per_frame)
+    true (per_frame <= 5.)
+
 let suite =
   ( "smp",
     [
@@ -509,8 +616,8 @@ let suite =
         test_mutations_invalidate_all_cpus;
       Alcotest.test_case "1-CPU SMP matches the legacy path exactly" `Quick
         test_one_cpu_parity;
-      Alcotest.test_case "no pf.smp.* keys on a single CPU" `Quick
-        test_no_smp_keys_on_one_cpu;
+      Alcotest.test_case "device records: one home per count" `Quick
+        test_records_are_the_one_home;
       Alcotest.test_case "delivery lock contends under simultaneous arrivals"
         `Quick test_delivery_lock_contention;
       Alcotest.test_case "one automaton build serves every CPU" `Quick
@@ -525,4 +632,6 @@ let suite =
         test_steer_hash_parity;
       Alcotest.test_case "inject allocates one small closure per frame" `Quick
         test_inject_allocation;
+      Alcotest.test_case "a rejected receive allocates only inject's closure" `Quick
+        test_rejected_receive_allocation;
     ] )

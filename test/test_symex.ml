@@ -531,13 +531,16 @@ let test_pair_budget_edge () =
   (match (check ~pair_budget:(4 * Equiv.default_pair_budget) five).Equiv.verdict with
   | Equiv.Proved_equal -> ()
   | _ -> Alcotest.fail "5 rules not proved with a larger pair budget");
-  let engine port = (Option.get (Pfdev.port_engine_stats port)).Pfdev.engine in
+  let get stats = Pf_sim.Stats.get stats in
+  let packets = chain_packets () in
   (* four rules: proved, so the optimized IR runs *)
-  let _, stats, port = certify_on_device (Validate.program four) in
+  let dev, stats, port = certify_on_device (Validate.program four) in
   Alcotest.(check bool) "4 rules certified" true
     (Pfdev.port_certification port = Some Equiv.Certified);
-  Alcotest.(check int) "pf.certify.proved" 1 (Pf_sim.Stats.get stats "pf.certify.proved");
-  Alcotest.(check bool) "4 rules run the register VM" true (engine port = `Regvm);
+  Alcotest.(check int) "pf.certify.proved" 1 (get stats "pf.certify.proved");
+  List.iter (fun pkt -> ignore (Pfdev.demux dev pkt : bool)) packets;
+  Alcotest.(check bool) "4 rules run the register VM" true
+    (get stats "pf.regvm_insns" > 0 && get stats "pf.regvm_insns" = get stats "pf.filter_insns");
   (* five rules: inconclusive, so the checked stack engine runs *)
   let program = Validate.program five in
   let dev, stats, port = certify_on_device program in
@@ -546,21 +549,17 @@ let test_pair_budget_edge () =
       Alcotest.(check bool) ("reason names the pair budget: " ^ why) true
         (contains ~affix:"path-pair budget" why)
   | _ -> Alcotest.fail "5 rules: install did not record Uncertified");
-  Alcotest.(check int) "pf.certify.unknown" 1 (Pf_sim.Stats.get stats "pf.certify.unknown");
-  Alcotest.(check int) "pf.certify.proved" 0 (Pf_sim.Stats.get stats "pf.certify.proved");
-  Alcotest.(check bool) "5 rules fall back to the stack engine" true (engine port = `Stack);
-  let s = Option.get (Pfdev.port_engine_stats port) in
-  Alcotest.(check int) "stack engine runs the source" s.Pfdev.insns_source
-    s.Pfdev.insns_compiled;
-  let packets = chain_packets () in
-  let accepted = ref 0 in
+  Alcotest.(check int) "pf.certify.unknown" 1 (get stats "pf.certify.unknown");
+  Alcotest.(check int) "pf.certify.proved" 0 (get stats "pf.certify.proved");
+  let accepted = ref 0 and source_insns = ref 0 in
   List.iter
     (fun pkt ->
-      let reference = Interp.accepts program pkt in
-      if reference then incr accepted;
+      let reference = Interp.run program pkt in
+      if reference.Interp.accept then incr accepted;
+      source_insns := !source_insns + reference.Interp.insns_executed;
       Alcotest.(check bool)
         (Format.asprintf "device = interp on %a" Packet.pp_hex pkt)
-        reference (Pfdev.demux dev pkt))
+        reference.Interp.accept (Pfdev.demux dev pkt))
     packets;
   Alcotest.(check bool)
     (Printf.sprintf "the mix is accepted and rejected (%d of %d accepted)"
@@ -568,7 +567,10 @@ let test_pair_budget_edge () =
     true
     (!accepted > 0 && !accepted < List.length packets);
   Alcotest.(check int) "every packet ran the stack program" (List.length packets)
-    (Option.get (Pfdev.port_engine_stats port)).Pfdev.applications
+    (get stats "pf.filters_tested");
+  Alcotest.(check int) "5 rules fall back to the stack engine" 0 (get stats "pf.regvm_insns");
+  Alcotest.(check int) "the stack engine runs the source" !source_insns
+    (get stats "pf.filter_insns")
 
 (* {1 Operand-swapped comparisons}
 
@@ -725,24 +727,25 @@ let test_pfdev_certify () =
     (Pfdev.port_certification port0 = None);
   Pfdev.set_certify pf true;
   Alcotest.(check bool) "certify sticks" true (Pfdev.certify pf);
-  (* each compile strategy's install certifies, and the stat counts it *)
-  List.iter
-    (fun strategy ->
-      let before = Pf_sim.Stats.get stats "pf.certify.proved" in
-      Pfdev.set_compile_strategy pf strategy;
-      let port = Pfdev.open_port pf in
-      install_exn port Predicates.fig_3_9;
-      (match Pfdev.port_certification port with
-      | Some Equiv.Certified -> ()
-      | Some (Equiv.Refuted w) ->
-          Alcotest.failf "shipped compile refuted by %a" Packet.pp_hex w
-      | Some (Equiv.Uncertified why) ->
-          Alcotest.failf "shipped compile uncertified: %s" why
-      | None -> Alcotest.fail "certifying install recorded nothing");
-      Alcotest.(check int) "pf.certify.proved incremented" (before + 1)
-        (Pf_sim.Stats.get stats "pf.certify.proved");
-      Pfdev.close_port port)
-    [ `Off; `Regvm ];
+  (* [`Off] runs the installed program itself: nothing to certify *)
+  let port_off = Pfdev.open_port pf in
+  install_exn port_off Predicates.fig_3_9;
+  Alcotest.(check bool) "an `Off install certifies nothing" true
+    (Pfdev.port_certification port_off = None);
+  Alcotest.(check int) "and counts nothing" 0 (Pf_sim.Stats.get stats "pf.certify.proved");
+  (* a [`Regvm] install certifies, and the stat counts it *)
+  Pfdev.set_compile_strategy pf `Regvm;
+  let port = Pfdev.open_port pf in
+  install_exn port Predicates.fig_3_9;
+  (match Pfdev.port_certification port with
+  | Some Equiv.Certified -> ()
+  | Some (Equiv.Refuted w) ->
+      Alcotest.failf "shipped compile refuted by %a" Packet.pp_hex w
+  | Some (Equiv.Uncertified why) ->
+      Alcotest.failf "shipped compile uncertified: %s" why
+  | None -> Alcotest.fail "certifying install recorded nothing");
+  Alcotest.(check int) "pf.certify.proved incremented" 1
+    (Pf_sim.Stats.get stats "pf.certify.proved");
   Alcotest.(check int) "no refutations of shipped compiles" 0
     (Pf_sim.Stats.get stats "pf.certify.refuted")
 
