@@ -6,8 +6,9 @@
    the bottleneck. The NIC hashes each frame's flow-cache key bytes to
    pick the receive CPU — same flow, same CPU — so every CPU classifies
    against a private, contention-free flow cache; only the shared
-   port-queue insert takes the costed delivery spinlock, and filter-set
-   mutations broadcast costed IPIs. Throughput is packets over the
+   port-queue insert takes the costed delivery spinlock, and a filter-set
+   mutation reaches the other CPUs through the device generation each
+   checks at its next demux, with no IPI. Throughput is packets over the
    makespan (the busiest CPU's added busy time).
 
    Two mixes: uniform (every flow equal — the scaling showcase) and
@@ -64,8 +65,8 @@ let run_one ?(san = false) ~ncpus ~skew () =
     set_filter_exn p (Gen.filter (Gen.flow gen i));
     Pfdev.set_queue_limit p n_packets
   done;
-  (* Drain the setup events (install-time IPI broadcasts on an SMP host)
-     so the measured makespan is the traffic phase only. *)
+  (* Drain the setup events so the measured makespan is the traffic phase
+     only. *)
   Engine.run world.engine;
   let smp_complex = Host.smp world.b in
   let busy0 =

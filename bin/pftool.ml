@@ -822,7 +822,8 @@ let smp_cmd =
        ~doc:
          "Simulate receive-side steering of a seeded flow mix across N \
           CPUs and report the per-CPU counters: packets steered, private \
-          flow-cache hits, delivery-lock contention, and invalidation IPIs")
+          flow-cache hits, delivery-lock contention, and IPIs (none: a filter \
+          change reaches the other CPUs through the device generation)")
     Term.(const run $ cpus $ packets $ flows $ seed $ san $ json_flag)
 
 (* {1 The concurrency sanitizer: dynamic checker and static lint} *)

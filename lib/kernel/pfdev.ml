@@ -51,16 +51,6 @@ module Counters = struct
     }
 end
 
-(* Flow-cache tables, keyed by the key bytes: a probe hashes and compares
-   the reused key buffer in place. [Hashtbl.hash] of bytes is that of the
-   string with the same contents. *)
-module Key_table = Hashtbl.Make (struct
-  type t = Bytes.t
-
-  let equal = Bytes.equal
-  let hash = Hashtbl.hash
-end)
-
 type capture = {
   packet : Packet.t;
   timestamp : Pf_sim.Time.t option;
@@ -124,9 +114,17 @@ and t = {
   mutable demux_cost : Pf_sim.Time.t;
       (* the CPU charge of the packet being demuxed: [demux] runs to
          completion inside one engine event and never re-enters itself *)
+  mutable demux_timestamped : bool; (* whether an acceptor of that packet took a timestamp *)
   mutable cache_enabled : bool;
   mutable cache_pays : bool;
       (* whether a hit could be cheaper than classifying; set by [publish] *)
+  mutable generation : int;
+      (* bumped by every publication: each CPU compares its cache's against
+         it at the start of its demux ([catch_up]) *)
+  mutable invalidated : int;
+      (* the generation of the latest full invalidation: a CPU whose cache
+         predates it flushes when it catches up *)
+  mutable tail_generation : int; (* bumped by an install in the walk's last slot *)
   key : flow_key; (* shared: maintained with the port table *)
   caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
@@ -143,7 +141,7 @@ and t = {
 and san_handles = {
   checker : San.t;
   res_queue : San.resource; (* shared port queues, guarded by delivery_lock *)
-  res_table : San.resource; (* the port/filter table, published by IPI *)
+  res_table : San.resource; (* the port/filter table, published by generation *)
   res_cache : San.resource array; (* per-CPU private flow caches *)
   res_statword : San.resource array; (* per-CPU demux counters *)
 }
@@ -154,21 +152,40 @@ and san_handles = {
    agree on every read-set word (including which of those words exist) get
    the same verdict from every installed filter, so the cached acceptor
    list is exactly what the ordered walk (or the dispatch automaton) would
-   have produced — as long as the filter set, priorities, and walk order have
-   not changed since the entry was stored, which is what the invalidation
-   paths guarantee. On an SMP device there is one cache per CPU — receive
+   have produced — as long as no port-table change since the entry was
+   stored could alter it, which is what the invalidation scopes guarantee
+   ([mutate]). On an SMP device there is one cache per CPU — receive
    steering sends every packet of a flow to the same CPU, so the caches
-   shard the flow space with no cross-CPU traffic — and every invalidation
-   flushes all of them (costed as an IPI broadcast). *)
+   shard the flow space with no cross-CPU traffic — and a full
+   invalidation reaches the other CPUs through the device generation,
+   which each checks at the start of its own demux: no interprocessor
+   interrupt is sent. *)
 and flow_cache = {
-  table : port list Key_table.t;
-  fifo : Bytes.t Queue.t; (* insertion order, for capacity eviction *)
-  mutable generation : int; (* bumped by every invalidation *)
+  buckets : entry array;
+      (* chains of entries by their key's hash ([chain]): an entry is its
+         own chain node, so a hit reaches the acceptors with no load beyond
+         the chain walk *)
+  mutable size : int; (* entries stored *)
+  fifo : entry Queue.t; (* every stored entry, oldest first, for capacity eviction *)
+  mutable synced : int; (* the device generation this CPU caught up to *)
   mutable hits : int;
   mutable misses : int;
   mutable bypasses : int;
   mutable invalidations : int;
   mutable evictions : int;
+}
+
+(* A cached decision. An entry whose walk ran off the end of the port table
+   (no acceptor, or a copy-all last one) is a tail entry: an install in the
+   walk's last slot could add an acceptor to it. *)
+and entry = {
+  key_bytes : Bytes.t; (* a copy of the key it was stored under *)
+  mutable acceptors : port list; (* in walk order *)
+  mutable tail : int;
+      (* a tail entry's tail generation at its store; [stopped] for an entry
+         whose walk stopped at an acceptor; [emptied] once a close on this
+         CPU took its acceptors out *)
+  mutable next : entry; (* the next of its chain; [no_entry] ends it *)
 }
 
 (* The flow key: the union read set of the filters in the port table,
@@ -190,11 +207,24 @@ and flow_key = {
 (* Entries per CPU's cache; a miss stored beyond it evicts the oldest. *)
 let cache_capacity = 256
 
+(* The [tail] of an entry that is not a tail entry, and of one a close
+   emptied; tail generations count up from 0. *)
+let stopped = -1
+let emptied = -2
+
+(* Chains per CPU's cache: a power of two, twice the capacity. *)
+let cache_buckets = 512
+
+(* The end of every chain, and what a probe that finds nothing returns; it
+   is never stored or written. *)
+let rec no_entry = { key_bytes = Bytes.empty; acceptors = []; tail = emptied; next = no_entry }
+
 let fresh_cache () =
   {
-    table = Key_table.create 64;
+    buckets = Array.make cache_buckets no_entry;
+    size = 0;
     fifo = Queue.create ();
-    generation = 0;
+    synced = 0;
     hits = 0;
     misses = 0;
     bypasses = 0;
@@ -230,8 +260,12 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     dispatch_candidates = 0;
     dispatch_residual_runs = 0;
     demux_cost = 0;
+    demux_timestamped = false;
     cache_enabled = true;
     cache_pays = true;
+    generation = 0;
+    invalidated = 0;
+    tail_generation = 0;
     key = { readers = [||]; unbounded = 0; offsets = [||]; scratch = [| Bytes.empty |] };
     caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
@@ -249,17 +283,18 @@ let smp t = t.smp
 
 module For_testing = struct
   (* When set, every port mutation (open, close, install, priority,
-     copy-all, tap) leaves the flow cache alone — the "forgot to
-     invalidate" kernel bug. The differential suite flips this to prove the
-     cold/warm/disabled demux oracle catches stale entries; never set it
-     outside tests. *)
+     copy-all, tap) still publishes but invalidates nothing: no generation
+     mark, no tail bump, no local purge — the "forgot to invalidate" kernel
+     bug. The differential suite flips this to prove the cold/warm/disabled
+     demux oracle catches stale entries; never set it outside tests. *)
   let skip_install_invalidation = ref false
 
-  (* When set, invalidations flush only the mutating CPU's flow cache and
-     skip the IPI broadcast — the SMP variant of the same bug: a kernel
-     that forgot the other CPUs exist. Remote caches keep answering from
-     entries stored under the old filter set. The differential suite flips
-     this to prove the oracle catches stale remote decisions. *)
+  (* When set, a full invalidation flushes the mutating CPU's flow cache,
+     but the device generation does not advance, so no other CPU catches up
+     — the SMP variant of the same bug: a kernel that forgot the other CPUs
+     exist. Remote caches keep answering from entries stored under the old
+     filter set. The differential suite flips this to prove the oracle
+     catches stale remote decisions. *)
   let skip_remote_invalidation = ref false
 
   (* When set, the demux delivery path inserts into the shared port queues
@@ -341,39 +376,6 @@ let attach_san t san =
   t.san <-
     Some { checker = san; res_queue; res_table; res_cache; res_statword }
 
-let invalidate_cache ?(cpu = 0) t =
-  (* An acceptor-changing mutation: tell the protocol checker a new
-     configuration epoch begins now, before any CPU syncs to it. *)
-  (match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ());
-  let flush_one k =
-    let c = t.caches.(k) in
-    c.generation <- c.generation + 1;
-    if Key_table.length c.table > 0 then begin
-      Key_table.reset c.table;
-      Queue.clear c.fifo
-    end;
-    c.invalidations <- c.invalidations + 1;
-    match t.san with
-    | Some h ->
-      (* The flush runs in CPU [k]'s logical context (its shootdown
-         handler); observing it is what syncs [k] to the new epoch. *)
-      San.write h.checker ~cpu:k h.res_cache.(k);
-      San.sync h.checker ~cpu:k h.res_table
-    | None -> ()
-  in
-  if !For_testing.skip_remote_invalidation then flush_one cpu
-  else begin
-    for k = 0 to Smp.ncpus t.smp - 1 do
-      flush_one k
-    done;
-    (* Remote caches are flushed by a costed interprocessor broadcast: the
-       mutating CPU pays one ipi_send per peer, each peer one ipi_receive.
-       (The flush itself is done synchronously above — the simulation's
-       demux events are already serialized by the engine, so no packet can
-       race the shootdown; only the cost is modeled.) *)
-    if Smp.ncpus t.smp > 1 then Smp.ipi_broadcast t.smp ~src:cpu (fun _ -> ())
-  end
-
 (* A hit costs a probe and the key's hashed words. While the automaton
    decides every packet alone for no more than that, a hit saves nothing
    and a miss adds a store. *)
@@ -385,17 +387,98 @@ let cache_pays t =
     (groups * c.Costs.dispatch_probe) + (words * c.Costs.dispatch_hash_word)
     > c.Costs.cache_probe + (Array.length t.key.offsets * c.Costs.cache_hash_word)
 
-(* The one place a change to the port table, the flow key or the dispatch
-   automaton becomes visible: the sanitizer records the table write, every
-   CPU's flow cache is flushed, and whether the cache can pay is decided
-   again. [flush:false] is the seeded forgot-to-invalidate bug: the checker
-   still learns that the epoch advanced, though no CPU will ever sync to
-   it, which is what lets Pfsan flag the mutant from the trace alone. *)
-let publish ?(cpu = 0) ?(flush = true) t =
+(* {1 Invalidation}
+
+   A port-table change alters only some cached decisions ([mutate] decides
+   which, once):
+   - [Unchanged]: none. A port with no filter accepts nothing, reads
+     nothing, and is no automaton entry.
+   - [Closed port]: the decisions naming the port. A hit whose acceptors
+     are not all open is a miss, and the closing CPU empties its own such
+     entries at once, so none of them holds the port.
+   - [Tail]: the tail entries, through the tail generation. An install in
+     the walk's last slot is reached only by walks that ran off the end.
+   - [Full]: all of them. The mutating CPU flushes its own cache at once,
+     and every other CPU flushes its own when its next demux sees the
+     generation moved: no interprocessor interrupt is sent, and no CPU
+     answers from an older entry. *)
+
+type scope = Unchanged | Closed of port | Tail | Full
+
+let flush t ~cpu c =
+  if c.size > 0 then begin
+    Array.fill c.buckets 0 cache_buckets no_entry;
+    c.size <- 0;
+    Queue.clear c.fifo
+  end;
+  c.invalidations <- c.invalidations + 1;
+  match t.san with
+  | Some h ->
+    San.write h.checker ~cpu h.res_cache.(cpu);
+    San.flush h.checker ~cpu h.res_cache.(cpu)
+  | None -> ()
+
+(* Bring CPU [cpu] up to the device generation: sync to the latest
+   publication, and flush if a full invalidation came after its last catch
+   up. Runs at the start of the CPU's demux, before its table read, and
+   before it publishes itself. *)
+let catch_up t ~cpu c =
+  if c.synced <> t.generation then begin
+    (match t.san with Some h -> San.sync h.checker ~cpu h.res_table | None -> ());
+    if c.synced < t.invalidated then flush t ~cpu c;
+    c.synced <- t.generation
+  end
+
+(* Take a closed port out of this CPU's cached decisions: an entry naming it
+   keeps its key and FIFO place, holds no port, and misses at its next
+   probe. *)
+let empty_entries c port =
+  Queue.iter
+    (fun e ->
+      if List.memq port e.acceptors then begin
+        e.acceptors <- [];
+        e.tail <- emptied
+      end)
+    c.fifo
+
+(* The one place a change to the port table, the flow key, the dispatch
+   automaton or the cache switch becomes visible: the sanitizer records the
+   table write and its publication, the change invalidates what [scope]
+   names, the generation moves, and whether the cache can pay is decided
+   again. The two seeded bugs act here. Under [skip_install_invalidation]
+   nothing is invalidated; the checker still learns of a full
+   invalidation, which no CPU will flush for, and that lets Pfsan flag the
+   mutant from the trace alone. Under [skip_remote_invalidation] the
+   generation stays, so only the mutating CPU flushes. *)
+let publish ?(cpu = 0) t scope =
+  let c = t.caches.(cpu) in
+  catch_up t ~cpu c;
   t.cache_pays <- cache_pays t;
-  (match t.san with Some h -> San.write h.checker ~cpu h.res_table | None -> ());
-  if flush then invalidate_cache ~cpu t
-  else match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ()
+  (match t.san with
+  | Some h ->
+    San.write h.checker ~cpu h.res_table;
+    San.publish h.checker ~cpu h.res_table
+  | None -> ());
+  let invalidating = not !For_testing.skip_install_invalidation in
+  let full =
+    match scope with
+    | Unchanged -> false
+    | Closed port ->
+      if invalidating then empty_entries c port;
+      false
+    | Tail ->
+      if invalidating then t.tail_generation <- t.tail_generation + 1;
+      false
+    | Full ->
+      (match t.san with Some h -> San.invalidate h.checker ~cpu h.res_table | None -> ());
+      if invalidating then flush t ~cpu c;
+      invalidating
+  in
+  if not !For_testing.skip_remote_invalidation then begin
+    t.generation <- t.generation + 1;
+    if full then t.invalidated <- t.generation
+  end;
+  c.synced <- t.generation
 
 (* {1 The flow key}
 
@@ -591,18 +674,21 @@ let maybe_reorder ~cpu t =
     (* Reordering equal-priority overlapping filters can change which port
        wins a packet, so any cached decision taken under the old order is
        stale. *)
-    if sort_walk t busier_first then publish ~cpu t
+    if sort_walk t busier_first then publish ~cpu t Full
   end
 
 (* The one way a port changes (the open, close and ioctl calls of
    section 4): an open port leaves the table, [change] runs, the port
-   re-enters if it is open afterwards, and the change is published. So an
-   equal-priority port re-enters at its open-order place, even after a
-   busier-first reorder moved it. A port closed before and after changes
-   only its record. *)
+   re-enters if it is open afterwards, and the change is published with the
+   scope of what it can alter. So an equal-priority port re-enters at its
+   open-order place, even after a busier-first reorder moved it. A port
+   closed before and after changes only its record. *)
 let mutate port change =
   let t = port.dev in
-  let was_open = port.is_open in
+  let was_open = port.is_open and was_filtered = port.filter <> None in
+  (* [key_count] replaces the offsets only when a word gains its first
+     reader or loses its last. *)
+  let offsets = t.key.offsets and unbounded = t.key.unbounded in
   if was_open then leave t port;
   change ();
   if port.is_open then enter t port;
@@ -611,7 +697,13 @@ let mutate port change =
        before the change, has one after it, or both. *)
     if t.dispatch <> None && port.filter <> None then
       t.dispatch_updates <- t.dispatch_updates + 1;
-    publish ~flush:(not !For_testing.skip_install_invalidation) t
+    publish t
+      (if t.key.offsets != offsets || t.key.unbounded <> unbounded then Full
+       else if (not was_filtered) && port.filter = None then Unchanged
+       else if not port.is_open then Closed port
+       else if (not was_open) || was_filtered then Full
+       else if t.walk.(t.count - 1) == port then Tail
+       else Full)
   end
 
 (* Charge CPU when called from process context; plain setup code (before the
@@ -720,7 +812,7 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 (* A setter that changes nothing returns before [mutate] or [publish],
-   which would flush every CPU's cache and broadcast IPIs. *)
+   which would publish a port-table write and invalidate. *)
 let set_priority port priority =
   let priority = max 0 (min 255 priority) in
   if priority <> port.priority then mutate port (fun () -> port.priority <- priority)
@@ -734,7 +826,7 @@ let set_strategy t strategy =
     invalid_arg "Pfdev.set_strategy: `Decision_tree was removed; use `Dispatch"
   | `Sequential, Some _ ->
     t.dispatch <- None;
-    publish t
+    publish t Full
   | `Dispatch, None ->
     (* The one full build. Busier-first reordering may have permuted the
        walk; put it back in rank order first. *)
@@ -743,7 +835,7 @@ let set_strategy t strategy =
     Array.iter (fun p -> Option.iter (dispatch_add d p) p.filter) (Array.sub t.walk 0 t.count);
     t.dispatch <- Some d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
-    publish t
+    publish t Full
 
 (* The compile strategy applies to future installs only: already-installed
    filters keep the engine they were compiled with (like a real driver,
@@ -778,7 +870,7 @@ let set_signal port cb = port.signal <- cb
 let set_cache_enabled t flag =
   if t.cache_enabled <> flag then begin
     t.cache_enabled <- flag;
-    invalidate_cache t
+    publish t Full
   end
 
 type cache_stats = {
@@ -793,9 +885,9 @@ type cache_stats = {
 }
 
 (* Aggregated over every CPU's private cache. [capacity] is per CPU;
-   [invalidations] counts flush events per cache, so at N CPUs each
-   device-level invalidation contributes N (and at one CPU this is exactly
-   the legacy count). *)
+   [invalidations] counts flushes per cache: a full invalidation adds one
+   at once, for the mutating CPU, and one for each other CPU as its next
+   demux catches up. *)
 let cache_stats t =
   let entries = ref 0
   and hits = ref 0
@@ -805,7 +897,7 @@ let cache_stats t =
   and evictions = ref 0 in
   Array.iter
     (fun c ->
-      entries := !entries + Key_table.length c.table;
+      entries := !entries + c.size;
       hits := !hits + c.hits;
       misses := !misses + c.misses;
       bypasses := !bypasses + c.bypasses;
@@ -983,7 +1075,10 @@ let run_port_filter t port frame =
 
 let accept t port =
   port.accepted <- port.accepted + 1;
-  if port.timestamps then add_cost t t.costs.Costs.timestamp
+  if port.timestamps then begin
+    add_cost t t.costs.Costs.timestamp;
+    t.demux_timestamped <- true
+  end
 
 (* A cache hit replays its acceptors: each counts as having accepted. *)
 let rec accept_all t = function
@@ -1059,28 +1154,63 @@ let classify t ~cpu ~kernel_claimed frame =
     maybe_reorder ~cpu t;
     walk_ports t frame ~kernel_claimed 0
 
-(* Remember a missed frame's acceptors under its key, unless something
-   (e.g. a busier-first reorder during this very walk) invalidated the
-   cache after the probe. *)
-let store t ~cpu c ~generation key acceptors =
-  if generation = c.generation then begin
-    add_cost t t.costs.Costs.cache_probe (* insert *);
-    if Key_table.length c.table >= cache_capacity then (
-      match Queue.take_opt c.fifo with
-      | Some victim ->
-        Key_table.remove c.table victim;
-        c.evictions <- c.evictions + 1
-      | None -> ());
-    let key = Bytes.copy key in
-    Key_table.replace c.table key acceptors;
-    Queue.push key c.fifo;
-    match t.san with
-    | Some h ->
-      San.write h.checker ~cpu h.res_cache.(cpu);
-      San.note_store h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key);
-      add_cost t t.costs.Costs.san_access
-    | None -> ()
-  end
+(* Whether a walk that accepted [acceptors] ran off the end of the table. *)
+let rec runs_off = function
+  | [] -> true
+  | [ port ] -> port.copy_all
+  | _ :: rest -> runs_off rest
+
+let rec all_open = function [] -> true | port :: rest -> port.is_open && all_open rest
+
+(* Whether a hit on [e] may answer: no install in the last slot since a
+   tail entry's store, and no close of an acceptor. *)
+let current t e = (e.tail = stopped || e.tail = t.tail_generation) && all_open e.acceptors
+
+(* Record a missed frame's acceptors in [e]. *)
+let fill t ~cpu e key acceptors =
+  add_cost t t.costs.Costs.cache_probe (* insert *);
+  e.acceptors <- acceptors;
+  e.tail <- (if runs_off acceptors then t.tail_generation else stopped);
+  match t.san with
+  | Some h ->
+    San.write h.checker ~cpu h.res_cache.(cpu);
+    San.note_store h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key);
+    add_cost t t.costs.Costs.san_access
+  | None -> ()
+
+(* The chain of a key. [Hashtbl.hash] of bytes is that of the string with
+   the same contents, and hashes the reused key buffer in place. *)
+let chain key = Hashtbl.hash key land (cache_buckets - 1)
+
+(* The entry stored under [key] from [e] on in its chain, or [no_entry].
+   Allocates nothing. *)
+let rec find_in e key =
+  if e == no_entry || Bytes.equal e.key_bytes key then e else find_in e.next key
+
+(* Take the oldest entry out of its chain. *)
+let evict c =
+  let victim = Queue.take c.fifo in
+  let i = chain victim.key_bytes in
+  if c.buckets.(i) == victim then c.buckets.(i) <- victim.next
+  else begin
+    let e = ref c.buckets.(i) in
+    while !e.next != victim do
+      e := !e.next
+    done;
+    !e.next <- victim.next
+  end;
+  c.size <- c.size - 1;
+  c.evictions <- c.evictions + 1
+
+(* Remember a missed frame's acceptors under a copy of its key. *)
+let store t ~cpu c key acceptors =
+  if c.size >= cache_capacity then evict c;
+  let i = chain key in
+  let e = { key_bytes = Bytes.copy key; acceptors = []; tail = stopped; next = c.buckets.(i) } in
+  c.buckets.(i) <- e;
+  c.size <- c.size + 1;
+  Queue.push e c.fifo;
+  fill t ~cpu e key acceptors
 
 let san_queue_write t ~cpu =
   match t.san with
@@ -1088,6 +1218,13 @@ let san_queue_write t ~cpu =
     San.write h.checker ~cpu h.res_queue;
     t.costs.Costs.san_access
   | None -> 0
+
+(* A contended delivery-lock acquisition, in [cpu]'s row of [smp_stats]. *)
+let count_lock_wait t ~cpu wait =
+  if wait > 0 then begin
+    t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
+    t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait
+  end
 
 (* The CPU cost of inserting into the port queues, begun at
    [classify_done]. On an SMP device the queues are shared, so the insert
@@ -1105,20 +1242,21 @@ let queue_insert_cost t ~cpu ~classify_done =
     san_queue_write t ~cpu
   else begin
     let wait = Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0 in
-    if wait > 0 then begin
-      t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
-      t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait
-    end;
+    count_lock_wait t ~cpu wait;
     let san = san_queue_write t ~cpu in
     Smp.Lock.release t.delivery_lock ~cpu;
     wait + t.costs.Costs.lock_acquire + san
   end
 
+(* The arrival a delivery passes when no acceptor took a timestamp at the
+   demux: its event then keeps only the frame and the acceptors. *)
+let untimed = -1
+
 (* The delivery event: queue the frame on every acceptor, in order. *)
 let rec deliver arrival frame = function
   | [] -> ()
   | port :: rest ->
-    let timestamp = if port.timestamps then Some arrival else None in
+    let timestamp = if port.timestamps && arrival <> untimed then Some arrival else None in
     enqueue port { packet = frame; timestamp; dropped_before = port.dropped };
     deliver arrival frame rest
 
@@ -1131,7 +1269,9 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
   let arrival = Engine.now t.engine in
   t.demux_cost <- 0;
+  t.demux_timestamped <- false;
   let c = t.caches.(cpu) in
+  catch_up t ~cpu c;
   (* Sanitizer instrumentation. Each instrumented access is a real shadow
      bookkeeping step on the demuxing CPU, charged at [san_access] — that
      charge is what `bench smp --san` measures as overhead. Without an
@@ -1156,7 +1296,7 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
     if not probing then classify t ~cpu ~kernel_claimed frame
     else begin
       let key = fill_key t.key frame in
-      let generation = c.generation in
+      let synced = c.synced in
       add_cost t
         (costs.Costs.cache_probe + (Array.length t.key.offsets * costs.Costs.cache_hash_word));
       (match t.san with
@@ -1164,20 +1304,25 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
         San.read h.checker ~cpu h.res_cache.(cpu);
         add_cost t costs.Costs.san_access
       | None -> ());
-      match Key_table.find c.table key with
-      | acceptors ->
+      (* A store is skipped when something (e.g. a busier-first reorder
+         during this very walk) flushed the cache after the probe. *)
+      let e = find_in c.buckets.(chain key) key in
+      if e != no_entry && current t e then begin
         (match t.san with
         | Some h ->
           San.note_hit h.checker ~cpu h.res_cache.(cpu) ~key:(Bytes.to_string key)
         | None -> ());
         c.hits <- c.hits + 1;
-        accept_all t acceptors;
-        acceptors
-      | exception Not_found ->
+        accept_all t e.acceptors;
+        e.acceptors
+      end
+      else begin
         let acceptors = classify t ~cpu ~kernel_claimed frame in
         c.misses <- c.misses + 1;
-        store t ~cpu c ~generation key acceptors;
+        if synced = c.synced then
+          if e == no_entry then store t ~cpu c key acceptors else fill t ~cpu e key acceptors;
         acceptors
+      end
     end
   in
   let accepted = acceptors <> [] in
@@ -1198,7 +1343,9 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
     let deliver_cost = costs.Costs.wakeup + queue_insert_cost t ~cpu ~classify_done in
     add_cost t deliver_cost;
     let finish = Cpu.run cpu_exec ~owner:`Interrupt ~start:classify_done ~cost:deliver_cost in
-    Engine.schedule t.engine ~at:finish (fun () -> deliver arrival frame acceptors)
+    if t.demux_timestamped then
+      Engine.schedule t.engine ~at:finish (fun () -> deliver arrival frame acceptors)
+    else Engine.schedule t.engine ~at:finish (fun () -> deliver untimed frame acceptors)
   end;
   Stats.add ctr.demux_cpu_us t.demux_cost;
   accepted
@@ -1219,6 +1366,7 @@ let locked_dequeue port =
        so counting it as spin too would charge it twice. *)
     let start = max (Engine.now t.engine) (Cpu.busy_until (Smp.cpu t.smp 0)) in
     let wait = Smp.Lock.acquire ~cpu:0 t.delivery_lock ~start ~hold:0 in
+    count_lock_wait t ~cpu:0 wait;
     Process.use_cpu (wait + t.costs.Costs.lock_acquire);
     let capture = Queue.take_opt port.queue in
     (match t.san with

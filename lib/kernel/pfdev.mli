@@ -39,8 +39,10 @@ val create_smp :
   t
 (** Device on an SMP complex: one private flow cache per CPU, one dispatch
     automaton shared read-only by every CPU, a costed spinlock around
-    shared-queue delivery, and costed IPI broadcasts on every invalidation
-    — all inert at one CPU. *)
+    shared-queue delivery — inert at one CPU — and a device generation
+    that carries every port-table change to the other CPUs, each of which
+    checks it at the start of its own demux. No interprocessor interrupt
+    is sent. *)
 
 val ncpus : t -> int
 val smp : t -> Pf_sim.Smp.t
@@ -48,10 +50,12 @@ val smp : t -> Pf_sim.Smp.t
 val attach_san : t -> Pf_sim.San.t -> unit
 (** Attach a concurrency sanitizer ({!Pf_sim.San}): registers the device's
     shared objects with their locking disciplines (the delivery queue
-    guarded by the delivery lock, the port table published by invalidation
-    IPIs — the shared dispatch automaton is updated with it and read under
-    the same discipline — and the per-CPU flow caches and counters private
-    to their CPU), declares every access site for the static lint, and starts
+    guarded by the delivery lock, the port table published through the
+    device generation — each CPU syncs to the latest write at the start of
+    its next demux, and the shared dispatch automaton is updated with the
+    table and read under the same discipline — and the per-CPU flow caches
+    and counters private to their CPU), declares every access site for the
+    static lint, and starts
     routing each shared-state access through the checker. Each instrumented
     access charges {!Pf_sim.Costs.t.san_access} to the demuxing CPU; with
     no sanitizer attached the instrumentation is dead code with zero cost
@@ -69,18 +73,37 @@ val open_port : t -> port
 
 val close_port : port -> unit
 (** Take the port out of the port table, the flow key and the dispatch
-    automaton, flush every CPU's flow cache, and wake its blocked readers.
-    Closing a port that is already closed does nothing.
+    automaton, invalidate the cached decisions naming it, and wake its
+    blocked readers. Closing a port that is already closed does nothing.
 
     Every port mutation ({!open_port}, [close_port], {!install},
     {!set_priority}, {!set_copy_all}, {!set_tap}) follows one rule. An
     open port leaves the port table, the flow key and the dispatch
     automaton; the change is applied; the port re-enters all three if it
     is open afterwards, at its place in priority-then-open order; and the
-    change is published: the sanitizer sees one port-table write, and
-    every CPU's flow cache is flushed. On a closed port only the port's
-    record changes. A setter that changes nothing returns at once, and
-    publishes nothing. *)
+    change is published: the sanitizer sees one port-table write, the
+    device generation moves, and each other CPU syncs to it at the start
+    of its next demux. On a closed port only the port's record changes. A
+    setter that changes nothing returns at once, and publishes nothing.
+
+    The change invalidates only the flow-cache decisions it can alter,
+    decided from the port's state before and after and from the flow key
+    before and after:
+    - a change to a port with no filter before and after ({!open_port},
+      closing an unfiltered port, or its priority or flags) invalidates
+      nothing: such a port accepts nothing and reads nothing;
+    - closing a filtered port invalidates only the decisions naming it: a
+      hit whose acceptors are not all open is a miss, classified and
+      stored again, and the closing CPU empties its own such entries at
+      once, so no entry on that CPU holds the port;
+    - an install on an open port with no filter that lands in the walk's
+      last slot invalidates only the decisions whose walk ran off the end
+      (no acceptor, or a copy-all last one), through a tail generation
+      each such entry records;
+    - anything else, a change to the flow key included, is a full
+      invalidation: the mutating CPU flushes its own cache at once, and
+      every other CPU flushes its own when its next demux sees the
+      generation moved. *)
 
 type install_error = Invalid of Pf_filter.Validate.error
 
@@ -95,7 +118,11 @@ val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_erro
     keeps its old filter. The engine the compile strategy and certify flag
     in force now call for is built, and certified, at the port's first
     filter run on a walk or its first {!port_certification}: a port whose
-    automaton entry is exact never compiles. *)
+    automaton entry is exact never compiles. An install on an open port
+    with no filter that lands in the walk's last slot and leaves the flow
+    key as it was invalidates only the cached decisions whose walk ran off
+    the end; any other install on an open port is a full invalidation
+    ({!close_port}). *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
@@ -274,40 +301,50 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     ({!open_port}, {!install}, {!close_port}), and a probe writes the key
     into a reused buffer. The cache — only the cache; the dispatch
     automaton and the key are updated by the mutation itself — is
-    transparently flushed by every mutation that could change a decision
-    (the port mutations of {!close_port}, {!set_strategy},
-    {!set_cache_enabled}, and busier-first reorders that change the walk
-    order) and bypassed for kernel-claimed packets or when any installed
+    invalidated by every mutation that could change a decision, in the
+    scope that mutation can alter (the port mutations of {!close_port}),
+    and flushed whole by {!set_strategy}, {!set_cache_enabled}, and
+    busier-first reorders that change the walk order. It is bypassed for
+    kernel-claimed packets or when any installed
     filter's read set is [Unbounded], or while a hit cannot be cheaper than
     classifying: the automaton decides every packet alone
     ({!Pf_filter.Dispatch.decisive}) for no more than a probe and the key's
     hashed words. {!set_compile_strategy} and
     {!set_certify} apply to later installs only, and flush nothing.
 
+    The demux first brings its CPU up to the device generation: it syncs
+    to the latest port-table write and, if a full invalidation came since
+    its last demux, flushes its own cache.
+
     On the host, a demux of a frame no port accepts allocates nothing, on
     the sequential walk or a cache hit. An accepted frame allocates what
     delivery keeps: the acceptor list (on a miss; a hit replays the cached
-    one, and a miss also stores its key), the delivery event's closure,
-    and each acceptor's capture and queue cell — 16 minor words for one
-    acceptor on the sequential walk, 13 on a cache hit. *)
+    one, and a miss also stores its key), the delivery event's closure
+    (over the arrival time too only when an acceptor takes timestamps),
+    and each acceptor's capture and queue cell — 15 minor words for one
+    acceptor on the sequential walk, 12 on a cache hit. *)
 
 (** {1 Flow-cache control and observability} *)
 
 val set_cache_enabled : t -> bool -> unit
-(** Default [true]. Disabling flushes the cache; every packet then takes the
-    full filter walk (the paper-faithful configuration for reproducing the
-    section 6.5 tables). *)
+(** Default [true]. A change is a full invalidation ({!close_port});
+    disabled, every packet takes the full filter walk (the paper-faithful
+    configuration for reproducing the section 6.5 tables). *)
 
 type cache_stats = {
   enabled : bool;
-  entries : int;  (** currently cached decisions *)
+  entries : int;
+      (** stored decisions, counting those a CPU will flush at its next
+          demux or classify again at their next probe *)
   capacity : int;  (** entries per CPU's cache (256), FIFO eviction beyond *)
   hits : int;
   misses : int;
   bypasses : int;
       (** kernel-claimed packets, unbounded-read-set periods, and packets
           the automaton classifies for no more than a hit would cost *)
-  invalidations : int;  (** full flushes from configuration changes *)
+  invalidations : int;
+      (** per-CPU flushes from full invalidations: one at once on the
+          mutating CPU, and one on each other CPU at its next demux *)
   evictions : int;  (** capacity-pressure FIFO evictions *)
 }
 
@@ -369,13 +406,18 @@ type smp_stats = {
   lock_acquisitions : int;  (** delivery lock, all CPUs *)
   lock_contended : int;
   lock_wait_total_us : int;
-  ipis : int;  (** total interprocessor interrupts (invalidation broadcasts) *)
+  ipis : int;
+      (** interprocessor interrupts on the complex; the device sends none,
+          so this reads 0 unless something else does *)
 }
 
 val smp_stats : t -> smp_stats
 (** Per-CPU counters since device creation, kept here only: the device
-    stats hold no copy. Meaningful but degenerate on a single-CPU device:
-    one row, no locks, no IPIs. *)
+    stats hold no copy. A reader's contended delivery-lock acquisitions
+    count in CPU 0's row, where readers run, so the rows' [lock_waits] and
+    [lock_wait_us] sum to [lock_contended] and [lock_wait_total_us].
+    Meaningful but degenerate on a single-CPU device: one row, no locks,
+    no IPIs. *)
 
 val pp_smp_stats : Format.formatter -> smp_stats -> unit
 
@@ -397,19 +439,24 @@ val active_ports : t -> int
 
 module For_testing : sig
   val skip_install_invalidation : bool ref
-  (** When set, every port mutation ({!close_port} lists them) leaves the
-      flow cache alone — the "forgot to invalidate" kernel bug; the name
-      is the one [pftool] and [pffuzz] use. The differential suite flips
-      this to prove the cold/warm/disabled demux oracle catches stale
-      entries; never set it outside tests. *)
+  (** When set, every port mutation ({!close_port} lists them) still
+      publishes its port-table write but invalidates nothing: no full
+      invalidation is marked, no tail generation moves, and the closing
+      CPU empties no entry — the "forgot to invalidate" kernel bug; the
+      name is the one [pftool] and [pffuzz] use. The differential suite
+      flips this to prove the cold/warm/disabled demux oracle catches
+      stale entries; never set it outside tests. *)
 
   val skip_remote_invalidation : bool ref
-  (** When set, invalidations flush only the mutating CPU's flow cache and
-      skip the IPI broadcast — the SMP variant of the same bug: a kernel
-      that forgot the other CPUs exist, leaving remote caches answering
-      from entries stored under the old filter set. Flipped by the
-      differential suite to prove the oracle catches stale remote
-      decisions; never set it outside tests. *)
+  (** When set, a full invalidation flushes the mutating CPU's flow cache,
+      but the device generation does not advance, so no other CPU catches
+      up — the SMP variant of the same bug: a kernel that forgot the other
+      CPUs exist, leaving remote caches answering from entries stored
+      under the old filter set, and remote demuxes reading the port table
+      without syncing to its latest write. The flag is read only while a
+      mutation publishes. Flipped by the differential suite, around one
+      mutation, to prove the oracle catches stale remote decisions; never
+      set it outside tests. *)
 
   val skip_delivery_lock : bool ref
   (** When set, {!demux} inserts into the shared port queues without taking

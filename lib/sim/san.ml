@@ -15,9 +15,10 @@
    written by more than one CPU.
 
    The coherence protocol checker is a single epoch domain (the device's
-   acceptor configuration): publish bumps the epoch, sync pins a CPU to the
-   current epoch and clears its cache shadow, stores stamp the epoch,
-   and a hit on an entry stamped before the current epoch is a stale hit. *)
+   acceptor configuration): publish joins the writer's clock into the
+   published clock, sync joins it back into a CPU's, invalidate bumps the
+   epoch, flush clears a CPU's cache shadow, stores stamp the epoch, and a
+   hit on an entry stamped before the current epoch is a stale hit. *)
 
 type discipline = Guarded_by of string | Cpu_private of int | Ipi_published
 
@@ -78,9 +79,9 @@ type t = {
   seen : (string, report ref) Hashtbl.t;
   mutable total_reports : int;
   (* coherence protocol *)
-  mutable epoch : int;
-  mutable publisher : int; (* CPU of the latest publish *)
-  pub_vc : int array; (* publisher's clock at the latest publish *)
+  pub_vc : int array; (* the join of every publisher's clock at its publish *)
+  mutable epoch : int; (* full invalidations so far *)
+  mutable invalidator : int; (* CPU of the latest invalidation *)
   shadow : (int * string, int) Hashtbl.t; (* (cpu, key) -> store epoch *)
   (* static lint inputs *)
   mutable declared_locks : string list; (* reverse *)
@@ -102,9 +103,9 @@ let create ?stats ~ncpus () =
     reports = [];
     seen = Hashtbl.create 16;
     total_reports = 0;
-    epoch = 0;
-    publisher = 0;
     pub_vc = Array.make ncpus 0;
+    epoch = 0;
+    invalidator = 0;
     shadow = Hashtbl.create 64;
     declared_locks = [];
     lock_order = [];
@@ -318,7 +319,7 @@ let access t ~cpu ~is_write r =
     match r.last_write with
     | Some (w_cpu, w_clk) when w_cpu <> cpu && t.vc.(cpu).(w_cpu) < w_clk ->
       report t ~kind:Unordered_access ~resource:r.name ~cpus:[ w_cpu; cpu ]
-        ~missing:(Printf.sprintf "ipi %d->%d" w_cpu cpu)
+        ~missing:(Printf.sprintf "sync %d->%d" w_cpu cpu)
         ~detail:
           (Printf.sprintf
              "%s by cpu %d is not ordered after the latest write by cpu %d"
@@ -339,22 +340,29 @@ let write t ~cpu r = access t ~cpu ~is_write:true r
 
 let publish t ~cpu _r =
   check_cpu t cpu "publish";
-  t.epoch <- t.epoch + 1;
-  t.publisher <- cpu;
-  Array.blit t.vc.(cpu) 0 t.pub_vc 0 t.ncpus;
+  join t.pub_vc t.vc.(cpu);
   count t "publishes"
 
 let sync t ~cpu _r =
   check_cpu t cpu "sync";
-  (* The invalidation reached this CPU: its cache is empty, its view of the
-     configuration is current, and everything the publisher did
-     happens-before whatever this CPU does next. *)
+  (* This CPU observed the latest publication: everything every publisher
+     did before publishing happens-before whatever this CPU does next. *)
   join t.vc.(cpu) t.pub_vc;
   tick t cpu;
+  count t "syncs"
+
+let invalidate t ~cpu _r =
+  check_cpu t cpu "invalidate";
+  t.epoch <- t.epoch + 1;
+  t.invalidator <- cpu;
+  count t "invalidations"
+
+let flush t ~cpu _r =
+  check_cpu t cpu "flush";
   Hashtbl.iter
     (fun ((c, _) as k) _ -> if c = cpu then Hashtbl.remove t.shadow k)
     (Hashtbl.copy t.shadow);
-  count t "syncs"
+  count t "flushes"
 
 let note_store t ~cpu _r ~key =
   check_cpu t cpu "note_store";
@@ -366,15 +374,15 @@ let note_hit t ~cpu r ~key =
   count t "cache_hits";
   match Hashtbl.find_opt t.shadow (cpu, key) with
   | Some e when e < t.epoch ->
-    report t ~kind:Stale_cache_hit ~resource:r.name ~cpus:[ t.publisher; cpu ]
+    report t ~kind:Stale_cache_hit ~resource:r.name ~cpus:[ t.invalidator; cpu ]
       ~missing:
-        (Printf.sprintf "invalidation ipi %d->%d for epoch %d" t.publisher cpu
+        (Printf.sprintf "invalidation %d->%d for epoch %d" t.invalidator cpu
            t.epoch)
       ~detail:
         (Printf.sprintf
            "cpu %d served a cache hit from an entry stored under epoch %d \
-            after the epoch-%d mutation on cpu %d"
-           cpu e t.epoch t.publisher)
+            after the epoch-%d invalidation on cpu %d"
+           cpu e t.epoch t.invalidator)
   | Some _ | None -> ()
 
 (* {1 Static lint} *)

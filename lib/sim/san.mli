@@ -14,9 +14,9 @@
     - an access to a [Cpu_private] resource from any CPU but its owner;
     - a read of an [Ipi_published] resource that is not happens-after the
       latest conflicting write ({e missing synchronization edge});
-    - a flow-cache hit served from an entry that predates the last
-      acceptor-changing mutation ({e stale hit} — the cache-coherence
-      protocol checker);
+    - a flow-cache hit served from an entry that predates the last full
+      invalidation, on a CPU that has not flushed since ({e stale hit} —
+      the cache-coherence protocol checker);
     - lock misuse funneled from the lock model itself (double release,
       release by non-owner, reentrant acquire).
 
@@ -28,11 +28,13 @@
     What Pfsan can and cannot prove: the simulator serializes all events on
     one OS thread, so no physical data race ever corrupts state — Pfsan
     checks the {e discipline} (would this access have been safe on real
-    silicon?) from the trace alone. Remote cache flushes are performed
-    synchronously by the simulator (only their IPI cost is modeled), so the
-    protocol checker treats a full invalidation broadcast as synchronizing
-    at issue time; what it verifies is that every acceptor-changing
-    mutation reaches every CPU before that CPU serves another cache hit. *)
+    silicon?) from the trace alone. The protocol it checks is the one the
+    kernel's generation number implements: every write of the published
+    configuration is a publication each CPU syncs to before its next read
+    of it, and a full invalidation makes every older cache entry stale on
+    each CPU until that CPU flushes. What it verifies is that no CPU reads
+    the configuration before syncing to its latest write, and none serves a
+    hit from an entry stored before the latest full invalidation. *)
 
 type t
 
@@ -44,7 +46,7 @@ type discipline =
       (** every access once shared must hold the named lock *)
   | Cpu_private of int  (** only the owning CPU may touch it *)
   | Ipi_published
-      (** written by one CPU, published to the others by IPI/invalidation
+      (** written by one CPU, published to the others by IPI or {!sync}
           edges; reads must be happens-after the latest write *)
 
 val create : ?stats:Stats.t -> ncpus:int -> unit -> t
@@ -90,16 +92,23 @@ val lock_misuse : t -> cpu:int -> lock:string -> kind:string -> unit
 (** {1 The cache-coherence protocol checker}
 
     One coherence domain per checker: the device's acceptor configuration
-    (its port table). [publish] is an acceptor-changing mutation; [sync]
-    is a CPU observing the invalidation (its cache flush); [note_store]
-    and [note_hit] shadow the per-CPU flow caches. A hit on an entry
-    stored under an older configuration epoch — possible only when some
-    mutation skipped that CPU's invalidation — is reported as a stale
-    hit naming the mutating CPU, the serving CPU, and the missing
-    invalidation edge. *)
+    (its port table). Publication and invalidation are separate events.
+    [publish] is a write of the configuration, which every CPU must [sync]
+    to before it reads the configuration again; a read that is not
+    happens-after the latest write is reported as unordered ({!read}).
+    [invalidate] is a full invalidation: it starts a new epoch, and every
+    cache entry stored before it is stale until its CPU [flush]es.
+    [note_store] and [note_hit] shadow the per-CPU flow caches. A hit on
+    an entry stored under an older epoch — possible only when a full
+    invalidation never reached that CPU's cache — is reported as a stale
+    hit naming the invalidating CPU, the serving CPU, and the missing
+    invalidation edge. Invalidations narrower than a full one are the
+    kernel's to get right: the checker does not see them. *)
 
 val publish : t -> cpu:int -> resource -> unit
 val sync : t -> cpu:int -> resource -> unit
+val invalidate : t -> cpu:int -> resource -> unit
+val flush : t -> cpu:int -> resource -> unit
 val note_store : t -> cpu:int -> resource -> key:string -> unit
 val note_hit : t -> cpu:int -> resource -> key:string -> unit
 

@@ -86,7 +86,7 @@ let test_hb_unordered_then_ordered () =
   (match San.reports san with
   | [ rep ] ->
     Alcotest.check kind "kind" San.Unordered_access rep.San.kind;
-    Alcotest.(check string) "missing edge" "ipi 0->1" rep.San.missing
+    Alcotest.(check string) "missing edge" "sync 0->1" rep.San.missing
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
   (* same shape with the publication edge: silent *)
   let san = San.create ~ncpus:2 () in
@@ -103,26 +103,54 @@ let test_protocol_stale_hit () =
   let san = San.create ~ncpus:2 () in
   let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
   San.note_store san ~cpu:1 ~key:"flow-a" table;
+  San.write san ~cpu:0 table;
   San.publish san ~cpu:0 table;
-  (* cpu 1 never saw the invalidation: its hit is stale *)
+  San.invalidate san ~cpu:0 table;
+  (* cpu 1 synced to the publication but never flushed: its hit is stale *)
+  San.sync san ~cpu:1 table;
+  San.read san ~cpu:1 table;
   San.note_hit san ~cpu:1 ~key:"flow-a" table;
   (match San.reports san with
   | [ rep ] ->
     Alcotest.check kind "kind" San.Stale_cache_hit rep.San.kind;
-    Alcotest.(check bool) "missing names the invalidation edge" true
-      (String.length rep.San.missing > 0
-      && String.sub rep.San.missing 0 12 = "invalidation")
+    Alcotest.(check (list int)) "invalidating and serving cpus" [ 0; 1 ] rep.San.cpus;
+    Alcotest.(check string) "missing names the invalidation edge"
+      "invalidation 0->1 for epoch 1" rep.San.missing
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
-  (* the protocol done right: publish, then sync before the next probe *)
+  (* a publication alone invalidates nothing: once synced, the old entry
+     may answer *)
   let san = San.create ~ncpus:2 () in
   let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
   San.note_store san ~cpu:1 ~key:"flow-a" table;
+  San.write san ~cpu:0 table;
   San.publish san ~cpu:0 table;
   San.sync san ~cpu:1 table;
+  San.read san ~cpu:1 table;
+  San.note_hit san ~cpu:1 ~key:"flow-a" table;
+  Alcotest.(check (list kind)) "a publication is no invalidation" [] (kinds_of san);
+  (* the protocol done right: invalidate, then sync and flush before the
+     next probe; what is stored after the flush may answer *)
+  let san = San.create ~ncpus:2 () in
+  let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  San.note_store san ~cpu:1 ~key:"flow-a" table;
+  San.write san ~cpu:0 table;
+  San.publish san ~cpu:0 table;
+  San.invalidate san ~cpu:0 table;
+  San.sync san ~cpu:1 table;
+  San.flush san ~cpu:1 table;
+  San.read san ~cpu:1 table;
   San.note_hit san ~cpu:1 ~key:"flow-a" table;
   San.note_store san ~cpu:1 ~key:"flow-a" table;
   San.note_hit san ~cpu:1 ~key:"flow-a" table;
-  Alcotest.(check (list kind)) "synced cache is clean" [] (kinds_of san)
+  Alcotest.(check (list kind)) "synced and flushed cache is clean" [] (kinds_of san);
+  Alcotest.(check (list (pair string int))) "publishes, invalidations, syncs, flushes"
+    [ ("pf.san.flushes", 1); ("pf.san.invalidations", 1); ("pf.san.publishes", 1);
+      ("pf.san.syncs", 1) ]
+    (List.filter
+       (fun (k, _) ->
+         List.mem k
+           [ "pf.san.publishes"; "pf.san.invalidations"; "pf.san.syncs"; "pf.san.flushes" ])
+       (San.counters san))
 
 (* {1 The hardened lock model} *)
 
@@ -274,7 +302,7 @@ let test_mutant_skip_install () =
     Alcotest.(check string) "resource" "pfdev.flow_cache.cpu0" rep.San.resource;
     Alcotest.(check (list int)) "cpus" [ 0 ] rep.San.cpus;
     Alcotest.(check string) "missing edge"
-      "invalidation ipi 0->0 for epoch 3" rep.San.missing
+      "invalidation 0->0 for epoch 2" rep.San.missing
   | None -> Alcotest.fail "skip-install-invalidation escaped the sanitizer"
 
 let test_mutant_skip_remote () =
@@ -292,7 +320,7 @@ let test_mutant_skip_remote () =
     Alcotest.(check string) "resource" "pfdev.flow_cache.cpu1" rep.San.resource;
     Alcotest.(check (list int)) "cpus" [ 0; 1 ] rep.San.cpus;
     Alcotest.(check string) "missing edge"
-      "invalidation ipi 0->1 for epoch 3" rep.San.missing
+      "invalidation 0->1 for epoch 2" rep.San.missing
   | None -> Alcotest.fail "no stale hit from skip-remote-invalidation");
   match
     List.find_opt
@@ -301,7 +329,7 @@ let test_mutant_skip_remote () =
   with
   | Some rep ->
     Alcotest.(check string) "resource" "pfdev.port_table" rep.San.resource;
-    Alcotest.(check string) "missing edge" "ipi 0->1" rep.San.missing
+    Alcotest.(check string) "missing edge" "sync 0->1" rep.San.missing
   | None -> Alcotest.fail "no unordered table read from skip-remote-invalidation"
 
 let test_mutant_skip_delivery_lock () =

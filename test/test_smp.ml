@@ -1,5 +1,6 @@
 (* The N-CPU simulated kernel: receive-side steering, per-CPU flow
-   caches, the delivery lock, and cross-CPU invalidation. *)
+   caches, the delivery lock, and cross-CPU invalidation through the device
+   generation. *)
 
 open Pf_kernel
 module Engine = Pf_sim.Engine
@@ -104,7 +105,11 @@ let test_same_flow_same_cpu () =
         smp.Pfdev.per_cpu)
     [ 0xF10; 0xF11; 0xF12 ]
 
-(* {1 Mutation invalidates every per-CPU cache} *)
+(* {1 A full invalidation reaches every per-CPU cache, without an IPI}
+
+   The mutating CPU flushes its own cache at once; every other CPU flushes
+   its own when its next demux sees the device generation moved, before it
+   probes. So the first packet after the mutation misses on every CPU. *)
 
 let test_mutations_invalidate_all_cpus () =
   let ncpus = 4 in
@@ -128,27 +133,33 @@ let test_mutations_invalidate_all_cpus () =
     let warm = Pfdev.cache_stats pf in
     Alcotest.(check bool) (name ^ ": caches warmed") true (warm.Pfdev.hits > 0);
     let inval0 = warm.Pfdev.invalidations in
-    let ipis0 = Smp.total_ipis (Host.smp h) in
     mutate pf (List.hd ports) gen;
     Engine.run eng;
-    let after = Pfdev.cache_stats pf in
-    (* One device-level event flushes all [ncpus] private caches... *)
     Alcotest.(check int)
-      (name ^ ": every per-CPU cache flushed")
-      (inval0 + ncpus) after.Pfdev.invalidations;
-    (* ...broadcast to the other CPUs as costed IPIs. *)
+      (name ^ ": the mutating CPU flushed at once")
+      (inval0 + 1) (Pfdev.cache_stats pf).Pfdev.invalidations;
+    Alcotest.(check int) (name ^ ": no IPI sent") 0 (Smp.total_ipis (Host.smp h));
+    let probes k =
+      let c = List.nth (Pfdev.smp_stats pf).Pfdev.per_cpu k in
+      (c.Pfdev.cache_hits, c.Pfdev.cache_misses)
+    in
+    for k = 0 to ncpus - 1 do
+      let f =
+        match List.find_opt (fun f -> Pfdev.steer pf (Gen.frame f) = k) (Gen.flows gen) with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: no flow steers to cpu %d" name k
+      in
+      let hits, misses = probes k in
+      Host.inject h (Gen.frame f);
+      Engine.run eng;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s: cpu %d's first packet after the mutation misses" name k)
+        (hits, misses + 1) (probes k)
+    done;
     Alcotest.(check int)
-      (name ^ ": one IPI per remote CPU")
-      (ipis0 + (ncpus - 1))
-      (Smp.total_ipis (Host.smp h));
-    (* No CPU answers from a stale entry afterwards: re-inject, recount. *)
-    let misses0 = after.Pfdev.misses in
-    List.iter (fun f -> Host.inject h (Gen.frame f)) (Gen.sequence gen 8);
-    Engine.run eng;
-    Alcotest.(check bool)
-      (name ^ ": first packet after mutation misses")
-      true
-      ((Pfdev.cache_stats pf).Pfdev.misses > misses0)
+      (name ^ ": every per-CPU cache flushed once")
+      (inval0 + ncpus) (Pfdev.cache_stats pf).Pfdev.invalidations;
+    Alcotest.(check int) (name ^ ": still no IPI") 0 (Smp.total_ipis (Host.smp h))
   in
   mutate_with "set_filter" (fun _ p gen ->
       set_filter_exn p (Gen.filter ~priority:1 (Gen.flow gen 0)));
@@ -207,7 +218,7 @@ let test_records_are_the_one_home () =
       round () (* two hits, which cost the same: on two CPUs b's delivery spins *);
       Alcotest.(check bool) (msg "kernel-claimed: bypassed, tapped by none") false
         (Pfdev.demux pf ~cpu:0 ~kernel_claimed:true fa);
-      (* Re-filtering a flushes every CPU's cache and broadcasts IPIs. *)
+      (* Re-filtering a flushes CPU 0's cache at once and sends no IPI. *)
       set_filter_exn a (Gen.filter (Gen.flow gen 0));
       Engine.run eng;
       List.iter
@@ -218,12 +229,15 @@ let test_records_are_the_one_home () =
                 (String.starts_with ~prefix k))
             [ "pf.cache."; "pf.dispatch."; "pf.smp." ])
         (Stats.pairs (Host.stats h));
-      (* Seven publishes: the strategy, two opens, two installs, the
-         copy-all flag and the re-filter. *)
-      let publishes = 7 in
+      (* Seven publications: the strategy, two opens, two installs, the
+         copy-all flag and the re-filter. All but the opens are full
+         invalidations (each install widens the flow key), and CPU 0 flushed
+         at each. The last CPU flushed once, when its first demux caught up,
+         and still holds b's entry: it has not demuxed since the re-filter. *)
+      let full = 5 in
       let cs = Pfdev.cache_stats pf in
       Alcotest.(check (list int)) (msg "cache: hits, misses, bypasses, invalidations, evictions, entries")
-        [ 2; 2; 1; publishes * n; 0; 0 ]
+        [ 2; 2; 1; full + (n - 1); 0; n - 1 ]
         [ cs.Pfdev.hits; cs.Pfdev.misses; cs.Pfdev.bypasses; cs.Pfdev.invalidations;
           cs.Pfdev.evictions; cs.Pfdev.entries ];
       let ds = Pfdev.dispatch_stats pf in
@@ -236,7 +250,7 @@ let test_records_are_the_one_home () =
       let lock_acquire = Pf_sim.Costs.microvax_ii.Pf_sim.Costs.lock_acquire in
       let deliveries, contended = if n = 1 then (0, 0) else (4, 1) in
       Alcotest.(check (list int)) (msg "lock: acquisitions, contended, spin; ipis")
-        [ deliveries; contended; contended * lock_acquire; publishes * (n - 1) ]
+        [ deliveries; contended; contended * lock_acquire; 0 ]
         [ ss.Pfdev.lock_acquisitions; ss.Pfdev.lock_contended; ss.Pfdev.lock_wait_total_us;
           ss.Pfdev.ipis ];
       let per_cpu =
@@ -250,7 +264,7 @@ let test_records_are_the_one_home () =
         (msg "per CPU: packets, hits, misses, lock waits, spin, ipis sent, received")
         (if n = 1 then [ [ 5; 2; 2; 0; 0; 0; 0 ] ]
          else
-           [ [ 3; 1; 1; 0; 0; publishes; 0 ]; [ 2; 1; 1; 1; lock_acquire; 0; publishes ] ])
+           [ [ 3; 1; 1; 0; 0; 0; 0 ]; [ 2; 1; 1; 1; lock_acquire; 0; 0 ] ])
         per_cpu;
       Alcotest.(check (list int)) (msg "host-scope counts: packets, accepted, filters tested")
         [ 5; 4; 1 ]
@@ -397,6 +411,16 @@ let test_readers_latency_bounded () =
     (Gen.sequence gen packets);
   Engine.run eng;
   Alcotest.(check int) "every packet read" packets !reads;
+  (* The reader's contended acquisitions count in CPU 0's row, as the
+     demuxing CPUs' count in theirs. *)
+  let smp = Pfdev.smp_stats pf in
+  let sum f = List.fold_left (fun a c -> a + f c) 0 smp.Pfdev.per_cpu in
+  Alcotest.(check bool) "readers contended" true (smp.Pfdev.lock_contended > 0);
+  Alcotest.(check int) "per-CPU lock waits sum to the contended acquisitions"
+    smp.Pfdev.lock_contended
+    (sum (fun c -> c.Pfdev.lock_waits));
+  Alcotest.(check int) "per-CPU spin sums to the total" smp.Pfdev.lock_wait_total_us
+    (sum (fun c -> c.Pfdev.lock_wait_us));
   Alcotest.(check bool)
     (Printf.sprintf "worst read latency %d us within the traffic span" !worst)
     true (!worst < last_due);
@@ -605,6 +629,201 @@ let test_rejected_receive_allocation () =
     (Printf.sprintf "%.2f minor words per rejected receive <= 5" per_frame)
     true (per_frame <= 5.)
 
+(* {1 Scoped invalidation}
+
+   A port change invalidates only the cached decisions it can alter: none
+   for a port with no filter before and after, the entries naming a closed
+   filtered port, the tail entries for an install in the walk's last slot,
+   and every entry otherwise. A cached device, at 1 and at 4 CPUs with each
+   frame steered as the NIC would, and an uncached 1-CPU twin take the same
+   random stream of port changes, each followed by 12 frames from a pool of
+   12, so most probes hit. After every frame, each port must have accepted
+   as many frames as its twin. The sequential strategy reorders
+   equal-priority ports busier-first every 256 classifications, and only
+   the twin classifies every frame, so the sequential runs stay under 256
+   frames. *)
+
+let scoped_pool =
+  Array.of_list
+    (List.concat_map
+       (fun dst_socket ->
+         List.concat_map
+           (fun ptype ->
+             List.map
+               (fun dst_byte -> Testutil.pup_frame ~dst_byte ~ptype ~dst_socket ())
+               [ 1; 2 ])
+           [ 1; 2 ])
+       [ 35l; 36l; 37l ])
+
+(* Socket filters read words 1, 7 and 8, type filters words 1 and 3, and
+   accept-all nothing: once one of each is open, most installs and closes
+   leave the flow key as it is. *)
+let scoped_filter rng =
+  let priority = Pf_sim.Rng.int rng 3 in
+  match Pf_sim.Rng.int rng 6 with
+  | 0 | 1 | 2 ->
+    Pf_filter.Predicates.pup_dst_socket ~priority
+      (Int32.of_int (35 + Pf_sim.Rng.int rng 3))
+  | 3 | 4 -> Pf_filter.Predicates.pup_type_is ~priority (1 + Pf_sim.Rng.int rng 2)
+  | _ -> Pf_filter.Program.with_priority Pf_filter.Predicates.accept_all priority
+
+type twin_port = {
+  cached : Pfdev.port;
+  plain : Pfdev.port;
+  mutable opened : bool;
+  mutable filtered : bool;
+}
+
+let scoped_run ~strategy ~ncpus ~steps seed =
+  let device ~ncpus ~cache =
+    let eng = Engine.create () in
+    let costs = Pf_sim.Costs.microvax_ii in
+    let pf =
+      Pfdev.create_smp eng (Smp.create ~ncpus eng costs) costs (Stats.create ())
+        ~variant:Frame.Exp3 ~address:(Addr.exp 2) ~send:ignore
+    in
+    Pfdev.set_cache_enabled pf cache;
+    Pfdev.set_strategy pf strategy;
+    (eng, pf)
+  in
+  let eng, pf = device ~ncpus ~cache:true in
+  let twin_eng, twin = device ~ncpus:1 ~cache:false in
+  let rng = Pf_sim.Rng.create seed in
+  let ports = ref [||] in
+  let pick pred = List.filter pred (Array.to_list !ports) |> Array.of_list in
+  let open_port () =
+    let p =
+      { cached = Pfdev.open_port pf; plain = Pfdev.open_port twin; opened = true; filtered = false }
+    in
+    ports := Array.append !ports [| p |];
+    p
+  in
+  let install p =
+    let program = scoped_filter rng in
+    set_filter_exn p.cached program;
+    set_filter_exn p.plain program;
+    p.filtered <- true
+  in
+  let on_one pred f =
+    match pick pred with
+    | [||] -> "nothing to change"
+    | candidates -> f (Pf_sim.Rng.pick rng candidates)
+  in
+  let both f p =
+    f p.cached;
+    f p.plain
+  in
+  for step = 1 to steps do
+    let op =
+      match Pf_sim.Rng.int rng 8 with
+      | 0 ->
+        ignore (open_port () : twin_port);
+        "open"
+      | 1 ->
+        install (open_port ());
+        "open and install"
+      | 2 ->
+        on_one (fun p -> p.opened && not p.filtered) (fun p ->
+            install p;
+            "install on an open unfiltered port")
+      | 3 ->
+        on_one (fun p -> p.opened && p.filtered) (fun p ->
+            install p;
+            "re-filter")
+      | 4 ->
+        on_one (fun p -> p.opened) (fun p ->
+            both Pfdev.close_port p;
+            p.opened <- false;
+            "close")
+      | 5 ->
+        let priority = Pf_sim.Rng.int rng 3 in
+        on_one (fun p -> p.opened) (fun p ->
+            both (fun q -> Pfdev.set_priority q priority) p;
+            "set_priority")
+      | 6 ->
+        let flag = Pf_sim.Rng.bool rng 0.5 in
+        on_one (fun p -> p.opened) (fun p ->
+            both (fun q -> Pfdev.set_copy_all q flag) p;
+            "set_copy_all")
+      | _ ->
+        let flag = Pf_sim.Rng.bool rng 0.5 in
+        on_one (fun p -> p.opened) (fun p ->
+            both (fun q -> Pfdev.set_tap q flag) p;
+            "set_tap")
+    in
+    for _ = 1 to 12 do
+      let frame = Pf_sim.Rng.pick rng scoped_pool in
+      let cpu = Pfdev.steer pf frame in
+      let accepted = Pfdev.demux pf ~cpu frame in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, step %d (%s): accepted" seed step op)
+        (Pfdev.demux twin frame) accepted;
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d, step %d (%s): port %d accepted" seed step op i)
+            (Pfdev.port_accepted p.plain) (Pfdev.port_accepted p.cached))
+        !ports
+    done;
+    Engine.run eng;
+    Engine.run twin_eng
+  done;
+  Pfdev.cache_stats pf
+
+let test_scoped_invalidation_differential () =
+  List.iter
+    (fun (strategy, steps) ->
+      List.iter
+        (fun ncpus ->
+          let hits = ref 0 and misses = ref 0 in
+          List.iter
+            (fun seed ->
+              let cs = scoped_run ~strategy ~ncpus ~steps seed in
+              hits := !hits + cs.Pfdev.hits;
+              misses := !misses + cs.Pfdev.misses)
+            [ 1; 2; 3; 4; 5; 6 ];
+          Alcotest.(check bool)
+            (Printf.sprintf "%d CPU(s), %d steps: most probes hit (%d hits, %d misses)" ncpus
+               steps !hits !misses)
+            true (!hits > !misses))
+        [ 1; 4 ])
+    [ (`Dispatch, 120); (`Sequential, 21) ]
+
+(* A close invalidates only the decisions naming the closed port. CPU 0,
+   which closes it, empties its own such entries at once; another CPU's
+   entry stays until its next probe of that flow, which misses and
+   classifies again, so the frame reaches no closed port. *)
+let test_close_reaches_remote_entry () =
+  let eng, h = mk_host ~ncpus:2 () in
+  let pf = Host.pf h in
+  let frame = Testutil.pup_frame ~dst_byte:2 () in
+  let first = Pfdev.open_port pf and second = Pfdev.open_port pf in
+  set_filter_exn first (Pf_filter.Predicates.pup_dst_socket ~priority:1 35l);
+  set_filter_exn second (Pf_filter.Predicates.pup_dst_socket 35l);
+  let probes () =
+    let c = List.nth (Pfdev.smp_stats pf).Pfdev.per_cpu 1 in
+    (c.Pfdev.cache_hits, c.Pfdev.cache_misses)
+  in
+  let accepted () = List.map Pfdev.port_accepted [ first; second ] in
+  Alcotest.(check bool) "cpu 1 caches the first port's decision" true (Pfdev.demux pf ~cpu:1 frame);
+  Alcotest.(check bool) "and hits it" true (Pfdev.demux pf ~cpu:1 frame);
+  Alcotest.(check (pair int int)) "one miss, one hit" (1, 1) (probes ());
+  Alcotest.(check (list int)) "the first port took both" [ 2; 0 ] (accepted ());
+  let invalidations = (Pfdev.cache_stats pf).Pfdev.invalidations in
+  Pfdev.close_port first;
+  Alcotest.(check bool) "the flow key did not move" true
+    (Pfdev.For_testing.flow_key pf = Pf_filter.Analysis.Exact [ 1; 7; 8 ]);
+  Alcotest.(check bool) "still accepted" true (Pfdev.demux pf ~cpu:1 frame);
+  Alcotest.(check (pair int int)) "the entry naming the closed port missed" (1, 2) (probes ());
+  Alcotest.(check (list int)) "no frame reached the closed port" [ 2; 1 ] (accepted ());
+  Alcotest.(check int) "no cache was flushed" invalidations
+    (Pfdev.cache_stats pf).Pfdev.invalidations;
+  Alcotest.(check bool) "accepted again" true (Pfdev.demux pf ~cpu:1 frame);
+  Alcotest.(check (pair int int)) "the classified-again entry hits" (2, 2) (probes ());
+  Alcotest.(check (list int)) "by the second port" [ 2; 2 ] (accepted ());
+  Alcotest.(check int) "no IPI sent" 0 (Pfdev.smp_stats pf).Pfdev.ipis;
+  Engine.run eng
+
 let suite =
   ( "smp",
     [
@@ -612,7 +831,7 @@ let suite =
         test_determinism_4cpu;
       Alcotest.test_case "same flow always steers to the same CPU" `Quick
         test_same_flow_same_cpu;
-      Alcotest.test_case "mutations invalidate every per-CPU cache (+IPIs)" `Quick
+      Alcotest.test_case "mutations invalidate every per-CPU cache, without IPIs" `Quick
         test_mutations_invalidate_all_cpus;
       Alcotest.test_case "1-CPU SMP matches the legacy path exactly" `Quick
         test_one_cpu_parity;
@@ -634,4 +853,8 @@ let suite =
         test_inject_allocation;
       Alcotest.test_case "a rejected receive allocates only inject's closure" `Quick
         test_rejected_receive_allocation;
+      Alcotest.test_case "scoped invalidation: cached devices deliver as an uncached twin"
+        `Quick test_scoped_invalidation_differential;
+      Alcotest.test_case "a close reaches a remote CPU's entry at its next probe" `Quick
+        test_close_reaches_remote_entry;
     ] )
