@@ -8,8 +8,8 @@
    against a private, contention-free flow cache; only the shared
    port-queue insert takes the costed delivery spinlock, and a filter-set
    mutation reaches the other CPUs through the device generation each
-   checks at its next demux, with no IPI. Throughput is packets over the
-   makespan (the busiest CPU's added busy time).
+   checks at its next demux. Throughput is packets over the makespan (the
+   busiest CPU's added busy time).
 
    Two mixes: uniform (every flow equal — the scaling showcase) and
    Zipf-skewed (a few conversations dominate — steering can only spread
@@ -142,8 +142,7 @@ let run () =
             record_metric (m ^ "_throughput_pps") r.throughput_pps;
             record_metric (m ^ "_makespan_us") (float_of_int r.makespan_us);
             record_metric (m ^ "_lock_wait_us")
-              (float_of_int r.smp.Pfdev.lock_wait_total_us);
-            record_metric (m ^ "_ipis") (float_of_int r.smp.Pfdev.ipis))
+              (float_of_int r.smp.Pfdev.lock_wait_total_us))
           rows;
         (skew, rows))
       [ Gen.Uniform; Gen.Zipf 1.2 ]
@@ -212,8 +211,8 @@ let run () =
              in
              {
                metric =
-                 Printf.sprintf "%d CPU%s (%d lock waits, %d ipis)" n
-                   (if n = 1 then " " else "s") waits r.smp.Pfdev.ipis;
+                 Printf.sprintf "%d CPU%s (%d lock waits)" n
+                   (if n = 1 then " " else "s") waits;
                paper = Printf.sprintf "%8d us" r.makespan_us;
                ours =
                  Printf.sprintf "%8.0f pps (%4.2fx)" r.throughput_pps

@@ -721,8 +721,6 @@ let smp_stats_fields (s : Kdev.smp_stats) =
                 ("cache_misses", string_of_int c.Kdev.cache_misses);
                 ("lock_waits", string_of_int c.Kdev.lock_waits);
                 ("lock_wait_us", string_of_int c.Kdev.lock_wait_us);
-                ("ipis_sent", string_of_int c.Kdev.ipis_sent);
-                ("ipis_received", string_of_int c.Kdev.ipis_received);
                 ("busy_us", string_of_int c.Kdev.busy_us);
                 ("idle_us", string_of_int c.Kdev.idle_us) ])
           s.Kdev.per_cpu));
@@ -730,8 +728,7 @@ let smp_stats_fields (s : Kdev.smp_stats) =
      json_obj
        [ ("acquisitions", string_of_int s.Kdev.lock_acquisitions);
          ("contended", string_of_int s.Kdev.lock_contended);
-         ("wait_us", string_of_int s.Kdev.lock_wait_total_us) ]);
-    ("ipis", string_of_int s.Kdev.ipis) ]
+         ("wait_us", string_of_int s.Kdev.lock_wait_total_us) ]) ]
 
 let json_of_san san =
   json_obj
@@ -822,8 +819,7 @@ let smp_cmd =
        ~doc:
          "Simulate receive-side steering of a seeded flow mix across N \
           CPUs and report the per-CPU counters: packets steered, private \
-          flow-cache hits, delivery-lock contention, and IPIs (none: a filter \
-          change reaches the other CPUs through the device generation)")
+          flow-cache hits, and delivery-lock contention")
     Term.(const run $ cpus $ packets $ flows $ seed $ san $ json_flag)
 
 (* {1 The concurrency sanitizer: dynamic checker and static lint} *)

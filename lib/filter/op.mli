@@ -60,19 +60,16 @@ val apply : t -> t2:int -> t1:int -> application
 val apply_accept : int
 (** Sentinel returned by {!apply_int}: terminate accepting. Negative. *)
 
-val apply_reject : int
-(** Sentinel returned by {!apply_int}: terminate rejecting. Negative. *)
-
 val apply_fault : int
 (** Sentinel returned by {!apply_int}: division by zero. Negative (faults
     reject the packet, but engines may want to count them apart). *)
 
 val apply_int : t -> t2:int -> t1:int -> int
 (** Allocation-free {!apply} for hot loops: a non-negative result is the
-    16-bit value to push, a negative one is {!apply_accept},
-    {!apply_reject}, or {!apply_fault}. Stack values are 16-bit, so the
-    sentinels can never collide with a pushed result. Agrees with {!apply}
-    on every operator; raises [Invalid_argument] on [Nop]. *)
+    16-bit value to push, a negative one is {!apply_accept}, the sentinel
+    for terminating rejecting, or {!apply_fault}. Stack values are 16-bit,
+    so the sentinels can never collide with a pushed result. Agrees with
+    {!apply} on every operator; raises [Invalid_argument] on [Nop]. *)
 
 (** {1 Packed run results}
 

@@ -172,8 +172,6 @@ let true_cond =
     preds = [];
   }
 
-let opaque c = c.preds <> []
-
 let equal_cond a b =
   List.length a.atoms = List.length b.atoms
   && List.for_all2 atom_equal a.atoms b.atoms

@@ -82,10 +82,6 @@ val run_ir : ?budget:int -> Ctx.t -> Ir.t -> outcome
 val true_cond : cond
 (** The empty conjunction. *)
 
-val opaque : cond -> bool
-(** Does the condition contain opaque predicates? Such a condition can be
-    checked against a packet but not always solved into one. *)
-
 val equal_cond : cond -> cond -> bool
 (** Structural equality of the atom sequences. Meaningful only for
     conditions built in the same {!Ctx.t}. *)

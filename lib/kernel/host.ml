@@ -113,8 +113,8 @@ let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
   let engine = Pf_net.Link.engine link in
   let smp, steered =
     match ncpus with
-    | None -> (Smp.create ~ncpus:1 engine costs, false)
-    | Some n -> (Smp.create ~ncpus:n engine costs, true)
+    | None -> (Smp.create ~ncpus:1 costs, false)
+    | Some n -> (Smp.create ~ncpus:n costs, true)
   in
   let stats = Stats.create () in
   let nic = Pf_net.Nic.create link ~addr in
@@ -153,13 +153,13 @@ let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
 
 (* Attach a concurrency sanitizer to the whole host: the primary packet
    filter device registers its shared objects ({!Pfdev.attach_san}, which
-   also wires {!Smp.set_san} so lock and IPI edges flow in), and the
-   host-wide protocol-dispatch table joins the registry as an
-   IPI-published resource written only by boot-CPU configuration. *)
+   also wires {!Smp.set_san} so lock edges flow in), and the host-wide
+   protocol-dispatch table joins the registry as a published resource
+   written only by boot-CPU configuration. *)
 let attach_san t san =
   Pfdev.attach_san t.pf san;
   let res =
-    San.register san ~name:"host.protocols" ~discipline:San.Ipi_published
+    San.register san ~name:"host.protocols" ~discipline:San.Published
   in
   San.declare_site san ~site:"Host.register_protocol" ~ctx:San.Boot ~locks:[]
     ~rw:`Write res;
@@ -196,17 +196,17 @@ let spawn t ~name body = Process.spawn t.engine (cpu t) ~name body
 
 (* Registration is a boot-CPU configuration action; in a real kernel it
    completes (with the table write globally visible) before any frame of
-   the new type can be dispatched. Model that visibility barrier as
-   explicit publication edges to every CPU — without them, a remote
-   receive CPU's table read would look unordered after the write. *)
+   the new type can be dispatched. Model that visibility barrier as a
+   publication every CPU syncs to at once — without it, a remote receive
+   CPU's table read would look unordered after the write. *)
 let san_protocols_write t =
   match t.san_protocols with
   | None -> ()
   | Some (san, res) ->
     San.write san ~cpu:0 res;
+    San.publish san ~cpu:0 res;
     for k = 1 to Smp.ncpus t.smp - 1 do
-      let m = San.ipi_send san ~src:0 in
-      San.ipi_receive san ~dst:k m
+      San.sync san ~cpu:k res
     done
 
 let register_protocol t ~ethertype handler =

@@ -49,9 +49,10 @@ val pf : t -> Pfdev.t
 val attach_san : t -> Pf_sim.San.t -> unit
 (** Attach a concurrency sanitizer to the host: the primary device's
     shared objects ({!Pfdev.attach_san}) plus the host-wide
-    protocol-dispatch table. The sanitizer must have been created with the
-    host's CPU count. Attach before traffic; attaching never changes
-    verdicts, event order, or any legacy counter. *)
+    protocol-dispatch table, which each registration publishes from the
+    boot CPU and every CPU syncs to. The sanitizer must have been created
+    with the host's CPU count. Attach before traffic; attaching never
+    changes verdicts, event order, or any legacy counter. *)
 
 val san : t -> Pf_sim.San.t option
 

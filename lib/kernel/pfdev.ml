@@ -276,7 +276,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
   }
 
 let create engine cpu costs stats ~variant ~address ~send =
-  create_smp engine (Smp.of_cpus engine costs [| cpu |]) costs stats ~variant ~address ~send
+  create_smp engine (Smp.of_cpus costs [| cpu |]) costs stats ~variant ~address ~send
 
 let ncpus t = Smp.ncpus t.smp
 let smp t = t.smp
@@ -331,7 +331,7 @@ let attach_san t san =
       ~discipline:(San.Guarded_by (Smp.Lock.name t.delivery_lock))
   in
   let res_table =
-    San.register san ~name:"pfdev.port_table" ~discipline:San.Ipi_published
+    San.register san ~name:"pfdev.port_table" ~discipline:San.Published
   in
   let res_cache =
     Array.init n (fun k ->
@@ -978,8 +978,6 @@ type smp_cpu_stats = {
   cache_misses : int;
   lock_waits : int;
   lock_wait_us : int;
-  ipis_sent : int;
-  ipis_received : int;
   busy_us : int;
   idle_us : int;
 }
@@ -1006,8 +1004,6 @@ let smp_stats (t : t) =
           cache_misses = c.misses;
           lock_waits = t.smp_lock_waits.(k);
           lock_wait_us = t.smp_lock_wait_us.(k);
-          ipis_sent = Smp.ipis_sent t.smp k;
-          ipis_received = Smp.ipis_received t.smp k;
           busy_us = Cpu.busy_time cpu_k;
           idle_us = Cpu.idle_since cpu_k ~start:0 ~now;
         })
@@ -1018,19 +1014,19 @@ let smp_stats (t : t) =
     lock_acquisitions = Smp.Lock.acquisitions t.delivery_lock;
     lock_contended = Smp.Lock.contended t.delivery_lock;
     lock_wait_total_us = Smp.Lock.wait_time t.delivery_lock;
-    ipis = Smp.total_ipis t.smp;
+    ipis = 0;
   }
 
 let pp_smp_cpu_stats ppf s =
   Format.fprintf ppf
-    "cpu%d: %d packets, %d hits / %d misses, %d lock waits (%d us), %d/%d ipis sent/recv, %d us busy / %d us idle"
+    "cpu%d: %d packets, %d hits / %d misses, %d lock waits (%d us), %d us busy / %d us idle"
     s.cpu s.packets s.cache_hits s.cache_misses s.lock_waits s.lock_wait_us
-    s.ipis_sent s.ipis_received s.busy_us s.idle_us
+    s.busy_us s.idle_us
 
 let pp_smp_stats ppf s =
   Format.fprintf ppf
-    "smp: %d cpus, %d lock acquisitions (%d contended, %d us spinning), %d ipis"
-    s.ncpus s.lock_acquisitions s.lock_contended s.lock_wait_total_us s.ipis;
+    "smp: %d cpus, %d lock acquisitions (%d contended, %d us spinning)"
+    s.ncpus s.lock_acquisitions s.lock_contended s.lock_wait_total_us;
   List.iter (fun c -> Format.fprintf ppf "@\n  %a" pp_smp_cpu_stats c) s.per_cpu
 
 (* {1 Demultiplexing}
@@ -1352,7 +1348,17 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
 
 (* {1 User side} *)
 
-let copy_out_cost port bytes = Costs.copy_cost port.dev.costs ~bytes
+(* Enter the device by a system call, charged to the calling process. *)
+let syscall port =
+  Process.use_cpu port.dev.costs.Costs.syscall;
+  Stats.bump port.dev.ctr.syscalls
+
+(* Copy one dequeued packet out to the reading process. *)
+let copy_out port capture =
+  let copy = Costs.copy_cost port.dev.costs ~bytes:(Packet.length capture.packet) in
+  Process.use_cpu copy;
+  Stats.add port.dev.ctr.copy_cpu_us copy;
+  Stats.bump port.dev.ctr.reads_delivered
 
 (* User-side dequeue. On a multi-CPU device the port queues are shared with
    every demuxing CPU, so the reading process (on the boot CPU) takes the
@@ -1380,10 +1386,7 @@ let locked_dequeue port =
 let rec read_blocking port =
   match locked_dequeue port with
   | Some capture ->
-    let copy = copy_out_cost port (Packet.length capture.packet) in
-    Process.use_cpu copy;
-    Stats.add port.dev.ctr.copy_cpu_us copy;
-    Stats.bump port.dev.ctr.reads_delivered;
+    copy_out port capture;
     Some capture
   | None ->
     if not port.is_open then None
@@ -1394,8 +1397,7 @@ let rec read_blocking port =
     end
 
 let read port =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.bump port.dev.ctr.syscalls;
+  syscall port;
   read_blocking port
 
 (* Copy out exactly the packets that were pending when the system call ran —
@@ -1406,10 +1408,7 @@ let rec drain port acc remaining =
   else begin
     match locked_dequeue port with
     | Some capture ->
-      let copy = copy_out_cost port (Packet.length capture.packet) in
-      Process.use_cpu copy;
-      Stats.add port.dev.ctr.copy_cpu_us copy;
-      Stats.bump port.dev.ctr.reads_delivered;
+      copy_out port capture;
       drain port (capture :: acc) (remaining - 1)
     | None -> List.rev acc
   end
@@ -1425,8 +1424,7 @@ let rec read_batch_blocking port =
   end
 
 let read_batch port =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.bump port.dev.ctr.syscalls;
+  syscall port;
   read_batch_blocking port
 
 let write_one port frame =
@@ -1440,13 +1438,11 @@ let write_one port frame =
   t.send frame
 
 let write port frame =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.bump port.dev.ctr.syscalls;
+  syscall port;
   write_one port frame
 
 let write_batch port frames =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.bump port.dev.ctr.syscalls;
+  syscall port;
   List.iter (write_one port) frames
 
 let poll port = Queue.length port.queue
@@ -1454,7 +1450,7 @@ let poll port = Queue.length port.queue
 let select ?timeout ports =
   (match ports with
   | [] -> invalid_arg "Pfdev.select: no ports"
-  | port :: _ -> Process.use_cpu port.dev.costs.Costs.syscall);
+  | port :: _ -> syscall port);
   let ready () = List.filter (fun p -> not (Queue.is_empty p.queue)) ports in
   match ready () with
   | _ :: _ as r -> r

@@ -278,7 +278,8 @@ val poll : port -> int
 
 val select : ?timeout:Pf_sim.Time.t -> port list -> port list
 (** Block until at least one port has queued packets; returns the ready
-    subset, [[]] on timeout. *)
+    subset, [[]] on timeout. One system call, charged and counted in
+    [pf.syscalls] like {!read}'s. *)
 
 (** {1 Kernel interface} *)
 
@@ -394,8 +395,6 @@ type smp_cpu_stats = {
   cache_misses : int;
   lock_waits : int;  (** contended delivery-lock acquisitions *)
   lock_wait_us : int;  (** virtual time spent spinning *)
-  ipis_sent : int;
-  ipis_received : int;
   busy_us : int;
   idle_us : int;
 }
@@ -407,8 +406,8 @@ type smp_stats = {
   lock_contended : int;
   lock_wait_total_us : int;
   ipis : int;
-      (** interprocessor interrupts on the complex; the device sends none,
-          so this reads 0 unless something else does *)
+      (** always 0: no IPI exists; kept for pfbench's [ipi.count] until a
+          benchmark change drops it *)
 }
 
 val smp_stats : t -> smp_stats
@@ -416,8 +415,7 @@ val smp_stats : t -> smp_stats
     stats hold no copy. A reader's contended delivery-lock acquisitions
     count in CPU 0's row, where readers run, so the rows' [lock_waits] and
     [lock_wait_us] sum to [lock_contended] and [lock_wait_total_us].
-    Meaningful but degenerate on a single-CPU device: one row, no locks,
-    no IPIs. *)
+    Meaningful but degenerate on a single-CPU device: one row, no locks. *)
 
 val pp_smp_stats : Format.formatter -> smp_stats -> unit
 

@@ -16,9 +16,6 @@ val by_protocol : t -> (string * (int * int)) list
 val by_talker : t -> (string * int) list
 (** Source address → packets sent, sorted by descending count. *)
 
-val size_histogram : t -> (int * int) list
-(** Power-of-two size buckets: (upper bound, packets). *)
-
 val report : Format.formatter -> t -> unit
 
 (** Seeded, replayable synthetic traffic: a fixed multi-flow mix (protocol

@@ -68,14 +68,19 @@ type t = {
           acquisitions additionally spin for the remaining hold time
           ({!Smp.Lock}) *)
   ipi_send : Time.t;
-      (** posting an interprocessor interrupt from the sending CPU: write
-          the mailbox, strobe the doorbell register *)
+      (** charged by nothing: the simulated complex sends no
+          interprocessor interrupt. Kept with {!ipi_receive} and
+          {!ipi_latency} for pfbench's cost pins and ledger until a
+          benchmark change drops them. Priced as posting one from the
+          sending CPU: write the mailbox, strobe the doorbell register *)
   ipi_receive : Time.t;
-      (** fielding an interprocessor interrupt on the target CPU: interrupt
-          entry, handler dispatch, exit — calibrated as a cheap interrupt,
-          a fraction of {!recv_interrupt}'s device work *)
+      (** charged by nothing (see {!ipi_send}); priced as fielding an
+          interprocessor interrupt on the target CPU: interrupt entry,
+          handler dispatch, exit — a cheap interrupt, a fraction of
+          {!recv_interrupt}'s device work *)
   ipi_latency : Time.t;
-      (** bus propagation delay between doorbell strobe and the target CPU
+      (** charged by nothing (see {!ipi_send}); priced as the bus
+          propagation delay between doorbell strobe and the target CPU
           taking the interrupt *)
   san_access : Time.t;
       (** concurrency-sanitizer bookkeeping charged per instrumented

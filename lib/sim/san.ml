@@ -4,9 +4,9 @@
 
    Vector clocks: one int array of length ncpus per CPU. Each instrumented
    event ticks the acting CPU's own component; lock release copies the
-   releaser's clock into the lock, acquire joins it back; an IPI carries the
-   sender's clock to the receiver. "w happens-before this access on cpu c"
-   is then the usual test: vc.(c).(w_cpu) >= w_clock.
+   releaser's clock into the lock, acquire joins it back; publish and sync
+   carry it through the published clock (below). "w happens-before this
+   access on cpu c" is then the usual test: vc.(c).(w_cpu) >= w_clock.
 
    Locksets: Eraser's state machine per resource (virgin -> exclusive ->
    shared / shared-modified), candidate set = intersection of the lock sets
@@ -20,7 +20,7 @@
    epoch, flush clears a CPU's cache shadow, stores stamp the epoch, and a
    hit on an entry stamped before the current epoch is a stale hit. *)
 
-type discipline = Guarded_by of string | Cpu_private of int | Ipi_published
+type discipline = Guarded_by of string | Cpu_private of int | Published
 
 type kind =
   | Lockset_violation
@@ -62,8 +62,6 @@ type site = {
   srw : [ `Read | `Write ];
   sresource : resource;
 }
-
-type msg = int array
 
 type t = {
   ncpus : int;
@@ -133,7 +131,7 @@ let check_cpu t cpu who =
 let register t ~name ~discipline =
   (match discipline with
   | Cpu_private k -> check_cpu t k "register"
-  | Guarded_by _ | Ipi_published -> ());
+  | Guarded_by _ | Published -> ());
   let r =
     {
       id = t.next_id;
@@ -156,7 +154,7 @@ let registry t =
 let pp_discipline ppf = function
   | Guarded_by l -> Format.fprintf ppf "guarded by %s" l
   | Cpu_private k -> Format.fprintf ppf "private to cpu %d" k
-  | Ipi_published -> Format.pp_print_string ppf "ipi-published"
+  | Published -> Format.pp_print_string ppf "published"
 
 (* {1 Reports} *)
 
@@ -245,19 +243,6 @@ let lock_released t ~cpu name =
   t.held.(cpu) <- drop t.held.(cpu);
   count t "lock_edges"
 
-let ipi_send t ~src =
-  check_cpu t src "ipi_send";
-  let m = Array.copy t.vc.(src) in
-  tick t src;
-  count t "ipi_edges";
-  m
-
-let ipi_receive t ~dst m =
-  check_cpu t dst "ipi_receive";
-  join t.vc.(dst) m;
-  tick t dst;
-  count t "ipi_edges"
-
 let lock_misuse t ~cpu ~lock ~kind =
   check_cpu t cpu "lock_misuse";
   report t ~kind:Lock_misuse ~resource:lock ~cpus:[ cpu ]
@@ -315,7 +300,7 @@ let access t ~cpu ~is_write r =
       if is_write then r.state <- Shared_modified;
       refine ()
     | Shared_modified -> refine ())
-  | Ipi_published -> (
+  | Published -> (
     match r.last_write with
     | Some (w_cpu, w_clk) when w_cpu <> cpu && t.vc.(cpu).(w_cpu) < w_clk ->
       report t ~kind:Unordered_access ~resource:r.name ~cpus:[ w_cpu; cpu ]
@@ -476,9 +461,9 @@ module Lint = struct
                        | [] -> " (no locks held)"
                        | ls -> " (holds " ^ String.concat "," ls ^ ")")))
               rs
-        | Ipi_published ->
-          (* Two sites each pinned to a different CPU both writing an
-             ipi-published resource means two competing publishers — the
+        | Published ->
+          (* Two sites each pinned to a different CPU both writing a
+             published resource means two competing publishers — the
              protocol assumes mutations are serialized. (Boot/Any_cpu
              writer contexts are the normal configuration path and are
              checked dynamically instead.) *)
@@ -494,7 +479,7 @@ module Lint = struct
           if List.length pinned_writers > 1 then
             add `Inconsistent_guard r.name
               (Printf.sprintf
-                 "%d distinct pinned publisher CPUs on an ipi-published \
+                 "%d distinct pinned publisher CPUs on a published \
                   resource (single-publisher protocol)"
                  (List.length pinned_writers))))
       (List.rev t.resources);

@@ -5,14 +5,14 @@
     every shared object in a {e resource registry} together with its
     locking discipline, then routes each access through {!read}/{!write}.
     The checker maintains Eraser-style candidate locksets per resource and
-    per-CPU vector clocks advanced by lock acquire/release and IPI edges,
-    and reports:
+    per-CPU vector clocks advanced by lock acquire/release and publish/sync
+    edges, and reports:
 
     - an access to a [Guarded_by] resource whose candidate lockset
       intersection goes empty once the resource is shared ({e lockset
       violation});
     - an access to a [Cpu_private] resource from any CPU but its owner;
-    - a read of an [Ipi_published] resource that is not happens-after the
+    - a read of a [Published] resource that is not happens-after the
       latest conflicting write ({e missing synchronization edge});
     - a flow-cache hit served from an entry that predates the last full
       invalidation, on a CPU that has not flushed since ({e stale hit} —
@@ -45,9 +45,10 @@ type discipline =
   | Guarded_by of string
       (** every access once shared must hold the named lock *)
   | Cpu_private of int  (** only the owning CPU may touch it *)
-  | Ipi_published
-      (** written by one CPU, published to the others by IPI or {!sync}
-          edges; reads must be happens-after the latest write *)
+  | Published
+      (** written by one CPU, which {!publish}es it, and read by the
+          others after they {!sync}; reads must be happens-after the latest
+          write *)
 
 val create : ?stats:Stats.t -> ncpus:int -> unit -> t
 (** A fresh checker for an [ncpus]-CPU complex. When [stats] is given,
@@ -79,23 +80,20 @@ val lock_acquired : t -> cpu:int -> string -> unit
 
 val lock_released : t -> cpu:int -> string -> unit
 
-type msg
-(** A happens-before token carried by an in-flight IPI. *)
-
-val ipi_send : t -> src:int -> msg
-val ipi_receive : t -> dst:int -> msg -> unit
-
 val lock_misuse : t -> cpu:int -> lock:string -> kind:string -> unit
 (** Funnel for the lock model's own misuse detection (double release,
     release by non-owner, reentrant acquire). *)
 
 (** {1 The cache-coherence protocol checker}
 
-    One coherence domain per checker: the device's acceptor configuration
-    (its port table). Publication and invalidation are separate events.
+    One coherence domain per checker, whichever resource the calls name:
+    the device's acceptor configuration (its port table), and the host's
+    protocol table. Publication and invalidation are separate events.
     [publish] is a write of the configuration, which every CPU must [sync]
     to before it reads the configuration again; a read that is not
     happens-after the latest write is reported as unordered ({!read}).
+    There is one published clock, so a [sync] orders the CPU after every
+    publication so far, of any resource.
     [invalidate] is a full invalidation: it starts a new epoch, and every
     cache entry stored before it is stale until its CPU [flush]es.
     [note_store] and [note_hit] shadow the per-CPU flow caches. A hit on

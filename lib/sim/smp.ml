@@ -1,82 +1,29 @@
-(* An SMP complex: N serializing CPUs sharing one discrete-event engine,
-   plus the two cross-CPU cost primitives multiprocessor kernels pay for —
-   spinlocks and interprocessor interrupts.
-
-   Determinism: the engine already orders same-time events by scheduling
-   sequence number, so every cross-CPU interaction here (IPI broadcasts,
-   per-CPU work retiring at the same instant) is made deterministic by
-   always iterating CPUs in ascending id order when scheduling — the
-   (time, cpu id, seq) order is then exactly the (time, seq) order the
-   engine enforces. *)
+(* An SMP complex: N serializing CPUs plus the costed spinlock they
+   share. *)
 
 type t = {
-  engine : Engine.t;
   costs : Costs.t;
   cpus : Cpu.t array;
-  ipis_sent : int array; (* per source CPU *)
-  ipis_received : int array; (* per target CPU *)
   mutable san : San.t option; (* attached sanitizer, if any *)
 }
 
-let of_cpus engine costs cpus =
+let of_cpus costs cpus =
   if Array.length cpus = 0 then invalid_arg "Smp.of_cpus: no CPUs";
-  {
-    engine;
-    costs;
-    cpus;
-    ipis_sent = Array.make (Array.length cpus) 0;
-    ipis_received = Array.make (Array.length cpus) 0;
-    san = None;
-  }
+  { costs; cpus; san = None }
 
-let create ?(ncpus = 1) engine costs =
+let create ?(ncpus = 1) costs =
   if ncpus < 1 then invalid_arg "Smp.create: ncpus must be at least 1";
-  of_cpus engine costs (Array.init ncpus (fun _ -> Cpu.create costs))
+  of_cpus costs (Array.init ncpus (fun _ -> Cpu.create costs))
 
 let ncpus t = Array.length t.cpus
 let costs t = t.costs
-let engine t = t.engine
 
 let cpu t i =
   if i < 0 || i >= Array.length t.cpus then invalid_arg "Smp.cpu: no such CPU";
   t.cpus.(i)
 
-let ipis_sent t i = t.ipis_sent.(i)
-let ipis_received t i = t.ipis_received.(i)
-let total_ipis t = Array.fold_left ( + ) 0 t.ipis_sent
 let set_san t san = t.san <- Some san
 let san t = t.san
-
-(* Post an interprocessor interrupt: the sender pays [ipi_send] in its own
-   (interrupt) context right now, the doorbell propagates for [ipi_latency],
-   then the target CPU fields a [ipi_receive]-long interrupt and [k] runs
-   when that work retires. An attached sanitizer sees the happens-before
-   edge: the token snapshots the sender's clock now, the receiver joins it
-   as its interrupt retires, just before [k]. *)
-let ipi t ~src ~dst k =
-  if src = dst then invalid_arg "Smp.ipi: src = dst";
-  let send_done =
-    Cpu.run t.cpus.(src) ~owner:`Interrupt ~start:(Engine.now t.engine)
-      ~cost:t.costs.Costs.ipi_send
-  in
-  t.ipis_sent.(src) <- t.ipis_sent.(src) + 1;
-  let token = Option.map (fun san -> San.ipi_send san ~src) t.san in
-  Engine.schedule t.engine ~at:(send_done + t.costs.Costs.ipi_latency) (fun () ->
-      let finish =
-        Cpu.run t.cpus.(dst) ~owner:`Interrupt ~start:(Engine.now t.engine)
-          ~cost:t.costs.Costs.ipi_receive
-      in
-      t.ipis_received.(dst) <- t.ipis_received.(dst) + 1;
-      Engine.schedule t.engine ~at:finish (fun () ->
-          (match (t.san, token) with
-          | Some san, Some m -> San.ipi_receive san ~dst m
-          | _ -> ());
-          k ()))
-
-(* Every CPU except [src], ascending id (the deterministic broadcast
-   order); [k] runs once per target as its receive interrupt retires. *)
-let ipi_broadcast t ~src k =
-  Array.iteri (fun dst _ -> if dst <> src then ipi t ~src ~dst (fun () -> k dst)) t.cpus
 
 module Lock = struct
   (* A costed spinlock. The simulation itself is single-threaded, so the

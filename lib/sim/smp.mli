@@ -1,47 +1,31 @@
-(** An SMP complex: N {!Cpu.t}s sharing one discrete-event {!Engine}, with
-    the two cross-CPU cost primitives a multiprocessor kernel pays for —
-    costed spinlocks and costed interprocessor interrupts.
+(** An SMP complex: N {!Cpu.t}s plus the costed spinlock they share.
 
     The single-CPU complex ([ncpus = 1]) is cost-identical to a bare
-    {!Cpu.t}: no locks are ever contended, no IPIs ever sent, so every
-    single-processor simulation keeps its exact legacy accounting.
+    {!Cpu.t}: no lock is ever contended, so every single-processor
+    simulation keeps its exact legacy accounting.
 
-    Determinism: all cross-CPU scheduling here iterates CPUs in ascending
-    id order, so the engine's (time, sequence) order coincides with a
-    (time, CPU id, sequence) tie-break and repeated runs are bit-identical. *)
+    The complex sends no messages between CPUs: a change one CPU makes for
+    the others is published, and each CPU syncs to it at its next use
+    ({!San.publish}, {!San.sync}). *)
 
 type t
 
-val create : ?ncpus:int -> Engine.t -> Costs.t -> t
+val create : ?ncpus:int -> Costs.t -> t
 (** Fresh CPUs; [ncpus] defaults to 1. *)
 
-val of_cpus : Engine.t -> Costs.t -> Cpu.t array -> t
+val of_cpus : Costs.t -> Cpu.t array -> t
 (** Wrap existing CPUs (the compatibility path for code that built its own
     {!Cpu.t}). *)
 
 val ncpus : t -> int
 val costs : t -> Costs.t
-val engine : t -> Engine.t
 
 val cpu : t -> int -> Cpu.t
 (** CPU by id, [0 .. ncpus-1]. CPU 0 is the boot CPU: user processes and
     kernel-resident protocol work run there. *)
 
-val ipi : t -> src:int -> dst:int -> (unit -> unit) -> unit
-(** Post an interprocessor interrupt: charges {!Costs.t.ipi_send} on [src]
-    now, then after {!Costs.t.ipi_latency} charges {!Costs.t.ipi_receive}
-    on [dst] and runs the callback when that interrupt work retires. *)
-
-val ipi_broadcast : t -> src:int -> (int -> unit) -> unit
-(** One {!ipi} to every CPU except [src], in ascending id order. *)
-
-val ipis_sent : t -> int -> int
-val ipis_received : t -> int -> int
-val total_ipis : t -> int
-
 val set_san : t -> San.t -> unit
-(** Attach a concurrency sanitizer: every subsequent {!ipi} carries a
-    happens-before token from sender to receiver, and every
+(** Attach a concurrency sanitizer: every subsequent
     {!Lock.acquire}/{!Lock.release} advances the acquiring CPU's vector
     clock. Attaching never changes costs, event order, or counters. *)
 

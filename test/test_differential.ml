@@ -209,19 +209,19 @@ let test_stale_cache_mutant_caught_and_shrunk () =
 (* {1 The seeded stale-REMOTE-cache mutant}
 
    The SMP variant of the same kernel bug: on a 2-CPU device, a filter
-   change invalidates the installing CPU's flow cache but "forgets" the
-   invalidation IPI to the other CPU (Pfdev.For_testing.
-   skip_remote_invalidation). CPU 1's private cache still holds
-   accept_all's verdict under the old cache key, so the next packet
-   demultiplexed on CPU 1 answers stale — the oracle must flag it on any
-   packet the real filter rejects, and the shrinker must reduce the
+   change invalidates the installing CPU's flow cache but "forgets" to
+   advance the device generation, so the other CPU never catches up
+   (Pfdev.For_testing.skip_remote_invalidation). CPU 1's private cache
+   still holds accept_all's verdict under the old cache key, so the next
+   packet demultiplexed on CPU 1 answers stale — the oracle must flag it on
+   any packet the real filter rejects, and the shrinker must reduce the
    evidence. *)
 
 let mutant_stale_remote_cache (v : Validate.t) packet =
   let module Pfdev = Pf_kernel.Pfdev in
   let eng = Pf_sim.Engine.create () in
   let costs = Pf_sim.Costs.free in
-  let smp = Pf_sim.Smp.create ~ncpus:2 eng costs in
+  let smp = Pf_sim.Smp.create ~ncpus:2 costs in
   let dev =
     Pfdev.create_smp eng smp costs (Pf_sim.Stats.create ())
       ~variant:Pf_net.Frame.Exp3 ~address:(Pf_net.Addr.exp 1)

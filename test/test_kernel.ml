@@ -232,7 +232,9 @@ let test_select () =
     (Host.spawn alice ~name:"writer" (fun () ->
          Pfdev.write port_a (Testutil.pup_frame ~dst_byte:2 ~dst_socket:99l ())));
   Engine.run eng;
-  Alcotest.(check (list int)) "one port ready with one packet" [ 1 ] !ready
+  Alcotest.(check (list int)) "one port ready with one packet" [ 1 ] !ready;
+  Alcotest.(check int) "the select counts its system call" 1
+    (Pf_sim.Stats.get (Host.stats bob) "pf.syscalls")
 
 let test_select_timeout () =
   let eng, _, _, bob = mk_world () in
@@ -832,8 +834,8 @@ let test_san_sees_every_port_mutation () =
   Engine.run eng;
   Alcotest.(check int) "no reports" 0 (Pf_sim.San.report_count san)
 
-(* A setter that changes nothing publishes nothing: no cache flush, no
-   IPI, and no sanitizer write, publication or sync. *)
+(* A setter that changes nothing publishes nothing: no cache flush, and
+   no sanitizer write, publication or sync. *)
 let test_noop_setters_publish_nothing () =
   let eng = Engine.create () in
   let link = Pf_net.Link.create eng Frame.Dix10 ~rate_mbit:10. () in
@@ -853,7 +855,6 @@ let test_noop_setters_publish_nothing () =
   let counts () =
     let c = Pf_sim.San.counters san in
     (Pfdev.cache_stats pf).Pfdev.invalidations
-    :: (Pfdev.smp_stats pf).Pfdev.ipis
     :: List.map
          (fun k -> Option.value ~default:0 (List.assoc_opt ("pf.san." ^ k) c))
          [ "writes"; "publishes"; "syncs" ]
@@ -862,8 +863,8 @@ let test_noop_setters_publish_nothing () =
     let before = counts () in
     f ();
     Alcotest.(check (list int))
-      (name ^ ": invalidations, IPIs, writes, publishes, syncs added")
-      [ 0; 0; 0; 0; 0 ]
+      (name ^ ": invalidations, writes, publishes, syncs added")
+      [ 0; 0; 0; 0 ]
       (List.map2 ( - ) (counts ()) before)
   in
   adds_nothing "set_priority to the clamped priority" (fun () -> Pfdev.set_priority port 255);

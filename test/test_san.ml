@@ -61,7 +61,7 @@ let test_lockset_single_cpu_silent () =
   done;
   Alcotest.(check (list kind)) "no reports" [] (kinds_of san)
 
-(* {1 CPU-private and IPI-published disciplines} *)
+(* {1 CPU-private and published disciplines} *)
 
 let test_cpu_private () =
   let san = San.create ~ncpus:4 () in
@@ -80,7 +80,7 @@ let test_cpu_private () =
 
 let test_hb_unordered_then_ordered () =
   let san = San.create ~ncpus:2 () in
-  let r = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  let r = San.register san ~name:"table" ~discipline:San.Published in
   San.write san ~cpu:0 r;
   San.read san ~cpu:1 r;
   (match San.reports san with
@@ -90,10 +90,10 @@ let test_hb_unordered_then_ordered () =
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
   (* same shape with the publication edge: silent *)
   let san = San.create ~ncpus:2 () in
-  let r = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  let r = San.register san ~name:"table" ~discipline:San.Published in
   San.write san ~cpu:0 r;
-  let m = San.ipi_send san ~src:0 in
-  San.ipi_receive san ~dst:1 m;
+  San.publish san ~cpu:0 r;
+  San.sync san ~cpu:1 r;
   San.read san ~cpu:1 r;
   Alcotest.(check (list kind)) "ordered read is clean" [] (kinds_of san)
 
@@ -101,7 +101,7 @@ let test_hb_unordered_then_ordered () =
 
 let test_protocol_stale_hit () =
   let san = San.create ~ncpus:2 () in
-  let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  let table = San.register san ~name:"table" ~discipline:San.Published in
   San.note_store san ~cpu:1 ~key:"flow-a" table;
   San.write san ~cpu:0 table;
   San.publish san ~cpu:0 table;
@@ -120,7 +120,7 @@ let test_protocol_stale_hit () =
   (* a publication alone invalidates nothing: once synced, the old entry
      may answer *)
   let san = San.create ~ncpus:2 () in
-  let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  let table = San.register san ~name:"table" ~discipline:San.Published in
   San.note_store san ~cpu:1 ~key:"flow-a" table;
   San.write san ~cpu:0 table;
   San.publish san ~cpu:0 table;
@@ -131,7 +131,7 @@ let test_protocol_stale_hit () =
   (* the protocol done right: invalidate, then sync and flush before the
      next probe; what is stored after the flush may answer *)
   let san = San.create ~ncpus:2 () in
-  let table = San.register san ~name:"table" ~discipline:San.Ipi_published in
+  let table = San.register san ~name:"table" ~discipline:San.Published in
   San.note_store san ~cpu:1 ~key:"flow-a" table;
   San.write san ~cpu:0 table;
   San.publish san ~cpu:0 table;
@@ -154,13 +154,10 @@ let test_protocol_stale_hit () =
 
 (* {1 The hardened lock model} *)
 
-let mk_smp ncpus =
-  let eng = Engine.create () in
-  let smp = Smp.create ~ncpus eng Pf_sim.Costs.microvax_ii in
-  (eng, smp)
+let mk_smp ncpus = Smp.create ~ncpus Pf_sim.Costs.microvax_ii
 
 let test_lock_double_release () =
-  let _, smp = mk_smp 2 in
+  let smp = mk_smp 2 in
   let san = San.create ~ncpus:2 () in
   Smp.set_san smp san;
   let l = Smp.Lock.create ~name:"l" smp in
@@ -172,7 +169,7 @@ let test_lock_double_release () =
     (kinds_of san)
 
 let test_lock_release_by_non_owner () =
-  let _, smp = mk_smp 2 in
+  let smp = mk_smp 2 in
   let san = San.create ~ncpus:2 () in
   Smp.set_san smp san;
   let l = Smp.Lock.create ~name:"l" smp in
@@ -187,7 +184,7 @@ let test_lock_release_by_non_owner () =
   Alcotest.(check int) "no new misuses" 1 (List.length (Smp.Lock.misuses l))
 
 let test_lock_reentrant_acquire () =
-  let _, smp = mk_smp 2 in
+  let smp = mk_smp 2 in
   let san = San.create ~ncpus:2 () in
   Smp.set_san smp san;
   let l = Smp.Lock.create ~name:"l" smp in
@@ -199,26 +196,6 @@ let test_lock_reentrant_acquire () =
   (* misuse detection never perturbs the time accounting *)
   Alcotest.(check int) "acquisitions counted" 2 (Smp.Lock.acquisitions l);
   Alcotest.(check int) "second acquire spun" 1 (Smp.Lock.contended l)
-
-(* {1 ipi_broadcast: ascending CPU-id retire order, at every ncpus} *)
-
-let test_ipi_broadcast_order () =
-  List.iter
-    (fun ncpus ->
-      List.iter
-        (fun src ->
-          let eng, smp = mk_smp ncpus in
-          let order = ref [] in
-          Smp.ipi_broadcast smp ~src (fun dst -> order := dst :: !order);
-          Engine.run eng;
-          let expected =
-            List.filter (fun k -> k <> src) (List.init ncpus Fun.id)
-          in
-          Alcotest.(check (list int))
-            (Printf.sprintf "ncpus=%d src=%d" ncpus src)
-            expected (List.rev !order))
-        [ 0; ncpus - 1 ])
-    [ 1; 2; 4; 8 ]
 
 (* {1 Pfdev.steer: a pure function of the flow-cache key bytes} *)
 
@@ -265,6 +242,40 @@ let test_steer_pure_function_of_key () =
             (Pfdev.steer pf (Pf_pkt.Packet.of_bytes b)))
         [ 0; 3; 7; 15 ])
     [ 0x5EED; 0xD373 ]
+
+(* {1 The host protocol table: a boot-CPU write every CPU reads}
+
+   Registering a kernel protocol writes the host-wide table on CPU 0, and
+   each receive CPU reads it at its type-field dispatch, before the demux.
+   The registration publishes the write and every CPU syncs to it, so a
+   read on CPU 1 is ordered after it. *)
+
+let test_host_protocol_table () =
+  let eng = Engine.create () in
+  let link = Pf_net.Link.create eng Frame.Dix10 ~rate_mbit:10. () in
+  let h =
+    Host.create ~costs:Pf_sim.Costs.microvax_ii ~ncpus:2 link ~name:"rx"
+      ~addr:(Addr.eth_host 2)
+  in
+  let san = San.create ~ncpus:2 () in
+  Host.attach_san h san;
+  let pf = Host.pf h in
+  let gen = Gen.make ~blend:[ (Gen.Udp, 1.) ] ~seed:0x5EED ~flows:8 ~skew:Gen.Uniform () in
+  List.iter
+    (fun f ->
+      match Pfdev.set_filter (Pfdev.open_port pf) (Gen.filter f) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%a" Pfdev.pp_install_error e)
+    (Gen.flows gen);
+  Engine.run eng;
+  let handled = ref 0 in
+  Host.register_protocol h ~ethertype:Pf_net.Ethertype.ip (fun _ -> incr handled);
+  Alcotest.(check bool) "a flow steers to cpu 1" true
+    (List.exists (fun f -> Pfdev.steer pf (Gen.frame f) = 1) (Gen.flows gen));
+  List.iter (fun f -> Host.inject h (Gen.frame f)) (Gen.flows gen);
+  Engine.run eng;
+  Alcotest.(check int) "every frame reaches the handler" 8 !handled;
+  Alcotest.(check (list kind)) "no reports" [] (kinds_of san)
 
 (* {1 The clean kernel is silent at every CPU count} *)
 
@@ -508,7 +519,7 @@ let suite =
         test_lockset_single_cpu_silent;
       Alcotest.test_case "cpu-private: foreign access reports" `Quick
         test_cpu_private;
-      Alcotest.test_case "happens-before: ipi edge orders the read" `Quick
+      Alcotest.test_case "happens-before: sync edge orders the read" `Quick
         test_hb_unordered_then_ordered;
       Alcotest.test_case "protocol: stale hit vs synced cache" `Quick
         test_protocol_stale_hit;
@@ -517,10 +528,10 @@ let suite =
         test_lock_release_by_non_owner;
       Alcotest.test_case "lock: reentrant acquire" `Quick
         test_lock_reentrant_acquire;
-      Alcotest.test_case "ipi_broadcast retires in ascending cpu order" `Quick
-        test_ipi_broadcast_order;
       Alcotest.test_case "steer is a pure function of the key bytes" `Quick
         test_steer_pure_function_of_key;
+      Alcotest.test_case "host protocol table: remote reads are ordered" `Quick
+        test_host_protocol_table;
       Alcotest.test_case "clean kernel: zero reports at 1/2/4/8 cpus" `Slow
         test_clean_kernel_all_ncpus;
       Alcotest.test_case "mutant: skip-install-invalidation caught" `Quick

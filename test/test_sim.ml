@@ -283,7 +283,7 @@ let test_await_signal_allocation () =
    and the CPU's last process are plain ints, so neither boxes. *)
 
 let test_lock_pair_allocates_nothing () =
-  let smp = Smp.create ~ncpus:2 (Engine.create ()) Costs.microvax_ii in
+  let smp = Smp.create ~ncpus:2 Costs.microvax_ii in
   let l = Smp.Lock.create smp in
   let words =
     Testutil.minor_words (fun () ->

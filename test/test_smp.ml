@@ -138,7 +138,6 @@ let test_mutations_invalidate_all_cpus () =
     Alcotest.(check int)
       (name ^ ": the mutating CPU flushed at once")
       (inval0 + 1) (Pfdev.cache_stats pf).Pfdev.invalidations;
-    Alcotest.(check int) (name ^ ": no IPI sent") 0 (Smp.total_ipis (Host.smp h));
     let probes k =
       let c = List.nth (Pfdev.smp_stats pf).Pfdev.per_cpu k in
       (c.Pfdev.cache_hits, c.Pfdev.cache_misses)
@@ -158,8 +157,7 @@ let test_mutations_invalidate_all_cpus () =
     done;
     Alcotest.(check int)
       (name ^ ": every per-CPU cache flushed once")
-      (inval0 + ncpus) (Pfdev.cache_stats pf).Pfdev.invalidations;
-    Alcotest.(check int) (name ^ ": still no IPI") 0 (Smp.total_ipis (Host.smp h))
+      (inval0 + ncpus) (Pfdev.cache_stats pf).Pfdev.invalidations
   in
   mutate_with "set_filter" (fun _ p gen ->
       set_filter_exn p (Gen.filter ~priority:1 (Gen.flow gen 0)));
@@ -249,22 +247,20 @@ let test_records_are_the_one_home () =
       let ss = Pfdev.smp_stats pf in
       let lock_acquire = Pf_sim.Costs.microvax_ii.Pf_sim.Costs.lock_acquire in
       let deliveries, contended = if n = 1 then (0, 0) else (4, 1) in
-      Alcotest.(check (list int)) (msg "lock: acquisitions, contended, spin; ipis")
-        [ deliveries; contended; contended * lock_acquire; 0 ]
-        [ ss.Pfdev.lock_acquisitions; ss.Pfdev.lock_contended; ss.Pfdev.lock_wait_total_us;
-          ss.Pfdev.ipis ];
+      Alcotest.(check (list int)) (msg "lock: acquisitions, contended, spin")
+        [ deliveries; contended; contended * lock_acquire ]
+        [ ss.Pfdev.lock_acquisitions; ss.Pfdev.lock_contended; ss.Pfdev.lock_wait_total_us ];
       let per_cpu =
         List.map
           (fun (c : Pfdev.smp_cpu_stats) ->
             [ c.Pfdev.packets; c.Pfdev.cache_hits; c.Pfdev.cache_misses; c.Pfdev.lock_waits;
-              c.Pfdev.lock_wait_us; c.Pfdev.ipis_sent; c.Pfdev.ipis_received ])
+              c.Pfdev.lock_wait_us ])
           ss.Pfdev.per_cpu
       in
       Alcotest.(check (list (list int)))
-        (msg "per CPU: packets, hits, misses, lock waits, spin, ipis sent, received")
-        (if n = 1 then [ [ 5; 2; 2; 0; 0; 0; 0 ] ]
-         else
-           [ [ 3; 1; 1; 0; 0; 0; 0 ]; [ 2; 1; 1; 1; lock_acquire; 0; 0 ] ])
+        (msg "per CPU: packets, hits, misses, lock waits, spin")
+        (if n = 1 then [ [ 5; 2; 2; 0; 0 ] ]
+         else [ [ 3; 1; 1; 0; 0 ]; [ 2; 1; 1; 1; lock_acquire ] ])
         per_cpu;
       Alcotest.(check (list int)) (msg "host-scope counts: packets, accepted, filters tested")
         [ 5; 4; 1 ]
@@ -464,7 +460,7 @@ let test_gen_filters_exact () =
    record only. Re-entering the table would over-count [active_ports] and
    widen the flow key with a filter no packet reaches, which can move flows
    to another CPU. No mutation of a closed port, closing it again included,
-   flushes a cache or sends an IPI. *)
+   flushes a cache. *)
 
 let test_closed_port_stays_out () =
   let eng, h = mk_host ~ncpus:4 () in
@@ -486,15 +482,13 @@ let test_closed_port_stays_out () =
   let steering () = List.map (fun f -> Pfdev.steer pf (Gen.frame f)) (Gen.flows gen) in
   let cpus = steering () in
   let invalidations = (Pfdev.cache_stats pf).Pfdev.invalidations in
-  let ipis = Smp.total_ipis (Host.smp h) in
   let unchanged what =
     Alcotest.(check int) (what ^ ": still three ports") 3 (Pfdev.active_ports pf);
     Alcotest.(check bool) (what ^ ": flow key unchanged") true
       (Pfdev.For_testing.flow_key pf = key);
     Alcotest.(check (list int)) (what ^ ": every flow steers as before") cpus (steering ());
     Alcotest.(check int) (what ^ ": no cache flushed") invalidations
-      (Pfdev.cache_stats pf).Pfdev.invalidations;
-    Alcotest.(check int) (what ^ ": no IPI sent") ipis (Smp.total_ipis (Host.smp h))
+      (Pfdev.cache_stats pf).Pfdev.invalidations
   in
   set_filter_exn closed (Gen.filter ~priority:3 (Gen.flow gen 0));
   unchanged "set_filter on the closed port";
@@ -679,7 +673,7 @@ let scoped_run ~strategy ~ncpus ~steps seed =
     let eng = Engine.create () in
     let costs = Pf_sim.Costs.microvax_ii in
     let pf =
-      Pfdev.create_smp eng (Smp.create ~ncpus eng costs) costs (Stats.create ())
+      Pfdev.create_smp eng (Smp.create ~ncpus costs) costs (Stats.create ())
         ~variant:Frame.Exp3 ~address:(Addr.exp 2) ~send:ignore
     in
     Pfdev.set_cache_enabled pf cache;
@@ -821,7 +815,6 @@ let test_close_reaches_remote_entry () =
   Alcotest.(check bool) "accepted again" true (Pfdev.demux pf ~cpu:1 frame);
   Alcotest.(check (pair int int)) "the classified-again entry hits" (2, 2) (probes ());
   Alcotest.(check (list int)) "by the second port" [ 2; 2 ] (accepted ());
-  Alcotest.(check int) "no IPI sent" 0 (Pfdev.smp_stats pf).Pfdev.ipis;
   Engine.run eng
 
 let suite =
